@@ -67,6 +67,10 @@ class NotHermitian(HoqError):
     """Operation requires a Hermitian input within tolerance."""
 
 
+class NonFiniteOperator(HoqError):
+    """Operator has NaN or infinite entries."""
+
+
 class FactorMismatch(HoqError):
     """Operator factors do not match the systems of the type being checked."""
 
@@ -99,8 +103,8 @@ class BlockCheckFailed(HoqError):
     """A network block failed its slot-type membership check."""
 
     def __init__(self, index, report):
-        super().__init__(f"block {index} failed its slot-type check "
-                         f"(residual {report.sector_residual:.3e}, min eig {report.min_eigenvalue:.3e})")
+        super().__init__(f"block {index} failed its slot-type check: residual "
+                         f"{report.sector_residual:.3e}, {report.min_eigenvalue_text()}")
         self.index = index
         self.report = report
 

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     BadPermutation,
     DimMismatch,
+    FactorMismatch,
     LabelCollision,
+    NonFiniteOperator,
     NotHermitian,
     ShapeMismatch,
     UnknownLabel,
@@ -70,8 +72,16 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def herm_defect(self) -> float:
-        return float(np.abs(self.data - self.data.conj().T).max())
+    def herm_defect(self, sym: Optional[np.ndarray] = None) -> float:
+        """``max |A - A^H|``.
+
+        A caller that has formed the Hermitian part ``sym = (A + A^H) / 2``
+        passes it, and the defect is taken from it as ``2 max |A - sym|``,
+        without another transposed pass.
+        """
+        if sym is None:
+            return float(np.abs(self.data - self.data.conj().T).max())
+        return 2.0 * float(np.abs(self.data - sym).max())
 
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)
@@ -113,6 +123,26 @@ def permute_systems(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator
     new_factors = tuple(a.factors[p] for p in perm)
     total = a.dim
     return LabeledOperator(new_factors, tens.reshape(total, total))
+
+
+def align_factors(a: LabeledOperator, systems: Sequence[tuple[str, int]]
+                  ) -> tuple[LabeledOperator, Optional[tuple[str, ...]]]:
+    """Permute ``a`` into the factor order of ``systems``.
+
+    Returns the aligned operator and the new label order, or ``None`` in
+    its place when ``a`` was already in that order.  Raises
+    :class:`FactorMismatch` when the labels, or their dimensions, differ.
+    """
+    systems = tuple(systems)
+    labels = tuple(lab for lab, _ in systems)
+    if sorted(a.labels) != sorted(labels):
+        raise FactorMismatch(f"operator factors {a.labels} do not match systems {labels}")
+    if dict(a.factors) != dict(systems):
+        raise FactorMismatch(
+            f"factor dimensions {a.factors} disagree with systems {systems}")
+    if a.labels == labels:
+        return a, None
+    return permute_systems(a, labels), labels
 
 
 def relabel(a: LabeledOperator, mapping: dict[str, str]) -> LabeledOperator:
@@ -275,11 +305,30 @@ def apply_choi(m: LabeledOperator, in_labels: Sequence[str],
 # Spectral helpers
 # ---------------------------------------------------------------------------
 
+def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
+    """``(A + A^H) / 2`` as a new array, and the hermiticity defect of ``A``.
+
+    The defect is measured once, from the Hermitian part.  Raises
+    :class:`NonFiniteOperator` when it is not finite, which any NaN or
+    infinite entry makes it.
+    """
+    sym = np.empty_like(a.data)
+    np.conjugate(a.data.T, out=sym)
+    # non-finite entries make NaNs here, which the defect then reports
+    with np.errstate(invalid="ignore"):
+        sym += a.data
+        sym *= 0.5
+        defect = a.herm_defect(sym)
+    if not math.isfinite(defect):
+        raise NonFiniteOperator(f"operator has non-finite entries (hermiticity defect {defect})")
+    return sym, defect
+
+
 def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:
-    defect = a.herm_defect()
+    sym, defect = hermitian_part(a)
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return (a.data + a.data.conj().T) / 2
+    return sym
 
 
 def eigh(a: LabeledOperator, tol_herm: float = TOL_HERM):

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FactorMismatch, NoHattedSystems
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, permute_systems
+from .errors import NoHattedSystems
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, align_factors, hermitian_part
 from .sectors import (
     Hierarchy,
     SectorSet,
@@ -34,12 +34,16 @@ class CheckReport:
     lying outside the allowed sectors (the identity mismatch is reported
     through the lambda fields instead of being double counted here).
     ``forbidden_components`` lists the out-of-sector patterns carrying weight,
-    largest first.
+    largest first.  ``psd_method`` names the positivity test that decided:
+    with ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
+    ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
+    ``"eigvalsh"`` it is the computed minimum eigenvalue.
     """
 
     verdict: str
     psd_ok: bool
     min_eigenvalue: float
+    psd_method: str
     lambda_ok: bool
     lambda_expected: Fraction
     lambda_measured: float
@@ -56,6 +60,7 @@ class CheckReport:
             "verdict": self.verdict,
             "psd_ok": self.psd_ok,
             "min_eigenvalue": self.min_eigenvalue,
+            "psd_method": self.psd_method,
             "lambda_ok": self.lambda_ok,
             "lambda_expected": str(self.lambda_expected),
             "lambda_measured": self.lambda_measured,
@@ -64,10 +69,15 @@ class CheckReport:
             "permutation": list(self.permutation) if self.permutation else None,
         }
 
+    def min_eigenvalue_text(self) -> str:
+        if self.psd_method == "cholesky":
+            return f"min eigenvalue ≥ {self.min_eigenvalue:.3e} (Cholesky certificate)"
+        return f"min eigenvalue {self.min_eigenvalue:.3e}"
+
     def to_text(self) -> str:
         lines = [
             f"verdict:          {self.verdict}",
-            f"psd:              {'ok' if self.psd_ok else 'FAILED'} (min eigenvalue {self.min_eigenvalue:.3e})",
+            f"psd:              {'ok' if self.psd_ok else 'FAILED'}, {self.min_eigenvalue_text()}",
             f"identity coeff:   {'ok' if self.lambda_ok else 'FAILED'} "
             f"(expected {self.lambda_expected} = {float(self.lambda_expected):.9g}, "
             f"measured {self.lambda_measured:.9g})",
@@ -103,34 +113,28 @@ class Classification:
     standard_report: CheckReport
 
 
-def _align(op: LabeledOperator, systems) -> tuple[LabeledOperator, Optional[tuple[str, ...]]]:
-    """Permute operator factors to the canonical system order of a type."""
-    want = tuple(systems)
-    if sorted(op.factors) != sorted(want):
-        raise FactorMismatch(
-            f"operator factors {op.factors} do not match type systems {want}")
-    if op.factors == want:
-        return op, None
-    labels = tuple(lab for lab, _ in want)
-    return permute_systems(op, labels), labels
+def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
+    """Minimum eigenvalue, positivity verdict and the method that decided.
 
-
-def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool]:
-    """Minimum eigenvalue and positivity verdict of a Hermitian matrix.
-
-    Large matrices are certified by a Cholesky factorization of
-    ``sym + psd_tol * 1``; in that case the reported eigenvalue is the
-    certified lower bound rather than the exact minimum.
+    A Cholesky factorization of ``sym + psd_tol * 1`` certifies positivity
+    and reports the lower bound ``-psd_tol``; only when it fails does
+    ``eigvalsh`` find the exact minimum.  The shift is applied to the
+    diagonal of ``sym`` in place and undone exactly before returning.
     """
-    dim = sym.shape[0]
-    if dim > 2048:
-        try:
-            np.linalg.cholesky(sym + psd_tol * np.eye(dim))
-            return -psd_tol, True
-        except np.linalg.LinAlgError:
-            pass
+    diag = sym.reshape(-1)[::sym.shape[0] + 1]
+    saved = diag.copy()
+    diag += psd_tol
+    try:
+        np.linalg.cholesky(sym)
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    finally:
+        diag[:] = saved
+    if certified:
+        return -psd_tol, True, "cholesky"
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return min_eig, min_eig >= -psd_tol
+    return min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
 def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
@@ -142,17 +146,19 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
     The operator must already be in the sector set's factor order.  Checks
     positivity, the identity coefficient (relatively, so one tolerance serves
     all dimensions), and that the traceless part lies in the allowed sectors.
+    Raises :class:`NonFiniteOperator` on NaN or infinite entries.
     """
-    herm_defect = op.herm_defect()
-    sym = (op.data + op.data.conj().T) / 2
-    min_eig, spectrum_ok = _psd_status(sym, psd_tol)
+    sym, herm_defect = hermitian_part(op)
+    min_eig, spectrum_ok, psd_method = _psd_status(sym, psd_tol)
     psd_ok = herm_defect <= herm_tol and spectrum_ok
 
     expected = float(coeff)
     measured = float(np.trace(op.data).real) / op.dim
     lambda_ok = herm_defect <= herm_tol and abs(measured - expected) <= tol * expected
 
-    deviation = LabeledOperator(op.factors, sym - expected * np.eye(op.dim))
+    # sym becomes the deviation R - coeff * 1
+    sym.reshape(-1)[::op.dim + 1] -= expected
+    deviation = LabeledOperator(op.factors, sym)
     outside = outside_component(deviation, sectors, tol_herm=np.inf)
     residual = float(np.linalg.norm(outside.data))
     scale = 1.0 + float(np.linalg.norm(deviation.data))
@@ -173,6 +179,7 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
         verdict="PASS" if ok else "FAIL",
         psd_ok=psd_ok,
         min_eigenvalue=min_eig,
+        psd_method=psd_method,
         lambda_ok=lambda_ok,
         lambda_expected=coeff,
         lambda_measured=measured,
@@ -201,7 +208,7 @@ def is_deterministic(op: LabeledOperator, t, reg: SystemRegistry,
     the canonical order of the type; the report records the permutation.
     """
     coeff, sectors = characterization_of(t, reg, hierarchy)
-    aligned, perm = _align(op, sectors.systems)
+    aligned, perm = align_factors(op, sectors.systems)
     return check_operator(aligned, coeff, sectors, tol=tol, psd_tol=psd_tol,
                           herm_tol=herm_tol, permutation=perm)
 
@@ -258,14 +265,15 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     by Dykstra's alternating projections on ``Y = D - op`` between the PSD
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
     verdicts return the witness ``D``, and UNDECIDED is an honest outcome
-    when the iteration does not settle.
+    when the iteration does not settle.  Raises :class:`NonFiniteOperator`
+    on NaN or infinite entries.
     """
     coeff, sectors = characterization_of(t, reg, hierarchy)
-    aligned, _ = _align(op, sectors.systems)
+    aligned, _ = align_factors(op, sectors.systems)
 
-    sym = (aligned.data + aligned.data.conj().T) / 2
+    sym, herm_defect = hermitian_part(aligned)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if aligned.herm_defect() > TOL_HERM or min_eig < -psd_tol:
+    if herm_defect > TOL_HERM or min_eig < -psd_tol:
         return AdmissibilityResult("NOT_ADMISSIBLE",
                                    reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")
 

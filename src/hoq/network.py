@@ -14,7 +14,7 @@ from .errors import (
     NotANetwork,
     RankInstability,
 )
-from .linalg import LabeledOperator, link_all, partial_trace, permute_systems
+from .linalg import LabeledOperator, align_factors, link_all, partial_trace, permute_systems
 from .membership import CheckReport, check_operator, is_deterministic
 from .sectors import Hierarchy, identity_coeff, network_characterization
 from .typesys import (
@@ -105,11 +105,7 @@ def check_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
     """Test an operator against the causally ordered network characterization."""
     coeff, sectors = network_characterization(spec.slot_types, spec.memories[0],
                                               spec.memories[-1], reg, hierarchy)
-    want = tuple(sectors.systems)
-    if sorted(r.factors) != sorted(want):
-        raise FactorMismatch(f"operator factors {r.factors} vs network systems {want}")
-    aligned = permute_systems(r, [lab for lab, _ in want])
-    perm = None if aligned.factors == r.factors else tuple(lab for lab, _ in want)
+    aligned, perm = align_factors(r, sectors.systems)
     return check_operator(aligned, coeff, sectors, tol=tol, permutation=perm)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FactorMismatch, HatInStandardHierarchy, NotHermitian
-from .linalg import TOL_HERM, LabeledOperator, permute_systems
+from .linalg import TOL_HERM, LabeledOperator, align_factors, permute_systems
 from .typesys import (
     Arrow,
     BistochElem,
@@ -377,13 +377,21 @@ def _identity_average(tens: np.ndarray, dims: Sequence[int], i: int) -> np.ndarr
     return out.reshape(tens.shape)
 
 
+def _check_hermitian(op: LabeledOperator, tol_herm: float) -> None:
+    """Raise NotHermitian beyond ``tol_herm``; ``np.inf`` skips the measurement."""
+    if tol_herm == np.inf:
+        return
+    defect = op.herm_defect()
+    if not defect <= tol_herm:
+        raise NotHermitian(f"hermiticity defect {defect:.3e}")
+
+
 def sector_component(op: LabeledOperator, pattern: Pattern,
                      tol_herm: float = TOL_HERM) -> LabeledOperator:
     """Orthogonal component of a Hermitian operator on one sector pattern."""
     if len(pattern.marks) != len(op.factors):
         raise FactorMismatch("pattern length does not match operator factors")
-    if op.herm_defect() > tol_herm:
-        raise NotHermitian(f"hermiticity defect {op.herm_defect():.3e}")
+    _check_hermitian(op, tol_herm)
     data = op.data
     dims = op.dims
     for i, mark in enumerate(pattern.marks):
@@ -392,34 +400,41 @@ def sector_component(op: LabeledOperator, pattern: Pattern,
     return LabeledOperator(op.factors, data)
 
 
-def _split_shape(dims, pos):
+def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:
+    """``data`` as a (left, d, right, left, d, right) view around factor ``pos``.
+
+    ``data`` is C-contiguous here, so the reshape is a view and writes to
+    it land in ``data``.
+    """
     d = dims[pos]
     left = math.prod(dims[:pos])
     right = math.prod(dims[pos + 1:])
-    return left, d, right
+    return data.reshape(left, d, right, left, d, right)
 
 
 def _traced_average(data: np.ndarray, dims, pos: int) -> np.ndarray:
     """Tr over factor ``pos`` divided by its dimension; factor removed."""
-    left, d, right = _split_shape(dims, pos)
-    t = data.reshape(left, d, right, left, d, right)
+    t = _factor_view(data, dims, pos)
+    d = t.shape[1]
     out = t[:, 0, :, :, 0, :].copy()
     for a in range(1, d):
         out += t[:, a, :, :, a, :]
     out /= d
-    lr = left * right
+    lr = t.shape[0] * t.shape[2]
     return out.reshape(lr, lr)
 
 
-def _embed_identity(small: np.ndarray, dims, pos: int) -> np.ndarray:
-    """Insert an identity factor at ``pos``: the inverse of the average map."""
-    left, d, right = _split_shape(dims, pos)
-    lr = left * right
-    s = small.reshape(left, right, left, right)
-    out = np.zeros((left, d, right, left, d, right), dtype=small.dtype)
-    for a in range(d):
-        out[:, a, :, :, a, :] = s
-    return out.reshape(lr * d, lr * d)
+def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:
+    """In place, ``data = ufunc(data, small (x) 1)`` with the identity at factor ``pos``.
+
+    Only the d diagonal blocks of factor ``pos`` change; the embedding
+    itself is never formed.
+    """
+    t = _factor_view(data, dims, pos)
+    s = small.reshape(t.shape[0], t.shape[2], t.shape[0], t.shape[2])
+    for a in range(t.shape[1]):
+        block = t[:, a, :, :, a, :]
+        ufunc(block, s, out=block)
 
 
 def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
@@ -429,8 +444,9 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     complement.  The identity branch recurses on the traced-out matrix, so
     full-size arithmetic happens only along runs of traceless factors; empty
     branches return None and full branches return their input unchanged.
-    ``owned`` marks inputs this call may release early, which keeps the peak
-    memory at a few matrices instead of one per recursion level.
+    The traceless branch is formed in ``data`` itself when the call
+    ``owned`` it, else in one copy, and the identity branch is added into it
+    block by block, so a projection costs at most one full-size array.
     """
     k = len(dims)
     if not masks:
@@ -440,51 +456,41 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     avg_small = _traced_average(data, dims, pos)
     low = {m >> 1 for m in masks if not m & 1}
     high = {m >> 1 for m in masks if m & 1}
-    reduced_dims = dims[:pos] + dims[pos + 1:]
 
-    high_part = None
+    out = None
     if high:
-        trl = data - _embed_identity(avg_small, dims, pos)
-        if owned:
-            data = None
-        high_part = _project_masks(trl, dims, pos + 1, high, owned=True)
-        del trl
+        out = data if owned else data.copy()
+        _combine_identity(np.subtract, out, avg_small, dims, pos)
+        out = _project_masks(out, dims, pos + 1, high, owned=True)
 
+    reduced_dims = dims[:pos] + dims[pos + 1:]
     low_small = _project_masks(avg_small, reduced_dims, pos, low, owned=True)
     if low_small is None:
-        return high_part
-    low_part = _embed_identity(low_small, dims, pos)
-    if high_part is None:
-        return low_part
-    low_part += high_part
-    return low_part
+        return out
+    if out is None:
+        out = data if owned else np.empty_like(data)
+        out.fill(0)
+    _combine_identity(np.add, out, low_small, dims, pos)
+    return out
 
 
-def _aligned_for(op: LabeledOperator, s: SectorSet, tol_herm: float) -> LabeledOperator:
-    if sorted(op.labels) != sorted(s.labels):
-        raise FactorMismatch(f"operator factors {op.labels} vs sector systems {s.labels}")
-    aligned = permute_systems(op, s.labels)
-    if dict(aligned.factors) != dict(s.systems):
-        raise FactorMismatch("factor dimensions disagree with sector systems")
-    if aligned.herm_defect() > tol_herm:
-        raise NotHermitian(f"hermiticity defect {aligned.herm_defect():.3e}")
-    return aligned
+def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
+    """Projection onto ``masks``, through the complement when that set is smaller."""
+    complement = frozenset(range(1 << len(dims))) - masks
+    if len(complement) < len(masks):
+        # the complement is a proper subset, so ``rest`` is a new array
+        rest = _project_masks(data, dims, 0, complement)
+        return data if rest is None else np.subtract(data, rest, out=rest)
+    out = _project_masks(data, dims, 0, masks)
+    return np.zeros_like(data) if out is None else out
 
 
 def sector_project(op: LabeledOperator, s: SectorSet,
                    tol_herm: float = TOL_HERM) -> LabeledOperator:
     """Orthogonal projection of a Hermitian operator onto a sector set."""
-    aligned = _aligned_for(op, s, tol_herm)
-    k = len(s.systems)
-    complement = frozenset(range(1 << k)) - s.masks
-    if len(complement) < len(s.masks):
-        rest = _project_masks(aligned.data, aligned.dims, 0, complement)
-        out = aligned.data if rest is None else aligned.data - rest
-    else:
-        out = _project_masks(aligned.data, aligned.dims, 0, s.masks)
-        if out is None:
-            out = np.zeros_like(aligned.data)
-    projected = LabeledOperator(aligned.factors, out)
+    aligned, _ = align_factors(op, s.systems)
+    _check_hermitian(aligned, tol_herm)
+    projected = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, s.masks))
     return permute_systems(projected, op.labels)
 
 
@@ -496,18 +502,10 @@ def outside_component(op: LabeledOperator, s: SectorSet,
     ``s``; computed through whichever of the two complementary mask sets is
     smaller.
     """
-    aligned = _aligned_for(op, s, tol_herm)
-    k = len(s.systems)
-    keep = s.masks | {0}
-    forbidden = frozenset(range(1 << k)) - keep
-    if len(forbidden) <= len(keep):
-        out = _project_masks(aligned.data, aligned.dims, 0, forbidden)
-        if out is None:
-            out = np.zeros_like(aligned.data)
-    else:
-        kept = _project_masks(aligned.data, aligned.dims, 0, keep)
-        out = aligned.data if kept is None else aligned.data - kept
-    result = LabeledOperator(aligned.factors, out)
+    aligned, _ = align_factors(op, s.systems)
+    _check_hermitian(aligned, tol_herm)
+    forbidden = frozenset(range(1 << len(s.systems))) - s.masks - {0}
+    result = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, forbidden))
     return permute_systems(result, op.labels)
 
 
@@ -518,8 +516,7 @@ def pattern_norms(op: LabeledOperator, tol_herm: float = TOL_HERM) -> dict[Patte
     exclusion, avoiding the explicit construction of each component.  The
     values sum to ``||op||_F^2`` (Parseval).
     """
-    if op.herm_defect() > tol_herm:
-        raise NotHermitian(f"hermiticity defect {op.herm_defect():.3e}")
+    _check_hermitian(op, tol_herm)
     dims = op.dims
     k = len(dims)
     w: dict[frozenset, float] = {}

@@ -9,38 +9,6 @@ def qubit_reg():
     return SystemRegistry.of(A=2, B=2, C=2, D=2, P=4, F=4)
 
 
-def random_type(rng, reg_dims, max_depth=4, max_systems=10):
-    """Seeded random type over fresh labels; returns (TypeExpr, registry).
-
-    reg_dims is the pool of dimensions to draw from (e.g. (2, 3)).
-    """
-    from hoq import Arrow, BistochElem, SystemString, SystemRegistry
-
-    counter = [0]
-    dims = {}
-
-    def fresh(dim):
-        counter[0] += 1
-        lab = f"S{counter[0]}"
-        dims[lab] = dim
-        return lab
-
-    def build(depth):
-        budget = max_systems - counter[0]
-        if depth >= max_depth or budget <= 2 or rng.random() < 0.35:
-            if budget < 2 or rng.random() < 0.5:
-                n = 1 + (rng.random() < 0.3 and budget >= 2)
-                return SystemString(tuple(fresh(int(rng.choice(reg_dims))) for _ in range(n)))
-            d = int(rng.choice(reg_dims))
-            in_tail = (fresh(int(rng.choice(reg_dims))),) if budget >= 4 and rng.random() < 0.3 else ()
-            out_tail = (fresh(int(rng.choice(reg_dims))),) if budget >= 4 and rng.random() < 0.3 else ()
-            return BistochElem(fresh(d), in_tail, fresh(d), out_tail)
-        return Arrow(build(depth + 1), build(depth + 1))
-
-    t = build(0)
-    return t, SystemRegistry.from_dict(dims)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -56,7 +56,7 @@ from hoq.processes import (
 from hoq.sectors import Pattern, arrow_coeff, arrow_sectors, dual_coeff_direct, tensor_coeff_direct
 from hoq.typesys import Arrow, extend, systems_of
 
-from conftest import random_type
+from helpers import random_type
 
 
 def report(number, description, started, budget):

@@ -21,6 +21,8 @@ from hoq.serialize import (
 from hoq.typesys import BistochElem
 from hoq.errors import ConfigError
 
+from helpers import NON_FINITE, non_finite_operator
+
 
 @pytest.fixture
 def runner():
@@ -133,6 +135,24 @@ class TestCheckCommand:
         bad.write_text("")
         res = runner.invoke(main, ["check", "A", "-f", str(bad), "--registry", "A=2"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    def test_non_finite_operator_exit_2(self, runner, tmp_path, where):
+        path = tmp_path / "bad.json"
+        write_operator(non_finite_operator(where), str(path))
+        res = runner.invoke(main, ["check", "(^A -> ^B)", "-f", str(path),
+                                   "--registry", "A=2,B=2"])
+        assert res.exit_code == 2
+        assert "non-finite" in res.output
+
+    def test_json_report_names_psd_method(self, runner, tmp_path):
+        path = tmp_path / "state.json"
+        write_operator(LabeledOperator((("A", 2),), np.eye(2) / 2), str(path))
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2",
+                                   "--json"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["psd_method"] == "cholesky" and payload["min_eigenvalue"] == -1e-9
 
     def test_admissible_mode_exit_codes(self, runner, tmp_path):
         ok = tmp_path / "state.json"

@@ -14,12 +14,12 @@ from hoq import (
     sample_deterministic,
     tensor,
 )
-from hoq.errors import FactorMismatch, NoHattedSystems
-from hoq.linalg import link_product, permute_systems, tensor_op, transpose
+from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
+from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
-from conftest import random_type
+from helpers import NON_FINITE, non_finite_operator, random_type
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 
@@ -42,6 +42,45 @@ def test_non_psd_fails():
     op = LabeledOperator((("A", 2),), np.diag([1.2, -0.2]))
     rep = is_deterministic(op, t, REG)
     assert not rep.passed and not rep.psd_ok and rep.min_eigenvalue < -1e-3
+
+
+@pytest.mark.parametrize("shift, method", [(2.0, "eigvalsh"), (0.5, "cholesky")])
+def test_psd_gate_at_the_tolerance(shift, method):
+    # minimum eigenvalue -shift * psd_tol, everything else a valid state on A
+    reg = SystemRegistry.of(A=4)
+    low = -shift * TOL_PSD
+    vals = np.array([low, 0.2, 0.3, 0.5 - low])
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    op = LabeledOperator((("A", 4),), (q * vals) @ q.conj().T)
+    rep = is_deterministic(op, parse_type("A", reg), reg)
+    assert rep.psd_method == method and rep.to_dict()["psd_method"] == method
+    if method == "eigvalsh":
+        assert not rep.passed and not rep.psd_ok
+        assert rep.min_eigenvalue == pytest.approx(low, abs=1e-15)
+        assert "Cholesky" not in rep.to_text()
+    else:
+        assert rep.passed and rep.min_eigenvalue == -TOL_PSD
+        assert "min eigenvalue ≥ -1.000e-09 (Cholesky certificate)" in rep.to_text()
+
+
+@pytest.mark.parametrize("where", sorted(NON_FINITE))
+def test_non_finite_entries_rejected(where):
+    t = parse_type("(^A -> ^B)", REG)
+    op = non_finite_operator(where)
+    with pytest.raises(NonFiniteOperator):
+        is_deterministic(op, t, REG)
+    with pytest.raises(NonFiniteOperator):
+        is_admissible(op, t, REG)
+
+
+def test_factor_dimension_mismatch():
+    t = parse_type("(^A -> ^B)", REG)
+    op = LabeledOperator((("B", 3), ("A", 2)), np.eye(6) / 3)
+    with pytest.raises(FactorMismatch, match="dimensions"):
+        is_deterministic(op, t, REG)
+    with pytest.raises(FactorMismatch, match="dimensions"):
+        is_admissible(op, t, REG)
 
 
 def test_auto_permutation_recorded():

@@ -17,7 +17,7 @@ from hoq import (
     is_deterministic,
     sample_deterministic,
 )
-from hoq.errors import BlockCheckFailed, MemoryDimMismatch, NotANetwork
+from hoq.errors import BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork
 from hoq.linalg import link_all, permute_systems, relabel
 from hoq.processes import (
     flippable_switch_choi,
@@ -89,7 +89,8 @@ class TestCompose:
         spec = NetworkSpec((dual(pair(1)),), ("P", "F"))
         junk = LabeledOperator((("A1", 2), ("B1", 2), ("P", 2), ("F", 2)),
                                np.diag(np.arange(16.0)))
-        with pytest.raises(BlockCheckFailed):
+        with pytest.raises(BlockCheckFailed,
+                           match=r"min eigenvalue ≥ -1.000e-09 \(Cholesky certificate\)"):
             compose_network([junk], spec, reg)
 
     def test_memory_dim_mismatch(self):
@@ -115,6 +116,16 @@ class TestCheck:
         for seed in range(5):
             op = sample_deterministic(spec, reg, eps=0.6, seed=seed)
             assert check_network(op, spec, reg).passed
+
+    @pytest.mark.parametrize("factors, reason", [
+        ((("A1", 2), ("C1", 2), ("P", 3), ("F", 3)), "do not match"),
+        ((("A1", 2), ("B1", 3), ("P", 3), ("F", 2)), "dimensions")])
+    def test_factor_mismatch(self, factors, reason):
+        reg = SystemRegistry.of(A1=2, B1=2, P=3, F=3)
+        spec = NetworkSpec((dual(pair(1)),), ("P", "F"))
+        dim = int(np.prod([d for _, d in factors]))
+        with pytest.raises(FactorMismatch, match=reason):
+            check_network(LabeledOperator(factors, np.eye(dim) / dim), spec, reg)
 
     def test_compose_outputs_always_pass(self):
         rng = np.random.default_rng(13)

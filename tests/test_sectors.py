@@ -22,18 +22,19 @@ from hoq import (
     tensor,
     tensor_deviation_direct,
 )
-from hoq.errors import HatInStandardHierarchy
+from hoq.errors import FactorMismatch, HatInStandardHierarchy
 from hoq.sectors import (
     SectorSet,
     arrow_coeff,
     arrow_sectors,
     dual_coeff_direct,
+    outside_component,
     tensor_coeff_direct,
     traceless_space,
 )
 from hoq.typesys import dehat
 
-from conftest import random_type
+from helpers import random_type
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -285,6 +286,13 @@ class TestNumericalSectors:
         assert np.abs(p1.data - p2.data).max() < 1e-12
         rest = h.data - p1.data
         assert abs(np.trace(p1.data.conj().T @ rest)) < 1e-10
+
+    def test_project_factor_mismatch(self):
+        sect = traceless_space((("A", 2), ("B", 2)))
+        with pytest.raises(FactorMismatch, match="do not match"):
+            sector_project(LabeledOperator((("A", 2), ("C", 2)), np.eye(4)), sect)
+        with pytest.raises(FactorMismatch, match="dimensions"):
+            outside_component(LabeledOperator((("B", 3), ("A", 2)), np.eye(6)), sect)
 
     def test_project_complement_branch(self, rng):
         # a sector set with more than half the patterns goes through the

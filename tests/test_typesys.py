@@ -23,7 +23,7 @@ from hoq.errors import (
 )
 from hoq.typesys import TRIVIAL, has_hats
 
-from conftest import random_type
+from helpers import random_type
 
 
 REG = SystemRegistry.of(A=2, B=2, C=3, D=3, E=2, F=4, G=2, H=2, P=4)
