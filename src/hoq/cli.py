@@ -149,7 +149,8 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
         t = dehat(t)
     if admissible:
         result = is_admissible(op, t, ctx.registry, _hierarchy(hierarchy),
-                               tol=cfg.tol_feas, max_iter=cfg.max_iter)
+                               tol=cfg.tol_feas, max_iter=cfg.max_iter,
+                               psd_tol=cfg.tol_psd)
         payload = {"status": result.status, "residual": result.residual,
                    "iterations": result.iterations, "reason": result.reason}
         click.echo(json.dumps(payload) if as_json else

@@ -236,8 +236,8 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         verdict = "BISTOCH_ONLY"
         bi_sectors = deviation_sectors(t, reg, Hierarchy.BISTOCH)
         std_sectors = deviation_sectors(dehat(t), reg, Hierarchy.STANDARD)
-        gap = bi_sectors.patterns - std_sectors.patterns
-        gap_texts = {p.text(bi_sectors.systems) for p in gap}
+        gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
+        gap_texts = set(gap.texts())
         forbidden = [(pat, norm) for pat, norm in std.forbidden_components
                      if pat in gap_texts]
     return Classification(verdict, forbidden, bi, std)

@@ -23,6 +23,7 @@ from .typesys import (
     SystemRegistry,
     SystemString,
     TypeExpr,
+    dehat,
     dual,
     systems_of,
     tensor_all,
@@ -240,6 +241,17 @@ def check_bitooth(r: LabeledOperator, dims, tol: float = 1e-9) -> CheckReport:
     return check_network(r, spec, reg, tol=tol)
 
 
+def _global_ports(r: LabeledOperator, dims, dP: int, dF: int):
+    """Global port labels, slot pairs and registry of a ``P, slot pairs, F`` operator."""
+    if len(r.factors) != 2 * len(dims) + 2:
+        raise FactorMismatch("expected P, slot pairs, F")
+    p_lab, f_lab = r.labels[0], r.labels[-1]
+    if r.dim_of(p_lab) != dP or r.dim_of(f_lab) != dF:
+        raise FactorMismatch(f"global ports: expected dims {(dP, dF)}, found "
+                             f"{(r.dim_of(p_lab), r.dim_of(f_lab))}")
+    return p_lab, f_lab, _pair_specs(r, dims, 1), SystemRegistry.from_dict(dict(r.factors))
+
+
 def check_bislot(r: LabeledOperator, dims, dP: int, dF: int,
                  tol: float = 1e-9) -> CheckReport:
     """Check a comb whose slots accept bidirectional channels.
@@ -247,14 +259,7 @@ def check_bislot(r: LabeledOperator, dims, dP: int, dF: int,
     The operator's first factor is the global input, the last the global
     output, with slot pairs in between.
     """
-    if len(r.factors) != 2 * len(dims) + 2:
-        raise FactorMismatch("expected P, slot pairs, F")
-    p_lab, f_lab = r.labels[0], r.labels[-1]
-    if r.dim_of(p_lab) != dP or r.dim_of(f_lab) != dF:
-        raise FactorMismatch(f"global ports: expected dims {(dP, dF)}, found "
-                             f"{(r.dim_of(p_lab), r.dim_of(f_lab))}")
-    pairs = _pair_specs(r, dims, 1)
-    reg = SystemRegistry.from_dict(dict(r.factors))
+    p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
     spec = NetworkSpec(tuple(dual(p) for p in pairs),
                        (p_lab,) + (TRIVIAL,) * (len(dims) - 1) + (f_lab,))
     return check_network(r, spec, reg, tol=tol)
@@ -268,17 +273,9 @@ def check_bsp(r: LabeledOperator, dims, dP: int, dF: int,
     Factor convention matches :func:`check_bislot`.  With the STANDARD
     hierarchy the slots are checked as one-way channels instead.
     """
-    if len(r.factors) != 2 * len(dims) + 2:
-        raise FactorMismatch("expected P, slot pairs, F")
-    p_lab, f_lab = r.labels[0], r.labels[-1]
-    if r.dim_of(p_lab) != dP or r.dim_of(f_lab) != dF:
-        raise FactorMismatch(f"global ports: expected dims {(dP, dF)}, found "
-                             f"{(r.dim_of(p_lab), r.dim_of(f_lab))}")
-    pairs = _pair_specs(r, dims, 1)
-    reg = SystemRegistry.from_dict(dict(r.factors))
+    p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
     slot_part = tensor_all(pairs)
     proc_type = Arrow(slot_part, Arrow(SystemString((p_lab,)), SystemString((f_lab,))))
     if hierarchy is Hierarchy.STANDARD:
-        from .typesys import dehat
         proc_type = dehat(proc_type)
     return is_deterministic(r, proc_type, reg, hierarchy, tol=tol)

@@ -20,6 +20,7 @@ from .linalg import (
     choi_of_kraus,
     drop_trivial,
     link_all,
+    max_entangled,
     merge_factors,
     partial_trace,
     permute_systems,
@@ -210,38 +211,17 @@ def n_time_flip_choi(n: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> LabeledO
     def control(k: int, stage: int) -> str:
         return f"c{k}s{stage}"
 
+    flip = time_flip_choi(d)
     blocks = []
     for s in range(1, n + 1):
-        dims = {}
-        factors = [(target(s - 1), d)] + [(control(kk, s - 1), 2) for kk in range(1, n + 1)] \
-            + [(f"A{s}", d), (f"B{s}", d), (target(s), d)] \
-            + [(control(kk, s), 2) for kk in range(1, n + 1)]
-        shape = tuple(dd for _, dd in factors)
-        index = {lab: i for i, (lab, _) in enumerate(factors)}
-        v = np.zeros(shape, dtype=complex)
-        others = [kk for kk in range(1, n + 1) if kk != s]
-        # iterate over the maximally entangled legs of both branches
-        for bits in np.ndindex(*(2,) * len(others)):
-            for m in range(d):
-                for p in range(d):
-                    for branch in (0, 1):
-                        idx = [0] * len(factors)
-                        idx[index[target(s - 1)]] = m
-                        idx[index[control(s, s - 1)]] = branch
-                        idx[index[control(s, s)]] = branch
-                        if branch == 0:
-                            idx[index[f"A{s}"]] = m
-                            idx[index[f"B{s}"]] = p
-                        else:
-                            idx[index[f"B{s}"]] = m
-                            idx[index[f"A{s}"]] = p
-                        idx[index[target(s)]] = p
-                        for kk, bit in zip(others, bits):
-                            idx[index[control(kk, s - 1)]] = bit
-                            idx[index[control(kk, s)]] = bit
-                        v[tuple(idx)] += 1.0
-        vec = v.reshape(-1)
-        blocks.append(LabeledOperator(tuple(factors), np.outer(vec, vec.conj())))
+        block = relabel(flip, {"Pt": target(s - 1), "Pc": control(s, s - 1),
+                               "A": f"A{s}", "B": f"B{s}",
+                               "Ft": target(s), "Fc": control(s, s)})
+        # the other slots' controls pass through on identity wires
+        for kk in range(1, n + 1):
+            if kk != s:
+                block = tensor_op(block, max_entangled(control(kk, s - 1), control(kk, s), 2))
+        blocks.append(block)
 
     out = link_all(blocks)
     order = ["Pt"] + [control(kk, 0) for kk in range(1, n + 1)]

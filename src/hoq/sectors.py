@@ -361,22 +361,6 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
 # Numerical sector projections
 # ---------------------------------------------------------------------------
 
-def _identity_average(tens: np.ndarray, dims: Sequence[int], i: int) -> np.ndarray:
-    """Replace factor ``i`` of a (rows+cols)-indexed tensor by Tr/d (x) 1."""
-    d = dims[i]
-    left = math.prod(dims[:i])
-    right = math.prod(dims[i + 1:])
-    t = tens.reshape(left, d, right, left, d, right)
-    partial = t[:, 0, :, :, 0, :].copy()
-    for a in range(1, d):
-        partial += t[:, a, :, :, a, :]
-    partial /= d
-    out = np.zeros_like(t)
-    for a in range(d):
-        out[:, a, :, :, a, :] = partial
-    return out.reshape(tens.shape)
-
-
 def _check_hermitian(op: LabeledOperator, tol_herm: float) -> None:
     """Raise NotHermitian beyond ``tol_herm``; ``np.inf`` skips the measurement."""
     if tol_herm == np.inf:
@@ -384,20 +368,6 @@ def _check_hermitian(op: LabeledOperator, tol_herm: float) -> None:
     defect = op.herm_defect()
     if not defect <= tol_herm:
         raise NotHermitian(f"hermiticity defect {defect:.3e}")
-
-
-def sector_component(op: LabeledOperator, pattern: Pattern,
-                     tol_herm: float = TOL_HERM) -> LabeledOperator:
-    """Orthogonal component of a Hermitian operator on one sector pattern."""
-    if len(pattern.marks) != len(op.factors):
-        raise FactorMismatch("pattern length does not match operator factors")
-    _check_hermitian(op, tol_herm)
-    data = op.data
-    dims = op.dims
-    for i, mark in enumerate(pattern.marks):
-        avg = _identity_average(data, dims, i)
-        data = avg if mark == IDN else data - avg
-    return LabeledOperator(op.factors, data)
 
 
 def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:
@@ -485,13 +455,26 @@ def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     return np.zeros_like(data) if out is None else out
 
 
+def _projected(op: LabeledOperator, systems, masks, tol_herm: float) -> LabeledOperator:
+    """Projection of ``op`` onto ``masks`` over ``systems``, in ``op``'s factor order."""
+    aligned, _ = align_factors(op, systems)
+    _check_hermitian(aligned, tol_herm)
+    out = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, masks))
+    return permute_systems(out, op.labels)
+
+
+def sector_component(op: LabeledOperator, pattern: Pattern,
+                     tol_herm: float = TOL_HERM) -> LabeledOperator:
+    """Orthogonal component of a Hermitian operator on one sector pattern."""
+    if len(pattern.marks) != len(op.factors):
+        raise FactorMismatch("pattern length does not match operator factors")
+    return _projected(op, op.factors, {_mask_of(pattern.marks)}, tol_herm)
+
+
 def sector_project(op: LabeledOperator, s: SectorSet,
                    tol_herm: float = TOL_HERM) -> LabeledOperator:
     """Orthogonal projection of a Hermitian operator onto a sector set."""
-    aligned, _ = align_factors(op, s.systems)
-    _check_hermitian(aligned, tol_herm)
-    projected = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, s.masks))
-    return permute_systems(projected, op.labels)
+    return _projected(op, s.systems, s.masks, tol_herm)
 
 
 def outside_component(op: LabeledOperator, s: SectorSet,
@@ -502,11 +485,8 @@ def outside_component(op: LabeledOperator, s: SectorSet,
     ``s``; computed through whichever of the two complementary mask sets is
     smaller.
     """
-    aligned, _ = align_factors(op, s.systems)
-    _check_hermitian(aligned, tol_herm)
     forbidden = frozenset(range(1 << len(s.systems))) - s.masks - {0}
-    result = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, forbidden))
-    return permute_systems(result, op.labels)
+    return _projected(op, s.systems, forbidden, tol_herm)
 
 
 def pattern_norms(op: LabeledOperator, tol_herm: float = TOL_HERM) -> dict[Pattern, float]:
@@ -519,31 +499,31 @@ def pattern_norms(op: LabeledOperator, tol_herm: float = TOL_HERM) -> dict[Patte
     _check_hermitian(op, tol_herm)
     dims = op.dims
     k = len(dims)
-    w: dict[frozenset, float] = {}
+    full = (1 << k) - 1
+    # weights[live]: squared norm of the average over the factors not in ``live``
+    weights = np.empty(1 << k)
 
-    def explore(tens: np.ndarray, remaining: tuple[int, ...], subset: frozenset,
-                divisor: float, start: int) -> None:
+    def explore(tens: np.ndarray, live: int, divisor: float, start: int) -> None:
         flat = tens.reshape(-1)
-        w[subset] = float(np.vdot(flat, flat).real) / divisor
-        live = [i for i in range(k) if i not in subset]
+        weights[live] = float(np.vdot(flat, flat).real) / divisor
         for j in range(start, k):
-            if j in subset:
-                continue
-            pos = live.index(j)
-            half = len(live)
-            traced = np.trace(tens, axis1=pos, axis2=pos + half)
-            explore(traced, remaining, subset | {j}, divisor * dims[j], j + 1)
+            # only factors below ``start`` are traced out, so factor j sits
+            # at the axis counting the live factors before it
+            pos = (live & ((1 << j) - 1)).bit_count()
+            traced = np.trace(tens, axis1=pos, axis2=pos + tens.ndim // 2)
+            explore(traced, live & ~(1 << j), divisor * dims[j], j + 1)
 
-    explore(op.data.reshape(dims + dims), dims, frozenset(), 1.0, 0)
-
-    out: dict[Pattern, float] = {}
-    indices = list(range(k))
-    for marks in itertools.product((IDN, TRL), repeat=k):
-        base = frozenset(i for i in indices if marks[i] == IDN)
-        rest = [i for i in indices if marks[i] == TRL]
-        total = 0.0
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                total += (-1) ** r * w[base | frozenset(extra)]
-        out[Pattern(marks)] = max(total, 0.0)
-    return out
+    explore(op.data.reshape(dims + dims), full, 1.0, 0)
+    # each weight is exact to about eps * ||op||^2 and a pattern sums up to
+    # 2^k of them: values at or below that resolution are reported as 0
+    resolution = (1 << k) * np.finfo(float).eps * weights[full]
+    # inclusion-exclusion over live subsets, one factor per axis
+    cube = weights.reshape((2,) * k)
+    for axis in range(k):
+        by_mark = np.moveaxis(cube, axis, 0)
+        by_mark[1] -= by_mark[0]
+    weights[weights <= resolution] = 0.0
+    # axis i of the transposed cube is factor i, traceless at index 1
+    by_factor = cube.T
+    return {Pattern(tuple(TRL if bit else IDN for bit in idx)): float(by_factor[idx])
+            for idx in np.ndindex(by_factor.shape)}

@@ -4,6 +4,8 @@ They live outside ``conftest.py`` because ``perfbench/tests`` has a
 ``conftest.py`` of its own: with both on the test path, ``import conftest``
 would resolve to whichever pytest loaded last.
 """
+import math
+
 import numpy as np
 
 
@@ -52,3 +54,33 @@ def non_finite_operator(where):
     data = np.eye(4, dtype=complex) / 2
     data[row, col] = value
     return LabeledOperator((("A", 2), ("B", 2)), data)
+
+
+def _identity_average(tens, dims, i):
+    """Replace factor ``i`` of a (rows+cols)-indexed tensor by Tr/d (x) 1."""
+    d = dims[i]
+    left = math.prod(dims[:i])
+    right = math.prod(dims[i + 1:])
+    t = tens.reshape(left, d, right, left, d, right)
+    partial = t[:, 0, :, :, 0, :].copy()
+    for a in range(1, d):
+        partial += t[:, a, :, :, a, :]
+    partial /= d
+    out = np.zeros_like(t)
+    for a in range(d):
+        out[:, a, :, :, a, :] = partial
+    return out.reshape(tens.shape)
+
+
+def reference_component(op, marks):
+    """Matrix of the component of ``op`` on the sector pattern ``marks``.
+
+    An oracle independent of ``hoq.sectors``: factor by factor, the identity
+    average Tr/d (x) 1 is kept for an "I" mark and subtracted for a "T" mark,
+    each on a full-size array.
+    """
+    data = op.data
+    for i, mark in enumerate(marks):
+        avg = _identity_average(data, op.dims, i)
+        data = avg if mark == "I" else data - avg
+    return data

@@ -173,6 +173,22 @@ class TestCheckCommand:
                                    "--registry", "A=2,B=2", "--admissible"])
         assert res.exit_code == 3
 
+    def test_admissible_mode_uses_config_psd_tol(self, runner, tmp_path):
+        # half a rank-3 projector, pushed 1e-6 below zero on its kernel: PSD
+        # within the configured tol.psd = 1e-5, and dominated by 1/2
+        kernel = np.zeros((4, 4))
+        kernel[0, 0] = 1.0
+        path = tmp_path / "near_psd.json"
+        write_operator(LabeledOperator((("A", 2), ("B", 2)),
+                                       0.5 * (np.eye(4) - kernel) - 1e-6 * kernel), str(path))
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("registry.A = 2\nregistry.B = 2\ntol.psd = 1e-5\n")
+        args = ["check", "(^A -> ^B)", "-f", str(path), "--config", str(cfg)]
+        assert json.loads(runner.invoke(main, args + ["--json"]).output)["psd_ok"]
+        res = runner.invoke(main, args + ["--admissible"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("FEASIBLE")
+
     def test_network_spec_mode(self, runner, tmp_path):
         reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)
         spec = NetworkSpec((dual(BistochElem("A1", (), "B1", ())),), ("P", "F"))

@@ -4,6 +4,7 @@ import pytest
 from hoq import (
     Hierarchy,
     LabeledOperator,
+    Pattern,
     SystemRegistry,
     classify,
     dual,
@@ -12,10 +13,12 @@ from hoq import (
     parse_type,
     partial_trace,
     sample_deterministic,
+    sector_component,
     tensor,
 )
 from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
+from hoq.membership import random_hermitian
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
@@ -62,6 +65,20 @@ def test_psd_gate_at_the_tolerance(shift, method):
     else:
         assert rep.passed and rep.min_eigenvalue == -TOL_PSD
         assert "min eigenvalue ≥ -1.000e-09 (Cholesky certificate)" in rep.to_text()
+
+
+def test_breakdown_lists_only_patterns_with_weight():
+    # one forbidden pattern added to a process of the slot type: rounding in
+    # the inclusion-exclusion must not list a second, empty pattern
+    reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+    t = parse_type("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))", reg)
+    base = sample_deterministic(t, reg, eps=0.5, seed=1)
+    noise = LabeledOperator(base.factors, random_hermitian(256, np.random.default_rng(1)))
+    comp = sector_component(noise, Pattern(("I", "I", "T", "T", "I", "I"))).data
+    op = LabeledOperator(base.factors, base.data + 1e-3 * comp / np.linalg.norm(comp))
+    rep = is_deterministic(op, t, reg)
+    assert [pat for pat, _ in rep.forbidden_components] == ["A1:I B1:I A2:T B2:T P:I F:I"]
+    assert rep.forbidden_components[0][1] == pytest.approx(1e-3, rel=1e-9)
 
 
 @pytest.mark.parametrize("where", sorted(NON_FINITE))

@@ -1,12 +1,14 @@
-"""Property-based tests of the numerical sector projection."""
+"""Property-based tests of the numerical sector projection and pattern norms."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hoq import LabeledOperator, Pattern, sector_component, sector_project
+from hoq import LabeledOperator, Pattern, pattern_norms, permute_systems, sector_project
 from hoq.sectors import SectorSet, _marks_of, _project_masks
+
+from helpers import reference_component
 
 
 @st.composite
@@ -42,10 +44,39 @@ def test_projection_in_place_complementary_idempotent(case):
     assert np.allclose(proj.data, np.zeros_like(h) if direct is None else direct,
                        atol=1e-12)
     # the sum of single-pattern components is the reference projection
-    reference = sum((sector_component(op, Pattern(_marks_of(m, k))).data for m in masks),
+    reference = sum((reference_component(op, _marks_of(m, k)) for m in masks),
                     np.zeros_like(h))
     assert np.allclose(proj.data, reference, atol=1e-12)
 
     rest = sector_project(op, complement)
     assert np.allclose(proj.data + rest.data, h, atol=1e-12)
     assert np.allclose(sector_project(proj, sectors).data, proj.data, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_and_masks(), st.randoms(use_true_random=False))
+def test_pattern_norms_against_the_reference(case, random):
+    systems, _, h = case
+    k = len(systems)
+    op = LabeledOperator(systems, h)
+    total = np.linalg.norm(h) ** 2
+    # pattern_norms reports values at or below its resolution as 0; it and
+    # each value it is compared with are exact to within that resolution
+    resolution = (1 << k) * np.finfo(float).eps * total
+    tolerance = 2 * resolution
+
+    norms = pattern_norms(op)
+    assert len(norms) == 1 << k
+    assert all(value >= 0.0 for value in norms.values())
+    assert abs(sum(norms.values()) - total) <= 1e-10 * total
+    for pattern, value in norms.items():
+        direct = np.linalg.norm(reference_component(op, pattern.marks)) ** 2
+        assert abs(value - direct) <= tolerance
+
+    # permuting the factors permutes the pattern marks to match
+    order = list(range(k))
+    random.shuffle(order)
+    permuted = pattern_norms(permute_systems(op, [systems[i][0] for i in order]))
+    for pattern, value in norms.items():
+        moved = Pattern(tuple(pattern.marks[i] for i in order))
+        assert abs(permuted[moved] - value) <= tolerance
