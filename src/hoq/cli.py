@@ -20,7 +20,7 @@ from .errors import HoqError
 from .linalg import permute_systems
 from .membership import classify as classify_op
 from .membership import is_admissible, is_deterministic
-from .network import check_network, compose_network, decompose_network
+from .network import compose_network, decompose_network
 from .sectors import Hierarchy, deviation_sectors, identity_coeff
 from .serialize import (
     Config,
@@ -111,13 +111,6 @@ def cmd_delta(type_string, hierarchy, config_path, registry_inline):
         click.echo(line)
 
 
-def _echo_report(report, as_json):
-    if as_json:
-        click.echo(json.dumps(report.to_dict()))
-    else:
-        click.echo(report.to_text())
-
-
 @main.command("check")
 @click.argument("type_string", required=False)
 @click.option("-f", "--file", "operator_file", required=True, type=click.Path(exists=True))
@@ -132,25 +125,22 @@ def _echo_report(report, as_json):
 def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
               admissible, as_json, config_path, registry_inline):
     """Test an operator file against a type or a network specification."""
+    if bool(type_string) == bool(network_spec_file):
+        raise click.UsageError("give either a TYPE argument or --network-spec, not both")
     ctx = _build_context(config_path, registry_inline)
     cfg = ctx.config
-    op = read_operator(operator_file)
     if network_spec_file:
         with open(network_spec_file, encoding="utf-8") as fh:
-            spec = spec_from_dict(json.load(fh), ctx.registry)
-        report = check_network(op, spec, ctx.registry, tol=cfg.tol_sector,
-                               hierarchy=_hierarchy(hierarchy))
-        _echo_report(report, as_json)
-        sys.exit(0 if report.passed else 1)
-    if not type_string:
-        raise click.UsageError("a TYPE argument is required unless --network-spec is given")
-    t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
-    if hierarchy == "standard":
-        t = dehat(t)
+            t = spec_from_dict(json.load(fh), ctx.registry)
+    else:
+        t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
+        if hierarchy == "standard":
+            t = dehat(t)
+    op = read_operator(operator_file)
     if admissible:
         result = is_admissible(op, t, ctx.registry, _hierarchy(hierarchy),
                                tol=cfg.tol_feas, max_iter=cfg.max_iter,
-                               psd_tol=cfg.tol_psd)
+                               psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
         payload = {"status": result.status, "residual": result.residual,
                    "iterations": result.iterations, "reason": result.reason}
         click.echo(json.dumps(payload) if as_json else
@@ -160,7 +150,7 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
     report = is_deterministic(op, t, ctx.registry, _hierarchy(hierarchy),
                               tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                               herm_tol=cfg.tol_herm)
-    _echo_report(report, as_json)
+    click.echo(json.dumps(report.to_dict()) if as_json else report.to_text())
     sys.exit(0 if report.passed else 1)
 
 
@@ -172,9 +162,11 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
 def cmd_classify(type_string, operator_file, as_json, config_path, registry_inline):
     """Classify an operator as BOTH / BISTOCH_ONLY / NEITHER."""
     ctx = _build_context(config_path, registry_inline)
-    t = parse_type(type_string, ctx.registry, limit=ctx.config.recursion)
+    cfg = ctx.config
+    t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
     op = read_operator(operator_file)
-    result = classify_op(op, t, ctx.registry, tol=ctx.config.tol_sector)
+    result = classify_op(op, t, ctx.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
+                         herm_tol=cfg.tol_herm)
     if as_json:
         click.echo(json.dumps({
             "verdict": result.verdict,

@@ -324,6 +324,28 @@ def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
     return sym, defect
 
 
+def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
+    """Minimum eigenvalue, positivity verdict and the method that decided.
+
+    A Cholesky factorization of ``sym + psd_tol * 1`` certifies positivity
+    and reports the lower bound ``-psd_tol``; only when it fails does
+    ``eigvalsh`` find the exact minimum.  The shift is applied to the
+    diagonal of ``sym`` in place and undone exactly before returning.
+    """
+    diag = sym.reshape(-1)[::sym.shape[0] + 1]
+    saved = diag.copy()
+    diag += psd_tol
+    try:
+        np.linalg.cholesky(sym)
+        return -psd_tol, True, "cholesky"
+    except np.linalg.LinAlgError:
+        pass
+    finally:
+        diag[:] = saved
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    return min_eig, min_eig >= -psd_tol, "eigvalsh"
+
+
 def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:
     sym, defect = hermitian_part(a)
     if defect > tol:
@@ -344,7 +366,7 @@ def min_eigenvalue(a: LabeledOperator, tol_herm: float = TOL_HERM) -> float:
 
 def is_psd(a: LabeledOperator, tol: float = TOL_PSD,
            tol_herm: float = TOL_HERM) -> bool:
-    return min_eigenvalue(a, tol_herm) >= -tol
+    return _psd_status(_require_hermitian(a, tol_herm), tol)[1]
 
 
 def psd_sqrt_pinv(a: LabeledOperator, tol: float = TOL_PSD,

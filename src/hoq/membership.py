@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, align_factors, hermitian_part
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_factors, hermitian_part
 from .sectors import (
     Hierarchy,
     SectorSet,
@@ -37,7 +37,8 @@ class CheckReport:
     largest first.  ``psd_method`` names the positivity test that decided:
     with ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
     ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
-    ``"eigvalsh"`` it is the computed minimum eigenvalue.
+    ``"eigvalsh"`` it is the computed minimum eigenvalue.  A ``herm_defect``
+    (``max |R - R^H|``) beyond ``herm_tol`` fails ``psd_ok`` and ``lambda_ok``.
     """
 
     verdict: str
@@ -50,6 +51,7 @@ class CheckReport:
     sector_residual: float
     forbidden_components: list[tuple[str, float]] = field(default_factory=list)
     permutation: Optional[tuple[str, ...]] = None
+    herm_defect: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -61,6 +63,7 @@ class CheckReport:
             "psd_ok": self.psd_ok,
             "min_eigenvalue": self.min_eigenvalue,
             "psd_method": self.psd_method,
+            "herm_defect": self.herm_defect,
             "lambda_ok": self.lambda_ok,
             "lambda_expected": str(self.lambda_expected),
             "lambda_measured": self.lambda_measured,
@@ -75,9 +78,13 @@ class CheckReport:
         return f"min eigenvalue {self.min_eigenvalue:.3e}"
 
     def to_text(self) -> str:
+        psd = f"{'ok' if self.psd_ok else 'FAILED'}, {self.min_eigenvalue_text()}"
+        if not self.psd_ok and self.psd_method == "cholesky":
+            # the spectrum is certified, so only the hermiticity gate failed
+            psd = f"FAILED, not Hermitian (defect {self.herm_defect:.3e})"
         lines = [
             f"verdict:          {self.verdict}",
-            f"psd:              {'ok' if self.psd_ok else 'FAILED'}, {self.min_eigenvalue_text()}",
+            f"psd:              {psd}",
             f"identity coeff:   {'ok' if self.lambda_ok else 'FAILED'} "
             f"(expected {self.lambda_expected} = {float(self.lambda_expected):.9g}, "
             f"measured {self.lambda_measured:.9g})",
@@ -113,30 +120,6 @@ class Classification:
     standard_report: CheckReport
 
 
-def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
-    """Minimum eigenvalue, positivity verdict and the method that decided.
-
-    A Cholesky factorization of ``sym + psd_tol * 1`` certifies positivity
-    and reports the lower bound ``-psd_tol``; only when it fails does
-    ``eigvalsh`` find the exact minimum.  The shift is applied to the
-    diagonal of ``sym`` in place and undone exactly before returning.
-    """
-    diag = sym.reshape(-1)[::sym.shape[0] + 1]
-    saved = diag.copy()
-    diag += psd_tol
-    try:
-        np.linalg.cholesky(sym)
-        certified = True
-    except np.linalg.LinAlgError:
-        certified = False
-    finally:
-        diag[:] = saved
-    if certified:
-        return -psd_tol, True, "cholesky"
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return min_eig, min_eig >= -psd_tol, "eigvalsh"
-
-
 def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
                    tol: float = 1e-9, psd_tol: float = TOL_PSD,
                    herm_tol: float = TOL_HERM,
@@ -148,17 +131,32 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
     all dimensions), and that the traceless part lies in the allowed sectors.
     Raises :class:`NonFiniteOperator` on NaN or infinite entries.
     """
+    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), sectors, tol, permutation)
+
+
+def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
+                herm_tol: float) -> tuple[LabeledOperator, dict]:
+    """Deviation ``R - coeff*1`` of an aligned operator, and the fields hermiticity,
+    positivity and the identity coefficient decide."""
     sym, herm_defect = hermitian_part(op)
     min_eig, spectrum_ok, psd_method = _psd_status(sym, psd_tol)
-    psd_ok = herm_defect <= herm_tol and spectrum_ok
+    herm_ok = herm_defect <= herm_tol
 
     expected = float(coeff)
     measured = float(np.trace(op.data).real) / op.dim
-    lambda_ok = herm_defect <= herm_tol and abs(measured - expected) <= tol * expected
+    lambda_ok = herm_ok and abs(measured - expected) <= tol * expected
 
     # sym becomes the deviation R - coeff * 1
     sym.reshape(-1)[::op.dim + 1] -= expected
-    deviation = LabeledOperator(op.factors, sym)
+    fields = dict(psd_ok=herm_ok and spectrum_ok, min_eigenvalue=min_eig,
+                  psd_method=psd_method, herm_defect=herm_defect, lambda_ok=lambda_ok,
+                  lambda_expected=coeff, lambda_measured=measured)
+    return LabeledOperator(op.factors, sym), fields
+
+
+def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol: float,
+               permutation) -> CheckReport:
+    """Sector residual and out-of-sector breakdown of a deviation, and the verdict."""
     outside = outside_component(deviation, sectors, tol_herm=np.inf)
     residual = float(np.linalg.norm(outside.data))
     scale = 1.0 + float(np.linalg.norm(deviation.data))
@@ -174,19 +172,10 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
                 forbidden.append((pattern.text(sectors.systems), norm))
         forbidden.sort(key=lambda item: -item[1])
 
-    ok = psd_ok and lambda_ok and residual <= tol
-    return CheckReport(
-        verdict="PASS" if ok else "FAIL",
-        psd_ok=psd_ok,
-        min_eigenvalue=min_eig,
-        psd_method=psd_method,
-        lambda_ok=lambda_ok,
-        lambda_expected=coeff,
-        lambda_measured=measured,
-        sector_residual=residual,
-        forbidden_components=forbidden,
-        permutation=permutation,
-    )
+    ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
+    return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,
+                       forbidden_components=forbidden, permutation=permutation,
+                       **fields)
 
 
 def characterization_of(t, reg: SystemRegistry,
@@ -214,33 +203,31 @@ def is_deterministic(op: LabeledOperator, t, reg: SystemRegistry,
 
 
 def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
-             tol: float = 1e-9) -> Classification:
+             tol: float = 1e-9, psd_tol: float = TOL_PSD,
+             herm_tol: float = TOL_HERM) -> Classification:
     """Locate an operator relative to the two hierarchies.
 
-    Runs the bidirectional check on ``t`` and the ordinary check on the
-    dehatted type.  BISTOCH_ONLY verdicts come with the list of sector
-    patterns (with weights) that are allowed for bidirectional events but
-    forbidden for ordinary ones.
+    Checks ``t`` in the bidirectional hierarchy and the dehatted type in the
+    ordinary one.  Dehatting keeps the factor order and the coefficient, so
+    only the sector test runs twice.  BISTOCH_ONLY verdicts come with the
+    sector patterns (with weights) that are allowed for bidirectional events
+    but forbidden for ordinary ones.
     """
     if not has_hats(t):
         raise NoHattedSystems("classification requires at least one hatted pair")
-    bi = is_deterministic(op, t, reg, Hierarchy.BISTOCH, tol=tol)
-    std = is_deterministic(op, dehat(t), reg, Hierarchy.STANDARD, tol=tol)
-    if not bi.passed:
-        verdict = "NEITHER"
-        forbidden = []
-    elif std.passed:
-        verdict = "BOTH"
-        forbidden = []
-    else:
-        verdict = "BISTOCH_ONLY"
-        bi_sectors = deviation_sectors(t, reg, Hierarchy.BISTOCH)
-        std_sectors = deviation_sectors(dehat(t), reg, Hierarchy.STANDARD)
-        gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
-        gap_texts = set(gap.texts())
-        forbidden = [(pat, norm) for pat, norm in std.forbidden_components
-                     if pat in gap_texts]
-    return Classification(verdict, forbidden, bi, std)
+    coeff, bi_sectors = characterization_of(t, reg, Hierarchy.BISTOCH)
+    std_coeff, std_sectors = characterization_of(dehat(t), reg, Hierarchy.STANDARD)
+    assert std_coeff == coeff and std_sectors.systems == bi_sectors.systems
+    aligned, perm = align_factors(op, bi_sectors.systems)
+    front = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
+    bi = _back_half(*front, bi_sectors, tol, perm)
+    std = _back_half(*front, std_sectors, tol, perm)
+    if not bi.passed or std.passed:
+        return Classification("BOTH" if bi.passed else "NEITHER", [], bi, std)
+    gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
+    gap_texts = set(gap.texts())
+    forbidden = [(pat, norm) for pat, norm in std.forbidden_components if pat in gap_texts]
+    return Classification("BISTOCH_ONLY", forbidden, bi, std)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +244,12 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
                   hierarchy: Hierarchy = Hierarchy.BISTOCH,
                   tol: float = 1e-7, max_iter: int = 5000,
                   psd_tol: float = TOL_PSD,
-                  fast_path: bool = True) -> AdmissibilityResult:
+                  fast_path: bool = True,
+                  herm_tol: float = TOL_HERM) -> AdmissibilityResult:
     """Decide whether some deterministic event of type ``t`` dominates ``op``.
 
-    Non-positive operators are rejected outright.  Elementary system strings
+    Operators that are not Hermitian within ``herm_tol`` or not positive
+    within ``psd_tol`` are rejected outright.  Elementary system strings
     admit the exact trace test.  Otherwise the feasibility problem is solved
     by Dykstra's alternating projections on ``Y = D - op`` between the PSD
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
@@ -272,8 +261,11 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     aligned, _ = align_factors(op, sectors.systems)
 
     sym, herm_defect = hermitian_part(aligned)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if herm_defect > TOL_HERM or min_eig < -psd_tol:
+    if herm_defect > herm_tol:
+        return AdmissibilityResult(
+            "NOT_ADMISSIBLE", reason=f"operator not Hermitian (defect {herm_defect:.3e})")
+    min_eig, psd_ok, _ = _psd_status(sym, psd_tol)
+    if not psd_ok:
         return AdmissibilityResult("NOT_ADMISSIBLE",
                                    reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")
 
@@ -289,22 +281,19 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
             "NOT_ADMISSIBLE",
             reason=f"trace {trace:.6g} exceeds 1: no deterministic state dominates")
 
-    target = float(coeff) * np.eye(aligned.dim) - sym
-
-    def project_affine(mat: np.ndarray) -> np.ndarray:
-        shifted = LabeledOperator(aligned.factors, mat - target)
-        return target + sector_project(shifted, sectors).data
+    # the affine set is a + V (a = coeff*1 - op, V the allowed sectors): its projection
+    # is a - P_V(a) + P_V, and Dykstra's correction for it lies in V-perp and drops out
+    affine = LabeledOperator(aligned.factors, float(coeff) * np.eye(aligned.dim) - sym)
+    offset = affine.data - sector_project(affine, sectors).data
 
     x = np.zeros_like(sym)
     p = np.zeros_like(sym)
-    q = np.zeros_like(sym)
     gap = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         y = _project_psd(x + p)
         p = x + p - y
-        x = project_affine(y + q)
-        q = y + q - x
+        x = offset + sector_project(LabeledOperator(aligned.factors, y), sectors).data
         gap = float(np.linalg.norm(y - x))
         if gap < tol:
             break

@@ -14,9 +14,9 @@ from .errors import (
     NotANetwork,
     RankInstability,
 )
-from .linalg import LabeledOperator, align_factors, link_all, partial_trace, permute_systems
-from .membership import CheckReport, check_operator, is_deterministic
-from .sectors import Hierarchy, identity_coeff, network_characterization
+from .linalg import LabeledOperator, link_all, partial_trace, permute_systems
+from .membership import CheckReport, check_operator, is_deterministic  # noqa: F401 (re-exported)
+from .sectors import Hierarchy, identity_coeff
 from .typesys import (
     Arrow,
     BistochElem,
@@ -104,10 +104,7 @@ def check_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
                   tol: float = 1e-9,
                   hierarchy: Hierarchy = Hierarchy.BISTOCH) -> CheckReport:
     """Test an operator against the causally ordered network characterization."""
-    coeff, sectors = network_characterization(spec.slot_types, spec.memories[0],
-                                              spec.memories[-1], reg, hierarchy)
-    aligned, perm = align_factors(r, sectors.systems)
-    return check_operator(aligned, coeff, sectors, tol=tol, permutation=perm)
+    return is_deterministic(r, spec, reg, hierarchy, tol=tol)
 
 
 def _fresh_memory_labels(n: int, taken) -> list[str]:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from hoq import LabeledOperator, NetworkSpec, SystemRegistry, dual
 from hoq.cli import main
+from hoq.linalg import permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
     Config,
@@ -30,6 +31,29 @@ def runner():
 
 
 REG_FLIP = "A=2,B=2,P=4,F=4"
+FLIP_TYPE = "((^A -> ^B) -> (P -> F))"
+
+
+def _skewed_flip_files(tmp_path):
+    """The time flip, in P A B F order, plus 1e-8 i at (0, 1) and (1, 0).
+
+    The added part is anti-Hermitian: the Hermitian part is the flip's and
+    the hermiticity defect is 2e-8.  Also writes the flip's one-slot network
+    spec and a config with tol.herm = 1e-6.
+    """
+    from hoq.processes import time_flip_merged
+
+    flip = permute_systems(time_flip_merged(2), ["P", "A", "B", "F"])
+    data = flip.data.copy()
+    data[0, 1] += 1e-8j
+    data[1, 0] += 1e-8j
+    files = {"op": tmp_path / "skewed.json", "spec": tmp_path / "spec.json",
+             "config": tmp_path / "hoq.cfg"}
+    write_operator(LabeledOperator(flip.factors, data), str(files["op"]))
+    files["spec"].write_text(json.dumps({"slot_types": ["((^A -> ^B) -> I)"],
+                                         "memories": ["P", "F"]}))
+    files["config"].write_text("tol.herm = 1e-6\n")
+    return {k: str(v) for k, v in files.items()}
 
 
 class TestSerialization:
@@ -188,6 +212,49 @@ class TestCheckCommand:
         res = runner.invoke(main, args + ["--admissible"])
         assert res.exit_code == 0, res.output
         assert res.output.startswith("FEASIBLE")
+
+    def test_type_and_network_spec_together_is_a_usage_error(self, runner, tmp_path):
+        path = tmp_path / "op.json"
+        write_operator(LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2), str(path))
+        specf = tmp_path / "spec.json"
+        specf.write_text(json.dumps({"slot_types": ["(^A -> ^B)"], "memories": ["I", "I"]}))
+        res = runner.invoke(main, ["check", "(^A -> ^B)", "-f", str(path),
+                                   "--network-spec", str(specf), "--registry", "A=2,B=2"])
+        assert res.exit_code == 2
+        assert "not both" in res.output
+        res = runner.invoke(main, ["check", "-f", str(path), "--registry", "A=2,B=2"])
+        assert res.exit_code == 2
+
+    def test_hermiticity_failure_is_named(self, runner, tmp_path):
+        files = _skewed_flip_files(tmp_path)
+        args = ["check", FLIP_TYPE, "-f", files["op"], "--registry", REG_FLIP]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "psd:              FAILED, not Hermitian (defect 2.000e-08)" in res.output
+        payload = json.loads(runner.invoke(main, args + ["--json"]).output)
+        assert not payload["psd_ok"] and payload["psd_method"] == "cholesky"
+        assert payload["herm_defect"] == pytest.approx(2e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("args, with_config, without_config", [
+        (["check", FLIP_TYPE], "PASS", "FAIL"),
+        (["check", "--network-spec", "{spec}"], "PASS", "FAIL"),
+        (["check", "--network-spec", "{spec}", "--admissible"], "FEASIBLE", "NOT_ADMISSIBLE"),
+        (["classify", FLIP_TYPE], "BISTOCH_ONLY", "NEITHER"),
+        (["check", FLIP_TYPE, "--admissible"], "FEASIBLE", "NOT_ADMISSIBLE"),
+    ], ids=["check", "check-spec", "check-spec-admissible", "classify", "check-admissible"])
+    def test_config_tolerances_reach_every_command(self, runner, tmp_path, args,
+                                                   with_config, without_config):
+        # a defect of 2e-8 fails the default tol.herm = 1e-10 and passes 1e-6
+        files = _skewed_flip_files(tmp_path)
+        args = [a.format(**files) for a in args] + ["-f", files["op"], "--registry", REG_FLIP]
+        res = runner.invoke(main, args + ["--config", files["config"]])
+        assert res.exit_code == 0, res.output
+        assert with_config in res.output.split()
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert without_config in res.output.split()
+        if without_config == "NOT_ADMISSIBLE":
+            assert "not Hermitian" in res.output
 
     def test_network_spec_mode(self, runner, tmp_path):
         reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)

@@ -241,6 +241,16 @@ class TestAdmissibility:
         op = LabeledOperator((("A", 2), ("B", 2)), np.diag([1, 1, 1, -0.5]) / 2)
         assert is_admissible(op, t, REG).status == "NOT_ADMISSIBLE"
 
+    def test_hermiticity_gate_uses_herm_tol(self):
+        t = parse_type("(^A -> ^B)", REG)
+        data = np.eye(4, dtype=complex) / 2
+        data[0, 1] = 1e-8j
+        op = LabeledOperator((("A", 2), ("B", 2)), data)
+        res = is_admissible(op, t, REG)
+        assert res.status == "NOT_ADMISSIBLE"
+        assert res.reason == "operator not Hermitian (defect 1.000e-08)"
+        assert is_admissible(op, t, REG, herm_tol=1e-6).feasible
+
     def test_scaled_samples_feasible(self):
         rng = np.random.default_rng(12)
         for trial in range(5):
@@ -257,6 +267,24 @@ class TestClassify:
         with pytest.raises(NoHattedSystems):
             classify(LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2),
                      parse_type("(A -> B)", REG), REG)
+
+    def test_one_hermitian_part_and_positivity_gate(self, monkeypatch):
+        from hoq import membership
+
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(membership, name, wrapped)
+
+        spy("hermitian_part", membership.hermitian_part)
+        spy("_psd_status", membership._psd_status)
+        t = parse_type("((^A -> ^B) -> (P -> F))", REG)
+        res = classify(sample_deterministic(t, REG, seed=3), t, REG)
+        assert res.verdict in ("BOTH", "BISTOCH_ONLY")
+        assert sorted(calls) == ["_psd_status", "hermitian_part"]
 
     def test_identity_event_is_both(self):
         t = parse_type("((^A -> ^B) -> (P -> F))", REG)

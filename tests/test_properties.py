@@ -1,14 +1,29 @@
-"""Property-based tests of the numerical sector projection and pattern norms."""
+"""Property-based tests of the numerical sector projection and pattern norms,
+and of the invariants that let ``classify`` share one front half."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hoq import LabeledOperator, Pattern, pattern_norms, permute_systems, sector_project
-from hoq.sectors import SectorSet, _marks_of, _project_masks
+from hoq import (
+    Hierarchy,
+    LabeledOperator,
+    Pattern,
+    classify,
+    identity_coeff,
+    is_deterministic,
+    pattern_norms,
+    permute_systems,
+    sample_deterministic,
+    sector_component,
+    sector_project,
+)
+from hoq.membership import random_hermitian
+from hoq.sectors import SectorSet, _marks_of, _project_masks, deviation_sectors
+from hoq.typesys import dehat, has_hats, systems_of
 
-from helpers import reference_component
+from helpers import random_type, reference_component
 
 
 @st.composite
@@ -80,3 +95,45 @@ def test_pattern_norms_against_the_reference(case, random):
     for pattern, value in norms.items():
         moved = Pattern(tuple(pattern.marks[i] for i in order))
         assert abs(permuted[moved] - value) <= tolerance
+
+
+@st.composite
+def hatted_type(draw, reg_dims=(2, 3), max_systems=10):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t, reg = random_type(rng, reg_dims, max_systems=max_systems)
+    assume(has_hats(t))
+    return t, reg
+
+
+@settings(max_examples=200, deadline=None)
+@given(hatted_type())
+def test_dehat_keeps_factor_order_and_coefficient(case):
+    t, reg = case
+    assert systems_of(dehat(t), reg) == systems_of(t, reg)
+    assert identity_coeff(dehat(t), reg, Hierarchy.STANDARD) == identity_coeff(t, reg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hatted_type(reg_dims=(2,), max_systems=5), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
+    t, reg = case
+    op = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    if add_forbidden:
+        # weight on a pattern the ordinary hierarchy forbids
+        std_masks = deviation_sectors(dehat(t), reg, Hierarchy.STANDARD).masks
+        k = len(op.factors)
+        outside = [m for m in range(1, 1 << k) if m not in std_masks]
+        assume(outside)
+        noise = LabeledOperator(op.factors, random_hermitian(op.dim, np.random.default_rng(
+            random.randrange(1 << 16))))
+        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        op = LabeledOperator(op.factors, op.data + 0.05 * term.data)
+    order = list(op.labels)
+    random.shuffle(order)
+    op = permute_systems(op, order)
+
+    res = classify(op, t, reg)
+    assert vars(res.bistoch_report) == vars(is_deterministic(op, t, reg))
+    assert vars(res.standard_report) == vars(
+        is_deterministic(op, dehat(t), reg, Hierarchy.STANDARD))
