@@ -20,7 +20,7 @@ from .errors import HoqError
 from .linalg import permute_systems
 from .membership import classify as classify_op
 from .membership import is_admissible, is_deterministic
-from .network import compose_network, decompose_network
+from .network import NetworkSpec, compose_network, decompose_network
 from .sectors import Hierarchy, deviation_sectors, identity_coeff
 from .serialize import (
     Config,
@@ -132,11 +132,13 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
     if network_spec_file:
         with open(network_spec_file, encoding="utf-8") as fh:
             t = spec_from_dict(json.load(fh), ctx.registry)
+        if hierarchy == "standard":
+            t = NetworkSpec(tuple(dehat(x) for x in t.slot_types), t.memories)
     else:
         t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
         if hierarchy == "standard":
             t = dehat(t)
-    op = read_operator(operator_file)
+    op = read_operator(operator_file, max_dim=cfg.max_dim)
     if admissible:
         result = is_admissible(op, t, ctx.registry, _hierarchy(hierarchy),
                                tol=cfg.tol_feas, max_iter=cfg.max_iter,
@@ -164,7 +166,7 @@ def cmd_classify(type_string, operator_file, as_json, config_path, registry_inli
     ctx = _build_context(config_path, registry_inline)
     cfg = ctx.config
     t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
-    op = read_operator(operator_file)
+    op = read_operator(operator_file, max_dim=cfg.max_dim)
     result = classify_op(op, t, ctx.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                          herm_tol=cfg.tol_herm)
     if as_json:
@@ -243,9 +245,10 @@ def _canonical_flip(op, n):
 def cmd_apply_flip(channel_file, state_file, control_file, output,
                    config_path, registry_inline):
     """Run a channel through the direction flip on given target and control states."""
-    chan = read_operator(channel_file)
-    rho = read_operator(state_file)
-    omega = read_operator(control_file)
+    max_dim = _build_context(config_path, registry_inline).config.max_dim
+    chan = read_operator(channel_file, max_dim=max_dim)
+    rho = read_operator(state_file, max_dim=max_dim)
+    omega = read_operator(control_file, max_dim=max_dim)
     out = processes.time_flip_apply(chan, rho, omega)
     write_operator(out, output)
     click.echo(f"wrote {output}: factors {list(out.labels)}, trace {out.trace().real:.12g}")
@@ -258,7 +261,7 @@ def cmd_apply_flip(channel_file, state_file, control_file, output,
 def cmd_compose(bundle_file, output, config_path, registry_inline):
     """Chain the blocks of a network bundle and write the composed operator."""
     ctx = _build_context(config_path, registry_inline)
-    blocks, spec, reg = read_bundle(bundle_file, ctx.registry)
+    blocks, spec, reg = read_bundle(bundle_file, ctx.registry, max_dim=ctx.config.max_dim)
     composed = compose_network(blocks, spec, reg, tol=ctx.config.tol_sector)
     write_operator(composed, output)
     click.echo(f"wrote {output}: factors {list(composed.labels)}, dim {composed.dim}")
@@ -275,7 +278,7 @@ def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline
     ctx = _build_context(config_path, registry_inline)
     with open(spec_file, encoding="utf-8") as fh:
         spec = spec_from_dict(json.load(fh), ctx.registry)
-    op = read_operator(operator_file)
+    op = read_operator(operator_file, max_dim=ctx.config.max_dim)
     blocks, new_spec, new_reg = decompose_network(op, spec, ctx.registry,
                                                   tol=ctx.config.tol_sector * 10)
     write_bundle(blocks, new_spec, output)

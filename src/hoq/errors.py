@@ -104,7 +104,7 @@ class BlockCheckFailed(HoqError):
 
     def __init__(self, index, report):
         super().__init__(f"block {index} failed its slot-type check: residual "
-                         f"{report.sector_residual:.3e}, {report.min_eigenvalue_text()}")
+                         f"{report.sector_residual:.3e}, psd {report.psd_text()}")
         self.index = index
         self.report = report
 

@@ -34,8 +34,9 @@ class CheckReport:
     lying outside the allowed sectors (the identity mismatch is reported
     through the lambda fields instead of being double counted here).
     ``forbidden_components`` lists the out-of-sector patterns carrying weight,
-    largest first.  ``psd_method`` names the positivity test that decided:
-    with ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
+    largest first, and equal weights in the order of the pattern text.
+    ``psd_method`` names the positivity test that decided: with
+    ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
     ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
     ``"eigvalsh"`` it is the computed minimum eigenvalue.  A ``herm_defect``
     (``max |R - R^H|``) beyond ``herm_tol`` fails ``psd_ok`` and ``lambda_ok``.
@@ -72,19 +73,21 @@ class CheckReport:
             "permutation": list(self.permutation) if self.permutation else None,
         }
 
-    def min_eigenvalue_text(self) -> str:
-        if self.psd_method == "cholesky":
-            return f"min eigenvalue ≥ {self.min_eigenvalue:.3e} (Cholesky certificate)"
-        return f"min eigenvalue {self.min_eigenvalue:.3e}"
-
-    def to_text(self) -> str:
-        psd = f"{'ok' if self.psd_ok else 'FAILED'}, {self.min_eigenvalue_text()}"
+    def psd_text(self) -> str:
+        """The positivity verdict and what decided it, in words."""
         if not self.psd_ok and self.psd_method == "cholesky":
             # the spectrum is certified, so only the hermiticity gate failed
-            psd = f"FAILED, not Hermitian (defect {self.herm_defect:.3e})"
+            return f"FAILED, not Hermitian (defect {self.herm_defect:.3e})"
+        if self.psd_method == "cholesky":
+            bound = f"min eigenvalue ≥ {self.min_eigenvalue:.3e} (Cholesky certificate)"
+        else:
+            bound = f"min eigenvalue {self.min_eigenvalue:.3e}"
+        return f"{'ok' if self.psd_ok else 'FAILED'}, {bound}"
+
+    def to_text(self) -> str:
         lines = [
             f"verdict:          {self.verdict}",
-            f"psd:              {psd}",
+            f"psd:              {self.psd_text()}",
             f"identity coeff:   {'ok' if self.lambda_ok else 'FAILED'} "
             f"(expected {self.lambda_expected} = {float(self.lambda_expected):.9g}, "
             f"measured {self.lambda_measured:.9g})",
@@ -170,7 +173,9 @@ def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol
             norm = math.sqrt(sq)
             if norm > _NOISE_FLOOR * scale:
                 forbidden.append((pattern.text(sectors.systems), norm))
-        forbidden.sort(key=lambda item: -item[1])
+        # norms equal to 12 digits tie and the pattern text orders them, so
+        # last-bit rounding does not decide the order
+        forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))
 
     ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
     return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,

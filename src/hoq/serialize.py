@@ -8,29 +8,64 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, SizeLimit
 from .linalg import LabeledOperator
 from .network import NetworkSpec
 from .typesys import SystemRegistry, parse_type, print_type
 
 
+def _pairs(op: LabeledOperator) -> np.ndarray:
+    """The matrix as a ``(D, D, 2)`` float view of ``(re, im)`` pairs, not a copy."""
+    return op.data.view(np.float64).reshape(op.dim, op.dim, 2)
+
+
 def operator_to_dict(op: LabeledOperator) -> dict:
-    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in op.data]
-    return {"factors": [[lab, d] for lab, d in op.factors], "matrix": matrix}
+    return {"factors": [[lab, d] for lab, d in op.factors], "matrix": _pairs(op).tolist()}
 
 
-def operator_from_dict(payload: dict) -> LabeledOperator:
+def _operator_chunks(op: LabeledOperator):
+    """The text of ``json.dumps(operator_to_dict(op))``, one matrix row per piece.
+
+    Each row goes through ``json.dumps`` whole, which takes json's C encoder
+    (``json.dump`` to a file never does), and the full nested matrix never
+    exists as Python objects.
+    """
+    yield '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + ', "matrix": ['
+    for i, row in enumerate(_pairs(op)):
+        yield (", " if i else "") + json.dumps(row.tolist())
+    yield "]}"
+
+
+def operator_from_dict(payload: dict, *, max_dim: Optional[int] = None) -> LabeledOperator:
+    """Operator of a parsed payload; :class:`ShapeMismatch` when it is malformed.
+
+    With ``max_dim``, a declared dimension above it raises :class:`SizeLimit`
+    before the matrix is converted.
+    """
     try:
         factors = tuple((str(lab), int(d)) for lab, d in payload["factors"])
         rows = payload["matrix"]
-        data = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed operator payload: {exc}") from None
-    return LabeledOperator(factors, data)
+    dim = math.prod(d for _, d in factors)
+    if max_dim is not None and dim > max_dim:
+        raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {max_dim}")
+    try:
+        pairs = np.array(rows)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+    # integers beyond float range, strings and nulls leave a non-numeric dtype
+    if pairs.ndim != 3 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "iuf":
+        raise ShapeMismatch("malformed operator payload: the matrix must be rows of "
+                            f"[re, im] number pairs, got shape {pairs.shape} of {pairs.dtype}")
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    return LabeledOperator(factors, pairs.view(np.complex128)[..., 0])
 
 
 def _open(path: str, mode: str):
@@ -41,28 +76,27 @@ def _open(path: str, mode: str):
 
 def write_operator(op: LabeledOperator, path: str) -> None:
     with _open(path, "w") as fh:
-        json.dump(operator_to_dict(op), fh)
+        fh.writelines(_operator_chunks(op))
         fh.write("\n")
 
 
-def read_operator(path: str) -> LabeledOperator:
+def read_operator(path: str, *, max_dim: Optional[int] = None) -> LabeledOperator:
     with _open(path, "r") as fh:
-        return operator_from_dict(json.load(fh))
+        return operator_from_dict(json.load(fh), max_dim=max_dim)
+
+
+def _spec_to_dict(spec: NetworkSpec) -> dict:
+    return {"slot_types": [print_type(t) for t in spec.slot_types],
+            "memories": list(spec.memories)}
 
 
 def bundle_to_dict(blocks, spec: NetworkSpec) -> dict:
-    return {
-        "blocks": [operator_to_dict(b) for b in blocks],
-        "spec": {
-            "slot_types": [print_type(t) for t in spec.slot_types],
-            "memories": list(spec.memories),
-        },
-    }
+    return {"blocks": [operator_to_dict(b) for b in blocks], "spec": _spec_to_dict(spec)}
 
 
-def bundle_from_dict(payload: dict, reg: SystemRegistry):
+def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[int] = None):
     try:
-        blocks = [operator_from_dict(b) for b in payload["blocks"]]
+        blocks = [operator_from_dict(b, max_dim=max_dim) for b in payload["blocks"]]
         spec_part = payload["spec"]
         memories = tuple(str(m) for m in spec_part["memories"])
         type_strings = list(spec_part["slot_types"])
@@ -87,13 +121,16 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry):
 
 def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
     with _open(path, "w") as fh:
-        json.dump(bundle_to_dict(blocks, spec), fh)
-        fh.write("\n")
+        fh.write('{"blocks": [')
+        for k, block in enumerate(blocks):
+            fh.write(", " if k else "")
+            fh.writelines(_operator_chunks(block))
+        fh.write('], "spec": ' + json.dumps(_spec_to_dict(spec)) + "}\n")
 
 
-def read_bundle(path: str, reg: SystemRegistry):
+def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None):
     with _open(path, "r") as fh:
-        return bundle_from_dict(json.load(fh), reg)
+        return bundle_from_dict(json.load(fh), reg, max_dim=max_dim)
 
 
 def spec_from_dict(payload: dict, reg: SystemRegistry) -> NetworkSpec:

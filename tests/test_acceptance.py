@@ -188,6 +188,14 @@ def test_criterion_03_process_matrix_reproduction():
         t = dual(tensor(BistochElem("A1", (), "B1", ()), BistochElem("A2", (), "B2", ())))
         out = classify(r, t, regl)
         assert out.bistoch_report.passed and out.verdict == "BISTOCH_ONLY"
+    # at d = 3 the two top patterns weigh sqrt(20/9) each, equal up to rounding
+    # that depends on the factor labels: the pattern text orders them
+    swap = {"A1": "A2", "B1": "B2", "A2": "A1", "B2": "B1"}
+    for names in ({}, swap):
+        op = LabeledOperator(tuple((names.get(lab, lab), d) for lab, d in r.factors), r.data)
+        top = classify(op, t, regl).forbidden[:2]
+        assert [p for p, _ in top] == ["A1:I B1:T A2:T B2:T", "A1:T B1:T A2:I B2:T"]
+        assert np.allclose([n for _, n in top], np.sqrt(20 / 9), rtol=1e-12, atol=0)
 
     # extracted forbidden component of the n=2 signaling process
     r2 = lc_23_process(2)

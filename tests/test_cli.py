@@ -1,5 +1,6 @@
 import gzip
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from hoq.serialize import (
     operator_to_dict,
     parse_config,
     parse_inline_registry,
+    read_bundle,
     read_operator,
+    write_bundle,
     write_operator,
 )
-from hoq.typesys import BistochElem
-from hoq.errors import ConfigError
+from hoq.sectors import Hierarchy
+from hoq.typesys import BistochElem, dehat
+from hoq.errors import ConfigError, ShapeMismatch, SizeLimit
 
 from helpers import NON_FINITE, non_finite_operator
 
@@ -80,6 +84,72 @@ class TestSerialization:
         payload = operator_to_dict(op)
         assert payload["matrix"][0][1] == [0.0, 2.0]
         assert np.array_equal(operator_from_dict(payload).data, op.data)
+
+    @pytest.mark.parametrize("name", ["op.json", "op.json.gz"])
+    def test_files_are_json_dumps_of_the_dicts(self, tmp_path, rng, name):
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        g[0, :4] = [complex(-0.0, 1e-300), complex(1e300, np.nan),
+                    complex(np.inf, -np.inf), complex(0.1, -0.0)]
+        op = LabeledOperator((("A", 2), ("B", 3)), g)
+        one = LabeledOperator((), np.eye(1))
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("P", "F"))
+
+        def text(path):
+            opener = gzip.open if name.endswith(".gz") else open
+            with opener(path, "rt", encoding="utf-8") as fh:
+                return fh.read()
+
+        path = tmp_path / name
+        for x in (op, one):
+            write_operator(x, str(path))
+            assert text(path) == json.dumps(operator_to_dict(x)) + "\n"
+        for blocks in ([], [op], [op, one]):
+            write_bundle(blocks, spec, str(path))
+            assert text(path) == json.dumps(bundle_to_dict(blocks, spec)) + "\n"
+
+    def test_write_streams_rows(self, tmp_path, rng):
+        d = 256
+        op = LabeledOperator((("A", d),), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        tracemalloc.start()
+        try:
+            write_operator(op, str(tmp_path / "op.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.data.nbytes
+
+    @pytest.mark.parametrize("matrix", [
+        [[[1, 0], [0, 0]], [[0, 0]]],
+        [[[1, 2, 3], [0, 0, 0]], [[0, 0, 0], [1, 2, 3]]],
+        [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[1, 2]],
+        [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]],
+    ], ids=["ragged", "triple", "strings", "null", "2-d", "huge-int"])
+    def test_malformed_matrix(self, runner, tmp_path, matrix):
+        payload = {"factors": [["A", 2]], "matrix": matrix}
+        with pytest.raises(ShapeMismatch):
+            operator_from_dict(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "malformed operator payload" in res.output
+
+    def test_max_dim_on_read(self, tmp_path):
+        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+        path, bundle = tmp_path / "op.json", tmp_path / "bundle.json"
+        write_operator(op, str(path))
+        write_bundle([op], spec, str(bundle))
+        assert read_operator(str(path)).dim == 4
+        assert read_operator(str(path), max_dim=4).dim == 4
+        with pytest.raises(SizeLimit, match="dimension 4 exceeds limits.max_dim = 3"):
+            read_operator(str(path), max_dim=3)
+        reg = SystemRegistry.of(A=2, B=2)
+        assert len(read_bundle(str(bundle), reg, max_dim=4)[0]) == 1
+        with pytest.raises(SizeLimit):
+            read_bundle(str(bundle), reg, max_dim=3)
 
     def test_config_parsing(self):
         cfg = parse_config("""
@@ -269,6 +339,49 @@ class TestCheckCommand:
                                    "--network-spec", str(specf),
                                    "--registry", "A1=2,B1=2,P=2,F=2"])
         assert res.exit_code == 0, res.output
+
+
+    def test_network_spec_mode_standard_hierarchy(self, runner, tmp_path):
+        reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)
+        spec = NetworkSpec((dual(BistochElem("A1", (), "B1", ())),), ("P", "F"))
+        std = NetworkSpec(tuple(dehat(x) for x in spec.slot_types), spec.memories)
+        opf = tmp_path / "net.json"
+        write_operator(sample_deterministic(std, reg, Hierarchy.STANDARD, eps=0.4, seed=2),
+                       str(opf))
+        specf = tmp_path / "spec.json"
+        specf.write_text(json.dumps(
+            {"slot_types": ["((^A1 -> ^B1) -> I)"], "memories": ["P", "F"]}))
+        res = runner.invoke(main, ["check", "-f", str(opf), "--network-spec", str(specf),
+                                   "--registry", "A1=2,B1=2,P=2,F=2",
+                                   "--hierarchy", "standard"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("verdict:          PASS")
+
+    @pytest.mark.parametrize("args", [
+        ["check", "(^A -> ^B)", "-f", "{op}"],
+        ["check", "--network-spec", "{spec}", "-f", "{op}"],
+        ["check", "(^A -> ^B)", "-f", "{op}", "--admissible"],
+        ["classify", "(^A -> ^B)", "-f", "{op}"],
+        ["apply-flip", "--channel", "{op}", "--state", "{op}", "--control", "{op}",
+         "-o", "{out}"],
+        ["compose", "{bundle}", "-o", "{out}"],
+        ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"],
+    ], ids=["check", "check-spec", "check-admissible", "classify", "apply-flip",
+            "compose", "decompose"])
+    def test_max_dim_limits_every_read(self, runner, tmp_path, args):
+        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+        files = {k: str(tmp_path / f"{k}.json") for k in ("op", "spec", "bundle", "out")}
+        write_operator(op, files["op"])
+        write_bundle([op], spec, files["bundle"])
+        with open(files["spec"], "w", encoding="utf-8") as fh:
+            json.dump(bundle_to_dict([], spec)["spec"], fh)
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("limits.max_dim = 3\n")
+        res = runner.invoke(main, [a.format(**files) for a in args]
+                            + ["--registry", "A=2,B=2", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "exceeds limits.max_dim = 3" in res.output
 
 
 class TestMakeAndClassify:

@@ -87,11 +87,15 @@ class TestCompose:
     def test_block_validation_failure(self):
         reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)
         spec = NetworkSpec((dual(pair(1)),), ("P", "F"))
-        junk = LabeledOperator((("A1", 2), ("B1", 2), ("P", 2), ("F", 2)),
-                               np.diag(np.arange(16.0)))
-        with pytest.raises(BlockCheckFailed,
-                           match=r"min eigenvalue ≥ -1.000e-09 \(Cholesky certificate\)"):
-            compose_network([junk], spec, reg)
+        spectrum = np.diag(np.arange(16.0))
+        skewed = sample_deterministic(spec.block_type(0), reg, eps=0.5, seed=1).data.copy()
+        skewed[0, 1] += 1e-6j
+        for data, message in (
+                (spectrum, r"psd ok, min eigenvalue ≥ -1.000e-09 \(Cholesky certificate\)"),
+                (skewed, r"psd FAILED, not Hermitian \(defect 1.000e-06\)")):
+            junk = LabeledOperator((("A1", 2), ("B1", 2), ("P", 2), ("F", 2)), data)
+            with pytest.raises(BlockCheckFailed, match=message):
+                compose_network([junk], spec, reg)
 
     def test_memory_dim_mismatch(self):
         reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, E1=3)
