@@ -1,14 +1,16 @@
-"""Dense complex operator algebra on labeled tensor factors.
+"""Dense operator algebra on labeled tensor factors.
 
-Operators carry an ordered list of ``(label, dim)`` factors; the matrix is
-stored row-major with the first factor most significant.  Choi operators use
-the input-factor-first convention: the Choi matrix of a map from A to B lives
-on ``A (x) B`` and a channel satisfies ``Tr_B[M] = 1_A``.  All transposes are
-taken in the fixed computational basis of each factor.
+Operators carry an ordered list of ``(label, dim)`` factors; the matrix,
+complex or real float64, is stored row-major with the first factor most
+significant.  Choi operators use the input-factor-first convention: the Choi
+matrix of a map from A to B lives on ``A (x) B`` and a channel satisfies
+``Tr_B[M] = 1_A``.  All transposes are taken in the fixed computational basis
+of each factor.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -29,18 +31,33 @@ TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 
 
+def factor_entry(label, dim) -> tuple[str, int]:
+    """A ``(label, dim)`` factor; :class:`ShapeMismatch` unless ``dim`` is an integer.
+
+    Python and numpy integers qualify; booleans, floats and strings do not.
+    """
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ShapeMismatch(f"factor {label!r} has dimension {dim!r}, not an integer")
+    return str(label), int(dim)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledOperator:
-    """A complex square matrix over an ordered list of named tensor factors."""
+    """A complex or real float64 square matrix over named tensor factors.
+
+    A float64 array is kept real; any other array is stored as complex128.
+    """
 
     factors: tuple[tuple[str, int], ...]
     data: np.ndarray
 
     def __post_init__(self):
-        factors = tuple((str(lab), int(d)) for lab, d in self.factors)
+        factors = tuple(factor_entry(lab, d) for lab, d in self.factors)
         object.__setattr__(self, "factors", factors)
         total = math.prod(d for _, d in factors)
-        arr = np.asarray(self.data, dtype=complex)
+        arr = np.asarray(self.data)
+        if arr.dtype != np.float64:
+            arr = arr.astype(complex, copy=False)
         if arr.shape != (total, total):
             raise ShapeMismatch(
                 f"matrix shape {arr.shape} does not match factor dimensions (product {total})")
@@ -77,11 +94,13 @@ class LabeledOperator:
 
         A caller that has formed the Hermitian part ``sym = (A + A^H) / 2``
         passes it, and the defect is taken from it as ``2 max |A - sym|``,
-        without another transposed pass.
+        without another transposed pass.  A real ``sym`` is compared with the
+        real part of ``A``.
         """
         if sym is None:
             return float(np.abs(self.data - self.data.conj().T).max())
-        return 2.0 * float(np.abs(self.data - sym).max())
+        data = self.data.real if np.isrealobj(sym) else self.data
+        return 2.0 * float(np.abs(data - sym).max())
 
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)
@@ -308,15 +327,21 @@ def apply_choi(m: LabeledOperator, in_labels: Sequence[str],
 def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
     """``(A + A^H) / 2`` as a new array, and the hermiticity defect of ``A``.
 
-    The defect is measured once, from the Hermitian part.  Raises
+    When no entry of ``A`` has a non-zero imaginary part, the Hermitian part
+    is the real float64 ``(A + A^T) / 2``, and every check on it (Cholesky,
+    sector projections, norms) runs in real arithmetic.  The defect is
+    measured once, from the Hermitian part.  Raises
     :class:`NonFiniteOperator` when it is not finite, which any NaN or
     infinite entry makes it.
     """
-    sym = np.empty_like(a.data)
-    np.conjugate(a.data.T, out=sym)
+    data = a.data
+    if np.iscomplexobj(data) and not data.imag.any():
+        data = data.real
+    sym = np.empty_like(data)
+    np.conjugate(data.T, out=sym)
     # non-finite entries make NaNs here, which the defect then reports
     with np.errstate(invalid="ignore"):
-        sym += a.data
+        sym += data
         sym *= 0.5
         defect = a.herm_defect(sym)
     if not math.isfinite(defect):

@@ -15,18 +15,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, SizeLimit
-from .linalg import LabeledOperator
+from .linalg import LabeledOperator, factor_entry
 from .network import NetworkSpec
 from .typesys import SystemRegistry, parse_type, print_type
 
 
-def _pairs(op: LabeledOperator) -> np.ndarray:
-    """The matrix as a ``(D, D, 2)`` float view of ``(re, im)`` pairs, not a copy."""
-    return op.data.view(np.float64).reshape(op.dim, op.dim, 2)
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """``a`` with a last axis of ``(re, im)`` float pairs.
+
+    A view of a complex array; a real array is converted to complex first.
+    """
+    return a.astype(complex, copy=False).view(np.float64).reshape(a.shape + (2,))
 
 
 def operator_to_dict(op: LabeledOperator) -> dict:
-    return {"factors": [[lab, d] for lab, d in op.factors], "matrix": _pairs(op).tolist()}
+    return {"factors": [[lab, d] for lab, d in op.factors], "matrix": _pairs(op.data).tolist()}
 
 
 def _operator_chunks(op: LabeledOperator):
@@ -37,8 +40,8 @@ def _operator_chunks(op: LabeledOperator):
     exists as Python objects.
     """
     yield '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + ', "matrix": ['
-    for i, row in enumerate(_pairs(op)):
-        yield (", " if i else "") + json.dumps(row.tolist())
+    for i, row in enumerate(op.data):
+        yield (", " if i else "") + json.dumps(_pairs(row).tolist())
     yield "]}"
 
 
@@ -49,7 +52,7 @@ def operator_from_dict(payload: dict, *, max_dim: Optional[int] = None) -> Label
     before the matrix is converted.
     """
     try:
-        factors = tuple((str(lab), int(d)) for lab, d in payload["factors"])
+        factors = tuple(factor_entry(lab, d) for lab, d in payload["factors"])
         rows = payload["matrix"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed operator payload: {exc}") from None

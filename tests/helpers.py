@@ -41,9 +41,12 @@ def random_type(rng, reg_dims, max_depth=4, max_systems=10):
     return t, SystemRegistry.from_dict(dims)
 
 
-# (row, column, value) of the one bad entry in a 4-dim identity event
+# (row, column, value) of the one bad entry in a 4-dim identity event; only
+# "nan_imaginary" has a non-zero imaginary part, so the others are checked in
+# real arithmetic
 NON_FINITE = {"nan_off_diagonal": (0, 1, np.nan), "inf_on_diagonal": (2, 2, np.inf),
-              "nan_on_diagonal": (3, 3, np.nan)}
+              "nan_on_diagonal": (3, 3, np.nan), "minus_inf_off_diagonal": (1, 3, -np.inf),
+              "nan_imaginary": (0, 1, complex(0.0, np.nan))}
 
 
 def non_finite_operator(where):

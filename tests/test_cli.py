@@ -107,16 +107,48 @@ class TestSerialization:
             write_bundle(blocks, spec, str(path))
             assert text(path) == json.dumps(bundle_to_dict(blocks, spec)) + "\n"
 
+    @pytest.mark.parametrize("name", ["op.json", "op.json.gz"])
+    def test_real_matrix_writes_the_bytes_of_its_complex_twin(self, tmp_path, rng, name):
+        data = rng.normal(size=(6, 6))
+        data[0, :2] = [-0.0, 1e-300]
+        real = LabeledOperator((("A", 2), ("B", 3)), data)
+        twin = LabeledOperator(real.factors, data.astype(complex))
+        assert real.data.dtype == np.float64 and twin.data.dtype == np.complex128
+        written = []
+        for x, sub in ((real, "real"), (twin, "twin")):
+            path = tmp_path / sub / name
+            path.parent.mkdir()
+            write_operator(x, str(path))
+            raw = path.read_bytes()
+            # bytes 4-7 of a gzip header are its time stamp
+            written.append(raw[:4] + raw[8:] if name.endswith(".gz") else raw)
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("dim,n", [(2.7, 2), ("2", 2), (True, 1)], ids=repr)
+    def test_non_integer_factor_dimension(self, runner, tmp_path, dim, n):
+        payload = operator_to_dict(LabeledOperator((("A", n),), np.eye(n) / n))
+        payload["factors"] = [["A", dim]]
+        with pytest.raises(ShapeMismatch, match="not an integer"):
+            operator_from_dict(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", f"A={n}"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "not an integer" in res.output
+
     def test_write_streams_rows(self, tmp_path, rng):
         d = 256
-        op = LabeledOperator((("A", d),), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        tracemalloc.start()
-        try:
-            write_operator(op, str(tmp_path / "op.json"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < op.data.nbytes
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # a real matrix is converted to complex row by row, not whole
+        for data in (g, g.real):
+            op = LabeledOperator((("A", d),), data)
+            tracemalloc.start()
+            try:
+                write_operator(op, str(tmp_path / "op.json"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < op.data.nbytes
 
     @pytest.mark.parametrize("matrix", [
         [[[1, 0], [0, 0]], [[0, 0]]],

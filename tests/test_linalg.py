@@ -19,12 +19,15 @@ from hoq.errors import (
     BadPermutation,
     DimMismatch,
     LabelCollision,
+    NonFiniteOperator,
     NotHermitian,
     ShapeMismatch,
     UnknownLabel,
 )
-from hoq.linalg import identity, max_entangled, scalar, transpose
+from hoq.linalg import hermitian_part, identity, max_entangled, scalar, transpose
 from hoq.processes import haar_unitary, random_state
+
+from helpers import NON_FINITE, non_finite_operator
 
 
 def op(labels_dims, data):
@@ -224,8 +227,9 @@ class TestSpectral:
         assert not is_psd(a, tol=1e-15)
 
     def test_sqrt_reconstructs(self, rng):
-        for _ in range(10):
-            g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        # odd rounds are real, and take a real eigenbasis
+        for k in range(10):
+            g = rng.normal(size=(6, 6)) + k % 2 * 1j * rng.normal(size=(6, 6))
             a = op([("A", 2), ("B", 3)], g @ g.conj().T)
             sq, pinv, supp = psd_sqrt_pinv(a)
             assert np.abs(sq.data @ sq.data - a.data).max() < 1e-10
@@ -244,10 +248,55 @@ class TestSpectral:
         assert np.abs(recon - (a.data + a.data.conj().T) / 2).max() < 1e-10
 
 
+class TestRealArithmetic:
+    FACTORS = (("A", 2), ("B", 3))
+
+    def test_hermitian_part_is_real_when_the_imaginary_part_is_zero(self, rng):
+        g = rng.normal(size=(6, 6))
+        minus_zero = g.astype(complex)
+        minus_zero.imag[:] = -0.0
+        assert np.signbit(minus_zero.imag).all()
+        skew = g + 1e-300j * rng.normal(size=(6, 6))
+        for data, dtype in [(g, np.float64), (g.astype(complex), np.float64),
+                            (minus_zero, np.float64), (skew, np.complex128)]:
+            a = LabeledOperator(self.FACTORS, data)
+            sym, defect = hermitian_part(a)
+            assert sym.dtype == dtype and sym.flags.c_contiguous
+            assert np.array_equal(sym, (a.data + a.data.conj().T) / 2)
+            assert np.isclose(defect, a.herm_defect(), rtol=1e-12, atol=0)
+
+    def test_only_float64_stays_real(self, rng):
+        g = rng.normal(size=(6, 6))
+        assert LabeledOperator(self.FACTORS, g).data.dtype == np.float64
+        for data in (g.astype(np.float32), g.astype(int), g.astype(complex)):
+            assert LabeledOperator(self.FACTORS, data).data.dtype == np.complex128
+
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    def test_non_finite_entries_on_both_paths(self, where):
+        a = non_finite_operator(where)
+        # only a NaN imaginary part sends the operator down the complex path
+        assert a.data.imag.any() == (where == "nan_imaginary")
+        with pytest.raises(NonFiniteOperator):
+            hermitian_part(a)
+
+    def test_real_eigenbasis_reconstructs(self, rng):
+        g = rng.normal(size=(6, 6))
+        a = op(self.FACTORS, g @ g.T)
+        vals, vecs = eigh(a)
+        assert vecs.dtype == np.float64
+        assert np.abs((vecs * vals) @ vecs.T - a.data).max() < 1e-10
+
+
 class TestStructure:
     def test_shape_mismatch_on_build(self):
         with pytest.raises(ShapeMismatch):
             op([("A", 2)], np.eye(3))
+
+    @pytest.mark.parametrize("dim", [2.0, 2.7, "2", True], ids=repr)
+    def test_factor_dimensions_must_be_integers(self, dim):
+        with pytest.raises(ShapeMismatch, match="not an integer"):
+            LabeledOperator((("A", dim),), np.eye(2))
+        assert LabeledOperator((("A", np.int64(2)),), np.eye(2)).factors == (("A", 2),)
 
     def test_data_immutable(self):
         a = identity([("A", 2)])

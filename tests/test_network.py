@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,22 @@ class TestFamilies:
                              hierarchy=Hierarchy.STANDARD).passed
         # order-indefinite: it is not a causally ordered two-slot comb
         assert not check_bislot(r, [(2, 2), (2, 2)], 4, 4).passed
+
+    def test_real_process_is_checked_in_real_arithmetic(self):
+        # the switch is stored complex with a zero imaginary part, and its
+        # check works on float64 arrays: the peak stays below 2.5 input
+        # sizes, where complex arithmetic takes 3.3
+        r = merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        assert r.data.dtype == np.complex128 and r.dim == 256
+        tracemalloc.start()
+        try:
+            rep = check_bislot(r, [(2, 2), (2, 2)], 4, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "FAIL" and rep.psd_method == "cholesky"
+        assert peak < 2.5 * r.data.nbytes
 
     def test_n_time_flip_is_bislot(self):
         f2 = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})

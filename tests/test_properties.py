@@ -1,5 +1,6 @@
 """Property-based tests of the numerical sector projection and pattern norms,
-and of the invariants that let ``classify`` share one front half."""
+of the invariants that let ``classify`` share one front half, and of real
+arithmetic against complex arithmetic in the check."""
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from hoq import (
     sector_component,
     sector_project,
 )
+from hoq.linalg import hermitian_part
 from hoq.membership import random_hermitian
 from hoq.sectors import SectorSet, _marks_of, _project_masks, deviation_sectors
 from hoq.typesys import dehat, has_hats, systems_of
@@ -137,3 +139,47 @@ def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
     assert vars(res.bistoch_report) == vars(is_deterministic(op, t, reg))
     assert vars(res.standard_report) == vars(
         is_deterministic(op, dehat(t), reg, Hierarchy.STANDARD))
+
+
+@st.composite
+def sampled_type(draw, reg_dims=(2, 3), max_systems=4):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_type(rng, reg_dims, max_systems=max_systems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_type(), st.booleans(), st.randoms(use_true_random=False))
+def test_local_phases_keep_the_verdict_and_the_pattern_norms(case, add_forbidden, random):
+    t, reg = case
+    sample = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    factors, k = sample.factors, len(sample.factors)
+    # (H + H^T) / 2 is again a deterministic event of t, and real
+    real = ((sample.data + sample.data.T) / 2).real
+    if add_forbidden:
+        allowed = deviation_sectors(t, reg).masks
+        outside = [m for m in range(1, 1 << k) if m not in allowed]
+        assume(outside)
+        noise = LabeledOperator(factors, random_hermitian(
+            sample.dim, np.random.default_rng(random.randrange(1 << 16))).real)
+        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        real = real + 0.05 * term.data
+    op = LabeledOperator(factors, real)
+    # a tensor product of diagonal phase unitaries: U R U^H is R * u u^H
+    rng = np.random.default_rng(random.randrange(1 << 16))
+    u = np.ones(1)
+    for _, d in factors:
+        u = np.kron(u, np.exp(2j * np.pi * rng.random(d)))
+    phased = LabeledOperator(factors, real * np.outer(u, u.conj()))
+    assert hermitian_part(op)[0].dtype == np.float64
+    assert hermitian_part(phased)[0].dtype == np.complex128
+
+    a, b = is_deterministic(op, t, reg), is_deterministic(phased, t, reg)
+    assert a.verdict == b.verdict == ("FAIL" if add_forbidden else "PASS")
+    assert a.psd_method == b.psd_method
+    assert a.lambda_expected == b.lambda_expected
+    assert abs(a.lambda_measured - b.lambda_measured) <= 1e-12 * a.lambda_measured
+    assert abs(a.sector_residual - b.sector_residual) <= 1e-12 * np.linalg.norm(real)
+    norms_a, norms_b = dict(a.forbidden_components), dict(b.forbidden_components)
+    assert norms_a.keys() == norms_b.keys()
+    for pattern, norm in norms_a.items():
+        assert abs(norm - norms_b[pattern]) <= 1e-12 * norm
