@@ -17,7 +17,6 @@ import click
 
 from . import processes
 from .errors import HoqError
-from .linalg import permute_systems
 from .membership import classify as classify_op
 from .membership import is_admissible, is_deterministic
 from .network import NetworkSpec, compose_network, decompose_network
@@ -48,10 +47,6 @@ def _build_context(config_path, registry_inline) -> Context:
     if registry_inline:
         reg = reg.with_entries(**parse_inline_registry(registry_inline))
     return Context(cfg, reg)
-
-
-def _hierarchy(name: str) -> Hierarchy:
-    return Hierarchy.STANDARD if name == "standard" else Hierarchy.BISTOCH
 
 
 class HoqGroup(click.Group):
@@ -106,7 +101,7 @@ def cmd_delta(type_string, hierarchy, config_path, registry_inline):
     t = parse_type(type_string, ctx.registry, limit=ctx.config.recursion)
     if hierarchy == "standard":
         t = dehat(t)
-    sectors = deviation_sectors(t, ctx.registry, _hierarchy(hierarchy))
+    sectors = deviation_sectors(t, ctx.registry, Hierarchy(hierarchy))
     for line in sectors.texts():
         click.echo(line)
 
@@ -140,7 +135,7 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
             t = dehat(t)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
     if admissible:
-        result = is_admissible(op, t, ctx.registry, _hierarchy(hierarchy),
+        result = is_admissible(op, t, ctx.registry, Hierarchy(hierarchy),
                                tol=cfg.tol_feas, max_iter=cfg.max_iter,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
         payload = {"status": result.status, "residual": result.residual,
@@ -149,7 +144,7 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
                    f"{result.status} (residual {result.residual:.3e}, "
                    f"{result.iterations} iterations) {result.reason}")
         sys.exit({"FEASIBLE": 0, "NOT_ADMISSIBLE": 1}.get(result.status, 3))
-    report = is_deterministic(op, t, ctx.registry, _hierarchy(hierarchy),
+    report = is_deterministic(op, t, ctx.registry, Hierarchy(hierarchy),
                               tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                               herm_tol=cfg.tol_herm)
     click.echo(json.dumps(report.to_dict()) if as_json else report.to_text())
@@ -208,12 +203,12 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
     """
     ctx = _build_context(config_path, registry_inline)
     if process == "time-flip":
-        op = _canonical_flip(processes.time_flip_choi(dim), 1)
+        op = processes.canonical_ports(processes.time_flip_choi(dim))
     elif process == "n-time-flip":
-        op = _canonical_flip(
-            processes.n_time_flip_choi(slots, dim, dim_cap=ctx.config.max_dim), slots)
+        op = processes.canonical_ports(
+            processes.n_time_flip_choi(slots, dim, dim_cap=ctx.config.max_dim))
     elif process == "flip-switch":
-        op = _canonical_flip(processes.flippable_switch_choi(dim), 2)
+        op = processes.canonical_ports(processes.flippable_switch_choi(dim))
     elif process == "lc23":
         op = processes.lc_23_process(slots)
     elif process == "lc22":
@@ -222,18 +217,6 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
         op = processes.random_bistochastic_channel(dim, tail_in, tail_out, k=k, seed=seed)
     write_operator(op, output)
     click.echo(f"wrote {output}: factors {list(op.labels)}, dim {op.dim}")
-
-
-def _canonical_flip(op, n):
-    merged = processes.merge_ports(op, {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
-    if n == 1 and "A" in merged.labels:
-        order = ["A", "B", "P", "F"]
-    else:
-        order = []
-        for i in range(1, n + 1):
-            order += [f"A{i}", f"B{i}"]
-        order += ["P", "F"]
-    return permute_systems(merged, order)
 
 
 @main.command("apply-flip")
@@ -262,7 +245,9 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
     """Chain the blocks of a network bundle and write the composed operator."""
     ctx = _build_context(config_path, registry_inline)
     blocks, spec, reg = read_bundle(bundle_file, ctx.registry, max_dim=ctx.config.max_dim)
-    composed = compose_network(blocks, spec, reg, tol=ctx.config.tol_sector)
+    cfg = ctx.config
+    composed = compose_network(blocks, spec, reg, tol=cfg.tol_sector,
+                               psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_operator(composed, output)
     click.echo(f"wrote {output}: factors {list(composed.labels)}, dim {composed.dim}")
 
@@ -279,8 +264,10 @@ def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline
     with open(spec_file, encoding="utf-8") as fh:
         spec = spec_from_dict(json.load(fh), ctx.registry)
     op = read_operator(operator_file, max_dim=ctx.config.max_dim)
+    cfg = ctx.config
     blocks, new_spec, new_reg = decompose_network(op, spec, ctx.registry,
-                                                  tol=ctx.config.tol_sector * 10)
+                                                  tol=cfg.tol_sector * 10,
+                                                  psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_bundle(blocks, new_spec, output)
     dims = [new_reg.dim(m) for m in new_spec.memories[1:-1]]
     click.echo(f"wrote {output}: {len(blocks)} blocks, memory dims {dims}")

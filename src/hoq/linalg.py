@@ -384,11 +384,6 @@ def eigh(a: LabeledOperator, tol_herm: float = TOL_HERM):
     return np.linalg.eigh(sym)
 
 
-def min_eigenvalue(a: LabeledOperator, tol_herm: float = TOL_HERM) -> float:
-    sym = _require_hermitian(a, tol_herm)
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def is_psd(a: LabeledOperator, tol: float = TOL_PSD,
            tol_herm: float = TOL_HERM) -> bool:
     return _psd_status(_require_hermitian(a, tol_herm), tol)[1]

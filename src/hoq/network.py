@@ -14,7 +14,7 @@ from .errors import (
     NotANetwork,
     RankInstability,
 )
-from .linalg import LabeledOperator, link_all, partial_trace, permute_systems
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, link_all, partial_trace, permute_systems
 from .membership import CheckReport, check_operator, is_deterministic  # noqa: F401 (re-exported)
 from .sectors import Hierarchy, identity_coeff
 from .typesys import (
@@ -72,7 +72,8 @@ class NetworkSpec:
 
 
 def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
-                    tol: float = 1e-9, validate: bool = True) -> LabeledOperator:
+                    tol: float = 1e-9, validate: bool = True, psd_tol: float = TOL_PSD,
+                    herm_tol: float = TOL_HERM) -> LabeledOperator:
     """Chain the blocks over their shared memory labels.
 
     Each block must be a deterministic event of its slot's block type; the
@@ -92,7 +93,8 @@ def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
                 f"blocks {i} and {i + 1} disagree on memory {mem!r}: {da} vs {db}")
     if validate:
         for i, block in enumerate(blocks):
-            report = is_deterministic(block, spec.block_type(i), reg, tol=tol)
+            report = is_deterministic(block, spec.block_type(i), reg, tol=tol,
+                                      psd_tol=psd_tol, herm_tol=herm_tol)
             if not report.passed:
                 raise BlockCheckFailed(i, report)
     out = link_all(list(blocks))
@@ -102,9 +104,11 @@ def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
 
 def check_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
                   tol: float = 1e-9,
-                  hierarchy: Hierarchy = Hierarchy.BISTOCH) -> CheckReport:
+                  hierarchy: Hierarchy = Hierarchy.BISTOCH, psd_tol: float = TOL_PSD,
+                  herm_tol: float = TOL_HERM) -> CheckReport:
     """Test an operator against the causally ordered network characterization."""
-    return is_deterministic(r, spec, reg, hierarchy, tol=tol)
+    return is_deterministic(r, spec, reg, hierarchy, tol=tol, psd_tol=psd_tol,
+                            herm_tol=herm_tol)
 
 
 def _fresh_memory_labels(n: int, taken) -> list[str]:
@@ -119,7 +123,8 @@ def _fresh_memory_labels(n: int, taken) -> list[str]:
 
 
 def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
-                      tol: float = 1e-8, rank_tol: float = 1e-9):
+                      tol: float = 1e-8, rank_tol: float = 1e-9, psd_tol: float = TOL_PSD,
+                      herm_tol: float = TOL_HERM):
     """Peel a network operator into a causally ordered chain of blocks.
 
     Returns ``(blocks, new_spec, new_reg)``: the intermediate memories are
@@ -127,7 +132,8 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     representative of a gauge class; no minimality is claimed).  Recomposing
     the blocks reproduces ``r`` and every block passes its slot-type check.
     """
-    report = check_network(r, spec, reg, tol=max(tol, 1e-8))
+    report = check_network(r, spec, reg, tol=max(tol, 1e-8), psd_tol=psd_tol,
+                           herm_tol=herm_tol)
     if not report.passed:
         raise NotANetwork(f"operator fails the network characterization:\n{report.to_text()}")
 
@@ -200,7 +206,8 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     new_spec = NetworkSpec(spec.slot_types, tuple(mem_labels))
 
     for i, block in enumerate(blocks):
-        rep = is_deterministic(block, new_spec.block_type(i), new_reg, tol=max(tol, 1e-8))
+        rep = is_deterministic(block, new_spec.block_type(i), new_reg, tol=max(tol, 1e-8),
+                               psd_tol=psd_tol, herm_tol=herm_tol)
         if not rep.passed:
             raise NotANetwork(
                 f"decomposed block {i} fails its slot-type check:\n{rep.to_text()}")

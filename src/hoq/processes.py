@@ -17,10 +17,11 @@ from .errors import (
 )
 from .linalg import (
     LabeledOperator,
+    _psd_status,
     choi_of_kraus,
     drop_trivial,
+    hermitian_part,
     link_all,
-    max_entangled,
     merge_factors,
     partial_trace,
     permute_systems,
@@ -125,6 +126,33 @@ def bistoch_type_of(op: LabeledOperator, in_tail=(), out_tail=()) -> BistochElem
 # Coherent direction control
 # ---------------------------------------------------------------------------
 
+def _routed(d: int, slots, routes) -> LabeledOperator:
+    """Rank-one ``|v><v|`` of a target routed through slots by a control.
+
+    ``slots`` lists each slot's ``(input, output)`` labels.  Control value
+    ``c`` passes unchanged from ``Pc`` to ``Fc`` and sends the target from
+    ``Pt`` through the hops of ``routes[c]`` to ``Ft``; a hop is a
+    ``(slot, backwards)`` pair, entering the slot's input and leaving its
+    output, or the reverse when ``backwards`` is 1.  Consecutive ports are
+    joined by identity wires, so ``v`` is a 0/1 vector.  Factors: ``Pt, Pc``,
+    the slot pairs in order, ``Ft, Fc``.
+    """
+    n, controls = len(slots), len(routes)
+    v = np.zeros((d, controls) + (d,) * (2 * n) + (d, controls), dtype=complex)
+    for c, route in enumerate(routes):
+        wires = np.indices((d,) * (len(route) + 1))  # the target's value on each wire
+        index = [wires[0], c] + [None] * (2 * n) + [wires[-1], c]
+        for k, (slot, backwards) in enumerate(route):
+            index[2 + 2 * slot + backwards] = wires[k]
+            index[3 + 2 * slot - backwards] = wires[k + 1]
+        v[tuple(index)] = 1.0
+    vec = v.reshape(-1)
+    factors = ((("Pt", d), ("Pc", controls))
+               + tuple((lab, d) for pair in slots for lab in pair)
+               + (("Ft", d), ("Fc", controls)))
+    return LabeledOperator(factors, np.outer(vec, vec.conj()))
+
+
 def time_flip_choi(d: int) -> LabeledOperator:
     """Choi operator of the coherent input-output-direction flip.
 
@@ -135,14 +163,7 @@ def time_flip_choi(d: int) -> LabeledOperator:
     """
     if d < 2:
         raise ValueError("target dimension must be at least 2")
-    v = np.zeros((d, 2, d, d, d, 2), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            v[m, 0, m, n, n, 0] += 1.0  # forward branch
-            v[m, 1, n, m, n, 1] += 1.0  # transposed branch
-    vec = v.reshape(-1)
-    factors = (("Pt", d), ("Pc", 2), ("A", d), ("B", d), ("Ft", d), ("Fc", 2))
-    return LabeledOperator(factors, np.outer(vec, vec.conj()))
+    return _routed(d, [("A", "B")], [((0, 0),), ((0, 1),)])
 
 
 def merge_ports(op: LabeledOperator, groups: dict[str, tuple[str, ...]]) -> LabeledOperator:
@@ -163,10 +184,17 @@ def merge_ports(op: LabeledOperator, groups: dict[str, tuple[str, ...]]) -> Labe
     return out
 
 
+def canonical_ports(op: LabeledOperator) -> LabeledOperator:
+    """Fuse ``Pt, Pc`` into ``P`` and ``Ft, Fc`` into ``F``, then order the
+    factors as the process type does: slot factors first, then ``P, F``."""
+    merged = merge_ports(op, {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+    slots = [lab for lab in merged.labels if lab not in ("P", "F")]
+    return permute_systems(merged, slots + ["P", "F"])
+
+
 def time_flip_merged(d: int) -> LabeledOperator:
     """Direction flip with ports fused to P, F; factors A, B, P, F."""
-    op = merge_ports(time_flip_choi(d), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
-    return permute_systems(op, ["A", "B", "P", "F"])
+    return canonical_ports(time_flip_choi(d))
 
 
 def time_flip_apply(channel_choi: LabeledOperator, rho: LabeledOperator,
@@ -196,46 +224,17 @@ def n_time_flip_choi(n: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> LabeledO
 
     The target wire threads all slots; each slot owns one control qubit that
     travels untouched through the other slots.  Controls are fused in slot
-    order into ``Pc`` and ``Fc`` of dimension ``2^n``.  Factors:
-    ``Pt, Pc, A1, B1, ..., An, Bn, Ft, Fc``.
+    order into ``Pc`` and ``Fc`` of dimension ``2^n`` (slot 1 most
+    significant).  Factors: ``Pt, Pc, A1, B1, ..., An, Bn, Ft, Fc``.
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     total = (d * 2 ** n) ** 2 * d ** (2 * n)
     if total > dim_cap:
         raise SizeLimit(f"total dimension {total} exceeds cap {dim_cap}")
-
-    def target(stage: int) -> str:
-        return "Pt" if stage == 0 else ("Ft" if stage == n else f"T{stage}")
-
-    def control(k: int, stage: int) -> str:
-        return f"c{k}s{stage}"
-
-    flip = time_flip_choi(d)
-    blocks = []
-    for s in range(1, n + 1):
-        block = relabel(flip, {"Pt": target(s - 1), "Pc": control(s, s - 1),
-                               "A": f"A{s}", "B": f"B{s}",
-                               "Ft": target(s), "Fc": control(s, s)})
-        # the other slots' controls pass through on identity wires
-        for kk in range(1, n + 1):
-            if kk != s:
-                block = tensor_op(block, max_entangled(control(kk, s - 1), control(kk, s), 2))
-        blocks.append(block)
-
-    out = link_all(blocks)
-    order = ["Pt"] + [control(kk, 0) for kk in range(1, n + 1)]
-    for s in range(1, n + 1):
-        order += [f"A{s}", f"B{s}"]
-    order += ["Ft"] + [control(kk, n) for kk in range(1, n + 1)]
-    out = permute_systems(out, order)
-    out = merge_factors(out, tuple(control(kk, 0) for kk in range(1, n + 1)), "Pc")
-    out = merge_factors(out, tuple(control(kk, n) for kk in range(1, n + 1)), "Fc")
-    final = ["Pt", "Pc"]
-    for s in range(1, n + 1):
-        final += [f"A{s}", f"B{s}"]
-    final += ["Ft", "Fc"]
-    return permute_systems(out, final)
+    slots = [(f"A{s}", f"B{s}") for s in range(1, n + 1)]
+    routes = [tuple((s, c >> (n - 1 - s) & 1) for s in range(n)) for c in range(2 ** n)]
+    return _routed(d, slots, routes)
 
 
 def flippable_switch_choi(d: int) -> LabeledOperator:
@@ -247,16 +246,7 @@ def flippable_switch_choi(d: int) -> LabeledOperator:
     """
     if d < 2:
         raise ValueError("target dimension must be at least 2")
-    v = np.zeros((d, 2, d, d, d, d, d, 2), dtype=complex)
-    for m in range(d):
-        for nn in range(d):
-            for p in range(d):
-                v[m, 0, m, nn, nn, p, p, 0] += 1.0
-                v[m, 1, p, nn, nn, m, p, 1] += 1.0
-    vec = v.reshape(-1)
-    factors = (("Pt", d), ("Pc", 2), ("A1", d), ("B1", d),
-               ("A2", d), ("B2", d), ("Ft", d), ("Fc", 2))
-    return LabeledOperator(factors, np.outer(vec, vec.conj()))
+    return _routed(d, [("A1", "B1"), ("A2", "B2")], [((0, 0), (1, 0)), ((1, 1), (0, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +329,10 @@ def functional_compose(p: float, rho: LabeledOperator,
     for state in (rho, sigma):
         if len(state.factors) != 1:
             raise NotDensity("expected single-factor states")
-        if abs(np.trace(state.data) - 1.0) > 1e-9 or state.herm_defect() > 1e-9:
+        sym, defect = hermitian_part(state)  # raises NonFiniteOperator on NaN or inf
+        if abs(np.trace(state.data) - 1.0) > 1e-9 or defect > 1e-9:
             raise NotDensity("states must be unit-trace Hermitian")
-        if float(np.linalg.eigvalsh((state.data + state.data.conj().T) / 2)[0]) < -1e-9:
+        if not _psd_status(sym, 1e-9)[1]:
             raise NotDensity("states must be positive")
     if rho.labels == sigma.labels:
         raise NotDensity("the two states must live on distinct labels")

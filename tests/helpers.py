@@ -87,3 +87,52 @@ def reference_component(op, marks):
         avg = _identity_average(data, op.dims, i)
         data = avg if mark == "I" else data - avg
     return data
+
+
+def reference_time_flip(d):
+    """The direction flip from its defining index loop, on ``Pt, Pc, A, B, Ft, Fc``."""
+    from hoq import LabeledOperator
+
+    v = np.zeros((d, 2, d, d, d, 2), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            v[m, 0, m, n, n, 0] += 1.0  # forward branch
+            v[m, 1, n, m, n, 1] += 1.0  # transposed branch
+    vec = v.reshape(-1)
+    factors = (("Pt", d), ("Pc", 2), ("A", d), ("B", d), ("Ft", d), ("Fc", 2))
+    return LabeledOperator(factors, np.outer(vec, vec.conj()))
+
+
+def reference_n_time_flip(n, d):
+    """The n-fold sequential flip as a chain of link products.
+
+    An oracle independent of ``hoq.processes``: slot ``s`` is a copy of
+    :func:`reference_time_flip` from target wire ``s - 1`` to ``s``, with
+    the other slots' controls passed through on identity wires; the
+    controls are then fused in slot order into ``Pc`` and ``Fc``.
+    """
+    from hoq.linalg import (link_all, max_entangled, merge_factors, permute_systems,
+                            relabel, tensor_op)
+
+    def target(stage):
+        return "Pt" if stage == 0 else ("Ft" if stage == n else f"T{stage}")
+
+    def control(k, stage):
+        return f"c{k}s{stage}"
+
+    flip = reference_time_flip(d)
+    blocks = []
+    for s in range(1, n + 1):
+        block = relabel(flip, {"Pt": target(s - 1), "Pc": control(s, s - 1),
+                               "A": f"A{s}", "B": f"B{s}",
+                               "Ft": target(s), "Fc": control(s, s)})
+        for k in range(1, n + 1):
+            if k != s:
+                block = tensor_op(block, max_entangled(control(k, s - 1), control(k, s), 2))
+        blocks.append(block)
+    slots = [lab for s in range(1, n + 1) for lab in (f"A{s}", f"B{s}")]
+    out = permute_systems(link_all(blocks),
+                          ["Pt"] + [control(k, 0) for k in range(1, n + 1)] + slots
+                          + ["Ft"] + [control(k, n) for k in range(1, n + 1)])
+    out = merge_factors(out, tuple(control(k, 0) for k in range(1, n + 1)), "Pc")
+    return merge_factors(out, tuple(control(k, n) for k in range(1, n + 1)), "Fc")

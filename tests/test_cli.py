@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hoq import LabeledOperator, NetworkSpec, SystemRegistry, dual
+from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual
 from hoq.cli import main
 from hoq.linalg import permute_systems
 from hoq.membership import sample_deterministic
@@ -38,6 +38,15 @@ REG_FLIP = "A=2,B=2,P=4,F=4"
 FLIP_TYPE = "((^A -> ^B) -> (P -> F))"
 
 
+def _skewed(op):
+    """``op`` plus 1e-8 i at (0, 1) and (1, 0): an anti-Hermitian part with
+    hermiticity defect 2e-8, which leaves the Hermitian part unchanged."""
+    data = op.data.astype(complex)
+    data[0, 1] += 1e-8j
+    data[1, 0] += 1e-8j
+    return LabeledOperator(op.factors, data)
+
+
 def _skewed_flip_files(tmp_path):
     """The time flip, in P A B F order, plus 1e-8 i at (0, 1) and (1, 0).
 
@@ -48,12 +57,9 @@ def _skewed_flip_files(tmp_path):
     from hoq.processes import time_flip_merged
 
     flip = permute_systems(time_flip_merged(2), ["P", "A", "B", "F"])
-    data = flip.data.copy()
-    data[0, 1] += 1e-8j
-    data[1, 0] += 1e-8j
     files = {"op": tmp_path / "skewed.json", "spec": tmp_path / "spec.json",
              "config": tmp_path / "hoq.cfg"}
-    write_operator(LabeledOperator(flip.factors, data), str(files["op"]))
+    write_operator(_skewed(flip), str(files["op"]))
     files["spec"].write_text(json.dumps({"slot_types": ["((^A -> ^B) -> I)"],
                                          "memories": ["P", "F"]}))
     files["config"].write_text("tol.herm = 1e-6\n")
@@ -358,6 +364,44 @@ class TestCheckCommand:
         if without_config == "NOT_ADMISSIBLE":
             assert "not Hermitian" in res.output
 
+    @pytest.mark.parametrize("command", ["compose", "decompose"])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_config_tolerances_reach_compose_and_decompose(self, runner, tmp_path,
+                                                           command, slots):
+        # the first block, or the composed network, carries a 2e-8 defect
+        from hoq.processes import time_flip_merged
+
+        if slots == 1:
+            registry = REG_FLIP
+            spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("P", "F"))
+        else:
+            registry = "A1=2,B1=2,A2=2,B2=2,E1=2,P=2,F=2"
+            spec = NetworkSpec(tuple(dual(BistochElem(f"A{i}", (), f"B{i}", ()))
+                                     for i in (1, 2)), ("P", "E1", "F"))
+        reg = SystemRegistry.from_dict(parse_inline_registry(registry))
+        blocks = [time_flip_merged(2)] if slots == 1 else \
+            [sample_deterministic(spec.block_type(i), reg, seed=i) for i in range(2)]
+        files = {k: str(tmp_path / f"{k}.json") for k in ("in", "spec", "out")}
+        if command == "compose":
+            write_bundle([_skewed(blocks[0])] + blocks[1:], spec, files["in"])
+            args = ["compose", files["in"], "-o", files["out"]]
+            error = "failed its slot-type check"
+        else:
+            write_operator(_skewed(compose_network(blocks, spec, reg)), files["in"])
+            with open(files["spec"], "w", encoding="utf-8") as fh:
+                json.dump(bundle_to_dict([], spec)["spec"], fh)
+            args = ["decompose", "--spec", files["spec"], "-f", files["in"], "-o", files["out"]]
+            error = "fails the network characterization"
+        args += ["--registry", registry]
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("tol.herm = 1e-6\n")
+        res = runner.invoke(main, args + ["--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith(f"wrote {files['out']}")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert error in res.output
+
     def test_network_spec_mode(self, runner, tmp_path):
         reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)
         spec = NetworkSpec((dual(BistochElem("A1", (), "B1", ())),), ("P", "F"))
@@ -437,14 +481,17 @@ class TestMakeAndClassify:
         assert any("A1:T B1:T A2:I B2:T" in line for line in res.output.splitlines())
 
     def test_make_n_time_flip_and_switch(self, runner, tmp_path):
-        for proc, args, dim in (("n-time-flip", ["--n", "2", "--d", "2"], 1024),
-                                ("flip-switch", ["--d", "2"], 256)):
+        two_slots = ("A1", "B1", "A2", "B2", "P", "F")
+        for proc, args, dim, labels in (
+                ("n-time-flip", ["--n", "2", "--d", "2"], 1024, two_slots),
+                ("flip-switch", ["--d", "2"], 256, two_slots),
+                ("time-flip", ["--d", "3"], 324, ("A", "B", "P", "F"))):
             out = tmp_path / f"{proc}.json"
             res = runner.invoke(main, ["make", proc, *args, "-o", str(out)])
             assert res.exit_code == 0, res.output
             op = read_operator(str(out))
             assert op.dim == dim
-            assert op.labels[-2:] == ("P", "F")
+            assert op.labels == labels
 
     def test_make_deterministic_given_seed(self, runner, tmp_path):
         a = tmp_path / "a.json"

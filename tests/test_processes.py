@@ -13,8 +13,16 @@ from hoq import (
     permute_systems,
     sector_component,
 )
-from hoq.errors import BadLevels, BadProbability, NotAFunctional, NotDensity, SizeLimit
+from hoq.errors import (
+    BadLevels,
+    BadProbability,
+    NonFiniteOperator,
+    NotAFunctional,
+    NotDensity,
+    SizeLimit,
+)
 from hoq.processes import (
+    DEFAULT_DIM_CAP,
     bistoch_type_of,
     flippable_switch_choi,
     functional_compose,
@@ -31,10 +39,36 @@ from hoq.processes import (
     time_flip_merged,
 )
 from hoq.sectors import Pattern
-from hoq.linalg import choi_of_kraus
+from hoq.linalg import choi_of_kraus, link_all, relabel
+
+from helpers import NON_FINITE, reference_n_time_flip, reference_time_flip
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 FLIP_TYPE = parse_type("((^A -> ^B) -> (P -> F))", REG)
+
+
+def branch_output(process, unitaries, control, rho):
+    """Output on ``Ft, Fc`` of ``process`` with unitary channels in its slots.
+
+    ``unitaries`` fill the slots in factor order, the target enters in the
+    state ``rho`` and the control in the basis state ``|control>``.
+    """
+    d, n_ctrl = process.dim_of("Pt"), process.dim_of("Pc")
+    ctrl = np.zeros((n_ctrl, n_ctrl))
+    ctrl[control, control] = 1.0
+    slots = process.labels[2:-2]
+    channels = [relabel(choi_of_kraus([u], "in", "out"), {"in": a, "out": b})
+                for u, a, b in zip(unitaries, slots[::2], slots[1::2])]
+    out = link_all([process, LabeledOperator((("Pt", d),), rho),
+                    LabeledOperator((("Pc", n_ctrl),), ctrl)] + channels)
+    return permute_systems(out, ["Ft", "Fc"]).data, ctrl
+
+
+def assert_branch(process, unitaries, control, w, rng):
+    """The control passes unchanged and the target leaves as ``w rho w^H``."""
+    rho = random_state(process.dim_of("Pt"), rng)
+    got, ctrl = branch_output(process, unitaries, control, rho)
+    assert np.abs(got - np.kron(w @ rho @ w.conj().T, ctrl)).max() < 1e-10
 
 
 class TestRandomBistoch:
@@ -71,6 +105,20 @@ class TestTimeFlip:
             r = time_flip_choi(d)
             assert abs(r.trace() - 2 * d * d) < 1e-12
             assert abs(np.trace(r.data).real / r.dim - 1 / (2 * d * d)) < 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_index_loop(self, d):
+        r = time_flip_choi(d)
+        ref = reference_time_flip(d)
+        assert r.factors == ref.factors and r.data.dtype == np.complex128
+        assert np.array_equal(r.data, ref.data)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_branches(self, d, rng):
+        # control 0 runs the channel forwards, control 1 as its transpose
+        u = haar_unitary(d, rng)
+        assert_branch(time_flip_choi(d), [u], 0, u, rng)
+        assert_branch(time_flip_choi(d), [u], 1, u.T, rng)
 
     def test_rank_one_psd(self):
         r = time_flip_choi(2)
@@ -156,25 +204,22 @@ class TestNTimeFlip:
         assert f2.labels == ("Pt", "Pc", "A1", "B1", "A2", "B2", "Ft", "Fc")
         assert f2.dim_of("Pc") == 4 and f2.dim == 1024
         assert abs(f2.trace() - 32) < 1e-12
-        # all-zero control branch applies both channels untransposed in order:
-        # against unitary probes the output equals V U rho (V U)^dagger
-        rng = np.random.default_rng(0)
-        u, v = haar_unitary(2, rng), haar_unitary(2, rng)
-        rho = random_state(2, rng)
-        probe = LabeledOperator((("Pt", 2),), rho)
-        ctrl0 = np.zeros((4, 4))
-        ctrl0[0, 0] = 1.0
-        from hoq.linalg import link_all, relabel
-        out = link_all([
-            f2,
-            probe,
-            LabeledOperator((("Pc", 4),), ctrl0),
-            relabel(choi_of_kraus([u], "Ain", "Aout"), {"Ain": "A1", "Aout": "B1"}),
-            relabel(choi_of_kraus([v], "Ain", "Aout"), {"Ain": "A2", "Aout": "B2"}),
-        ])
-        got = partial_trace(out, ["Fc"])
-        expect = v @ u @ rho @ (v @ u).conj().T
-        assert np.abs(got.data - expect).max() < 1e-10
+
+    @pytest.mark.parametrize("control", range(4))
+    def test_two_slot_branches(self, control, rng):
+        # bit s of the control (slot 1 most significant) transposes slot s,
+        # and the target meets slot 1 first: W = W2 W1
+        us = [haar_unitary(2, rng), haar_unitary(2, rng)]
+        w1, w2 = (u.T if control >> (1 - s) & 1 else u for s, u in enumerate(us))
+        assert_branch(n_time_flip_choi(2, 2), us, control, w2 @ w1, rng)
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 4) for d in range(2, 7)
+                                      if (d * 2 ** n) ** 2 * d ** (2 * n) <= DEFAULT_DIM_CAP])
+    def test_matches_link_chain(self, n, d):
+        r = n_time_flip_choi(n, d)
+        ref = reference_n_time_flip(n, d)
+        assert r.factors == ref.factors and r.data.dtype == np.complex128
+        assert np.array_equal(r.data, ref.data)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
@@ -188,6 +233,13 @@ class TestFlippableSwitch:
         assert abs(np.trace(r.data).real / r.dim - 1 / 16) < 1e-15
         vals = np.linalg.eigvalsh(r.data)
         assert vals[0] > -1e-12 and np.sum(vals > 1e-9) == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_branches(self, d, rng):
+        # control 0 runs U then V; control 1 runs V then U, both transposed
+        u, v = haar_unitary(d, rng), haar_unitary(d, rng)
+        assert_branch(flippable_switch_choi(d), [u, v], 0, v @ u, rng)
+        assert_branch(flippable_switch_choi(d), [u, v], 1, u.T @ v.T, rng)
 
     def test_classifies_bistoch_only(self):
         r = merge_ports(flippable_switch_choi(2),
@@ -295,6 +347,20 @@ class TestFunctionals:
             functional_compose(1.5, rho, sigma)
         with pytest.raises(NotDensity):
             functional_compose(0.5, LabeledOperator((("A", 2),), np.eye(2)), sigma)
+        with pytest.raises(NotDensity, match="positive"):
+            functional_compose(0.5, LabeledOperator((("A", 2),), np.diag([1.5, -0.5])), sigma)
+
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    @pytest.mark.parametrize("bad", ["rho", "sigma"])
+    def test_compose_rejects_non_finite_states(self, bad, where):
+        row, col, value = NON_FINITE[where]
+        data = np.eye(4, dtype=complex) / 4
+        data[row, col] = value
+        states = {"rho": LabeledOperator((("A", 4),), np.eye(4) / 4),
+                  "sigma": LabeledOperator((("B", 4),), np.eye(4) / 4)}
+        states[bad] = LabeledOperator(states[bad].factors, data)
+        with pytest.raises(NonFiniteOperator):
+            functional_compose(0.5, states["rho"], states["sigma"])
 
     def test_decompose_pure_forward(self):
         ket0 = np.diag([1.0, 0.0])
