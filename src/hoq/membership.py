@@ -14,6 +14,7 @@ from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_facto
 from .sectors import (
     Hierarchy,
     SectorSet,
+    _project,
     deviation_sectors,
     identity_coeff,
     network_characterization,
@@ -240,7 +241,8 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
 # ---------------------------------------------------------------------------
 
 def _project_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+    # eigh reads one triangle, so a rounding-level skew in ``mat`` drops out
+    vals, vecs = np.linalg.eigh(mat)
     clipped = np.clip(vals, 0.0, None)
     return (vecs * clipped) @ vecs.conj().T
 
@@ -253,8 +255,8 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
                   herm_tol: float = TOL_HERM) -> AdmissibilityResult:
     """Decide whether some deterministic event of type ``t`` dominates ``op``.
 
-    Operators that are not Hermitian within ``herm_tol`` or not positive
-    within ``psd_tol`` are rejected outright.  Elementary system strings
+    Operators that fail the check's hermiticity (``herm_tol``) or positivity
+    (``psd_tol``) gate are rejected outright.  Elementary system strings
     admit the exact trace test.  Otherwise the feasibility problem is solved
     by Dykstra's alternating projections on ``Y = D - op`` between the PSD
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
@@ -264,48 +266,48 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     """
     coeff, sectors = characterization_of(t, reg, hierarchy)
     aligned, _ = align_factors(op, sectors.systems)
-
-    sym, herm_defect = hermitian_part(aligned)
-    if herm_defect > herm_tol:
-        return AdmissibilityResult(
-            "NOT_ADMISSIBLE", reason=f"operator not Hermitian (defect {herm_defect:.3e})")
-    min_eig, psd_ok, _ = _psd_status(sym, psd_tol)
-    if not psd_ok:
-        return AdmissibilityResult("NOT_ADMISSIBLE",
-                                   reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")
+    deviation, fields = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
+    if not fields["psd_ok"]:
+        if not fields["herm_defect"] <= herm_tol:
+            reason = f"operator not Hermitian (defect {fields['herm_defect']:.3e})"
+        else:
+            reason = f"operator not PSD (min eigenvalue {fields['min_eigenvalue']:.3e})"
+        return AdmissibilityResult("NOT_ADMISSIBLE", reason=reason)
 
     if fast_path and isinstance(t, SystemString):
-        trace = float(np.trace(sym).real)
+        trace = fields["lambda_measured"] * aligned.dim
         if trace <= 1.0 + tol:
-            top = 1.0 - trace
-            witness = LabeledOperator(
-                aligned.factors, sym + max(top, 0.0) * np.eye(aligned.dim) / aligned.dim)
-            return AdmissibilityResult("FEASIBLE", witness=witness,
+            data = deviation.data.copy()
+            data.reshape(-1)[::aligned.dim + 1] += float(coeff) + max(1 - trace, 0) / aligned.dim
+            return AdmissibilityResult("FEASIBLE", witness=LabeledOperator(aligned.factors, data),
                                        reason="trace test for elementary states")
         return AdmissibilityResult(
             "NOT_ADMISSIBLE",
             reason=f"trace {trace:.6g} exceeds 1: no deterministic state dominates")
 
-    # the affine set is a + V (a = coeff*1 - op, V the allowed sectors): its projection
-    # is a - P_V(a) + P_V, and Dykstra's correction for it lies in V-perp and drops out
-    affine = LabeledOperator(aligned.factors, float(coeff) * np.eye(aligned.dim) - sym)
-    offset = affine.data - sector_project(affine, sectors).data
+    # the affine set is a + V (a = coeff*1 - op = -deviation, V the allowed sectors): its
+    # projection is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp
+    dims = aligned.dims
+    perp = frozenset(range(1 << len(dims))) - sectors.masks
+    offset = -_project(deviation.data, dims, perp)
 
-    x = np.zeros_like(sym)
-    p = np.zeros_like(sym)
+    x = np.zeros_like(offset)
+    p = np.zeros_like(offset)
     gap = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         y = _project_psd(x + p)
         p = x + p - y
-        x = offset + sector_project(LabeledOperator(aligned.factors, y), sectors).data
+        x = offset + _project(y, dims, sectors.masks)
         gap = float(np.linalg.norm(y - x))
         if gap < tol:
             break
     if gap < tol:
         # witness = op + PSD part of x, so domination holds by construction
         # and only the membership of the witness needs confirming
-        witness = LabeledOperator(aligned.factors, sym + _project_psd(x))
+        data = deviation.data + _project_psd(x)
+        data.reshape(-1)[::aligned.dim + 1] += float(coeff)
+        witness = LabeledOperator(aligned.factors, data)
         report = check_operator(witness, coeff, sectors, tol=max(tol * 10, 1e-8))
         if report.passed:
             return AdmissibilityResult("FEASIBLE", witness=witness,

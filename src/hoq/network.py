@@ -177,13 +177,13 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
 
         # block i: conjugate by the inverse square root and compress onto the
         # support, which becomes the fresh memory factor
-        inv_root = (basis / roots) @ basis.conj().T
+        # basis^H S^-1/2 = (basis / roots)^H and S^-1/2 basis = basis / roots
+        scaled = basis / roots
         old_dim = marginal.dim
         rest_dim = current.dim // old_dim
         cur = current.data.reshape(old_dim, rest_dim, old_dim, rest_dim)
-        compressed = np.einsum("pa,abcd,cq->pbqd",
-                               (basis.conj().T @ inv_root), cur,
-                               (inv_root @ basis), optimize=True)
+        compressed = np.einsum("pa,abcd,cq->pbqd", scaled.conj().T, cur, scaled,
+                               optimize=True)
         block_factors = ((new_mem, rank),) \
             + tuple((lab, d) for lab, d in slot_systems) \
             + (((out_mem, new_reg.dim(out_mem)),) if out_mem != TRIVIAL else ())

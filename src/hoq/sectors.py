@@ -140,14 +140,8 @@ class SectorSet:
 
     def same_subspace(self, other: "SectorSet") -> bool:
         """Equality as subspaces, insensitive to factor ordering."""
-        if dict(self.systems) != dict(other.systems):
-            return False
-        if self.labels == other.labels:
-            return self.masks == other.masks
-        where = [other.labels.index(lab) for lab in self.labels]
-        remapped = {sum(((m >> w) & 1) << j for j, w in enumerate(where))
-                    for m in other.masks}
-        return set(self.masks) == remapped
+        return (dict(self.systems) == dict(other.systems)
+                and self.masks == other.reorder(self.labels).masks)
 
     def reorder(self, labels: Sequence[str]) -> "SectorSet":
         labs = self.labels

@@ -15,9 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, SizeLimit
-from .linalg import LabeledOperator, factor_entry
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
 from .network import NetworkSpec
-from .typesys import SystemRegistry, parse_type, print_type
+from .processes import DEFAULT_DIM_CAP
+from .typesys import DEFAULT_RECURSION_LIMIT, SystemRegistry, parse_type, print_type
 
 
 def _pairs(a: np.ndarray) -> np.ndarray:
@@ -102,7 +103,6 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[in
         blocks = [operator_from_dict(b, max_dim=max_dim) for b in payload["blocks"]]
         spec_part = payload["spec"]
         memories = tuple(str(m) for m in spec_part["memories"])
-        type_strings = list(spec_part["slot_types"])
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
     # memory labels may be synthetic (from a decomposition); pick their
@@ -118,8 +118,7 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[in
         else:
             raise ShapeMismatch(f"memory {mem!r} not registered and absent from blocks")
     full_reg = reg.with_entries(**extra) if extra else reg
-    slot_types = tuple(parse_type(s, full_reg) for s in type_strings)
-    return blocks, NetworkSpec(slot_types, memories), full_reg
+    return blocks, spec_from_dict(spec_part, full_reg), full_reg
 
 
 def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
@@ -154,21 +153,25 @@ class Config:
     """Registry plus tolerances and limits, from a key-value text file.
 
     Recognized keys: ``registry.<LABEL>``, ``tol.{herm,psd,sector,feas}``,
-    ``limits.{max_dim,max_iter,recursion}``.  Unknown keys are rejected.
+    ``limits.{max_dim,max_iter,recursion}``.  Unknown keys, tolerances that are
+    not finite and ``>= 0``, and limits below 1 (``recursion`` below 0) are rejected.
     """
 
     registry: SystemRegistry = field(default_factory=lambda: SystemRegistry.from_dict({}))
-    tol_herm: float = 1e-10
-    tol_psd: float = 1e-9
+    tol_herm: float = TOL_HERM
+    tol_psd: float = TOL_PSD
     tol_sector: float = 1e-9
     tol_feas: float = 1e-7
-    max_dim: int = 4096
+    max_dim: int = DEFAULT_DIM_CAP
     max_iter: int = 5000
-    recursion: int = 64
+    recursion: int = DEFAULT_RECURSION_LIMIT
 
 
-_TOL_KEYS = {"herm": "tol_herm", "psd": "tol_psd", "sector": "tol_sector", "feas": "tol_feas"}
-_LIMIT_KEYS = {"max_dim": "max_dim", "max_iter": "max_iter", "recursion": "recursion"}
+# key -> (Config field, type, least value)
+_KEYS = {"tol.herm": ("tol_herm", float, 0), "tol.psd": ("tol_psd", float, 0),
+         "tol.sector": ("tol_sector", float, 0), "tol.feas": ("tol_feas", float, 0),
+         "limits.max_dim": ("max_dim", int, 1), "limits.max_iter": ("max_iter", int, 1),
+         "limits.recursion": ("recursion", int, 0)}
 
 
 def parse_config(text: str) -> Config:
@@ -184,16 +187,14 @@ def parse_config(text: str) -> Config:
         try:
             if key.startswith("registry."):
                 registry[key[len("registry."):]] = int(value)
-            elif key.startswith("tol."):
-                attr = _TOL_KEYS.get(key[len("tol."):])
-                if attr is None:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r}")
-                setattr(cfg, attr, float(value))
-            elif key.startswith("limits."):
-                attr = _LIMIT_KEYS.get(key[len("limits."):])
-                if attr is None:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r}")
-                setattr(cfg, attr, int(value))
+            elif key in _KEYS:
+                attr, kind, low = _KEYS[key]
+                number = kind(value)
+                # NaN fails both comparisons
+                if not low <= number < math.inf:
+                    raise ConfigError(f"line {lineno}: {key} must be finite and >= {low}, "
+                                      f"got {value!r}")
+                setattr(cfg, attr, number)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except ValueError:

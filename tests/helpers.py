@@ -136,3 +136,62 @@ def reference_n_time_flip(n, d):
                           + ["Ft"] + [control(k, n) for k in range(1, n + 1)])
     out = merge_factors(out, tuple(control(k, 0) for k in range(1, n + 1)), "Pc")
     return merge_factors(out, tuple(control(k, n) for k in range(1, n + 1)), "Fc")
+
+
+def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm_tol=1e-10):
+    """Admissibility by the bidirectional hierarchy, as a self-contained oracle.
+
+    Its own hermiticity and positivity gates, the trace test for elementary
+    states, and Dykstra's alternating projections with the affine offset
+    formed as ``a - P_V(a)`` from ``a = coeff*1 - op`` and every projection
+    made through ``sector_project`` on a ``LabeledOperator``.
+    """
+    from hoq import LabeledOperator, SystemString, sector_project
+    from hoq.linalg import _psd_status, align_factors, hermitian_part
+    from hoq.membership import AdmissibilityResult, characterization_of, check_operator
+
+    def project_psd(mat):
+        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+        return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+
+    coeff, sectors = characterization_of(t, reg)
+    aligned, _ = align_factors(op, sectors.systems)
+    sym, herm_defect = hermitian_part(aligned)
+    if herm_defect > herm_tol:
+        return AdmissibilityResult(
+            "NOT_ADMISSIBLE", reason=f"operator not Hermitian (defect {herm_defect:.3e})")
+    min_eig, psd_ok, _ = _psd_status(sym, psd_tol)
+    if not psd_ok:
+        return AdmissibilityResult("NOT_ADMISSIBLE",
+                                   reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")
+    if isinstance(t, SystemString):
+        trace = float(np.trace(sym).real)
+        if trace <= 1.0 + tol:
+            witness = LabeledOperator(
+                aligned.factors, sym + max(1.0 - trace, 0.0) * np.eye(aligned.dim) / aligned.dim)
+            return AdmissibilityResult("FEASIBLE", witness=witness,
+                                       reason="trace test for elementary states")
+        return AdmissibilityResult(
+            "NOT_ADMISSIBLE",
+            reason=f"trace {trace:.6g} exceeds 1: no deterministic state dominates")
+
+    affine = LabeledOperator(aligned.factors, float(coeff) * np.eye(aligned.dim) - sym)
+    offset = affine.data - sector_project(affine, sectors).data
+    x = np.zeros_like(sym)
+    p = np.zeros_like(sym)
+    gap = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        y = project_psd(x + p)
+        p = x + p - y
+        x = offset + sector_project(LabeledOperator(aligned.factors, y), sectors).data
+        gap = float(np.linalg.norm(y - x))
+        if gap < tol:
+            break
+    if gap < tol:
+        witness = LabeledOperator(aligned.factors, sym + project_psd(x))
+        if check_operator(witness, coeff, sectors, tol=max(tol * 10, 1e-8)).passed:
+            return AdmissibilityResult("FEASIBLE", witness=witness,
+                                       residual=gap, iterations=iterations)
+    return AdmissibilityResult("UNDECIDED", residual=gap, iterations=iterations,
+                               reason="alternating projections did not certify feasibility")

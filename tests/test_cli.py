@@ -174,6 +174,18 @@ class TestSerialization:
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "malformed operator payload" in res.output
 
+    @pytest.mark.parametrize("spec", [
+        {"memories": ["I", "I"]},
+        {"memories": ["I", "I"], "slot_types": 3},
+        {"memories": ["I", "I"], "slot_types": [3]},
+    ], ids=["no-slot-types", "not-a-list", "not-a-string"])
+    def test_malformed_bundle_spec(self, spec):
+        # a bundle's spec is parsed as a network spec file is
+        from hoq.serialize import bundle_from_dict
+
+        with pytest.raises(ShapeMismatch, match="malformed network spec"):
+            bundle_from_dict({"blocks": [], "spec": spec}, SystemRegistry.of(A=2, B=2))
+
     def test_max_dim_on_read(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
@@ -206,6 +218,11 @@ limits.max_iter = 99
             parse_config("tol.wat = 1")
         with pytest.raises(ConfigError):
             parse_config("just a line")
+        # the least values allowed
+        cfg = parse_config("tol.psd = 0\ntol.herm = 0\nlimits.max_iter = 1\n"
+                           "limits.max_dim = 1\nlimits.recursion = 0\n")
+        assert (cfg.tol_psd, cfg.tol_herm, cfg.max_iter, cfg.max_dim, cfg.recursion) == \
+            (0.0, 0.0, 1, 1, 0)
 
     def test_inline_registry(self):
         assert parse_inline_registry("A=2, B=3") == {"A": 2, "B": 3}
@@ -276,6 +293,23 @@ class TestCheckCommand:
                                    "--registry", "A=2,B=2"])
         assert res.exit_code == 2
         assert "non-finite" in res.output
+
+    @pytest.mark.parametrize("line", [
+        "tol.psd = nan", "tol.psd = inf", "tol.psd = -1e-9", "tol.herm = -1",
+        "tol.herm = nan", "tol.sector = nan", "tol.sector = -inf", "tol.feas = 1e400",
+        "limits.max_iter = -5", "limits.max_iter = 0", "limits.max_dim = 0",
+        "limits.recursion = -1",
+    ])
+    def test_bad_config_values_exit_2(self, runner, tmp_path, line):
+        # a state with eigenvalue -0.5: a NaN tol.psd must not let it pass
+        path = tmp_path / "bad.json"
+        write_operator(LabeledOperator((("A", 2),), np.diag([1.5, -0.5])), str(path))
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text(line + "\n")
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2",
+                                   "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert f"line 1: {line.split()[0]} must be" in res.output
 
     def test_json_report_names_psd_method(self, runner, tmp_path):
         path = tmp_path / "state.json"

@@ -22,7 +22,7 @@ from hoq.membership import random_hermitian
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
-from helpers import NON_FINITE, non_finite_operator, random_type
+from helpers import NON_FINITE, non_finite_operator, random_type, reference_admissible
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 
@@ -260,6 +260,55 @@ class TestAdmissibility:
             assert res.feasible
             shrunk = LabeledOperator(d.factors, 0.37 * d.data)
             assert is_admissible(shrunk, t, reg).feasible
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.01])
+    def test_matches_the_reference(self, scale):
+        # below, on and just above the deterministic events: FEASIBLE by the
+        # trace test or by iteration, NOT_ADMISSIBLE and UNDECIDED, in a
+        # shuffled factor order
+        rng = np.random.default_rng(5)
+        iterated = 0
+        for trial in range(10):
+            t, reg = random_type(rng, (2,), max_depth=3, max_systems=4)
+            event = sample_deterministic(t, reg, seed=trial)
+            order = list(event.labels)
+            rng.shuffle(order)
+            op = permute_systems(LabeledOperator(event.factors, scale * event.data), order)
+            new = is_admissible(op, t, reg, max_iter=300)
+            ref = reference_admissible(op, t, reg, max_iter=300)
+            iterated += ref.iterations > 0
+            assert (new.status, new.iterations, new.reason) == \
+                (ref.status, ref.iterations, ref.reason), trial
+            assert abs(new.residual - ref.residual) <= 1e-12, trial
+            assert (new.witness is None) == (ref.witness is None), trial
+            if ref.witness is not None:
+                assert new.witness.factors == ref.witness.factors
+                scale_w = np.abs(ref.witness.data).max()
+                assert np.abs(new.witness.data - ref.witness.data).max() <= 1e-12 * scale_w
+        assert iterated >= 3
+
+    def test_iteration_measures_hermiticity_once(self, monkeypatch):
+        # 2 % above a deterministic event: the iteration runs to its limit,
+        # on bare arrays, after the one hermiticity measurement of the gate
+        t = parse_type("(^A -> ^B)", REG)
+        event = sample_deterministic(t, REG, seed=1)
+        op = LabeledOperator(event.factors, 1.02 * event.data)
+        counts = {"herm_defect": 0, "__post_init__": 0}
+
+        def spy(name):
+            method = getattr(LabeledOperator, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            monkeypatch.setattr(LabeledOperator, name, counted)
+
+        spy("herm_defect")
+        spy("__post_init__")
+        res = is_admissible(op, t, REG, max_iter=500)
+        assert (res.status, res.iterations) == ("UNDECIDED", 500)
+        # the one operator is the deviation the gate forms
+        assert counts == {"herm_defect": 1, "__post_init__": 1}
 
 
 class TestClassify:

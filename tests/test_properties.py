@@ -1,6 +1,7 @@
 """Property-based tests of the numerical sector projection and pattern norms,
-of the invariants that let ``classify`` share one front half, and of real
-arithmetic against complex arithmetic in the check."""
+of the invariants that let ``classify`` and ``is_admissible`` share the
+check's front half, and of real arithmetic against complex arithmetic in the
+check."""
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from hoq import (
     Pattern,
     classify,
     identity_coeff,
+    is_admissible,
     is_deterministic,
     pattern_norms,
     permute_systems,
@@ -183,3 +185,42 @@ def test_local_phases_keep_the_verdict_and_the_pattern_norms(case, add_forbidden
     assert norms_a.keys() == norms_b.keys()
     for pattern, norm in norms_a.items():
         assert abs(norm - norms_b[pattern]) <= 1e-12 * norm
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_type(reg_dims=(2,), max_systems=4),
+       st.sampled_from(["hermitian_defect", "negative_shift", "forbidden_sector"]),
+       st.floats(-3.0, 3.0), st.randoms(use_true_random=False))
+def test_admissibility_gate_is_the_check_gate(case, kind, size, random):
+    t, reg = case
+    sample = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    data = sample.data.copy()
+    if kind == "hermitian_defect":
+        # an anti-Hermitian pair of defect 2 * 10^(size - 10), around herm_tol
+        data[0, 1] += 1j * 10.0 ** (size - 10)
+        data[1, 0] += 1j * 10.0 ** (size - 10)
+    elif kind == "negative_shift":
+        # the lowest eigenvalue moved to -size * 1e-9, around -psd_tol
+        low = float(np.linalg.eigvalsh(data)[0])
+        data -= (low + size * 1e-9) * np.eye(sample.dim)
+    else:
+        k = len(sample.factors)
+        allowed = deviation_sectors(t, reg).masks
+        outside = [m for m in range(1, 1 << k) if m not in allowed]
+        assume(outside)
+        noise = LabeledOperator(sample.factors, random_hermitian(
+            sample.dim, np.random.default_rng(random.randrange(1 << 16))))
+        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        data += 10.0 ** (size - 2) * term.data
+    order = list(sample.labels)
+    random.shuffle(order)
+    op = permute_systems(LabeledOperator(sample.factors, data), order)
+
+    report = is_deterministic(op, t, reg)
+    res = is_admissible(op, t, reg, max_iter=20)
+    gated = res.status == "NOT_ADMISSIBLE" and res.reason.startswith("operator not")
+    assert gated == (not report.psd_ok)
+    if gated and report.herm_defect > 1e-10:
+        assert res.reason == f"operator not Hermitian (defect {report.herm_defect:.3e})"
+    elif gated:
+        assert res.reason == f"operator not PSD (min eigenvalue {report.min_eigenvalue:.3e})"

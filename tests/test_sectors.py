@@ -142,6 +142,16 @@ class TestDeviation:
         }
 
 
+    def test_same_subspace_ignores_factor_order_only(self):
+        dev = deviation_sectors(FLIP_TYPE, REG)
+        flipped = dev.reorder(dev.labels[::-1])
+        assert flipped != dev and flipped.same_subspace(dev) and dev.same_subspace(flipped)
+        fewer = SectorSet(flipped.systems, sorted(flipped.masks)[1:])
+        assert not fewer.same_subspace(dev) and not dev.same_subspace(fewer)
+        other_dims = SectorSet(tuple((lab, 3) for lab, _ in dev.systems), dev.masks)
+        assert not other_dims.same_subspace(dev)
+
+
 class TestDirectFormulas:
     def test_dual_direct_examples(self):
         a = parse_type("A", REG)
