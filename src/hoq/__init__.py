@@ -4,6 +4,7 @@ bidirectional quantum channels."""
 from .typesys import (
     Arrow,
     BistochElem,
+    NetworkSpec,
     SystemRegistry,
     SystemString,
     TypeExpr,
@@ -66,7 +67,6 @@ from .processes import (
     time_flip_choi,
 )
 from .network import (
-    NetworkSpec,
     check_bislot,
     check_bitooth,
     check_bsp,

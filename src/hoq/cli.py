@@ -11,15 +11,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 
 from . import processes
-from .errors import HoqError
+from .errors import HoqError, SizeLimit
 from .membership import classify as classify_op
 from .membership import is_admissible, is_deterministic
-from .network import NetworkSpec, compose_network, decompose_network
+from .network import compose_network, decompose_network
 from .sectors import Hierarchy, deviation_sectors, identity_coeff
 from .serialize import (
     Config,
@@ -27,26 +26,28 @@ from .serialize import (
     parse_inline_registry,
     read_bundle,
     read_operator,
-    spec_from_dict,
+    read_spec,
     write_bundle,
     write_operator,
 )
-from .typesys import SystemRegistry, dehat, parse_type
+from .typesys import NetworkSpec, SystemRegistry, dehat, parse_type, systems_of
 
 
-@dataclass
-class Context:
-    config: Config
-    registry: SystemRegistry
-
-
-def _build_context(config_path, registry_inline) -> Context:
+def _config(config_path, registry_inline) -> Config:
+    """The config file's settings, with the inline registry merged into its registry."""
     path = config_path or os.environ.get("HOQ_CONFIG")
     cfg = load_config(path) if path else Config()
-    reg = cfg.registry
     if registry_inline:
-        reg = reg.with_entries(**parse_inline_registry(registry_inline))
-    return Context(cfg, reg)
+        cfg.registry = cfg.registry.with_entries(**parse_inline_registry(registry_inline))
+    return cfg
+
+
+def _sized(t, reg: SystemRegistry, cfg: Config):
+    """A type or spec ``t``, unless its k systems make 2^k > ``limits.max_dim`` patterns."""
+    k = len(t.system_order(reg) if isinstance(t, NetworkSpec) else systems_of(t))
+    if 2 ** k > cfg.max_dim:
+        raise SizeLimit(f"{k} systems: 2^{k} sector patterns exceed limits.max_dim = {cfg.max_dim}")
+    return t
 
 
 class HoqGroup(click.Group):
@@ -85,9 +86,9 @@ def main():
 @with_common
 def cmd_lambda(type_string, config_path, registry_inline):
     """Print the exact identity coefficient of a type."""
-    ctx = _build_context(config_path, registry_inline)
-    t = parse_type(type_string, ctx.registry, limit=ctx.config.recursion)
-    click.echo(str(identity_coeff(t, ctx.registry)))
+    cfg = _config(config_path, registry_inline)
+    t = parse_type(type_string, cfg.registry, limit=cfg.recursion)
+    click.echo(str(identity_coeff(t, cfg.registry)))
 
 
 @main.command("delta")
@@ -97,11 +98,11 @@ def cmd_lambda(type_string, config_path, registry_inline):
 @with_common
 def cmd_delta(type_string, hierarchy, config_path, registry_inline):
     """Print the allowed sector patterns of a type, one per line."""
-    ctx = _build_context(config_path, registry_inline)
-    t = parse_type(type_string, ctx.registry, limit=ctx.config.recursion)
+    cfg = _config(config_path, registry_inline)
+    t = _sized(parse_type(type_string, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     if hierarchy == "standard":
         t = dehat(t)
-    sectors = deviation_sectors(t, ctx.registry, Hierarchy(hierarchy))
+    sectors = deviation_sectors(t, cfg.registry, Hierarchy(hierarchy))
     for line in sectors.texts():
         click.echo(line)
 
@@ -122,20 +123,15 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
     """Test an operator file against a type or a network specification."""
     if bool(type_string) == bool(network_spec_file):
         raise click.UsageError("give either a TYPE argument or --network-spec, not both")
-    ctx = _build_context(config_path, registry_inline)
-    cfg = ctx.config
-    if network_spec_file:
-        with open(network_spec_file, encoding="utf-8") as fh:
-            t = spec_from_dict(json.load(fh), ctx.registry)
-        if hierarchy == "standard":
-            t = NetworkSpec(tuple(dehat(x) for x in t.slot_types), t.memories)
-    else:
-        t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
-        if hierarchy == "standard":
-            t = dehat(t)
+    cfg = _config(config_path, registry_inline)
+    t = (read_spec(network_spec_file, cfg.registry) if network_spec_file
+         else parse_type(type_string, cfg.registry, limit=cfg.recursion))
     op = read_operator(operator_file, max_dim=cfg.max_dim)
+    t = _sized(t, cfg.registry, cfg)
+    if hierarchy == "standard":
+        t = dehat(t)
     if admissible:
-        result = is_admissible(op, t, ctx.registry, Hierarchy(hierarchy),
+        result = is_admissible(op, t, cfg.registry, Hierarchy(hierarchy),
                                tol=cfg.tol_feas, max_iter=cfg.max_iter,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
         payload = {"status": result.status, "residual": result.residual,
@@ -144,7 +140,7 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
                    f"{result.status} (residual {result.residual:.3e}, "
                    f"{result.iterations} iterations) {result.reason}")
         sys.exit({"FEASIBLE": 0, "NOT_ADMISSIBLE": 1}.get(result.status, 3))
-    report = is_deterministic(op, t, ctx.registry, Hierarchy(hierarchy),
+    report = is_deterministic(op, t, cfg.registry, Hierarchy(hierarchy),
                               tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                               herm_tol=cfg.tol_herm)
     click.echo(json.dumps(report.to_dict()) if as_json else report.to_text())
@@ -158,12 +154,11 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
 @with_common
 def cmd_classify(type_string, operator_file, as_json, config_path, registry_inline):
     """Classify an operator as BOTH / BISTOCH_ONLY / NEITHER."""
-    ctx = _build_context(config_path, registry_inline)
-    cfg = ctx.config
-    t = parse_type(type_string, ctx.registry, limit=cfg.recursion)
+    cfg = _config(config_path, registry_inline)
+    t = parse_type(type_string, cfg.registry, limit=cfg.recursion)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
-    result = classify_op(op, t, ctx.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
-                         herm_tol=cfg.tol_herm)
+    result = classify_op(op, _sized(t, cfg.registry, cfg), cfg.registry, tol=cfg.tol_sector,
+                         psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     if as_json:
         click.echo(json.dumps({
             "verdict": result.verdict,
@@ -201,12 +196,12 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
     Emitted factors follow the canonical order of the process type, with
     target and control ports fused into single P and F factors.
     """
-    ctx = _build_context(config_path, registry_inline)
+    cfg = _config(config_path, registry_inline)
     if process == "time-flip":
         op = processes.canonical_ports(processes.time_flip_choi(dim))
     elif process == "n-time-flip":
         op = processes.canonical_ports(
-            processes.n_time_flip_choi(slots, dim, dim_cap=ctx.config.max_dim))
+            processes.n_time_flip_choi(slots, dim, dim_cap=cfg.max_dim))
     elif process == "flip-switch":
         op = processes.canonical_ports(processes.flippable_switch_choi(dim))
     elif process == "lc23":
@@ -228,7 +223,7 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
 def cmd_apply_flip(channel_file, state_file, control_file, output,
                    config_path, registry_inline):
     """Run a channel through the direction flip on given target and control states."""
-    max_dim = _build_context(config_path, registry_inline).config.max_dim
+    max_dim = _config(config_path, registry_inline).max_dim
     chan = read_operator(channel_file, max_dim=max_dim)
     rho = read_operator(state_file, max_dim=max_dim)
     omega = read_operator(control_file, max_dim=max_dim)
@@ -243,9 +238,10 @@ def cmd_apply_flip(channel_file, state_file, control_file, output,
 @with_common
 def cmd_compose(bundle_file, output, config_path, registry_inline):
     """Chain the blocks of a network bundle and write the composed operator."""
-    ctx = _build_context(config_path, registry_inline)
-    blocks, spec, reg = read_bundle(bundle_file, ctx.registry, max_dim=ctx.config.max_dim)
-    cfg = ctx.config
+    cfg = _config(config_path, registry_inline)
+    blocks, spec, reg = read_bundle(bundle_file, cfg.registry, max_dim=cfg.max_dim)
+    for i in range(spec.n):
+        _sized(spec.block_type(i), reg, cfg)
     composed = compose_network(blocks, spec, reg, tol=cfg.tol_sector,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_operator(composed, output)
@@ -260,12 +256,10 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
 @with_common
 def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline):
     """Peel a network operator into blocks and write them as a bundle."""
-    ctx = _build_context(config_path, registry_inline)
-    with open(spec_file, encoding="utf-8") as fh:
-        spec = spec_from_dict(json.load(fh), ctx.registry)
-    op = read_operator(operator_file, max_dim=ctx.config.max_dim)
-    cfg = ctx.config
-    blocks, new_spec, new_reg = decompose_network(op, spec, ctx.registry,
+    cfg = _config(config_path, registry_inline)
+    op = read_operator(operator_file, max_dim=cfg.max_dim)
+    spec = _sized(read_spec(spec_file, cfg.registry), cfg.registry, cfg)
+    blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
                                                   tol=cfg.tol_sector * 10,
                                                   psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_bundle(blocks, new_spec, output)

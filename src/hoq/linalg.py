@@ -29,6 +29,13 @@ from .errors import (
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
+DEFAULT_DIM_CAP = 4096
+
+
+def check_tol(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and ``>= 0``; NaN fails both tests."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def factor_entry(label, dim) -> tuple[str, int]:
@@ -357,6 +364,7 @@ def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
     ``eigvalsh`` find the exact minimum.  The shift is applied to the
     diagonal of ``sym`` in place and undone exactly before returning.
     """
+    check_tol("psd_tol", psd_tol)
     diag = sym.reshape(-1)[::sym.shape[0] + 1]
     saved = diag.copy()
     diag += psd_tol
@@ -373,7 +381,7 @@ def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
 
 def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:
     sym, defect = hermitian_part(a)
-    if defect > tol:
+    if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return sym
 

@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_factors, hermitian_part
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_factors, check_tol,
+                     hermitian_part)
 from .sectors import (
     Hierarchy,
     SectorSet,
@@ -22,7 +23,7 @@ from .sectors import (
     pattern_norms,
     sector_project,
 )
-from .typesys import SystemRegistry, SystemString, TypeExpr, dehat, has_hats
+from .typesys import NetworkSpec, SystemRegistry, SystemString, TypeExpr, dehat, has_hats
 
 _NOISE_FLOOR = 1e-12
 
@@ -142,6 +143,8 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
                 herm_tol: float) -> tuple[LabeledOperator, dict]:
     """Deviation ``R - coeff*1`` of an aligned operator, and the fields hermiticity,
     positivity and the identity coefficient decide."""
+    check_tol("tol", tol)
+    check_tol("herm_tol", herm_tol)
     sym, herm_defect = hermitian_part(op)
     min_eig, spectrum_ok, psd_method = _psd_status(sym, psd_tol)
     herm_ok = herm_defect <= herm_tol
@@ -187,9 +190,8 @@ def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol
 def characterization_of(t, reg: SystemRegistry,
                         hierarchy: Hierarchy = Hierarchy.BISTOCH):
     """(coefficient, sectors) for a type or a network specification."""
-    if hasattr(t, "slot_types"):  # network spec, duck-typed to avoid an import cycle
-        return network_characterization(tuple(t.slot_types), t.memories[0],
-                                        t.memories[-1], reg, hierarchy)
+    if isinstance(t, NetworkSpec):
+        return network_characterization(t.slot_types, t.memories[0], t.memories[-1], reg, hierarchy)
     return identity_coeff(t, reg, hierarchy), deviation_sectors(t, reg, hierarchy)
 
 
@@ -251,7 +253,6 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
                   hierarchy: Hierarchy = Hierarchy.BISTOCH,
                   tol: float = 1e-7, max_iter: int = 5000,
                   psd_tol: float = TOL_PSD,
-                  fast_path: bool = True,
                   herm_tol: float = TOL_HERM) -> AdmissibilityResult:
     """Decide whether some deterministic event of type ``t`` dominates ``op``.
 
@@ -262,8 +263,10 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
     verdicts return the witness ``D``, and UNDECIDED is an honest outcome
     when the iteration does not settle.  Raises :class:`NonFiniteOperator`
-    on NaN or infinite entries.
+    on NaN or infinite entries, ValueError on ``max_iter < 1`` or a bad tolerance.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg, hierarchy)
     aligned, _ = align_factors(op, sectors.systems)
     deviation, fields = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
@@ -274,7 +277,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
             reason = f"operator not PSD (min eigenvalue {fields['min_eigenvalue']:.3e})"
         return AdmissibilityResult("NOT_ADMISSIBLE", reason=reason)
 
-    if fast_path and isinstance(t, SystemString):
+    if isinstance(t, SystemString):
         trace = fields["lambda_measured"] * aligned.dim
         if trace <= 1.0 + tol:
             data = deviation.data.copy()

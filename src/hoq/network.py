@@ -2,8 +2,8 @@
 maps, with convenience checks for the comb and process-matrix families."""
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,57 +18,27 @@ from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, link_all, partial_trace,
 from .membership import CheckReport, check_operator, is_deterministic  # noqa: F401 (re-exported)
 from .sectors import Hierarchy, identity_coeff
 from .typesys import (
+    TRIVIAL_LABEL,
     Arrow,
     BistochElem,
+    NetworkSpec,
     SystemRegistry,
     SystemString,
-    TypeExpr,
     dehat,
     dual,
     systems_of,
     tensor_all,
 )
 
-TRIVIAL = "I"
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Slot types plus the chain of memory labels ``E0..En`` (``I`` trivial).
-
-    A deterministic network is a chained contraction of blocks, block ``i``
-    being a deterministic event of type ``dual(slot_i) -> (E_{i-1} -> E_i)``.
-    """
-
-    slot_types: tuple[TypeExpr, ...]
-    memories: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.memories) != len(self.slot_types) + 1:
-            raise ValueError("need exactly n+1 memory labels for n slots")
-        if not self.slot_types:
-            raise ValueError("a network needs at least one slot")
-
-    @property
-    def n(self) -> int:
-        return len(self.slot_types)
-
-    def block_type(self, i: int) -> TypeExpr:
-        """Type of the i-th block (0-based)."""
-        e_in = SystemString((self.memories[i],))
-        e_out = SystemString((self.memories[i + 1],))
-        return Arrow(dual(self.slot_types[i]), Arrow(e_in, e_out))
-
-    def system_order(self, reg: SystemRegistry) -> list[tuple[str, int]]:
-        """Canonical factor order of the composed network operator."""
-        out = []
-        if self.memories[0] != TRIVIAL:
-            out.append((self.memories[0], reg.dim(self.memories[0])))
-        for x in self.slot_types:
-            out.extend(systems_of(x, reg))
-        if self.memories[-1] != TRIVIAL:
-            out.append((self.memories[-1], reg.dim(self.memories[-1])))
-        return out
+def _check_blocks(blocks, spec: NetworkSpec, reg: SystemRegistry, tol: float,
+                  psd_tol: float, herm_tol: float) -> None:
+    """Raise BlockCheckFailed on the first block that is no deterministic event of
+    its block type."""
+    for i, block in enumerate(blocks):
+        report = is_deterministic(block, spec.block_type(i), reg, tol=tol,
+                                  psd_tol=psd_tol, herm_tol=herm_tol)
+        if not report.passed:
+            raise BlockCheckFailed(i, report)
 
 
 def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
@@ -83,20 +53,13 @@ def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
     if len(blocks) != spec.n:
         raise MemoryDimMismatch(f"expected {spec.n} blocks, got {len(blocks)}")
     for i in range(spec.n - 1):
-        mem = spec.memories[i + 1]
-        if mem == TRIVIAL:
-            continue
-        da = blocks[i].dim_of(mem) if mem in blocks[i].labels else None
-        db = blocks[i + 1].dim_of(mem) if mem in blocks[i + 1].labels else None
-        if da is None or db is None or da != db:
-            raise MemoryDimMismatch(
-                f"blocks {i} and {i + 1} disagree on memory {mem!r}: {da} vs {db}")
+        for mem in systems_of(spec.memory(i + 1)):
+            da, db = (dict(b.factors).get(mem) for b in blocks[i:i + 2])
+            if da is None or da != db:
+                raise MemoryDimMismatch(
+                    f"blocks {i} and {i + 1} disagree on memory {mem!r}: {da} vs {db}")
     if validate:
-        for i, block in enumerate(blocks):
-            report = is_deterministic(block, spec.block_type(i), reg, tol=tol,
-                                      psd_tol=psd_tol, herm_tol=herm_tol)
-            if not report.passed:
-                raise BlockCheckFailed(i, report)
+        _check_blocks(blocks, spec, reg, tol, psd_tol, herm_tol)
     out = link_all(list(blocks))
     order = [lab for lab, _ in spec.system_order(reg)]
     return permute_systems(out, order)
@@ -111,15 +74,11 @@ def check_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
                             herm_tol=herm_tol)
 
 
-def _fresh_memory_labels(n: int, taken) -> list[str]:
-    labels = []
-    base = "M"
-    suffix = ""
-    while any(f"{base}{i}{suffix}" in taken for i in range(1, n + 1)):
-        suffix += "x"
-    for i in range(1, n + 1):
-        labels.append(f"{base}{i}{suffix}")
-    return labels
+def _fresh_memory_labels(n: int, taken: set) -> list[str]:
+    """``M1..Mn``, each suffixed with the fewest ``x`` that avoid ``taken``."""
+    return next(labels for j in itertools.count()
+                for labels in [[f"M{i}{'x' * j}" for i in range(1, n + 1)]]
+                if taken.isdisjoint(labels))
 
 
 def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
@@ -143,7 +102,7 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     n = spec.n
     taken = {lab for lab, _ in reg.entries} | set(r.labels)
     fresh = _fresh_memory_labels(n - 1, taken)
-    mem_labels = [spec.memories[0]] + fresh + [spec.memories[-1]]
+    new_spec = NetworkSpec(spec.slot_types, (spec.memories[0], *fresh, spec.memories[-1]))
     new_reg = reg
     blocks: list[LabeledOperator] = []
 
@@ -151,8 +110,10 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
         x_i = spec.slot_types[i - 1]
         slot_systems = systems_of(x_i, new_reg)
         slot_labels = [lab for lab, _ in slot_systems]
-        out_mem = mem_labels[i]
-        traced = slot_labels + ([out_mem] if out_mem != TRIVIAL else [])
+        # the out-memory is registered: it is En or the previous step's fresh label
+        out_mem = systems_of(new_spec.memory(i), new_reg)
+        out_labels = [lab for lab, _ in out_mem]
+        traced = slot_labels + out_labels
 
         coeff_i = identity_coeff(x_i, new_reg, Hierarchy.BISTOCH)
         dim_i = math.prod(d for _, d in slot_systems)
@@ -172,7 +133,7 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
         basis = vecs[:, keep]          # old-space support basis, columns phi_k
         roots = np.sqrt(vals[keep])
 
-        new_mem = mem_labels[i - 1]
+        new_mem = new_spec.memories[i - 1]
         new_reg = new_reg.with_entries(**{new_mem: rank})
 
         # block i: conjugate by the inverse square root and compress onto the
@@ -184,15 +145,9 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
         cur = current.data.reshape(old_dim, rest_dim, old_dim, rest_dim)
         compressed = np.einsum("pa,abcd,cq->pbqd", scaled.conj().T, cur, scaled,
                                optimize=True)
-        block_factors = ((new_mem, rank),) \
-            + tuple((lab, d) for lab, d in slot_systems) \
-            + (((out_mem, new_reg.dim(out_mem)),) if out_mem != TRIVIAL else ())
-        block = LabeledOperator(block_factors,
+        block = LabeledOperator(((new_mem, rank), *slot_systems, *out_mem),
                                 compressed.reshape(rank * rest_dim, rank * rest_dim))
-        block = permute_systems(block, slot_labels
-                                + [new_mem]
-                                + ([out_mem] if out_mem != TRIVIAL else []))
-        blocks.append(block)
+        blocks.append(permute_systems(block, slot_labels + [new_mem] + out_labels))
 
         # purification-style lift of the marginal onto the fresh memory
         lift = (basis * roots)  # columns sqrt(S) phi_k
@@ -203,14 +158,7 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
 
     blocks.append(current)
     blocks.reverse()
-    new_spec = NetworkSpec(spec.slot_types, tuple(mem_labels))
-
-    for i, block in enumerate(blocks):
-        rep = is_deterministic(block, new_spec.block_type(i), new_reg, tol=max(tol, 1e-8),
-                               psd_tol=psd_tol, herm_tol=herm_tol)
-        if not rep.passed:
-            raise NotANetwork(
-                f"decomposed block {i} fails its slot-type check:\n{rep.to_text()}")
+    _check_blocks(blocks, new_spec, new_reg, max(tol, 1e-8), psd_tol, herm_tol)
     return blocks, new_spec, new_reg
 
 
@@ -241,7 +189,7 @@ def check_bitooth(r: LabeledOperator, dims, tol: float = 1e-9) -> CheckReport:
         raise FactorMismatch("expected two factors per slot")
     pairs = _pair_specs(r, dims, 0)
     reg = SystemRegistry.from_dict(dict(r.factors))
-    spec = NetworkSpec(tuple(pairs), (TRIVIAL,) * (len(dims) + 1))
+    spec = NetworkSpec(tuple(pairs), (TRIVIAL_LABEL,) * (len(dims) + 1))
     return check_network(r, spec, reg, tol=tol)
 
 
@@ -265,7 +213,7 @@ def check_bislot(r: LabeledOperator, dims, dP: int, dF: int,
     """
     p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
     spec = NetworkSpec(tuple(dual(p) for p in pairs),
-                       (p_lab,) + (TRIVIAL,) * (len(dims) - 1) + (f_lab,))
+                       (p_lab,) + (TRIVIAL_LABEL,) * (len(dims) - 1) + (f_lab,))
     return check_network(r, spec, reg, tol=tol)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     SizeLimit,
 )
 from .linalg import (
+    DEFAULT_DIM_CAP,
     LabeledOperator,
     _psd_status,
     choi_of_kraus,
@@ -30,8 +31,6 @@ from .linalg import (
 )
 from .membership import is_deterministic
 from .typesys import BistochElem, SystemRegistry, dual
-
-DEFAULT_DIM_CAP = 4096
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FactorMismatch, HatInStandardHierarchy, NotHermitian
-from .linalg import TOL_HERM, LabeledOperator, align_factors, permute_systems
+from .errors import FactorMismatch, HatInStandardHierarchy
+from .linalg import TOL_HERM, LabeledOperator, _require_hermitian, align_factors, permute_systems
 from .typesys import (
     Arrow,
     BistochElem,
@@ -66,9 +66,6 @@ class Pattern:
 
     def text(self, systems: Sequence[tuple[str, int]]) -> str:
         return " ".join(f"{lab}:{m}" for (lab, _), m in zip(systems, self.marks))
-
-    def __add__(self, other: "Pattern") -> "Pattern":
-        return Pattern(self.marks + other.marks)
 
 
 def _mask_of(marks: tuple[str, ...]) -> int:
@@ -217,9 +214,8 @@ def _coeff_cached(t: TypeExpr, reg: SystemRegistry, hierarchy: Hierarchy) -> Fra
                 "hatted elementary type in the standard hierarchy; dehat first")
         d_out_tail = math.prod(reg.dim(lab) for lab in t.out_tail)
         return Fraction(1, reg.dim(t.hat_out) * d_out_tail)
-    coeff_x = _coeff_cached(t.lhs, reg, hierarchy)
-    coeff_y = _coeff_cached(t.rhs, reg, hierarchy)
-    return coeff_y / (type_dim(t.lhs, reg) * coeff_x)
+    return arrow_coeff(_coeff_cached(t.lhs, reg, hierarchy), type_dim(t.lhs, reg),
+                       _coeff_cached(t.rhs, reg, hierarchy))
 
 
 def deviation_sectors(t: TypeExpr, reg: SystemRegistry,
@@ -327,8 +323,8 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
     """
     if not slot_types:
         raise ValueError("a network needs at least one slot")
-    mem0 = [] if e0 == "I" else [(e0, reg.dim(e0))]
-    memn = [] if en == "I" else [(en, reg.dim(en))]
+    mem0 = systems_of(SystemString((e0,)), reg)
+    memn = systems_of(SystemString((en,)), reg)
     slot_devs = [deviation_sectors(x, reg, hierarchy) for x in slot_types]
 
     coeff = Fraction(1, reg.dim(en))
@@ -356,12 +352,10 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
 # ---------------------------------------------------------------------------
 
 def _check_hermitian(op: LabeledOperator, tol_herm: float) -> None:
-    """Raise NotHermitian beyond ``tol_herm``; ``np.inf`` skips the measurement."""
-    if tol_herm == np.inf:
-        return
-    defect = op.herm_defect()
-    if not defect <= tol_herm:
-        raise NotHermitian(f"hermiticity defect {defect:.3e}")
+    """Raise NotHermitian beyond ``tol_herm`` and NonFiniteOperator on NaN or
+    infinite entries; ``np.inf`` skips the measurement."""
+    if tol_herm != np.inf:
+        _require_hermitian(op, tol_herm)
 
 
 def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""File formats: operator JSON, network bundles, and the key-value config.
+"""File formats: operator JSON, network specs and bundles, and the key-value config.
 
 Operator schema: ``{"factors": [["A", 2], ...], "matrix": [[[re, im], ...]]}``
 with the matrix row-major and the first factor most significant.  Files whose
@@ -15,10 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, SizeLimit
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
-from .network import NetworkSpec
-from .processes import DEFAULT_DIM_CAP
-from .typesys import DEFAULT_RECURSION_LIMIT, SystemRegistry, parse_type, print_type
+from .linalg import DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
+from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
+                      parse_type, print_type)
 
 
 def _pairs(a: np.ndarray) -> np.ndarray:
@@ -109,7 +108,7 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[in
     # dimensions up from the block factors
     extra = {}
     for mem in memories:
-        if mem == "I" or mem in reg:
+        if mem in reg:  # the trivial label always is
             continue
         for b in blocks:
             if mem in b.labels:
@@ -144,6 +143,11 @@ def spec_from_dict(payload: dict, reg: SystemRegistry) -> NetworkSpec:
     return NetworkSpec(slot_types, memories)
 
 
+def read_spec(path: str, reg: SystemRegistry) -> NetworkSpec:
+    with _open(path, "r") as fh:
+        return spec_from_dict(json.load(fh), reg)
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -154,7 +158,7 @@ class Config:
 
     Recognized keys: ``registry.<LABEL>``, ``tol.{herm,psd,sector,feas}``,
     ``limits.{max_dim,max_iter,recursion}``.  Unknown keys, tolerances that are
-    not finite and ``>= 0``, and limits below 1 (``recursion`` below 0) are rejected.
+    not finite and ``>= 0``, limits below 1 and a ``recursion`` outside [0, 256] are rejected.
     """
 
     registry: SystemRegistry = field(default_factory=lambda: SystemRegistry.from_dict({}))
@@ -172,6 +176,7 @@ _KEYS = {"tol.herm": ("tol_herm", float, 0), "tol.psd": ("tol_psd", float, 0),
          "tol.sector": ("tol_sector", float, 0), "tol.feas": ("tol_feas", float, 0),
          "limits.max_dim": ("max_dim", int, 1), "limits.max_iter": ("max_iter", int, 1),
          "limits.recursion": ("recursion", int, 0)}
+_GREATEST = {"limits.recursion": MAX_RECURSION_LIMIT}
 
 
 def parse_config(text: str) -> Config:
@@ -193,6 +198,9 @@ def parse_config(text: str) -> Config:
                 # NaN fails both comparisons
                 if not low <= number < math.inf:
                     raise ConfigError(f"line {lineno}: {key} must be finite and >= {low}, "
+                                      f"got {value!r}")
+                if number > _GREATEST.get(key, math.inf):
+                    raise ConfigError(f"line {lineno}: {key} must be <= {_GREATEST[key]}, "
                                       f"got {value!r}")
                 setattr(cfg, attr, number)
             else:

@@ -33,6 +33,7 @@ TRIVIAL_LABEL = "I"
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 DEFAULT_RECURSION_LIMIT = 64
+MAX_RECURSION_LIMIT = 256  # deeper types run the type algebra into Python's recursion limit
 
 
 @dataclass(frozen=True)
@@ -389,8 +390,10 @@ def precedes(a: TypeExpr, b: TypeExpr) -> bool:
     return False
 
 
-def dehat(t: TypeExpr) -> TypeExpr:
-    """Replace every bidirectional pair with the corresponding one-way arrow."""
+def dehat(t: TypeExpr | NetworkSpec) -> TypeExpr | NetworkSpec:
+    """Replace every bidirectional pair, also in a spec's slots, with the one-way arrow."""
+    if isinstance(t, NetworkSpec):
+        return NetworkSpec(tuple(dehat(x) for x in t.slot_types), t.memories)
     if isinstance(t, SystemString):
         return t
     if isinstance(t, BistochElem):
@@ -401,3 +404,44 @@ def dehat(t: TypeExpr) -> TypeExpr:
 
 def has_hats(t: TypeExpr) -> bool:
     return any(isinstance(node, BistochElem) for node in walk(t))
+
+
+# ---------------------------------------------------------------------------
+# Causally ordered networks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    """Slot types plus the chain of memory labels ``E0..En`` (``I`` trivial).
+
+    A deterministic network is a chained contraction of blocks, block ``i``
+    being a deterministic event of type ``dual(slot_i) -> (E_{i-1} -> E_i)``.
+    Its operator lives on ``E0``, the slot systems, then ``En``; a trivial
+    memory carries no factor.
+    """
+
+    slot_types: tuple[TypeExpr, ...]
+    memories: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.memories) != len(self.slot_types) + 1:
+            raise ValueError("need exactly n+1 memory labels for n slots")
+        if not self.slot_types:
+            raise ValueError("a network needs at least one slot")
+
+    @property
+    def n(self) -> int:
+        return len(self.slot_types)
+
+    def memory(self, i: int) -> SystemString:
+        """Memory ``E_i`` as a system string; negative ``i`` counts from ``En``."""
+        return SystemString((self.memories[i],))
+
+    def block_type(self, i: int) -> TypeExpr:
+        """Type of the i-th block (0-based)."""
+        return Arrow(dual(self.slot_types[i]), Arrow(self.memory(i), self.memory(i + 1)))
+
+    def system_order(self, reg: SystemRegistry) -> list[tuple[str, int]]:
+        """Canonical factor order of the composed network operator."""
+        parts = (self.memory(0), *self.slot_types, self.memory(-1))
+        return [s for x in parts for s in systems_of(x, reg)]

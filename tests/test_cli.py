@@ -19,11 +19,12 @@ from hoq.serialize import (
     parse_inline_registry,
     read_bundle,
     read_operator,
+    read_spec,
     write_bundle,
     write_operator,
 )
 from hoq.sectors import Hierarchy
-from hoq.typesys import BistochElem, dehat
+from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type
 from hoq.errors import ConfigError, ShapeMismatch, SizeLimit
 
 from helpers import NON_FINITE, non_finite_operator
@@ -224,6 +225,23 @@ limits.max_iter = 99
         assert (cfg.tol_psd, cfg.tol_herm, cfg.max_iter, cfg.max_dim, cfg.recursion) == \
             (0.0, 0.0, 1, 1, 0)
 
+    def test_read_spec_plain_and_gz(self, runner, tmp_path):
+        from hoq.processes import time_flip_merged
+
+        reg = SystemRegistry.of(A=2, B=2, P=4, F=4)
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("P", "F"))
+        text = json.dumps(bundle_to_dict([], spec)["spec"])
+        (tmp_path / "spec.json").write_text(text)
+        with gzip.open(tmp_path / "spec.json.gz", "wt", encoding="utf-8") as fh:
+            fh.write(text)
+        op = tmp_path / "flip.json"
+        write_operator(time_flip_merged(2), str(op))
+        for name in ("spec.json", "spec.json.gz"):
+            assert read_spec(str(tmp_path / name), reg) == spec
+            res = runner.invoke(main, ["check", "--network-spec", str(tmp_path / name),
+                                       "-f", str(op), "--registry", REG_FLIP])
+            assert res.exit_code == 0, res.output
+
     def test_inline_registry(self):
         assert parse_inline_registry("A=2, B=3") == {"A": 2, "B": 3}
         with pytest.raises(ConfigError):
@@ -253,6 +271,33 @@ class TestLambdaDelta:
         res = runner.invoke(main, ["delta", "(^A -> ^B)", "--registry", "A=2,B=2",
                                    "--hierarchy", "standard"])
         assert res.output.strip().split("\n") == ["A:T B:T", "A:I B:T"]
+
+    @pytest.mark.parametrize("command", ["lambda", "delta"])
+    def test_nesting_up_to_the_recursion_cap(self, runner, tmp_path, command):
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text(f"limits.recursion = {MAX_RECURSION_LIMIT}\n")
+
+        def nested(depth):
+            return "(" * depth + "I" + " -> I)" * depth
+
+        res = runner.invoke(main, [command, nested(MAX_RECURSION_LIMIT), "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [command, nested(MAX_RECURSION_LIMIT + 1),
+                                   "--config", str(cfg)])
+        assert res.exit_code == 2 and "exceeds limit" in res.output
+
+    def test_delta_refuses_more_patterns_than_max_dim(self, runner, tmp_path):
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("limits.max_dim = 16\n")
+        common = ["--registry", "A=2,B=2,C=2,D=2,E=2", "--config", str(cfg)]
+        res = runner.invoke(main, ["delta", "(A B -> C D)"] + common)
+        assert res.exit_code == 0 and len(res.output.split("\n")) > 1
+        res = runner.invoke(main, ["delta", "(A B -> C D E)"] + common)
+        assert res.exit_code == 2
+        assert "5 systems: 2^5 sector patterns exceed limits.max_dim = 16" in res.output
+        # the coefficient needs no patterns
+        res = runner.invoke(main, ["lambda", "(A B -> C D E)"] + common)
+        assert res.exit_code == 0 and res.output.strip() == "1/8"
 
     def test_parse_error_exit_2(self, runner):
         res = runner.invoke(main, ["lambda", "(^A -> ", "--registry", "A=2"])
@@ -298,7 +343,7 @@ class TestCheckCommand:
         "tol.psd = nan", "tol.psd = inf", "tol.psd = -1e-9", "tol.herm = -1",
         "tol.herm = nan", "tol.sector = nan", "tol.sector = -inf", "tol.feas = 1e400",
         "limits.max_iter = -5", "limits.max_iter = 0", "limits.max_dim = 0",
-        "limits.recursion = -1",
+        "limits.recursion = -1", f"limits.recursion = {MAX_RECURSION_LIMIT + 1}",
     ])
     def test_bad_config_values_exit_2(self, runner, tmp_path, line):
         # a state with eigenvalue -0.5: a NaN tol.psd must not let it pass
@@ -492,6 +537,32 @@ class TestCheckCommand:
                             + ["--registry", "A=2,B=2", "--config", str(cfg)])
         assert res.exit_code == 2, res.output
         assert "exceeds limits.max_dim = 3" in res.output
+
+
+    @pytest.mark.parametrize("args", [
+        ["check", "(A B -> C D E)", "-f", "{op}"],
+        ["check", "--network-spec", "{spec}", "-f", "{op}"],
+        ["check", "(A B -> C D E)", "-f", "{op}", "--admissible"],
+        ["classify", "((^A B -> ^C) -> (D -> E))", "-f", "{op}"],
+        ["compose", "{bundle}", "-o", "{out}"],
+        ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"],
+    ], ids=["check", "check-spec", "check-admissible", "classify", "compose", "decompose"])
+    def test_max_dim_bounds_the_sector_patterns(self, runner, tmp_path, args):
+        # five one-dimensional systems: a 1x1 operator, but 2^5 sector patterns
+        op = LabeledOperator(tuple((lab, 1) for lab in "ABCDE"), np.eye(1))
+        spec = NetworkSpec((parse_type("(A B -> C)", SystemRegistry.of(A=1, B=1, C=1)),),
+                           ("D", "E"))
+        files = {k: str(tmp_path / f"{k}.json") for k in ("op", "spec", "bundle", "out")}
+        write_operator(op, files["op"])
+        write_bundle([op], spec, files["bundle"])
+        with open(files["spec"], "w", encoding="utf-8") as fh:
+            json.dump(bundle_to_dict([], spec)["spec"], fh)
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("limits.max_dim = 16\n")
+        res = runner.invoke(main, [a.format(**files) for a in args]
+                            + ["--registry", "A=1,B=1,C=1,D=1,E=1", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "5 systems: 2^5 sector patterns exceed limits.max_dim = 16" in res.output
 
 
 class TestMakeAndClassify:

@@ -10,6 +10,7 @@ from hoq import (
     dual,
     is_admissible,
     is_deterministic,
+    is_psd,
     parse_type,
     partial_trace,
     sample_deterministic,
@@ -89,6 +90,39 @@ def test_non_finite_entries_rejected(where):
         is_deterministic(op, t, REG)
     with pytest.raises(NonFiniteOperator):
         is_admissible(op, t, REG)
+
+
+# a state with eigenvalue -0.5: a NaN or infinite psd_tol used to let it pass
+_NOT_PSD = LabeledOperator((("A", 2),), np.diag([1.5, -0.5]))
+_PAIR = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+_TOL_CASES = [(func, op, type_text, keyword)
+              for func, op, type_text in [(is_deterministic, _NOT_PSD, "A"),
+                                          (classify, _PAIR, "(^A -> ^B)"),
+                                          (is_admissible, _PAIR, "(^A -> ^B)")]
+              for keyword in ("tol", "psd_tol", "herm_tol")]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("func, op, type_text, keyword", _TOL_CASES,
+                         ids=[f"{c[0].__name__}.{c[3]}" for c in _TOL_CASES])
+def test_tolerances_must_be_finite_and_non_negative(func, op, type_text, keyword, bad):
+    with pytest.raises(ValueError, match=f"^{keyword} must be finite and >= 0"):
+        func(op, parse_type(type_text, REG), REG, **{keyword: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+def test_is_psd_tolerance_validated(bad):
+    with pytest.raises(ValueError, match="psd_tol must be finite and >= 0"):
+        is_psd(_NOT_PSD, tol=bad)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_admissibility_needs_an_iteration(max_iter):
+    t = parse_type("(^A -> ^B)", REG)
+    op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        is_admissible(op, t, REG, max_iter=max_iter)
+    assert is_admissible(op, t, REG, max_iter=1).status in ("FEASIBLE", "UNDECIDED")
 
 
 def test_factor_dimension_mismatch():
@@ -221,19 +255,20 @@ class TestAdmissibility:
         too_big = LabeledOperator((("A", 2),), np.eye(2))  # trace 2
         res = is_admissible(too_big, t, REG)
         assert res.status == "NOT_ADMISSIBLE"
-        # without the fast path the iteration cannot certify; it must not
-        # claim feasibility
-        raw = is_admissible(too_big, t, REG, max_iter=300, fast_path=False)
+        # the iteration, through (I -> A) with A's characterization, cannot
+        # certify; it must not claim feasibility
+        raw = is_admissible(too_big, parse_type("(I -> A)", REG), REG, max_iter=300)
         assert raw.status == "UNDECIDED"
 
     def test_fast_path_matches_iteration_on_feasible_states(self):
         rng = np.random.default_rng(11)
         t = parse_type("A", REG)
+        iterated = parse_type("(I -> A)", REG)
         for trial in range(10):
             rho = random_state(2, rng) * rng.uniform(0.2, 1.0)
             op = LabeledOperator((("A", 2),), rho)
             fast = is_admissible(op, t, REG)
-            slow = is_admissible(op, t, REG, fast_path=False)
+            slow = is_admissible(op, iterated, REG)
             assert fast.feasible and slow.feasible
 
     def test_non_psd_rejected(self):

@@ -21,6 +21,7 @@ from hoq import (
 )
 from hoq.errors import BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork
 from hoq.linalg import link_all, permute_systems, relabel
+from hoq.network import _fresh_memory_labels
 from hoq.processes import (
     flippable_switch_choi,
     functional_compose,
@@ -141,6 +142,13 @@ class TestCheck:
             blocks, spec, reg = bitooth_blocks_and_spec(n, 2, mems, seed=seed)
             r = compose_network(blocks, spec, reg)
             assert check_network(r, spec, reg).passed
+
+
+def test_fresh_memory_labels_avoid_taken_ones():
+    assert _fresh_memory_labels(2, set()) == ["M1", "M2"]
+    assert _fresh_memory_labels(2, {"M2", "A"}) == ["M1x", "M2x"]
+    assert _fresh_memory_labels(1, {"M1", "M1x"}) == ["M1xx"]
+    assert _fresh_memory_labels(0, {"M1"}) == []
 
 
 class TestDecompose:

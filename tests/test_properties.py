@@ -1,7 +1,7 @@
 """Property-based tests of the numerical sector projection and pattern norms,
 of the invariants that let ``classify`` and ``is_admissible`` share the
-check's front half, and of real arithmetic against complex arithmetic in the
-check."""
+check's front half, of real arithmetic against complex arithmetic in the
+check, and of the factor order of network characterizations."""
 import numpy as np
 import pytest
 
@@ -11,11 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 from hoq import (
     Hierarchy,
     LabeledOperator,
+    NetworkSpec,
     Pattern,
+    SystemRegistry,
     classify,
     identity_coeff,
     is_admissible,
     is_deterministic,
+    parse_type,
     pattern_norms,
     permute_systems,
     sample_deterministic,
@@ -23,7 +26,7 @@ from hoq import (
     sector_project,
 )
 from hoq.linalg import hermitian_part
-from hoq.membership import random_hermitian
+from hoq.membership import characterization_of, random_hermitian
 from hoq.sectors import SectorSet, _marks_of, _project_masks, deviation_sectors
 from hoq.typesys import dehat, has_hats, systems_of
 
@@ -224,3 +227,37 @@ def test_admissibility_gate_is_the_check_gate(case, kind, size, random):
         assert res.reason == f"operator not Hermitian (defect {report.herm_defect:.3e})"
     elif gated:
         assert res.reason == f"operator not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
+
+
+_SLOT_TEMPLATES = ["(^A{i} -> ^B{i})", "((^A{i} -> ^B{i}) -> I)", "(A{i} -> B{i})", "A{i}",
+                   "(^A{i} U{i} -> ^B{i})", "((A{i} B{i} -> I) -> U{i})", "I"]
+
+
+@st.composite
+def network_spec(draw):
+    """A spec of 1-3 slots whose global memories E0 and En are trivial or not."""
+    n = draw(st.integers(1, 3))
+    dims = {"P": draw(st.integers(1, 3)), "F": draw(st.integers(1, 3))}
+    slots = []
+    for i in range(n):
+        d = draw(st.integers(1, 3))
+        dims.update({f"A{i}": d, f"B{i}": d, f"U{i}": draw(st.integers(1, 2))})
+        slots.append(draw(st.sampled_from(_SLOT_TEMPLATES)).format(i=i))
+    reg = SystemRegistry.from_dict(dims)
+    memories = (draw(st.sampled_from(["I", "P"])),
+                *(draw(st.sampled_from(["I", f"M{i}"])) for i in range(1, n)),
+                draw(st.sampled_from(["I", "F"])))
+    return NetworkSpec(tuple(parse_type(s, reg) for s in slots), memories), reg
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_spec())
+def test_network_characterization_lives_on_the_system_order(case):
+    spec, reg = case
+    coeff, sectors = characterization_of(spec, reg)
+    assert sectors.systems == tuple(spec.system_order(reg))
+    # dehatting a spec keeps its factor order and its coefficient
+    flat = dehat(spec)
+    assert flat.memories == spec.memories and not any(map(has_hats, flat.slot_types))
+    std_coeff, std_sectors = characterization_of(flat, reg, Hierarchy.STANDARD)
+    assert std_coeff == coeff and std_sectors.systems == sectors.systems

@@ -22,7 +22,7 @@ from hoq import (
     tensor,
     tensor_deviation_direct,
 )
-from hoq.errors import FactorMismatch, HatInStandardHierarchy
+from hoq.errors import FactorMismatch, HatInStandardHierarchy, NonFiniteOperator
 from hoq.sectors import (
     SectorSet,
     arrow_coeff,
@@ -34,7 +34,7 @@ from hoq.sectors import (
 )
 from hoq.typesys import dehat
 
-from helpers import random_type, reference_component
+from helpers import NON_FINITE, non_finite_operator, random_type, reference_component
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -296,6 +296,19 @@ class TestNumericalSectors:
         assert np.abs(p1.data - p2.data).max() < 1e-12
         rest = h.data - p1.data
         assert abs(np.trace(p1.data.conj().T @ rest)) < 1e-10
+
+    @pytest.mark.parametrize("where", sorted(NON_FINITE))
+    @pytest.mark.parametrize("func", ["sector_project", "sector_component",
+                                      "outside_component", "pattern_norms"])
+    def test_non_finite_entries_raise(self, func, where):
+        op = non_finite_operator(where)
+        sect = traceless_space(op.factors)
+        calls = {"sector_project": lambda: sector_project(op, sect),
+                 "sector_component": lambda: sector_component(op, Pattern(("T", "I"))),
+                 "outside_component": lambda: outside_component(op, sect),
+                 "pattern_norms": lambda: pattern_norms(op)}
+        with pytest.raises(NonFiniteOperator, match="non-finite"):
+            calls[func]()
 
     def test_project_factor_mismatch(self):
         sect = traceless_space((("A", 2), ("B", 2)))

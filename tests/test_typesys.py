@@ -4,6 +4,7 @@ import pytest
 from hoq import (
     Arrow,
     BistochElem,
+    NetworkSpec,
     SystemRegistry,
     SystemString,
     dehat,
@@ -172,6 +173,37 @@ def test_dehat():
     assert print_type(dehat(u)) == "((A -> B) -> (P -> F))"
     assert dehat(dehat(u)) == dehat(u)
     assert has_hats(u) and not has_hats(dehat(u))
+
+
+def test_network_spec_has_one_home():
+    import hoq
+    from hoq import network, typesys
+
+    assert hoq.NetworkSpec is network.NetworkSpec is typesys.NetworkSpec
+
+
+def test_network_spec_memories_and_order():
+    reg = REG.with_entries(Q=1)
+    slots = (parse_type("(^A -> ^B)", REG), parse_type("(C -> D)", REG))
+    # a trivial memory carries no factor; a one-dimensional label does
+    spec = NetworkSpec(slots, ("I", "E", "Q"))
+    assert spec.memory(0) == TRIVIAL and spec.memory(-1) == SystemString(("Q",))
+    assert spec.system_order(reg) == [("A", 2), ("B", 2), ("C", 3), ("D", 3), ("Q", 1)]
+    assert print_type(spec.block_type(1)) == "(((C -> D) -> I) -> (E -> Q))"
+    closed = NetworkSpec(slots, ("P", "I", "I"))
+    assert [lab for lab, _ in closed.system_order(REG)] == ["P", "A", "B", "C", "D"]
+    with pytest.raises(ValueError, match="n\\+1 memory labels"):
+        NetworkSpec(slots, ("I", "I"))
+    with pytest.raises(ValueError, match="at least one slot"):
+        NetworkSpec((), ("I",))
+
+
+def test_dehat_spec_keeps_memories():
+    spec = NetworkSpec((parse_type("(^A -> ^B)", REG), parse_type("C", REG)), ("P", "E", "F"))
+    flat = dehat(spec)
+    assert flat == NetworkSpec((parse_type("(A -> B)", REG), parse_type("C", REG)),
+                               ("P", "E", "F"))
+    assert dehat(flat) == flat
 
 
 def test_registry_invariants():
