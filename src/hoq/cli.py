@@ -19,7 +19,7 @@ from .errors import HoqError, SizeLimit
 from .membership import classify as classify_op
 from .membership import is_admissible, is_deterministic
 from .network import compose_network, decompose_network
-from .sectors import Hierarchy, deviation_sectors, identity_coeff
+from .sectors import deviation_sectors, identity_coeff
 from .serialize import (
     Config,
     load_config,
@@ -102,7 +102,7 @@ def cmd_delta(type_string, hierarchy, config_path, registry_inline):
     t = _sized(parse_type(type_string, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     if hierarchy == "standard":
         t = dehat(t)
-    sectors = deviation_sectors(t, cfg.registry, Hierarchy(hierarchy))
+    sectors = deviation_sectors(t, cfg.registry)
     for line in sectors.texts():
         click.echo(line)
 
@@ -124,15 +124,14 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
     if bool(type_string) == bool(network_spec_file):
         raise click.UsageError("give either a TYPE argument or --network-spec, not both")
     cfg = _config(config_path, registry_inline)
-    t = (read_spec(network_spec_file, cfg.registry) if network_spec_file
+    t = (read_spec(network_spec_file, cfg.registry, limit=cfg.recursion) if network_spec_file
          else parse_type(type_string, cfg.registry, limit=cfg.recursion))
     op = read_operator(operator_file, max_dim=cfg.max_dim)
     t = _sized(t, cfg.registry, cfg)
     if hierarchy == "standard":
         t = dehat(t)
     if admissible:
-        result = is_admissible(op, t, cfg.registry, Hierarchy(hierarchy),
-                               tol=cfg.tol_feas, max_iter=cfg.max_iter,
+        result = is_admissible(op, t, cfg.registry, tol=cfg.tol_feas, max_iter=cfg.max_iter,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
         payload = {"status": result.status, "residual": result.residual,
                    "iterations": result.iterations, "reason": result.reason}
@@ -140,8 +139,7 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
                    f"{result.status} (residual {result.residual:.3e}, "
                    f"{result.iterations} iterations) {result.reason}")
         sys.exit({"FEASIBLE": 0, "NOT_ADMISSIBLE": 1}.get(result.status, 3))
-    report = is_deterministic(op, t, cfg.registry, Hierarchy(hierarchy),
-                              tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
+    report = is_deterministic(op, t, cfg.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                               herm_tol=cfg.tol_herm)
     click.echo(json.dumps(report.to_dict()) if as_json else report.to_text())
     sys.exit(0 if report.passed else 1)
@@ -239,7 +237,8 @@ def cmd_apply_flip(channel_file, state_file, control_file, output,
 def cmd_compose(bundle_file, output, config_path, registry_inline):
     """Chain the blocks of a network bundle and write the composed operator."""
     cfg = _config(config_path, registry_inline)
-    blocks, spec, reg = read_bundle(bundle_file, cfg.registry, max_dim=cfg.max_dim)
+    blocks, spec, reg = read_bundle(bundle_file, cfg.registry, max_dim=cfg.max_dim,
+                                    limit=cfg.recursion)
     for i in range(spec.n):
         _sized(spec.block_type(i), reg, cfg)
     composed = compose_network(blocks, spec, reg, tol=cfg.tol_sector,
@@ -258,7 +257,7 @@ def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline
     """Peel a network operator into blocks and write them as a bundle."""
     cfg = _config(config_path, registry_inline)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
-    spec = _sized(read_spec(spec_file, cfg.registry), cfg.registry, cfg)
+    spec = _sized(read_spec(spec_file, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
                                                   tol=cfg.tol_sector * 10,
                                                   psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)

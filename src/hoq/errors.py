@@ -39,10 +39,6 @@ class HatDimMismatch(HoqError):
         self.hat_in, self.hat_out = hat_in, hat_out
 
 
-class HatInStandardHierarchy(HoqError):
-    """A hatted elementary type appeared where only hat-free types are allowed."""
-
-
 class LabelCollision(HoqError):
     """Tensor product of operators with overlapping factor labels."""
 

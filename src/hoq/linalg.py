@@ -386,25 +386,25 @@ def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:
     return sym
 
 
-def eigh(a: LabeledOperator, tol_herm: float = TOL_HERM):
+def eigh(a: LabeledOperator, herm_tol: float = TOL_HERM):
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    sym = _require_hermitian(a, tol_herm)
+    sym = _require_hermitian(a, herm_tol)
     return np.linalg.eigh(sym)
 
 
-def is_psd(a: LabeledOperator, tol: float = TOL_PSD,
-           tol_herm: float = TOL_HERM) -> bool:
-    return _psd_status(_require_hermitian(a, tol_herm), tol)[1]
+def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
+           herm_tol: float = TOL_HERM) -> bool:
+    return _psd_status(_require_hermitian(a, herm_tol), psd_tol)[1]
 
 
 def psd_sqrt_pinv(a: LabeledOperator, tol: float = TOL_PSD,
-                  tol_herm: float = TOL_HERM):
+                  herm_tol: float = TOL_HERM):
     """Square root, pseudo-inverse square root and support projector.
 
     Eigenvalues below ``tol * max(largest eigenvalue, 1)`` are treated as
     zero and excluded from the support.
     """
-    vals, vecs = eigh(a, tol_herm)
+    vals, vecs = eigh(a, herm_tol)
     cutoff = tol * max(float(vals[-1]) if len(vals) else 0.0, 1.0)
     keep = vals > cutoff
     vp = vecs[:, keep]

@@ -13,7 +13,6 @@ from .errors import NoHattedSystems
 from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_factors, check_tol,
                      hermitian_part)
 from .sectors import (
-    Hierarchy,
     SectorSet,
     _project,
     deviation_sectors,
@@ -164,13 +163,13 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
 def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol: float,
                permutation) -> CheckReport:
     """Sector residual and out-of-sector breakdown of a deviation, and the verdict."""
-    outside = outside_component(deviation, sectors, tol_herm=np.inf)
+    outside = outside_component(deviation, sectors, herm_tol=np.inf)
     residual = float(np.linalg.norm(outside.data))
     scale = 1.0 + float(np.linalg.norm(deviation.data))
 
     forbidden = []
     if residual > _NOISE_FLOOR * scale:
-        norms = pattern_norms(outside, tol_herm=np.inf)
+        norms = pattern_norms(outside, herm_tol=np.inf)
         for pattern, sq in norms.items():
             if pattern.all_identity or pattern in sectors:
                 continue
@@ -187,16 +186,14 @@ def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol
                        **fields)
 
 
-def characterization_of(t, reg: SystemRegistry,
-                        hierarchy: Hierarchy = Hierarchy.BISTOCH):
+def characterization_of(t, reg: SystemRegistry):
     """(coefficient, sectors) for a type or a network specification."""
     if isinstance(t, NetworkSpec):
-        return network_characterization(t.slot_types, t.memories[0], t.memories[-1], reg, hierarchy)
-    return identity_coeff(t, reg, hierarchy), deviation_sectors(t, reg, hierarchy)
+        return network_characterization(t.slot_types, t.memories[0], t.memories[-1], reg)
+    return identity_coeff(t, reg), deviation_sectors(t, reg)
 
 
 def is_deterministic(op: LabeledOperator, t, reg: SystemRegistry,
-                     hierarchy: Hierarchy = Hierarchy.BISTOCH,
                      tol: float = 1e-9, psd_tol: float = TOL_PSD,
                      herm_tol: float = TOL_HERM) -> CheckReport:
     """Test whether ``op`` is a deterministic event of type ``t``.
@@ -204,7 +201,7 @@ def is_deterministic(op: LabeledOperator, t, reg: SystemRegistry,
     ``t`` may also be a network specification.  Factors are auto-permuted to
     the canonical order of the type; the report records the permutation.
     """
-    coeff, sectors = characterization_of(t, reg, hierarchy)
+    coeff, sectors = characterization_of(t, reg)
     aligned, perm = align_factors(op, sectors.systems)
     return check_operator(aligned, coeff, sectors, tol=tol, psd_tol=psd_tol,
                           herm_tol=herm_tol, permutation=perm)
@@ -223,8 +220,8 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     """
     if not has_hats(t):
         raise NoHattedSystems("classification requires at least one hatted pair")
-    coeff, bi_sectors = characterization_of(t, reg, Hierarchy.BISTOCH)
-    std_coeff, std_sectors = characterization_of(dehat(t), reg, Hierarchy.STANDARD)
+    coeff, bi_sectors = characterization_of(t, reg)
+    std_coeff, std_sectors = characterization_of(dehat(t), reg)
     assert std_coeff == coeff and std_sectors.systems == bi_sectors.systems
     aligned, perm = align_factors(op, bi_sectors.systems)
     front = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
@@ -250,7 +247,6 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
-                  hierarchy: Hierarchy = Hierarchy.BISTOCH,
                   tol: float = 1e-7, max_iter: int = 5000,
                   psd_tol: float = TOL_PSD,
                   herm_tol: float = TOL_HERM) -> AdmissibilityResult:
@@ -267,7 +263,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    coeff, sectors = characterization_of(t, reg, hierarchy)
+    coeff, sectors = characterization_of(t, reg)
     aligned, _ = align_factors(op, sectors.systems)
     deviation, fields = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
     if not fields["psd_ok"]:
@@ -329,7 +325,6 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_deterministic(t, reg: SystemRegistry,
-                         hierarchy: Hierarchy = Hierarchy.BISTOCH,
                          eps: float = 0.5, seed: int = 0) -> LabeledOperator:
     """Seeded random deterministic event of type ``t``.
 
@@ -340,7 +335,7 @@ def sample_deterministic(t, reg: SystemRegistry,
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    coeff, sectors = characterization_of(t, reg, hierarchy)
+    coeff, sectors = characterization_of(t, reg)
     dim = math.prod(d for _, d in sectors.systems)
     base = float(coeff) * np.eye(dim)
     op = LabeledOperator(sectors.systems, base)

@@ -30,6 +30,10 @@ from .typesys import (
     tensor_all,
 )
 
+# relative eigenvalue threshold for the support rank of a peeled marginal
+RANK_TOL = 1e-9
+
+
 def _check_blocks(blocks, spec: NetworkSpec, reg: SystemRegistry, tol: float,
                   psd_tol: float, herm_tol: float) -> None:
     """Raise BlockCheckFailed on the first block that is no deterministic event of
@@ -66,12 +70,10 @@ def compose_network(blocks, spec: NetworkSpec, reg: SystemRegistry,
 
 
 def check_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
-                  tol: float = 1e-9,
-                  hierarchy: Hierarchy = Hierarchy.BISTOCH, psd_tol: float = TOL_PSD,
+                  tol: float = 1e-9, psd_tol: float = TOL_PSD,
                   herm_tol: float = TOL_HERM) -> CheckReport:
     """Test an operator against the causally ordered network characterization."""
-    return is_deterministic(r, spec, reg, hierarchy, tol=tol, psd_tol=psd_tol,
-                            herm_tol=herm_tol)
+    return is_deterministic(r, spec, reg, tol=tol, psd_tol=psd_tol, herm_tol=herm_tol)
 
 
 def _fresh_memory_labels(n: int, taken: set) -> list[str]:
@@ -82,7 +84,7 @@ def _fresh_memory_labels(n: int, taken: set) -> list[str]:
 
 
 def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
-                      tol: float = 1e-8, rank_tol: float = 1e-9, psd_tol: float = TOL_PSD,
+                      tol: float = 1e-8, psd_tol: float = TOL_PSD,
                       herm_tol: float = TOL_HERM):
     """Peel a network operator into a causally ordered chain of blocks.
 
@@ -115,14 +117,14 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
         out_labels = [lab for lab, _ in out_mem]
         traced = slot_labels + out_labels
 
-        coeff_i = identity_coeff(x_i, new_reg, Hierarchy.BISTOCH)
+        coeff_i = identity_coeff(x_i, new_reg)
         dim_i = math.prod(d for _, d in slot_systems)
         marginal = partial_trace(current, traced)
         s_data = marginal.data / (float(coeff_i) * dim_i)
 
         vals, vecs = np.linalg.eigh((s_data + s_data.conj().T) / 2)
         top = float(vals[-1])
-        threshold = rank_tol * max(top, 1.0)
+        threshold = RANK_TOL * max(top, 1.0)
         unstable = (vals > threshold / 10) & (vals < threshold * 10)
         if np.any(unstable):
             raise RankInstability(
@@ -223,11 +225,12 @@ def check_bsp(r: LabeledOperator, dims, dP: int, dF: int,
     """Check a process-matrix-style operator (no global causal order assumed).
 
     Factor convention matches :func:`check_bislot`.  With the STANDARD
-    hierarchy the slots are checked as one-way channels instead.
+    hierarchy the type is dehatted, so the slots are checked as one-way
+    channels instead.
     """
     p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
     slot_part = tensor_all(pairs)
     proc_type = Arrow(slot_part, Arrow(SystemString((p_lab,)), SystemString((f_lab,))))
     if hierarchy is Hierarchy.STANDARD:
         proc_type = dehat(proc_type)
-    return is_deterministic(r, proc_type, reg, hierarchy, tol=tol)
+    return is_deterministic(r, proc_type, reg, tol=tol)

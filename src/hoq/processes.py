@@ -341,8 +341,7 @@ def functional_compose(p: float, rho: LabeledOperator,
     return LabeledOperator((rho.factors[0], sigma.factors[0]), p * fwd + (1 - p) * bwd)
 
 
-def functional_decompose(r: LabeledOperator, d: int | None = None,
-                         tol: float = 1e-9) -> FunctionalDecomposition:
+def functional_decompose(r: LabeledOperator, tol: float = 1e-9) -> FunctionalDecomposition:
     """Split a deterministic functional into direction choice plus states.
 
     Extracts the two local traceless parts, takes the smallest eigenvalue of
@@ -352,8 +351,6 @@ def functional_decompose(r: LabeledOperator, d: int | None = None,
     """
     if len(r.factors) != 2 or r.factors[0][1] != r.factors[1][1]:
         raise NotAFunctional("expected two factors of equal dimension")
-    if d is not None and r.factors[0][1] != d:
-        raise NotAFunctional(f"factor dimension {r.factors[0][1]} != declared {d}")
     d = r.factors[0][1]
     lab_a, lab_b = r.labels
 

@@ -22,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FactorMismatch, HatInStandardHierarchy
+from .errors import FactorMismatch
 from .linalg import TOL_HERM, LabeledOperator, _require_hermitian, align_factors, permute_systems
 from .typesys import (
-    Arrow,
     BistochElem,
     SystemRegistry,
     SystemString,
@@ -39,10 +38,10 @@ TRL = "T"
 
 
 class Hierarchy(Enum):
-    """Which ground level the recursion starts from.
+    """Which hierarchy :func:`hoq.network.check_bsp` reads its type in.
 
     BISTOCH admits bidirectional pairs as elementary types; STANDARD is the
-    ordinary hierarchy of hat-free types used as the classification baseline.
+    ordinary hierarchy of hat-free types, which means "dehat first".
     """
 
     BISTOCH = "bistoch"
@@ -198,64 +197,51 @@ def _complement_in(sub: SectorSet, whole: SectorSet) -> SectorSet:
 # The recursion
 # ---------------------------------------------------------------------------
 
-def identity_coeff(t: TypeExpr, reg: SystemRegistry,
-                   hierarchy: Hierarchy = Hierarchy.BISTOCH) -> Fraction:
+def identity_coeff(t: TypeExpr, reg: SystemRegistry) -> Fraction:
     """Exact identity coefficient of deterministic events of type ``t``."""
-    return _coeff_cached(t, reg, hierarchy)
+    return _coeff_cached(t, reg)
 
 
 @lru_cache(maxsize=4096)
-def _coeff_cached(t: TypeExpr, reg: SystemRegistry, hierarchy: Hierarchy) -> Fraction:
+def _coeff_cached(t: TypeExpr, reg: SystemRegistry) -> Fraction:
     if isinstance(t, SystemString):
         return Fraction(1, type_dim(t, reg))
     if isinstance(t, BistochElem):
-        if hierarchy is Hierarchy.STANDARD:
-            raise HatInStandardHierarchy(
-                "hatted elementary type in the standard hierarchy; dehat first")
         d_out_tail = math.prod(reg.dim(lab) for lab in t.out_tail)
         return Fraction(1, reg.dim(t.hat_out) * d_out_tail)
-    return arrow_coeff(_coeff_cached(t.lhs, reg, hierarchy), type_dim(t.lhs, reg),
-                       _coeff_cached(t.rhs, reg, hierarchy))
+    return arrow_coeff(_coeff_cached(t.lhs, reg), type_dim(t.lhs, reg),
+                       _coeff_cached(t.rhs, reg))
 
 
-def deviation_sectors(t: TypeExpr, reg: SystemRegistry,
-                      hierarchy: Hierarchy = Hierarchy.BISTOCH) -> SectorSet:
+def deviation_sectors(t: TypeExpr, reg: SystemRegistry) -> SectorSet:
     """The traceless subspace of allowed deviations for type ``t``.
 
     The result never contains the all-identity pattern; membership checks
     treat the identity component separately through the coefficient.
     """
-    return _deviation_cached(t, reg, hierarchy)
+    return _deviation_cached(t, reg)
 
 
 @lru_cache(maxsize=4096)
-def _deviation_cached(t: TypeExpr, reg: SystemRegistry, hierarchy: Hierarchy) -> SectorSet:
+def _deviation_cached(t: TypeExpr, reg: SystemRegistry) -> SectorSet:
     if isinstance(t, SystemString):
         return traceless_space(systems_of(t, reg))
     if isinstance(t, BistochElem):
-        if hierarchy is Hierarchy.STANDARD:
-            raise HatInStandardHierarchy(
-                "hatted elementary type in the standard hierarchy; dehat first")
-        head = [(t.hat_in, reg.dim(t.hat_in))] \
-            + [(lab, reg.dim(lab)) for lab in t.in_tail] \
-            + [(t.hat_out, reg.dim(t.hat_out))]
-        tail = [(lab, reg.dim(lab)) for lab in t.out_tail]
-        free_head = full_space(head)
-        # any head pattern with a traceless output tail, plus the purely
-        # bidirectional sector: traceless on both hatted systems, identity
-        # on the output tail
-        fam1 = sector_product(free_head, traceless_space(tail))
-        n_tail_in = len(t.in_tail)
-        hat_out_bit = 1 << (n_tail_in + 1)
-        pinned = SectorSet(
-            tuple(head),
-            {1 | (mid << 1) | hat_out_bit for mid in range(1 << n_tail_in)})
-        fam2 = sector_product(pinned, identity_span(tail))
+        hat_in = [(t.hat_in, reg.dim(t.hat_in))]
+        in_tail = [(lab, reg.dim(lab)) for lab in t.in_tail]
+        hat_out = [(t.hat_out, reg.dim(t.hat_out))]
+        out_tail = [(lab, reg.dim(lab)) for lab in t.out_tail]
+        # any pattern on the hatted systems and the input tail with a traceless
+        # output tail, plus the purely bidirectional sector: traceless on both
+        # hatted systems, identity on the output tail
+        fam1 = sector_product(full_space(hat_in + in_tail + hat_out), traceless_space(out_tail))
+        fam2 = sector_product(traceless_space(hat_in), full_space(in_tail),
+                              traceless_space(hat_out), identity_span(out_tail))
         out = sector_union(fam1, fam2)
         assert 0 not in out.masks
         return out
-    dev_x = _deviation_cached(t.lhs, reg, hierarchy)
-    dev_y = _deviation_cached(t.rhs, reg, hierarchy)
+    dev_x = _deviation_cached(t.lhs, reg)
+    dev_y = _deviation_cached(t.rhs, reg)
     return arrow_sectors(dev_x, dev_y)
 
 
@@ -274,27 +260,24 @@ def arrow_coeff(coeff_x: Fraction, dim_x: int, coeff_y: Fraction) -> Fraction:
     return coeff_y / (dim_x * coeff_x)
 
 
-def dual_deviation_direct(t: TypeExpr, reg: SystemRegistry,
-                          hierarchy: Hierarchy = Hierarchy.BISTOCH) -> SectorSet:
+def dual_deviation_direct(t: TypeExpr, reg: SystemRegistry) -> SectorSet:
     """Deviation subspace of the functional type, by the direct formula.
 
     Must agree with running the arrow recursion on ``dual(t)``; used as a
     cross-check of the recursion.
     """
-    dev = deviation_sectors(t, reg, hierarchy)
+    dev = deviation_sectors(t, reg)
     return _complement_in(dev, traceless_space(dev.systems))
 
 
-def dual_coeff_direct(t: TypeExpr, reg: SystemRegistry,
-                      hierarchy: Hierarchy = Hierarchy.BISTOCH) -> Fraction:
-    return 1 / (identity_coeff(t, reg, hierarchy) * type_dim(t, reg))
+def dual_coeff_direct(t: TypeExpr, reg: SystemRegistry) -> Fraction:
+    return 1 / (identity_coeff(t, reg) * type_dim(t, reg))
 
 
-def tensor_deviation_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry,
-                            hierarchy: Hierarchy = Hierarchy.BISTOCH) -> SectorSet:
+def tensor_deviation_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry) -> SectorSet:
     """Deviation subspace of a parallel composition, by the direct formula."""
-    da = deviation_sectors(a, reg, hierarchy)
-    db = deviation_sectors(b, reg, hierarchy)
+    da = deviation_sectors(a, reg)
+    db = deviation_sectors(b, reg)
     ia = identity_span(da.systems)
     ib = identity_span(db.systems)
     return sector_union(sector_product(da, ib),
@@ -302,9 +285,8 @@ def tensor_deviation_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry,
                         sector_product(ia, db))
 
 
-def tensor_coeff_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry,
-                        hierarchy: Hierarchy = Hierarchy.BISTOCH) -> Fraction:
-    return identity_coeff(a, reg, hierarchy) * identity_coeff(b, reg, hierarchy)
+def tensor_coeff_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry) -> Fraction:
+    return identity_coeff(a, reg) * identity_coeff(b, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +294,7 @@ def tensor_coeff_direct(a: TypeExpr, b: TypeExpr, reg: SystemRegistry,
 # ---------------------------------------------------------------------------
 
 def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
-                             reg: SystemRegistry,
-                             hierarchy: Hierarchy = Hierarchy.BISTOCH,
-                             ) -> tuple[Fraction, SectorSet]:
+                             reg: SystemRegistry) -> tuple[Fraction, SectorSet]:
     """Coefficient and sector set of causally ordered networks.
 
     ``slot_types`` are the per-slot types; ``e0`` and ``en`` the global input
@@ -325,11 +305,11 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
         raise ValueError("a network needs at least one slot")
     mem0 = systems_of(SystemString((e0,)), reg)
     memn = systems_of(SystemString((en,)), reg)
-    slot_devs = [deviation_sectors(x, reg, hierarchy) for x in slot_types]
+    slot_devs = [deviation_sectors(x, reg) for x in slot_types]
 
     coeff = Fraction(1, reg.dim(en))
     for x in slot_types:
-        coeff *= identity_coeff(x, reg, hierarchy)
+        coeff *= identity_coeff(x, reg)
 
     free0 = full_space(mem0)
     families = [sector_product(free0,
@@ -351,11 +331,11 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
 # Numerical sector projections
 # ---------------------------------------------------------------------------
 
-def _check_hermitian(op: LabeledOperator, tol_herm: float) -> None:
-    """Raise NotHermitian beyond ``tol_herm`` and NonFiniteOperator on NaN or
+def _check_hermitian(op: LabeledOperator, herm_tol: float) -> None:
+    """Raise NotHermitian beyond ``herm_tol`` and NonFiniteOperator on NaN or
     infinite entries; ``np.inf`` skips the measurement."""
-    if tol_herm != np.inf:
-        _require_hermitian(op, tol_herm)
+    if herm_tol != np.inf:
+        _require_hermitian(op, herm_tol)
 
 
 def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:
@@ -443,30 +423,30 @@ def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     return np.zeros_like(data) if out is None else out
 
 
-def _projected(op: LabeledOperator, systems, masks, tol_herm: float) -> LabeledOperator:
+def _projected(op: LabeledOperator, systems, masks, herm_tol: float) -> LabeledOperator:
     """Projection of ``op`` onto ``masks`` over ``systems``, in ``op``'s factor order."""
     aligned, _ = align_factors(op, systems)
-    _check_hermitian(aligned, tol_herm)
+    _check_hermitian(aligned, herm_tol)
     out = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, masks))
     return permute_systems(out, op.labels)
 
 
 def sector_component(op: LabeledOperator, pattern: Pattern,
-                     tol_herm: float = TOL_HERM) -> LabeledOperator:
+                     herm_tol: float = TOL_HERM) -> LabeledOperator:
     """Orthogonal component of a Hermitian operator on one sector pattern."""
     if len(pattern.marks) != len(op.factors):
         raise FactorMismatch("pattern length does not match operator factors")
-    return _projected(op, op.factors, {_mask_of(pattern.marks)}, tol_herm)
+    return _projected(op, op.factors, {_mask_of(pattern.marks)}, herm_tol)
 
 
 def sector_project(op: LabeledOperator, s: SectorSet,
-                   tol_herm: float = TOL_HERM) -> LabeledOperator:
+                   herm_tol: float = TOL_HERM) -> LabeledOperator:
     """Orthogonal projection of a Hermitian operator onto a sector set."""
-    return _projected(op, s.systems, s.masks, tol_herm)
+    return _projected(op, s.systems, s.masks, herm_tol)
 
 
 def outside_component(op: LabeledOperator, s: SectorSet,
-                      tol_herm: float = TOL_HERM) -> LabeledOperator:
+                      herm_tol: float = TOL_HERM) -> LabeledOperator:
     """Component of a Hermitian operator outside the sectors and the identity.
 
     Equals ``op`` minus its all-identity component minus its projection onto
@@ -474,17 +454,17 @@ def outside_component(op: LabeledOperator, s: SectorSet,
     smaller.
     """
     forbidden = frozenset(range(1 << len(s.systems))) - s.masks - {0}
-    return _projected(op, s.systems, forbidden, tol_herm)
+    return _projected(op, s.systems, forbidden, herm_tol)
 
 
-def pattern_norms(op: LabeledOperator, tol_herm: float = TOL_HERM) -> dict[Pattern, float]:
+def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Pattern, float]:
     """Squared Frobenius norm of every sector component of ``op``.
 
     Computed from partial-trace norms over all factor subsets and inclusion-
     exclusion, avoiding the explicit construction of each component.  The
     values sum to ``||op||_F^2`` (Parseval).
     """
-    _check_hermitian(op, tol_herm)
+    _check_hermitian(op, herm_tol)
     dims = op.dims
     k = len(dims)
     full = (1 << k) - 1

@@ -97,7 +97,8 @@ def bundle_to_dict(blocks, spec: NetworkSpec) -> dict:
     return {"blocks": [operator_to_dict(b) for b in blocks], "spec": _spec_to_dict(spec)}
 
 
-def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[int] = None):
+def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[int] = None,
+                     limit: int = DEFAULT_RECURSION_LIMIT):
     try:
         blocks = [operator_from_dict(b, max_dim=max_dim) for b in payload["blocks"]]
         spec_part = payload["spec"]
@@ -117,7 +118,7 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[in
         else:
             raise ShapeMismatch(f"memory {mem!r} not registered and absent from blocks")
     full_reg = reg.with_entries(**extra) if extra else reg
-    return blocks, spec_from_dict(spec_part, full_reg), full_reg
+    return blocks, spec_from_dict(spec_part, full_reg, limit=limit), full_reg
 
 
 def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
@@ -129,23 +130,27 @@ def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
         fh.write('], "spec": ' + json.dumps(_spec_to_dict(spec)) + "}\n")
 
 
-def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None):
+def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None,
+                limit: int = DEFAULT_RECURSION_LIMIT):
     with _open(path, "r") as fh:
-        return bundle_from_dict(json.load(fh), reg, max_dim=max_dim)
+        return bundle_from_dict(json.load(fh), reg, max_dim=max_dim, limit=limit)
 
 
-def spec_from_dict(payload: dict, reg: SystemRegistry) -> NetworkSpec:
+def spec_from_dict(payload: dict, reg: SystemRegistry, *,
+                   limit: int = DEFAULT_RECURSION_LIMIT) -> NetworkSpec:
+    """Network spec of a parsed payload; slot types nest at most ``limit`` deep."""
     try:
         memories = tuple(str(m) for m in payload["memories"])
-        slot_types = tuple(parse_type(s, reg) for s in payload["slot_types"])
+        slot_types = tuple(parse_type(s, reg, limit=limit) for s in payload["slot_types"])
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed network spec: {exc}") from None
     return NetworkSpec(slot_types, memories)
 
 
-def read_spec(path: str, reg: SystemRegistry) -> NetworkSpec:
+def read_spec(path: str, reg: SystemRegistry, *,
+              limit: int = DEFAULT_RECURSION_LIMIT) -> NetworkSpec:
     with _open(path, "r") as fh:
-        return spec_from_dict(json.load(fh), reg)
+        return spec_from_dict(json.load(fh), reg, limit=limit)
 
 
 # ---------------------------------------------------------------------------

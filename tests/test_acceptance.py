@@ -11,7 +11,6 @@ import pytest
 
 from hoq import (
     BistochElem,
-    Hierarchy,
     LabeledOperator,
     NetworkSpec,
     SystemRegistry,
@@ -154,7 +153,7 @@ def test_criterion_02_direction_flip_reproduction():
     assert bi.passed
 
     from hoq.typesys import dehat
-    std = is_deterministic(flip, dehat(t), reg, Hierarchy.STANDARD, tol=1e-9)
+    std = is_deterministic(flip, dehat(t), reg, tol=1e-9)
     assert not std.passed
     allowed = {"A:I B:T P:I F:I", "A:I B:T P:T F:I"}
     inside_sq = sum(norm ** 2 for pat, norm in std.forbidden_components

@@ -12,6 +12,7 @@ from hoq.linalg import permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
     Config,
+    bundle_from_dict,
     bundle_to_dict,
     operator_from_dict,
     operator_to_dict,
@@ -23,9 +24,8 @@ from hoq.serialize import (
     write_bundle,
     write_operator,
 )
-from hoq.sectors import Hierarchy
-from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type
-from hoq.errors import ConfigError, ShapeMismatch, SizeLimit
+from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type, print_type
+from hoq.errors import ConfigError, RecursionLimit, ShapeMismatch, SizeLimit
 
 from helpers import NON_FINITE, non_finite_operator
 
@@ -182,10 +182,17 @@ class TestSerialization:
     ], ids=["no-slot-types", "not-a-list", "not-a-string"])
     def test_malformed_bundle_spec(self, spec):
         # a bundle's spec is parsed as a network spec file is
-        from hoq.serialize import bundle_from_dict
-
         with pytest.raises(ShapeMismatch, match="malformed network spec"):
             bundle_from_dict({"blocks": [], "spec": spec}, SystemRegistry.of(A=2, B=2))
+
+    def test_bundle_takes_the_recursion_limit(self):
+        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+        payload = bundle_to_dict([op], spec)
+        reg = SystemRegistry.of(A=2, B=2)
+        assert bundle_from_dict(payload, reg)[1] == spec
+        with pytest.raises(RecursionLimit, match="exceeds limit 0"):
+            bundle_from_dict(payload, reg, limit=0)
 
     def test_max_dim_on_read(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
@@ -323,6 +330,55 @@ class TestCheckCommand:
         payload = json.loads(res.output)
         pats = [p for p, _ in payload["forbidden_components"]]
         assert pats and all("A:I" in p and "B:T" in p and "F:I" in p for p in pats)
+
+    @pytest.mark.parametrize("recursion, depth, check_code", [(256, 65, 1), (0, 64, 2)])
+    def test_spec_files_follow_limits_recursion(self, runner, tmp_path, recursion, depth,
+                                                check_code):
+        # one slot, A nested ``depth`` deep; the state is not PSD, so every
+        # command that gets past parsing fails on the operator instead
+        op = LabeledOperator((("A", 2),), np.diag([1.5, -0.5]))
+        spec = {"slot_types": ["(" * depth + "A" + " -> I)" * depth], "memories": ["I", "I"]}
+        files = {name: tmp_path / name for name in ("spec.json", "bundle.json", "op.json",
+                                                    "out.json", "hoq.cfg")}
+        files["spec.json"].write_text(json.dumps(spec))
+        files["bundle.json"].write_text(json.dumps({"blocks": [operator_to_dict(op)],
+                                                    "spec": spec}))
+        write_operator(op, str(files["op.json"]))
+        files["hoq.cfg"].write_text(f"registry.A = 2\nlimits.recursion = {recursion}\n")
+        paths = {name: str(path) for name, path in files.items()}
+        too_deep = recursion < depth
+        for args, code in [
+                (["check", "--network-spec", paths["spec.json"], "-f", paths["op.json"]],
+                 check_code),
+                (["decompose", "--spec", paths["spec.json"], "-f", paths["op.json"],
+                  "-o", paths["out.json"]], 2),
+                (["compose", paths["bundle.json"], "-o", paths["out.json"]], 2)]:
+            res = runner.invoke(main, args + ["--config", paths["hoq.cfg"]])
+            assert res.exit_code == code, res.output
+            assert ("exceeds limit" in res.output) == too_deep, res.output
+
+    @pytest.mark.parametrize("args", [["delta"], ["check"], ["check", "--json"],
+                                      ["check", "--admissible"]])
+    @pytest.mark.parametrize("type_text", [FLIP_TYPE, "((^A -> ^B) -> I)"])
+    def test_standard_hierarchy_is_the_dehatted_type(self, runner, tmp_path, args,
+                                                     type_text):
+        from hoq.processes import time_flip_merged
+
+        reg = SystemRegistry.of(A=2, B=2, P=4, F=4)
+        t = parse_type(type_text, reg)
+        # the flip fails the ordinary hierarchy; a sampled ordinary event passes
+        op = time_flip_merged(2) if type_text == FLIP_TYPE else \
+            sample_deterministic(dehat(t), reg, seed=1)
+        write_operator(op, str(tmp_path / "op.json"))
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("limits.max_iter = 50\n")
+        tail = ["--registry", REG_FLIP, "--config", str(cfg)]
+        if args[0] == "check":
+            tail += ["-f", str(tmp_path / "op.json")]
+        std = runner.invoke(main, args + [type_text, "--hierarchy", "standard"] + tail)
+        flat = runner.invoke(main, args + [print_type(dehat(t))] + tail)
+        assert std.exit_code == flat.exit_code and std.exit_code != 2, std.output
+        assert std.output == flat.output
 
     def test_empty_file_exit_2(self, runner, tmp_path):
         bad = tmp_path / "empty.json"
@@ -501,8 +557,7 @@ class TestCheckCommand:
         spec = NetworkSpec((dual(BistochElem("A1", (), "B1", ())),), ("P", "F"))
         std = NetworkSpec(tuple(dehat(x) for x in spec.slot_types), spec.memories)
         opf = tmp_path / "net.json"
-        write_operator(sample_deterministic(std, reg, Hierarchy.STANDARD, eps=0.4, seed=2),
-                       str(opf))
+        write_operator(sample_deterministic(std, reg, eps=0.4, seed=2), str(opf))
         specf = tmp_path / "spec.json"
         specf.write_text(json.dumps(
             {"slot_types": ["((^A1 -> ^B1) -> I)"], "memories": ["P", "F"]}))

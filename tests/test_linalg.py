@@ -175,7 +175,7 @@ class TestLinkProduct:
             pa = op(a.factors, a.data @ a.data.conj().T)
             pb = op(b.factors, b.data @ b.data.conj().T)
             lk = link_product(pa, pb)
-            assert is_psd(lk, tol=1e-9)
+            assert is_psd(lk, psd_tol=1e-9)
 
 
 class TestChoi:
@@ -223,8 +223,8 @@ class TestSpectral:
 
     def test_tolerance_semantics(self):
         a = op([("A", 2)], np.diag([1, -1e-12]))
-        assert is_psd(a, tol=1e-9)
-        assert not is_psd(a, tol=1e-15)
+        assert is_psd(a, psd_tol=1e-9)
+        assert not is_psd(a, psd_tol=1e-15)
 
     def test_sqrt_reconstructs(self, rng):
         # odd rounds are real, and take a real eigenbasis

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hoq import (
-    Hierarchy,
     LabeledOperator,
     Pattern,
     SystemRegistry,
@@ -113,7 +112,7 @@ def test_tolerances_must_be_finite_and_non_negative(func, op, type_text, keyword
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
 def test_is_psd_tolerance_validated(bad):
     with pytest.raises(ValueError, match="psd_tol must be finite and >= 0"):
-        is_psd(_NOT_PSD, tol=bad)
+        is_psd(_NOT_PSD, psd_tol=bad)
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])

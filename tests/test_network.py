@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hoq import (
+    Arrow,
     BistochElem,
+    Hierarchy,
     LabeledOperator,
     NetworkSpec,
     SystemRegistry,
@@ -15,9 +17,11 @@ from hoq import (
     check_network,
     compose_network,
     decompose_network,
+    dehat,
     dual,
     is_deterministic,
     sample_deterministic,
+    tensor_all,
 )
 from hoq.errors import BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork
 from hoq.linalg import link_all, permute_systems, relabel
@@ -241,11 +245,23 @@ class TestFamilies:
         r = merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
         r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
         assert check_bsp(r, [(2, 2), (2, 2)], 4, 4).passed
-        from hoq.sectors import Hierarchy
         assert not check_bsp(r, [(2, 2), (2, 2)], 4, 4,
                              hierarchy=Hierarchy.STANDARD).passed
         # order-indefinite: it is not a causally ordered two-slot comb
         assert not check_bislot(r, [(2, 2), (2, 2)], 4, 4).passed
+
+    @pytest.mark.parametrize("process", ["switch", "sampled"])
+    def test_standard_bsp_is_the_dehatted_type(self, process):
+        # the STANDARD hierarchy of check_bsp means "dehat first"
+        reg = SystemRegistry.of(P=4, A1=2, B1=2, A2=2, B2=2, F=4)
+        bsp_type = Arrow(tensor_all([pair(1), pair(2)]),
+                         Arrow(SystemString(("P",)), SystemString(("F",))))
+        r = (merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+             if process == "switch" else sample_deterministic(dehat(bsp_type), reg, seed=4))
+        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        std = check_bsp(r, [(2, 2), (2, 2)], 4, 4, hierarchy=Hierarchy.STANDARD)
+        assert vars(std) == vars(is_deterministic(r, dehat(bsp_type), reg))
+        assert std.passed == (process == "sampled")
 
     def test_real_process_is_checked_in_real_arithmetic(self):
         # the switch is stored complex with a zero imaginary part, and its

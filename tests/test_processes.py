@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hoq import (
-    Hierarchy,
     LabeledOperator,
     SystemRegistry,
     classify,

@@ -9,7 +9,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from hoq import (
-    Hierarchy,
     LabeledOperator,
     NetworkSpec,
     Pattern,
@@ -117,7 +116,7 @@ def hatted_type(draw, reg_dims=(2, 3), max_systems=10):
 def test_dehat_keeps_factor_order_and_coefficient(case):
     t, reg = case
     assert systems_of(dehat(t), reg) == systems_of(t, reg)
-    assert identity_coeff(dehat(t), reg, Hierarchy.STANDARD) == identity_coeff(t, reg)
+    assert identity_coeff(dehat(t), reg) == identity_coeff(t, reg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +127,7 @@ def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
     op = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
     if add_forbidden:
         # weight on a pattern the ordinary hierarchy forbids
-        std_masks = deviation_sectors(dehat(t), reg, Hierarchy.STANDARD).masks
+        std_masks = deviation_sectors(dehat(t), reg).masks
         k = len(op.factors)
         outside = [m for m in range(1, 1 << k) if m not in std_masks]
         assume(outside)
@@ -143,7 +142,7 @@ def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
     res = classify(op, t, reg)
     assert vars(res.bistoch_report) == vars(is_deterministic(op, t, reg))
     assert vars(res.standard_report) == vars(
-        is_deterministic(op, dehat(t), reg, Hierarchy.STANDARD))
+        is_deterministic(op, dehat(t), reg))
 
 
 @st.composite
@@ -259,5 +258,5 @@ def test_network_characterization_lives_on_the_system_order(case):
     # dehatting a spec keeps its factor order and its coefficient
     flat = dehat(spec)
     assert flat.memories == spec.memories and not any(map(has_hats, flat.slot_types))
-    std_coeff, std_sectors = characterization_of(flat, reg, Hierarchy.STANDARD)
+    std_coeff, std_sectors = characterization_of(flat, reg)
     assert std_coeff == coeff and std_sectors.systems == sectors.systems

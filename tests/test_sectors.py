@@ -5,7 +5,6 @@ import pytest
 
 from hoq import (
     BistochElem,
-    Hierarchy,
     LabeledOperator,
     Pattern,
     SystemRegistry,
@@ -22,7 +21,7 @@ from hoq import (
     tensor,
     tensor_deviation_direct,
 )
-from hoq.errors import FactorMismatch, HatInStandardHierarchy, NonFiniteOperator
+from hoq.errors import FactorMismatch, NonFiniteOperator
 from hoq.sectors import (
     SectorSet,
     arrow_coeff,
@@ -60,11 +59,7 @@ class TestCoeff:
 
     def test_standard_base(self):
         t = parse_type("(A -> B)", REG)
-        assert identity_coeff(t, REG, Hierarchy.STANDARD) == Fraction(1, 2)
-
-    def test_hat_in_standard_raises(self):
-        with pytest.raises(HatInStandardHierarchy):
-            identity_coeff(PAIR, REG, Hierarchy.STANDARD)
+        assert identity_coeff(t, REG) == Fraction(1, 2)
 
     def test_double_dual_preserves_coeff(self):
         rng = np.random.default_rng(1)
@@ -118,22 +113,10 @@ class TestDeviation:
             assert not any(p.all_identity for p in dev.patterns)
             assert identity_coeff(t, reg) > 0
 
-    def test_hatfree_hierarchies_coincide(self):
-        rng = np.random.default_rng(3)
-        count = 0
-        for _ in range(60):
-            t, reg = random_type(rng, (2, 3))
-            t = dehat(t)
-            a = deviation_sectors(t, reg, Hierarchy.BISTOCH)
-            b = deviation_sectors(t, reg, Hierarchy.STANDARD)
-            assert a.same_subspace(b)
-            count += 1
-        assert count == 60
-
     def test_bistoch_strictly_wider_for_negative_hats(self):
         # a hatted pair to the left of an arrow enlarges the allowed sectors
-        dev_b = deviation_sectors(FLIP_TYPE, REG, Hierarchy.BISTOCH)
-        dev_s = deviation_sectors(dehat(FLIP_TYPE), REG, Hierarchy.STANDARD)
+        dev_b = deviation_sectors(FLIP_TYPE, REG)
+        dev_s = deviation_sectors(dehat(FLIP_TYPE), REG)
         assert dev_s.patterns < dev_b.patterns
         gap = dev_b.patterns - dev_s.patterns
         assert {tuple(zip(dev_b.labels, p.marks)) for p in gap} == {
