@@ -29,7 +29,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     permute_systems,
-    psd_sqrt_pinv,
     tensor_op,
 )
 from .sectors import (

@@ -395,22 +395,3 @@ def eigh(a: LabeledOperator, herm_tol: float = TOL_HERM):
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
     return _psd_status(_require_hermitian(a, herm_tol), psd_tol)[1]
-
-
-def psd_sqrt_pinv(a: LabeledOperator, tol: float = TOL_PSD,
-                  herm_tol: float = TOL_HERM):
-    """Square root, pseudo-inverse square root and support projector.
-
-    Eigenvalues below ``tol * max(largest eigenvalue, 1)`` are treated as
-    zero and excluded from the support.
-    """
-    vals, vecs = eigh(a, herm_tol)
-    cutoff = tol * max(float(vals[-1]) if len(vals) else 0.0, 1.0)
-    keep = vals > cutoff
-    vp = vecs[:, keep]
-    sq = (vp * np.sqrt(vals[keep])) @ vp.conj().T
-    pinv = (vp / np.sqrt(vals[keep])) @ vp.conj().T
-    supp = vp @ vp.conj().T
-    return (LabeledOperator(a.factors, sq),
-            LabeledOperator(a.factors, pinv),
-            LabeledOperator(a.factors, supp))

@@ -3,18 +3,28 @@
 Operator schema: ``{"factors": [["A", 2], ...], "matrix": [[[re, im], ...]]}``
 with the matrix row-major and the first factor most significant.  Files whose
 name ends in ``.gz`` are gzip containers of the same JSON.
+
+Files are streamed one matrix row at a time both ways.  A write encodes each
+row with json's C encoder.  A read steps through the document's objects and
+arrays and decodes each ``"matrix"`` row with json's own scanner into a float64
+array, preallocated when ``"factors"`` comes first, as hoq writes it; so the
+Python objects of at most one row are alive at once.  Each row is checked as it
+arrives: a malformed row raises :class:`ShapeMismatch` and a NaN or infinite
+entry :class:`NonFiniteOperator`.
 """
 from __future__ import annotations
 
 import gzip
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
+from json.decoder import WHITESPACE, scanstring
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, SizeLimit
+from .errors import ConfigError, HoqError, NonFiniteOperator, ShapeMismatch, SizeLimit
 from .linalg import DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
 from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
                       parse_type, print_type)
@@ -45,30 +55,188 @@ def _operator_chunks(op: LabeledOperator):
     yield "]}"
 
 
-def operator_from_dict(payload: dict, *, max_dim: Optional[int] = None) -> LabeledOperator:
-    """Operator of a parsed payload; :class:`ShapeMismatch` when it is malformed.
-
-    With ``max_dim``, a declared dimension above it raises :class:`SizeLimit`
-    before the matrix is converted.
-    """
+def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
+    """Factors of a payload's ``factors`` list; :class:`SizeLimit` above ``max_dim``."""
     try:
-        factors = tuple(factor_entry(lab, d) for lab, d in payload["factors"])
-        rows = payload["matrix"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        factors = tuple(factor_entry(lab, d) for lab, d in entries)
+    except (TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed operator payload: {exc}") from None
     dim = math.prod(d for _, d in factors)
     if max_dim is not None and dim > max_dim:
         raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {max_dim}")
+    return factors
+
+
+def _pair_row(row, i: int) -> np.ndarray:
+    """Row ``i`` of a matrix as a float64 array of ``[re, im]`` pairs."""
     try:
-        pairs = np.array(rows)
+        pairs = np.array(row)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+        raise ShapeMismatch(f"malformed operator payload: row {i}: {exc}") from None
     # integers beyond float range, strings and nulls leave a non-numeric dtype
-    if pairs.ndim != 3 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "iuf":
+    if pairs.ndim != 2 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "iuf":
         raise ShapeMismatch("malformed operator payload: the matrix must be rows of "
-                            f"[re, im] number pairs, got shape {pairs.shape} of {pairs.dtype}")
-    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
-    return LabeledOperator(factors, pairs.view(np.complex128)[..., 0])
+                            f"[re, im] number pairs, got row {i} of shape {pairs.shape} "
+                            f"of {pairs.dtype}")
+    pairs = pairs.astype(np.float64, copy=False)
+    if not np.isfinite(pairs).all():
+        raise NonFiniteOperator(f"operator matrix has a non-finite entry in row {i}")
+    return pairs
+
+
+def _matrix(rows, factors, max_dim: Optional[int], room: int = 0) -> np.ndarray:
+    """Complex matrix of an iterable of rows, each converted and checked as it comes.
+
+    ``factors`` is None when the matrix comes before them; more than
+    ``max_dim`` rows then raise :class:`SizeLimit`.  The matrix is filled in
+    place when the factors are known and ``room`` says the source can still
+    hold that many entries, so a header that claims more than its file holds
+    reserves no memory.
+    """
+    n = None if factors is None else math.prod(d for _, d in factors)
+    # a negative n comes from a negative factor dimension, which no matrix fits
+    out = np.empty((n, n, 2)) if n is not None and 0 <= n and n * n <= room else None
+    kept = []
+    count = 0
+    for count, row in enumerate(rows, start=1):
+        if n is None and max_dim is not None and count > max_dim:
+            raise SizeLimit(f"operator matrix rows exceed limits.max_dim = {max_dim}")
+        pairs = _pair_row(row, count - 1)
+        if n is not None and (count > n or len(pairs) != n):
+            raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(pairs)} "
+                                f"entries for factor dimensions of product {n}")
+        if out is None:
+            kept.append(pairs)
+        else:
+            out[count - 1] = pairs
+    if n is not None and count != n:
+        raise ShapeMismatch(f"malformed operator payload: {count} rows for factor "
+                            f"dimensions of product {n}")
+    if out is None:
+        try:
+            out = np.array(kept) if kept else np.empty((0, 0, 2))
+        except ValueError as exc:
+            raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+    return out.view(np.complex128)[..., 0]
+
+
+_NOT_ROWS = "malformed operator payload: the matrix must be a list of rows"
+
+
+def operator_from_dict(payload: dict, *, max_dim: Optional[int] = None) -> LabeledOperator:
+    """Operator of a parsed payload; :class:`ShapeMismatch` when it is malformed.
+
+    With ``max_dim``, a declared dimension above it raises :class:`SizeLimit`
+    before the matrix is converted.  A NaN or infinite entry raises
+    :class:`NonFiniteOperator`.
+    """
+    try:
+        entries, rows = payload["factors"], payload["matrix"]
+    except (KeyError, TypeError) as exc:
+        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+    factors = _factors(entries, max_dim)
+    if not isinstance(rows, list):
+        raise ShapeMismatch(_NOT_ROWS)
+    return LabeledOperator(factors, _matrix(rows, factors, max_dim))
+
+
+_DECODER = json.JSONDecoder()
+
+
+class _Cursor:
+    """A position in JSON text that steps through objects and arrays.
+
+    Every value it does not step into, and every key, goes through json's own
+    scanner, so the grammar and the errors are json's.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at the end."""
+        self.pos = WHITESPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
+
+    def value(self):
+        self.peek()
+        value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+        return value
+
+    def _more(self, close: str) -> bool:
+        """Step over a ``,`` (True) or the closing bracket (False)."""
+        char = self.peek()
+        if char not in (",", close):
+            raise json.JSONDecodeError("Expecting ',' delimiter", self.text, self.pos)
+        self.pos += 1
+        return char == ","
+
+    def elements(self):
+        """Step into the array whose ``[`` comes next; the caller reads one element per step."""
+        self.peek()
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        yield
+        while self._more("]"):
+            yield
+
+    def keys(self):
+        """Step into the object whose ``{`` comes next; the caller reads each key's value."""
+        self.peek()
+        self.pos += 1
+        if self.peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            if self.peek() != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                           self.text, self.pos)
+            key, self.pos = scanstring(self.text, self.pos + 1)
+            if self.peek() != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", self.text, self.pos)
+            self.pos += 1
+            yield key
+            if not self._more("}"):
+                return
+
+    def end(self) -> None:
+        if self.peek():
+            raise json.JSONDecodeError("Extra data", self.text, self.pos)
+
+
+def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
+    """The operator object at the cursor, its matrix decoded one row at a time."""
+    if cur.peek() != "{":
+        return operator_from_dict(cur.value(), max_dim=max_dim)
+    found = {}
+    for key in cur.keys():
+        if key == "factors":
+            found[key] = _factors(cur.value(), max_dim)
+        elif key == "matrix":
+            if cur.peek() != "[":
+                raise ShapeMismatch(_NOT_ROWS)
+            # each entry takes 5 characters at least: [0,0]
+            room = (len(cur.text) - cur.pos) // 5
+            rows = (cur.value() for _ in cur.elements())
+            found[key] = _matrix(rows, found.get("factors"), max_dim, room)
+        else:
+            cur.value()
+    try:
+        factors, matrix = found["factors"], found["matrix"]
+    except KeyError as exc:
+        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+    return LabeledOperator(factors, matrix)
+
+
+def _read_text(path: str) -> str:
+    """The text of ``path``; a truncated or corrupt gzip stream raises :class:`HoqError`."""
+    try:
+        with _open(path, "r") as fh:
+            return fh.read()
+    except (EOFError, zlib.error) as exc:
+        raise HoqError(f"unreadable gzip file {path}: {exc}") from None
 
 
 def _open(path: str, mode: str):
@@ -84,8 +252,10 @@ def write_operator(op: LabeledOperator, path: str) -> None:
 
 
 def read_operator(path: str, *, max_dim: Optional[int] = None) -> LabeledOperator:
-    with _open(path, "r") as fh:
-        return operator_from_dict(json.load(fh), max_dim=max_dim)
+    cur = _Cursor(_read_text(path))
+    op = _operator_at(cur, max_dim)
+    cur.end()
+    return op
 
 
 def _spec_to_dict(spec: NetworkSpec) -> dict:
@@ -101,6 +271,14 @@ def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[in
                      limit: int = DEFAULT_RECURSION_LIMIT):
     try:
         blocks = [operator_from_dict(b, max_dim=max_dim) for b in payload["blocks"]]
+    except (KeyError, TypeError) as exc:
+        raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
+    return _bundle(blocks, payload, reg, limit)
+
+
+def _bundle(blocks, payload: dict, reg: SystemRegistry, limit: int):
+    """Blocks, spec and registry of a bundle whose blocks are already read."""
+    try:
         spec_part = payload["spec"]
         memories = tuple(str(m) for m in spec_part["memories"])
     except (KeyError, TypeError) as exc:
@@ -132,8 +310,21 @@ def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
 
 def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None,
                 limit: int = DEFAULT_RECURSION_LIMIT):
-    with _open(path, "r") as fh:
-        return bundle_from_dict(json.load(fh), reg, max_dim=max_dim, limit=limit)
+    cur = _Cursor(_read_text(path))
+    if cur.peek() != "{":
+        return bundle_from_dict(cur.value(), reg, max_dim=max_dim, limit=limit)
+    payload = {}
+    for key in cur.keys():
+        if key != "blocks":
+            payload[key] = cur.value()
+        elif cur.peek() == "[":
+            payload[key] = [_operator_at(cur, max_dim) for _ in cur.elements()]
+        else:
+            raise ShapeMismatch("malformed bundle payload: the blocks must be a list")
+    cur.end()
+    if "blocks" not in payload:
+        raise ShapeMismatch("malformed bundle payload: 'blocks'")
+    return _bundle(payload["blocks"], payload, reg, limit)
 
 
 def spec_from_dict(payload: dict, reg: SystemRegistry, *,
@@ -149,8 +340,7 @@ def spec_from_dict(payload: dict, reg: SystemRegistry, *,
 
 def read_spec(path: str, reg: SystemRegistry, *,
               limit: int = DEFAULT_RECURSION_LIMIT) -> NetworkSpec:
-    with _open(path, "r") as fh:
-        return spec_from_dict(json.load(fh), reg, limit=limit)
+    return spec_from_dict(json.loads(_read_text(path)), reg, limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gzip
 import json
 import tracemalloc
@@ -25,7 +26,8 @@ from hoq.serialize import (
     write_operator,
 )
 from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type, print_type
-from hoq.errors import ConfigError, RecursionLimit, ShapeMismatch, SizeLimit
+from hoq.errors import (ConfigError, HoqError, NonFiniteOperator, RecursionLimit,
+                        ShapeMismatch, SizeLimit)
 
 from helpers import NON_FINITE, non_finite_operator
 
@@ -65,6 +67,34 @@ def _skewed_flip_files(tmp_path):
                                          "memories": ["P", "F"]}))
     files["config"].write_text("tol.herm = 1e-6\n")
     return {k: str(v) for k, v in files.items()}
+
+
+# every command that reads operator, spec or bundle files, with placeholders
+# for the files of _command_files
+READING_COMMANDS = pytest.mark.parametrize("args", [
+    ["check", "(^A -> ^B)", "-f", "{op}"],
+    ["check", "--network-spec", "{spec}", "-f", "{op}"],
+    ["check", "(^A -> ^B)", "-f", "{op}", "--admissible"],
+    ["classify", "(^A -> ^B)", "-f", "{op}"],
+    ["apply-flip", "--channel", "{op}", "--state", "{op}", "--control", "{op}",
+     "-o", "{out}"],
+    ["compose", "{bundle}", "-o", "{out}"],
+    ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"],
+], ids=["check", "check-spec", "check-admissible", "classify", "apply-flip",
+        "compose", "decompose"])
+
+
+def _command_files(tmp_path, op, suffix=".json"):
+    """Paths of ``op`` written as an operator file and as a one-block bundle,
+    of the bundle's one-slot spec file, and of an output file."""
+    spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+    files = {k: str(tmp_path / f"{k}{suffix}") for k in ("op", "spec", "bundle", "out")}
+    write_operator(op, files["op"])
+    write_bundle([op], spec, files["bundle"])
+    opener = gzip.open if suffix.endswith(".gz") else open
+    with opener(files["spec"], "wt", encoding="utf-8") as fh:
+        json.dump(bundle_to_dict([], spec)["spec"], fh)
+    return files
 
 
 class TestSerialization:
@@ -157,6 +187,54 @@ class TestSerialization:
                 tracemalloc.stop()
             assert peak < op.data.nbytes
 
+    def test_read_streams_rows(self, tmp_path, rng):
+        d = 256
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        op = LabeledOperator((("A", d),), g)
+        path = tmp_path / "op.json"
+        write_operator(op, str(path))
+        tracemalloc.start()
+        try:
+            back = read_operator(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text, 2.7 times the operator here, is read whole; a json.load of
+        # the whole document peaked at 12 times
+        assert peak < 6 * op.data.nbytes
+        assert np.array_equal(back.data, op.data)
+
+    @pytest.mark.parametrize("name", ["op.json", "op.json.gz"])
+    @pytest.mark.parametrize("layout", ["written", "indented", "matrix-first"])
+    def test_read_matches_the_parsed_payload(self, tmp_path, rng, name, layout):
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        g[0, :2] = [complex(-0.0, 1e-300), complex(1e300, -0.0)]
+        op = LabeledOperator((("A", 2), ("B", 3)), g)
+        payload = operator_to_dict(op)
+        payload["matrix"][1][2] = [3, -4]  # integers read as floats
+        if layout == "matrix-first":
+            payload = {"matrix": payload["matrix"], "factors": payload["factors"]}
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+        bundle = {"blocks": [payload, operator_to_dict(LabeledOperator((), np.eye(1)))],
+                  "spec": bundle_to_dict([], spec)["spec"]}
+        indent = 2 if layout == "indented" else None
+        opener = gzip.open if name.endswith(".gz") else open
+        reg = SystemRegistry.of(A=2, B=2)
+        path = str(tmp_path / name)
+        for doc in (payload, bundle):
+            text = json.dumps(doc, indent=indent)
+            with opener(path, "wt", encoding="utf-8") as fh:
+                fh.write(text)
+            if doc is payload:
+                got, want = [read_operator(path)], [operator_from_dict(json.loads(text))]
+                # the whole-document conversion of earlier versions
+                pairs = np.array(json.loads(text)["matrix"], dtype=np.float64)
+                assert got[0].data.tobytes() == pairs.view(np.complex128)[..., 0].tobytes()
+            else:
+                got, want = read_bundle(path, reg)[0], bundle_from_dict(json.loads(text), reg)[0]
+            assert [x.factors for x in got] == [x.factors for x in want]
+            assert [x.data.tobytes() for x in got] == [x.data.tobytes() for x in want]
+
     @pytest.mark.parametrize("matrix", [
         [[[1, 0], [0, 0]], [[0, 0]]],
         [[[1, 2, 3], [0, 0, 0]], [[0, 0, 0], [1, 2, 3]]],
@@ -174,6 +252,69 @@ class TestSerialization:
         res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2"])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "malformed operator payload" in res.output
+        with pytest.raises(ShapeMismatch):
+            read_operator(str(path))
+        # the same matrix as a bundle block
+        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
+        bundle = {"blocks": [payload], "spec": bundle_to_dict([], spec)["spec"]}
+        path.write_text(json.dumps(bundle))
+        reg = SystemRegistry.of(A=2, B=2)
+        for read in (lambda: read_bundle(str(path), reg), lambda: bundle_from_dict(bundle, reg)):
+            with pytest.raises(ShapeMismatch):
+                read()
+        res = runner.invoke(main, ["compose", str(path), "-o", str(tmp_path / "out.json"),
+                                   "--registry", "A=2,B=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert "malformed operator payload" in res.output
+
+    @pytest.mark.parametrize("kind", ["operator", "bundle"])
+    def test_truncated_or_trailing_text(self, runner, tmp_path, kind):
+        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+        files = _command_files(tmp_path, op)
+        reg = SystemRegistry.of(A=2, B=2)
+        if kind == "operator":
+            path, args = files["op"], ["check", "(^A -> ^B)", "-f", files["op"]]
+            read = functools.partial(read_operator, path)
+        else:
+            path, args = files["bundle"], ["compose", files["bundle"], "-o", files["out"]]
+            read = functools.partial(read_bundle, path, reg)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().rstrip("\n")
+        cut = [text[:n] for n in (1, 9, len(text) // 3, len(text) // 2, len(text) - 2,
+                                  len(text) - 1)]
+        for bad in cut + [text + "]", text + " {}", text + "x"]:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(bad)
+            with pytest.raises((ShapeMismatch, json.JSONDecodeError)):
+                read()
+            res = runner.invoke(main, args + ["--registry", "A=2,B=2"])
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_entries_stop_the_read(self, tmp_path, literal):
+        path = tmp_path / "op.json"
+        path.write_text('{"factors": [["A", 2]], "matrix": [[[1, 0], [0, 0]], '
+                        f'[[0, 0], [0, {literal}]]]}}')
+        with pytest.raises(NonFiniteOperator, match="non-finite entry in row 1"):
+            read_operator(str(path))
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_a_hoq_error(self, tmp_path, damage):
+        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
+        files = _command_files(tmp_path, op, ".json.gz")
+        for name in ("op", "spec", "bundle"):
+            with gzip.open(files[name], "rb") as fh:
+                raw = gzip.compress(fh.read())
+            # cut in the compressed data, or a first block of the reserved
+            # type 3 right after the 10-byte header
+            raw = raw[:len(raw) // 2] if damage == "truncated" else raw[:10] + b"\xff" + raw[11:]
+            with open(files[name], "wb") as fh:
+                fh.write(raw)
+        reg = SystemRegistry.of(A=2, B=2)
+        for read in (lambda: read_operator(files["op"]), lambda: read_spec(files["spec"], reg),
+                     lambda: read_bundle(files["bundle"], reg)):
+            with pytest.raises(HoqError):
+                read()
 
     @pytest.mark.parametrize("spec", [
         {"memories": ["I", "I"]},
@@ -208,6 +349,19 @@ class TestSerialization:
         assert len(read_bundle(str(bundle), reg, max_dim=4)[0]) == 1
         with pytest.raises(SizeLimit):
             read_bundle(str(bundle), reg, max_dim=3)
+        # a matrix before its factors stops at row max_dim + 1, before the bad fifth row
+        payload = operator_to_dict(op)
+        path.write_text(json.dumps({"matrix": payload["matrix"] + [["x"]],
+                                    "factors": payload["factors"]}))
+        with pytest.raises(ShapeMismatch):
+            read_operator(str(path), max_dim=5)
+        with pytest.raises(SizeLimit, match="rows exceed limits.max_dim = 4"):
+            read_operator(str(path), max_dim=4)
+        path.write_text(json.dumps({"matrix": payload["matrix"],
+                                    "factors": payload["factors"]}))
+        assert np.array_equal(read_operator(str(path), max_dim=4).data, op.data)
+        with pytest.raises(SizeLimit, match="rows exceed limits.max_dim = 3"):
+            read_operator(str(path), max_dim=3)
 
     def test_config_parsing(self):
         cfg = parse_config("""
@@ -567,31 +721,35 @@ class TestCheckCommand:
         assert res.exit_code == 0, res.output
         assert res.output.startswith("verdict:          PASS")
 
-    @pytest.mark.parametrize("args", [
-        ["check", "(^A -> ^B)", "-f", "{op}"],
-        ["check", "--network-spec", "{spec}", "-f", "{op}"],
-        ["check", "(^A -> ^B)", "-f", "{op}", "--admissible"],
-        ["classify", "(^A -> ^B)", "-f", "{op}"],
-        ["apply-flip", "--channel", "{op}", "--state", "{op}", "--control", "{op}",
-         "-o", "{out}"],
-        ["compose", "{bundle}", "-o", "{out}"],
-        ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"],
-    ], ids=["check", "check-spec", "check-admissible", "classify", "apply-flip",
-            "compose", "decompose"])
+    @READING_COMMANDS
     def test_max_dim_limits_every_read(self, runner, tmp_path, args):
-        op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
-        spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
-        files = {k: str(tmp_path / f"{k}.json") for k in ("op", "spec", "bundle", "out")}
-        write_operator(op, files["op"])
-        write_bundle([op], spec, files["bundle"])
-        with open(files["spec"], "w", encoding="utf-8") as fh:
-            json.dump(bundle_to_dict([], spec)["spec"], fh)
+        files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
         cfg = tmp_path / "hoq.cfg"
         cfg.write_text("limits.max_dim = 3\n")
         res = runner.invoke(main, [a.format(**files) for a in args]
                             + ["--registry", "A=2,B=2", "--config", str(cfg)])
         assert res.exit_code == 2, res.output
         assert "exceeds limits.max_dim = 3" in res.output
+
+    @READING_COMMANDS
+    def test_non_finite_entries_stop_every_read(self, runner, tmp_path, args):
+        files = _command_files(tmp_path, non_finite_operator("nan_off_diagonal"))
+        res = runner.invoke(main, [a.format(**files) for a in args] + ["--registry", "A=2,B=2"])
+        assert res.exit_code == 2, res.output
+        assert "non-finite" in res.output
+
+    @READING_COMMANDS
+    def test_truncated_gzip_stops_every_read(self, runner, tmp_path, args):
+        files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2),
+                               ".json.gz")
+        for name in ("op", "spec", "bundle"):
+            with open(files[name], "rb") as fh:
+                raw = fh.read()
+            with open(files[name], "wb") as fh:
+                fh.write(raw[:len(raw) // 2])
+        res = runner.invoke(main, [a.format(**files) for a in args] + ["--registry", "A=2,B=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "error: unreadable gzip file" in res.output
 
 
     @pytest.mark.parametrize("args", [
