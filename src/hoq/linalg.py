@@ -30,6 +30,8 @@ from .errors import (
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 DEFAULT_DIM_CAP = 4096
+# entries per block of rows in LabeledOperator.herm_defect
+_DEFECT_BLOCK = 1 << 16
 
 
 def check_tol(name: str, value: float) -> None:
@@ -102,12 +104,24 @@ class LabeledOperator:
         A caller that has formed the Hermitian part ``sym = (A + A^H) / 2``
         passes it, and the defect is taken from it as ``2 max |A - sym|``,
         without another transposed pass.  A real ``sym`` is compared with the
-        real part of ``A``.
+        real part of ``A``.  The maximum is taken over blocks of rows, so no
+        full-size temporary is formed; a NaN anywhere makes the result NaN.
         """
-        if sym is None:
-            return float(np.abs(self.data - self.data.conj().T).max())
-        data = self.data.real if np.isrealobj(sym) else self.data
-        return 2.0 * float(np.abs(data - sym).max())
+        data = self.data
+        if sym is not None and np.isrealobj(sym):
+            data = data.real
+        n = data.shape[0]
+        step = max(1, _DEFECT_BLOCK // n)
+        defect = 0.0
+        for r0 in range(0, n, step):
+            rows = data[r0:r0 + step]
+            ref = data[:, r0:r0 + step].conj().T if sym is None else sym[r0:r0 + step]
+            peak = float(np.abs(rows - ref).max())
+            if not peak <= defect:
+                defect = peak
+                if math.isnan(peak):  # no later block may replace it
+                    break
+        return defect if sym is None else 2.0 * defect
 
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)

@@ -412,14 +412,50 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     return out
 
 
+@lru_cache(maxsize=256)
+def _shared_identity(masks: frozenset, k: int) -> tuple[tuple[int, ...], frozenset]:
+    """The factors that every mask marks identity (none for an empty set),
+    and the masks over the other factors."""
+    if not masks:
+        return (), masks
+    marked = 0
+    for m in masks:
+        marked |= m
+    idle = tuple(j for j in range(k) if not marked >> j & 1)
+    kept = [j for j in range(k) if marked >> j & 1]
+    return idle, frozenset(sum((m >> b & 1) << i for i, b in enumerate(kept)) for m in masks)
+
+
 def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
-    """Projection onto ``masks``, through the complement when that set is smaller."""
+    """Projection onto ``masks``, through the complement when that set is smaller.
+
+    The factors that every mask of the chosen side marks identity are traced
+    out first, :func:`_project_masks` runs on a matrix prod d_j^2 times
+    smaller, and its result is embedded as ``(x) 1`` into one zeroed
+    array.  So the projection allocates one full-size array besides
+    ``data``, and ``data`` is never written.
+    """
+    masks = frozenset(masks)
     complement = frozenset(range(1 << len(dims))) - masks
-    if len(complement) < len(masks):
-        # the complement is a proper subset, so ``rest`` is a new array
-        rest = _project_masks(data, dims, 0, complement)
-        return data if rest is None else np.subtract(data, rest, out=rest)
-    out = _project_masks(data, dims, 0, masks)
+    through_complement = len(complement) < len(masks)
+    side = complement if through_complement else masks
+    idle, small_masks = _shared_identity(side, len(dims))
+    if idle:
+        small, small_dims = data, dims
+        for j in reversed(idle):
+            small = _traced_average(small, small_dims, j)
+            small_dims = small_dims[:j] + small_dims[j + 1:]
+        out = _project_masks(small, small_dims, 0, small_masks, owned=True)
+        for j in idle:
+            small, small_dims = out, small_dims[:j] + (dims[j],) + small_dims[j:]
+            size = math.prod(small_dims)
+            out = np.zeros((size, size), dtype=data.dtype)
+            _combine_identity(np.add, out, small, small_dims, j)
+    else:
+        out = _project_masks(data, dims, 0, side)
+    if through_complement:
+        # the complement is a proper subset, so ``out`` is a new array
+        return data if out is None else np.subtract(data, out, out=out)
     return np.zeros_like(data) if out is None else out
 
 

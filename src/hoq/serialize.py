@@ -160,7 +160,10 @@ class _Cursor:
 
     def value(self):
         self.peek()
-        value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+        try:
+            value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+        except RecursionError:
+            raise HoqError(f"JSON nested too deeply at character {self.pos}") from None
         return value
 
     def _more(self, close: str) -> bool:
@@ -340,7 +343,10 @@ def spec_from_dict(payload: dict, reg: SystemRegistry, *,
 
 def read_spec(path: str, reg: SystemRegistry, *,
               limit: int = DEFAULT_RECURSION_LIMIT) -> NetworkSpec:
-    return spec_from_dict(json.loads(_read_text(path)), reg, limit=limit)
+    cur = _Cursor(_read_text(path))
+    payload = cur.value()
+    cur.end()
+    return spec_from_dict(payload, reg, limit=limit)
 
 
 # ---------------------------------------------------------------------------

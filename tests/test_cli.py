@@ -97,6 +97,24 @@ def _command_files(tmp_path, op, suffix=".json"):
     return files
 
 
+# an array nested far deeper than Python's recursion limit
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def _deep_files(tmp_path, where):
+    """The files of _command_files with DEEP in one place of each: the matrix
+    (``where="matrix"``) or the whole top level of the operator, the spec's
+    slot types, and the bundle's one block, which is that operator."""
+    files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
+    op = DEEP if where == "top" else '{"factors": [["A", 2], ["B", 2]], "matrix": ' + DEEP + "}"
+    texts = {"op": op, "spec": '{"slot_types": ' + DEEP + ', "memories": ["I", "I"]}',
+             "bundle": '{"blocks": [' + op + '], "spec": {"slot_types": [], "memories": []}}'}
+    for name, text in texts.items():
+        with open(files[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return files
+
+
 class TestSerialization:
     def test_operator_roundtrip(self, tmp_path, rng):
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -314,6 +332,15 @@ class TestSerialization:
         for read in (lambda: read_operator(files["op"]), lambda: read_spec(files["spec"], reg),
                      lambda: read_bundle(files["bundle"], reg)):
             with pytest.raises(HoqError):
+                read()
+
+    @pytest.mark.parametrize("where", ["matrix", "top"])
+    def test_deep_json_is_a_hoq_error(self, tmp_path, where):
+        files = _deep_files(tmp_path, where)
+        reg = SystemRegistry.of(A=2, B=2)
+        for read in (lambda: read_operator(files["op"]), lambda: read_spec(files["spec"], reg),
+                     lambda: read_bundle(files["bundle"], reg)):
+            with pytest.raises(HoqError, match="JSON nested too deeply"):
                 read()
 
     @pytest.mark.parametrize("spec", [
@@ -750,6 +777,28 @@ class TestCheckCommand:
         res = runner.invoke(main, [a.format(**files) for a in args] + ["--registry", "A=2,B=2"])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
         assert "error: unreadable gzip file" in res.output
+
+    @READING_COMMANDS
+    def test_deep_json_stops_every_read(self, runner, tmp_path, args):
+        files = _deep_files(tmp_path, "matrix")
+        res = runner.invoke(main, [a.format(**files) for a in args] + ["--registry", "A=2,B=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "error: JSON nested too deeply" in res.output
+
+    @pytest.mark.parametrize("name, args", [
+        ("op", ["check", "(^A -> ^B)", "-f", "{op}"]),
+        ("spec", ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"]),
+        ("bundle", ["compose", "{bundle}", "-o", "{out}"]),
+    ])
+    def test_deep_json_in_one_file(self, runner, tmp_path, name, args):
+        # only the named file is deep; the others are well formed
+        (tmp_path / "deep").mkdir()
+        deep = _deep_files(tmp_path / "deep", "matrix")[name]
+        files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
+        files[name] = deep
+        res = runner.invoke(main, [a.format(**files) for a in args] + ["--registry", "A=2,B=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "error: JSON nested too deeply" in res.output
 
 
     @pytest.mark.parametrize("args", [

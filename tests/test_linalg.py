@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from hoq import (
     LabeledOperator,
+    SystemRegistry,
     apply_choi,
     choi_of_kraus,
     eigh,
+    is_deterministic,
     is_psd,
     link_product,
     merge_factors,
+    parse_type,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -23,7 +28,7 @@ from hoq.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from hoq.linalg import hermitian_part, identity, max_entangled, scalar, transpose
+from hoq.linalg import _DEFECT_BLOCK, hermitian_part, identity, max_entangled, scalar, transpose
 from hoq.processes import haar_unitary, random_state
 
 from helpers import NON_FINITE, non_finite_operator
@@ -268,6 +273,55 @@ class TestRealArithmetic:
         vals, vecs = eigh(a)
         assert vecs.dtype == np.float64
         assert np.abs((vecs * vals) @ vecs.T - a.data).max() < 1e-10
+
+
+ONE_BLOCK = math.isqrt(_DEFECT_BLOCK)  # a square matrix of exactly one block
+# one row; exactly one block; several blocks with a partial last one
+DEFECT_SIZES = [1, ONE_BLOCK, 2 * ONE_BLOCK + 44]
+
+
+class TestBlockedDefect:
+    def test_sizes_cover_the_block_layouts(self):
+        assert ONE_BLOCK ** 2 == _DEFECT_BLOCK
+        n = DEFECT_SIZES[-1]
+        step = _DEFECT_BLOCK // n
+        assert n // step >= 2 and n % step
+
+    @pytest.mark.parametrize("n", DEFECT_SIZES)
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero_imaginary", "non_hermitian"])
+    def test_equals_the_whole_matrix_maximum(self, rng, n, kind):
+        g = rng.normal(size=(n, n))
+        data = {"real": g + g.T,
+                "complex": g + g.T + 1e-9j * rng.normal(size=(n, n)),
+                "zero_imaginary": (g + g.T).astype(complex),
+                "non_hermitian": g + 1j * rng.normal(size=(n, n))}[kind]
+        a = LabeledOperator((("A", n),), data)
+        sym, defect = hermitian_part(a)
+        assert sym.dtype == (np.float64 if kind in ("real", "zero_imaginary") else np.complex128)
+        compared = a.data.real if np.isrealobj(sym) else a.data
+        assert defect == 2.0 * float(np.abs(compared - sym).max())
+        assert a.herm_defect() == float(np.abs(a.data - a.data.conj().T).max())
+
+    @pytest.mark.parametrize("entry", [(-1, -1, np.nan), (-1, -1, np.inf),
+                                       (-2, -1, np.nan), (-1, -2, -np.inf),
+                                       (-2, -1, complex(0.0, np.nan))],
+                             ids=["nan_diagonal", "inf_diagonal", "nan_off_diagonal",
+                                  "minus_inf_off_diagonal", "nan_imaginary"])
+    def test_non_finite_in_the_last_block_only(self, entry):
+        n = DEFECT_SIZES[-1]
+        row, col, value = entry
+        data = np.eye(n, dtype=complex) / n
+        data[row, col] = value
+        # the entry and its transpose both lie in the rows of the last block
+        assert n + min(row, col) >= n - n % (_DEFECT_BLOCK // n)
+        a = LabeledOperator((("A", n),), data)
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(a.herm_defect())
+        with pytest.raises(NonFiniteOperator):
+            hermitian_part(a)
+        reg = SystemRegistry.of(A=n)
+        with pytest.raises(NonFiniteOperator):
+            is_deterministic(a, parse_type("A", reg), reg)
 
 
 class TestStructure:

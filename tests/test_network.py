@@ -279,6 +279,25 @@ class TestFamilies:
         assert rep.verdict == "FAIL" and rep.psd_method == "cholesky"
         assert peak < 2.5 * r.data.nbytes
 
+    def test_check_holds_two_operator_copies(self):
+        # a PASS check keeps at most two operator-sized float64 arrays alive:
+        # the Hermitian part with its Cholesky factor, then the deviation
+        # with its outside component; the global output F is marked identity
+        # in every forbidden pattern, so the projection runs 64 times smaller
+        r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        reg = SystemRegistry.from_dict(dict(r.factors))
+        spec = NetworkSpec((dual(pair(1)), dual(pair(2))), ("P", "I", "F"))
+        assert r.dim == 1024 and not r.data.imag.any()
+        tracemalloc.start()
+        try:
+            rep = is_deterministic(r, spec, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.psd_method == "cholesky"
+        assert peak <= 2.1 * r.dim ** 2 * 8
+
     def test_n_time_flip_is_bislot(self):
         f2 = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
         f2 = permute_systems(f2, ["P", "A1", "B1", "A2", "B2", "F"])

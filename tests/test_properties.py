@@ -26,7 +26,8 @@ from hoq import (
 )
 from hoq.linalg import hermitian_part
 from hoq.membership import characterization_of, random_hermitian
-from hoq.sectors import SectorSet, _marks_of, _project_masks, deviation_sectors
+from hoq.sectors import (SectorSet, _marks_of, _project_masks, deviation_sectors,
+                         outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
 from helpers import random_type, reference_component
@@ -72,6 +73,50 @@ def test_projection_in_place_complementary_idempotent(case):
     rest = sector_project(op, complement)
     assert np.allclose(proj.data + rest.data, h, atol=1e-12)
     assert np.allclose(sector_project(proj, sectors).data, proj.data, atol=1e-12)
+
+
+@st.composite
+def operator_and_shared_identity(draw):
+    """A Hermitian operator on up to 6 factors, d = 1 included, and a mask set
+    ``wanted`` drawn so that the factors in ``shared`` are identity in every
+    mask of the set the projection runs on: in ``wanted`` itself, or, with
+    ``flip``, in its complement, the smaller side then."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)))
+    assume(np.prod(dims) <= 243)
+    k = len(dims)
+    shared = draw(st.sets(st.integers(0, k - 1), min_size=1))
+    free = [j for j in range(k) if j not in shared]
+    subsets = st.integers(0, (1 << len(free)) - 1)
+    target = {sum((s >> i & 1) << j for i, j in enumerate(free))
+              for s in draw(st.sets(subsets, min_size=1))}
+    flip = draw(st.booleans())
+    # on a tie _project runs on ``wanted`` itself
+    assume(not flip or 2 * len(target) < 1 << k)
+    wanted = frozenset(range(1 << k)) - target if flip else frozenset(target)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
+    return systems, shared, wanted, random_hermitian(int(np.prod(dims)), rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_and_shared_identity())
+def test_projection_traces_out_shared_identity_factors(case):
+    systems, shared, wanted, h = case
+    k = len(systems)
+    op = LabeledOperator(systems, h)
+    everything = frozenset(range(1 << k))
+    # the side _project runs on marks every shared factor identity
+    side = min(wanted, everything - wanted, key=len)
+    assert side and all(not m >> j & 1 for m in side for j in shared)
+
+    reference = {m: reference_component(op, _marks_of(m, k)) for m in wanted}
+    proj = sector_project(op, SectorSet(systems, wanted))
+    expected = sum((reference[m] for m in wanted), np.zeros_like(h))
+    assert np.abs(proj.data - expected).max() <= 1e-12
+    # outside the allowed sectors everything - wanted and the identity: wanted - {0}
+    outside = outside_component(op, SectorSet(systems, everything - wanted))
+    expected = sum((reference[m] for m in wanted - {0}), np.zeros_like(h))
+    assert np.abs(outside.data - expected).max() <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
