@@ -12,7 +12,6 @@ from .typesys import (
     dual,
     extend,
     parse_type,
-    precedes,
     print_type,
     systems_of,
     tensor,
@@ -20,14 +19,12 @@ from .typesys import (
 )
 from .linalg import (
     LabeledOperator,
-    apply_choi,
     choi_of_kraus,
     eigh,
     is_psd,
     link_product,
     merge_factors,
     partial_trace,
-    partial_transpose,
     permute_systems,
     tensor_op,
 )
@@ -40,7 +37,6 @@ from .sectors import (
     identity_coeff,
     network_characterization,
     pattern_norms,
-    sector_component,
     sector_project,
     tensor_deviation_direct,
 )

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     BadPermutation,
     DimMismatch,
-    FactorMismatch,
     LabelCollision,
     NonFiniteOperator,
     NotHermitian,
@@ -134,11 +133,6 @@ def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
     return LabeledOperator(factors, np.eye(total, dtype=complex))
 
 
-def scalar(value: complex = 1.0) -> LabeledOperator:
-    """The trivial (zero-factor) operator: a 1x1 matrix."""
-    return LabeledOperator((), np.array([[value]], dtype=complex))
-
-
 def _as_tensor(a: LabeledOperator) -> np.ndarray:
     return a.data.reshape(a.dims + a.dims)
 
@@ -163,26 +157,6 @@ def permute_systems(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator
     new_factors = tuple(a.factors[p] for p in perm)
     total = a.dim
     return LabeledOperator(new_factors, tens.reshape(total, total))
-
-
-def align_factors(a: LabeledOperator, systems: Sequence[tuple[str, int]]
-                  ) -> tuple[LabeledOperator, Optional[tuple[str, ...]]]:
-    """Permute ``a`` into the factor order of ``systems``.
-
-    Returns the aligned operator and the new label order, or ``None`` in
-    its place when ``a`` was already in that order.  Raises
-    :class:`FactorMismatch` when the labels, or their dimensions, differ.
-    """
-    systems = tuple(systems)
-    labels = tuple(lab for lab, _ in systems)
-    if sorted(a.labels) != sorted(labels):
-        raise FactorMismatch(f"operator factors {a.labels} do not match systems {labels}")
-    if dict(a.factors) != dict(systems):
-        raise FactorMismatch(
-            f"factor dimensions {a.factors} disagree with systems {systems}")
-    if a.labels == labels:
-        return a, None
-    return permute_systems(a, labels), labels
 
 
 def relabel(a: LabeledOperator, mapping: dict[str, str]) -> LabeledOperator:
@@ -241,21 +215,6 @@ def partial_trace(a: LabeledOperator, subset: Iterable[str]) -> LabeledOperator:
     return LabeledOperator(new_factors, out.reshape(total, total))
 
 
-def partial_transpose(a: LabeledOperator, subset: Iterable[str]) -> LabeledOperator:
-    """Transpose the given factors in the computational basis."""
-    subset = set(subset)
-    for lab in subset:
-        if lab not in a.labels:
-            raise UnknownLabel(lab)
-    k = len(a.factors)
-    axes = list(range(2 * k))
-    for i, (lab, _) in enumerate(a.factors):
-        if lab in subset:
-            axes[i], axes[k + i] = axes[k + i], axes[i]
-    tens = _as_tensor(a).transpose(axes)
-    return LabeledOperator(a.factors, tens.reshape(a.dim, a.dim))
-
-
 def transpose(a: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(a.factors, a.data.T)
 
@@ -302,12 +261,6 @@ def link_all(ops: Sequence[LabeledOperator]) -> LabeledOperator:
 # Choi maps
 # ---------------------------------------------------------------------------
 
-def max_entangled(label_a: str, label_b: str, d: int) -> LabeledOperator:
-    """The unnormalized maximally entangled projector between two factors."""
-    v = np.eye(d, dtype=complex).reshape(-1)
-    return LabeledOperator(((label_a, d), (label_b, d)), np.outer(v, v.conj()))
-
-
 def choi_of_kraus(kraus: Sequence[np.ndarray], in_label: str,
                   out_label: str) -> LabeledOperator:
     """Choi operator of the map with the given Kraus operators.
@@ -326,19 +279,6 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_label: str,
         vec = k.T.reshape(-1)
         mat += np.outer(vec, vec.conj())
     return LabeledOperator(((in_label, d_in), (out_label, d_out)), mat)
-
-
-def apply_choi(m: LabeledOperator, in_labels: Sequence[str],
-               state: LabeledOperator) -> LabeledOperator:
-    """Apply the map with Choi operator ``m`` to ``state`` on ``in_labels``."""
-    in_labels = list(in_labels)
-    if len(state.factors) != len(in_labels):
-        raise ShapeMismatch("state factor count does not match in_labels")
-    renamed = relabel(state, dict(zip(state.labels, in_labels)))
-    for lab in in_labels:
-        if renamed.dim_of(lab) != m.dim_of(lab):
-            raise DimMismatch(f"state and Choi disagree on dim of {lab!r}")
-    return link_product(renamed, m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, align_factors, check_tol,
-                     hermitian_part)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, check_tol, hermitian_part,
+                     permute_systems)
 from .sectors import (
+    Pattern,
     SectorSet,
     _project,
     deviation_sectors,
@@ -35,7 +36,9 @@ class CheckReport:
     lying outside the allowed sectors (the identity mismatch is reported
     through the lambda fields instead of being double counted here).
     ``forbidden_components`` lists the out-of-sector patterns carrying weight,
-    largest first, and equal weights in the order of the pattern text.
+    largest first, and equal weights in the order of the pattern text.  It
+    names patterns in the type's factor order, which ``permutation`` gives
+    when the operator's order differs.
     ``psd_method`` names the positivity test that decided: with
     ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
     ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
@@ -126,22 +129,24 @@ class Classification:
 
 def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
                    tol: float = 1e-9, psd_tol: float = TOL_PSD,
-                   herm_tol: float = TOL_HERM,
-                   permutation: Optional[tuple[str, ...]] = None) -> CheckReport:
+                   herm_tol: float = TOL_HERM) -> CheckReport:
     """Core deterministic-event test against a known characterization.
 
-    The operator must already be in the sector set's factor order.  Checks
-    positivity, the identity coefficient (relatively, so one tolerance serves
-    all dimensions), and that the traceless part lies in the allowed sectors.
-    Raises :class:`NonFiniteOperator` on NaN or infinite entries.
+    Runs in ``op``'s factor order, which may be any order of the sector
+    set's; other labels or dimensions raise :class:`FactorMismatch` before
+    any arithmetic.  Checks positivity, the identity coefficient (relatively,
+    so one tolerance serves all dimensions), and that the traceless part lies
+    in the allowed sectors.  Raises :class:`NonFiniteOperator` on NaN or
+    infinite entries.
     """
-    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), sectors, tol, permutation)
+    sectors.reorder(op.factors)  # FactorMismatch here, not after the front half
+    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), sectors, tol)
 
 
 def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
                 herm_tol: float) -> tuple[LabeledOperator, dict]:
-    """Deviation ``R - coeff*1`` of an aligned operator, and the fields hermiticity,
-    positivity and the identity coefficient decide."""
+    """Deviation ``R - coeff*1`` of an operator, in its own factor order, and the
+    fields hermiticity, positivity and the identity coefficient decide."""
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     sym, herm_defect = hermitian_part(op)
@@ -160,27 +165,32 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     return LabeledOperator(op.factors, sym), fields
 
 
-def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet, tol: float,
-               permutation) -> CheckReport:
-    """Sector residual and out-of-sector breakdown of a deviation, and the verdict."""
-    outside = outside_component(deviation, sectors, herm_tol=np.inf)
+def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet,
+               tol: float) -> CheckReport:
+    """Sector residual and out-of-sector breakdown of a deviation in any factor
+    order of ``sectors``, and the verdict; patterns are named in ``sectors``' order."""
+    matched = sectors.reorder(deviation.factors)
+    outside = outside_component(deviation, matched, herm_tol=np.inf)
     residual = float(np.linalg.norm(outside.data))
     scale = 1.0 + float(np.linalg.norm(deviation.data))
 
     forbidden = []
     if residual > _NOISE_FLOOR * scale:
         norms = pattern_norms(outside, herm_tol=np.inf)
+        where = [deviation.labels.index(lab) for lab in sectors.labels]
         for pattern, sq in norms.items():
-            if pattern.all_identity or pattern in sectors:
+            if pattern.all_identity or pattern in matched:
                 continue
             norm = math.sqrt(sq)
             if norm > _NOISE_FLOOR * scale:
-                forbidden.append((pattern.text(sectors.systems), norm))
+                named = Pattern(tuple(pattern.marks[i] for i in where))
+                forbidden.append((named.text(sectors.systems), norm))
         # norms equal to 12 digits tie and the pattern text orders them, so
         # last-bit rounding does not decide the order
         forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))
 
     ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
+    permutation = None if deviation.labels == sectors.labels else sectors.labels
     return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,
                        forbidden_components=forbidden, permutation=permutation,
                        **fields)
@@ -198,13 +208,12 @@ def is_deterministic(op: LabeledOperator, t, reg: SystemRegistry,
                      herm_tol: float = TOL_HERM) -> CheckReport:
     """Test whether ``op`` is a deterministic event of type ``t``.
 
-    ``t`` may also be a network specification.  Factors are auto-permuted to
-    the canonical order of the type; the report records the permutation.
+    ``t`` may also be a network specification.  The operator's factors may
+    come in any order of the type's; the check runs in that order, as
+    :func:`check_operator` does, and the report records the type's order.
     """
     coeff, sectors = characterization_of(t, reg)
-    aligned, perm = align_factors(op, sectors.systems)
-    return check_operator(aligned, coeff, sectors, tol=tol, psd_tol=psd_tol,
-                          herm_tol=herm_tol, permutation=perm)
+    return check_operator(op, coeff, sectors, tol=tol, psd_tol=psd_tol, herm_tol=herm_tol)
 
 
 def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
@@ -223,10 +232,10 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     coeff, bi_sectors = characterization_of(t, reg)
     std_coeff, std_sectors = characterization_of(dehat(t), reg)
     assert std_coeff == coeff and std_sectors.systems == bi_sectors.systems
-    aligned, perm = align_factors(op, bi_sectors.systems)
-    front = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
-    bi = _back_half(*front, bi_sectors, tol, perm)
-    std = _back_half(*front, std_sectors, tol, perm)
+    bi_sectors.reorder(op.factors)  # FactorMismatch before the front half
+    front = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    bi = _back_half(*front, bi_sectors, tol)
+    std = _back_half(*front, std_sectors, tol)
     if not bi.passed or std.passed:
         return Classification("BOTH" if bi.passed else "NEITHER", [], bi, std)
     gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
@@ -257,15 +266,17 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     admit the exact trace test.  Otherwise the feasibility problem is solved
     by Dykstra's alternating projections on ``Y = D - op`` between the PSD
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
-    verdicts return the witness ``D``, and UNDECIDED is an honest outcome
-    when the iteration does not settle.  Raises :class:`NonFiniteOperator`
-    on NaN or infinite entries, ValueError on ``max_iter < 1`` or a bad tolerance.
+    verdicts return the witness ``D`` in the type's factor order, and
+    UNDECIDED is an honest outcome when the iteration does not settle.  The
+    work runs in ``op``'s factor order; only the witness is permuted.  Raises
+    :class:`NonFiniteOperator` on NaN or infinite entries, ValueError on
+    ``max_iter < 1`` or a bad tolerance.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
-    aligned, _ = align_factors(op, sectors.systems)
-    deviation, fields = _front_half(aligned, coeff, tol, psd_tol, herm_tol)
+    masks = sectors.reorder(op.factors).masks
+    deviation, fields = _front_half(op, coeff, tol, psd_tol, herm_tol)
     if not fields["psd_ok"]:
         if not fields["herm_defect"] <= herm_tol:
             reason = f"operator not Hermitian (defect {fields['herm_defect']:.3e})"
@@ -274,11 +285,12 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         return AdmissibilityResult("NOT_ADMISSIBLE", reason=reason)
 
     if isinstance(t, SystemString):
-        trace = fields["lambda_measured"] * aligned.dim
+        trace = fields["lambda_measured"] * op.dim
         if trace <= 1.0 + tol:
             data = deviation.data.copy()
-            data.reshape(-1)[::aligned.dim + 1] += float(coeff) + max(1 - trace, 0) / aligned.dim
-            return AdmissibilityResult("FEASIBLE", witness=LabeledOperator(aligned.factors, data),
+            data.reshape(-1)[::op.dim + 1] += float(coeff) + max(1 - trace, 0) / op.dim
+            witness = permute_systems(LabeledOperator(op.factors, data), sectors.labels)
+            return AdmissibilityResult("FEASIBLE", witness=witness,
                                        reason="trace test for elementary states")
         return AdmissibilityResult(
             "NOT_ADMISSIBLE",
@@ -286,8 +298,8 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
 
     # the affine set is a + V (a = coeff*1 - op = -deviation, V the allowed sectors): its
     # projection is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp
-    dims = aligned.dims
-    perp = frozenset(range(1 << len(dims))) - sectors.masks
+    dims = op.dims
+    perp = frozenset(range(1 << len(dims))) - masks
     offset = -_project(deviation.data, dims, perp)
 
     x = np.zeros_like(offset)
@@ -297,7 +309,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     for iterations in range(1, max_iter + 1):
         y = _project_psd(x + p)
         p = x + p - y
-        x = offset + _project(y, dims, sectors.masks)
+        x = offset + _project(y, dims, masks)
         gap = float(np.linalg.norm(y - x))
         if gap < tol:
             break
@@ -305,11 +317,11 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         # witness = op + PSD part of x, so domination holds by construction
         # and only the membership of the witness needs confirming
         data = deviation.data + _project_psd(x)
-        data.reshape(-1)[::aligned.dim + 1] += float(coeff)
-        witness = LabeledOperator(aligned.factors, data)
+        data.reshape(-1)[::op.dim + 1] += float(coeff)
+        witness = LabeledOperator(op.factors, data)
         report = check_operator(witness, coeff, sectors, tol=max(tol * 10, 1e-8))
         if report.passed:
-            return AdmissibilityResult("FEASIBLE", witness=witness,
+            return AdmissibilityResult("FEASIBLE", witness=permute_systems(witness, sectors.labels),
                                        residual=gap, iterations=iterations)
     return AdmissibilityResult("UNDECIDED", residual=gap, iterations=iterations,
                                reason="alternating projections did not certify feasibility")

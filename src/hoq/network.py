@@ -225,12 +225,13 @@ def check_bsp(r: LabeledOperator, dims, dP: int, dF: int,
     """Check a process-matrix-style operator (no global causal order assumed).
 
     Factor convention matches :func:`check_bislot`.  With the STANDARD
-    hierarchy the type is dehatted, so the slots are checked as one-way
-    channels instead.
+    hierarchy (``Hierarchy.STANDARD`` or ``"standard"``) the type is
+    dehatted, so the slots are checked as one-way channels instead; any
+    other value than the two hierarchies raises ValueError.
     """
     p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
     slot_part = tensor_all(pairs)
     proc_type = Arrow(slot_part, Arrow(SystemString((p_lab,)), SystemString((f_lab,))))
-    if hierarchy is Hierarchy.STANDARD:
+    if Hierarchy(hierarchy) is Hierarchy.STANDARD:
         proc_type = dehat(proc_type)
     return is_deterministic(r, proc_type, reg, tol=tol)

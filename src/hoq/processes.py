@@ -108,19 +108,6 @@ def random_bistochastic_channel(d: int, tail_in_dim: int = 1, tail_out_dim: int 
     return permute_systems(op, want)
 
 
-def bistoch_type_of(op: LabeledOperator, in_tail=(), out_tail=()) -> BistochElem:
-    """The bidirectional elementary type matching a Choi's factor labels.
-
-    Tail labels must be named explicitly; the remaining two factors are the
-    exchangeable pair, in factor order.
-    """
-    tails = set(in_tail) | set(out_tail)
-    hats = [lab for lab in op.labels if lab not in tails]
-    if len(hats) != 2:
-        raise DimMismatch(f"expected two non-tail factors, found {hats}")
-    return BistochElem(hats[0], tuple(in_tail), hats[1], tuple(out_tail))
-
-
 # ---------------------------------------------------------------------------
 # Coherent direction control
 # ---------------------------------------------------------------------------

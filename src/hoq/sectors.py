@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FactorMismatch
-from .linalg import TOL_HERM, LabeledOperator, _require_hermitian, align_factors, permute_systems
+from .linalg import TOL_HERM, LabeledOperator, _require_hermitian
 from .typesys import (
     BistochElem,
     SystemRegistry,
@@ -139,19 +139,35 @@ class SectorSet:
         return (dict(self.systems) == dict(other.systems)
                 and self.masks == other.reorder(self.labels).masks)
 
-    def reorder(self, labels: Sequence[str]) -> "SectorSet":
-        labs = self.labels
-        perm = [labs.index(lab) for lab in labels]
-        systems = tuple(self.systems[i] for i in perm)
-        masks = {sum(((m >> p) & 1) << j for j, p in enumerate(perm))
-                 for m in self.masks}
-        return SectorSet(systems, masks)
+    def reorder(self, order: Sequence) -> "SectorSet":
+        """The same subspace over ``order``: labels, or ``(label, dim)`` factors
+        such as an operator's, whose dimensions must then agree.  Raises
+        :class:`FactorMismatch` unless ``order`` is a permutation of the
+        factors; returns this set for its own order."""
+        return _reordered(self, tuple(f if isinstance(f, str) else tuple(f) for f in order))
 
     def texts(self) -> list[str]:
         """Deterministic rendering, traceless marks sorting first."""
         order = {TRL: 0, IDN: 1}
         pats = sorted(self.patterns, key=lambda p: tuple(order[m] for m in p.marks))
         return [p.text(self.systems) for p in pats]
+
+
+@lru_cache(maxsize=256)
+def _reordered(s: SectorSet, order: tuple) -> SectorSet:
+    """:meth:`SectorSet.reorder`, cached: every check matches its type's set
+    to the operator's order, and a type's set comes from a cache itself."""
+    labels = tuple(f if isinstance(f, str) else f[0] for f in order)
+    if sorted(labels) != sorted(s.labels):
+        raise FactorMismatch(f"operator factors {labels} do not match systems {s.labels}")
+    # ``labels == order`` exactly when ``order`` names no dimensions
+    if labels != order and dict(order) != dict(s.systems):
+        raise FactorMismatch(f"factor dimensions {order} disagree with systems {s.systems}")
+    if labels == s.labels:
+        return s
+    perm = [s.labels.index(lab) for lab in labels]
+    masks = {sum(((m >> p) & 1) << j for j, p in enumerate(perm)) for m in s.masks}
+    return SectorSet(tuple(s.systems[i] for i in perm), masks)
 
 
 def full_space(systems) -> SectorSet:
@@ -459,26 +475,19 @@ def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     return np.zeros_like(data) if out is None else out
 
 
-def _projected(op: LabeledOperator, systems, masks, herm_tol: float) -> LabeledOperator:
-    """Projection of ``op`` onto ``masks`` over ``systems``, in ``op``'s factor order."""
-    aligned, _ = align_factors(op, systems)
-    _check_hermitian(aligned, herm_tol)
-    out = LabeledOperator(aligned.factors, _project(aligned.data, aligned.dims, masks))
-    return permute_systems(out, op.labels)
-
-
-def sector_component(op: LabeledOperator, pattern: Pattern,
-                     herm_tol: float = TOL_HERM) -> LabeledOperator:
-    """Orthogonal component of a Hermitian operator on one sector pattern."""
-    if len(pattern.marks) != len(op.factors):
-        raise FactorMismatch("pattern length does not match operator factors")
-    return _projected(op, op.factors, {_mask_of(pattern.marks)}, herm_tol)
+def _projected(op: LabeledOperator, masks, herm_tol: float) -> LabeledOperator:
+    """Projection of ``op`` onto ``masks`` over its own factors, in their order."""
+    _check_hermitian(op, herm_tol)
+    return LabeledOperator(op.factors, _project(op.data, op.dims, masks))
 
 
 def sector_project(op: LabeledOperator, s: SectorSet,
                    herm_tol: float = TOL_HERM) -> LabeledOperator:
-    """Orthogonal projection of a Hermitian operator onto a sector set."""
-    return _projected(op, s.systems, s.masks, herm_tol)
+    """Orthogonal projection of a Hermitian operator onto a sector set.
+
+    The set is matched to ``op``'s factor order, so ``op`` is never permuted.
+    """
+    return _projected(op, s.reorder(op.factors).masks, herm_tol)
 
 
 def outside_component(op: LabeledOperator, s: SectorSet,
@@ -487,10 +496,10 @@ def outside_component(op: LabeledOperator, s: SectorSet,
 
     Equals ``op`` minus its all-identity component minus its projection onto
     ``s``; computed through whichever of the two complementary mask sets is
-    smaller.
+    smaller, in ``op``'s factor order as :func:`sector_project` is.
     """
-    forbidden = frozenset(range(1 << len(s.systems))) - s.masks - {0}
-    return _projected(op, s.systems, forbidden, herm_tol)
+    forbidden = frozenset(range(1 << len(op.factors))) - s.reorder(op.factors).masks - {0}
+    return _projected(op, forbidden, herm_tol)
 
 
 def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Pattern, float]:

@@ -15,6 +15,7 @@ freely (derived forms such as duals introduce several of them).
 """
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -40,7 +41,8 @@ MAX_RECURSION_LIMIT = 256  # deeper types run the type algebra into Python's rec
 class SystemRegistry:
     """Mapping from system labels to finite dimensions.
 
-    The trivial label ``I`` is always present with dimension 1.
+    The trivial label ``I`` is always present with dimension 1.  Dimensions
+    are Python or numpy integers, stored as ``int``; booleans are refused.
     """
 
     entries: tuple[tuple[str, int], ...]
@@ -50,11 +52,13 @@ class SystemRegistry:
         for label, dim in self.entries:
             if not _LABEL_RE.fullmatch(label):
                 raise ValueError(f"invalid system label {label!r}")
-            if not isinstance(dim, int) or dim < 1:
+            # Python and numpy integers qualify, booleans do not
+            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
                 raise ValueError(f"dimension of {label!r} must be an integer >= 1, got {dim!r}")
             if label in seen and seen[label] != dim:
                 raise ValueError(f"label {label!r} registered twice with different dimensions")
             seen[label] = dim
+        object.__setattr__(self, "entries", tuple((lab, int(d)) for lab, d in self.entries))
         if seen.get(TRIVIAL_LABEL, 1) != 1:
             raise ValueError("the trivial system 'I' must have dimension 1")
 
@@ -378,16 +382,6 @@ def tensor(a: TypeExpr, b: TypeExpr) -> TypeExpr:
 def tensor_all(types) -> TypeExpr:
     """Left fold of :func:`tensor` over a non-empty sequence of types."""
     return reduce(tensor, types)
-
-
-def precedes(a: TypeExpr, b: TypeExpr) -> bool:
-    """Strict partial order: ``a`` is reachable from ``b`` by peeling arrows."""
-    if not isinstance(b, Arrow):
-        return False
-    for side in (b.lhs, b.rhs):
-        if side == a or precedes(a, side):
-            return True
-    return False
 
 
 def dehat(t: TypeExpr | NetworkSpec) -> TypeExpr | NetworkSpec:

@@ -89,6 +89,31 @@ def reference_component(op, marks):
     return data
 
 
+def max_entangled(label_a, label_b, d):
+    """The unnormalized maximally entangled projector between two factors."""
+    from hoq import LabeledOperator
+
+    v = np.eye(d).reshape(-1)
+    return LabeledOperator(((label_a, d), (label_b, d)), np.outer(v, v))
+
+
+def apply_choi(m, in_labels, state):
+    """Apply the map with Choi operator ``m`` to ``state`` on ``in_labels``."""
+    from hoq.linalg import link_product, relabel
+
+    return link_product(relabel(state, dict(zip(state.labels, in_labels))), m)
+
+
+def bistoch_type_of(op, in_tail=(), out_tail=()):
+    """The bidirectional elementary type on a Choi's factors: the two factors
+    outside the named tails are the exchangeable pair, in factor order."""
+    from hoq import BistochElem
+
+    hats = [lab for lab in op.labels if lab not in set(in_tail) | set(out_tail)]
+    assert len(hats) == 2, hats
+    return BistochElem(hats[0], tuple(in_tail), hats[1], tuple(out_tail))
+
+
 def reference_time_flip(d):
     """The direction flip from its defining index loop, on ``Pt, Pc, A, B, Ft, Fc``."""
     from hoq import LabeledOperator
@@ -111,8 +136,7 @@ def reference_n_time_flip(n, d):
     the other slots' controls passed through on identity wires; the
     controls are then fused in slot order into ``Pc`` and ``Fc``.
     """
-    from hoq.linalg import (link_all, max_entangled, merge_factors, permute_systems,
-                            relabel, tensor_op)
+    from hoq.linalg import link_all, merge_factors, permute_systems, relabel, tensor_op
 
     def target(stage):
         return "Pt" if stage == 0 else ("Ft" if stage == n else f"T{stage}")
@@ -147,7 +171,7 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
     made through ``sector_project`` on a ``LabeledOperator``.
     """
     from hoq import LabeledOperator, SystemString, sector_project
-    from hoq.linalg import _psd_status, align_factors, hermitian_part
+    from hoq.linalg import _psd_status, hermitian_part, permute_systems
     from hoq.membership import AdmissibilityResult, characterization_of, check_operator
 
     def project_psd(mat):
@@ -155,7 +179,7 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
         return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
     coeff, sectors = characterization_of(t, reg)
-    aligned, _ = align_factors(op, sectors.systems)
+    aligned = permute_systems(op, sectors.labels)
     sym, herm_defect = hermitian_part(aligned)
     if herm_defect > herm_tol:
         return AdmissibilityResult(

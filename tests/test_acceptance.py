@@ -33,7 +33,7 @@ from hoq import (
     partial_trace,
     pattern_norms,
     sample_deterministic,
-    sector_component,
+    sector_project,
     tensor,
     tensor_deviation_direct,
 )
@@ -52,7 +52,8 @@ from hoq.processes import (
     time_flip_choi,
     time_flip_merged,
 )
-from hoq.sectors import Pattern, arrow_coeff, arrow_sectors, dual_coeff_direct, tensor_coeff_direct
+from hoq.sectors import (Pattern, SectorSet, arrow_coeff, arrow_sectors, dual_coeff_direct,
+                         tensor_coeff_direct)
 from hoq.typesys import Arrow, extend, systems_of
 
 from helpers import random_type
@@ -199,7 +200,7 @@ def test_criterion_03_process_matrix_reproduction():
     # extracted forbidden component of the n=2 signaling process
     r2 = lc_23_process(2)
     dev = LabeledOperator(r2.factors, r2.data - np.eye(16) / 4)
-    comp = sector_component(dev, Pattern(("T", "T", "I", "T")))
+    comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("T", "T", "I", "T"))]))
     sz = np.diag([1.0, -1.0])
     target = np.kron(np.kron(np.kron(sz, sz), np.eye(2)), sz) / 4
     assert np.abs(comp.data - target).max() < 1e-10
@@ -208,7 +209,7 @@ def test_criterion_03_process_matrix_reproduction():
     d = 3
     r22 = lc_22_process(d, 0, 1)
     dev = LabeledOperator(r22.factors, r22.data - np.eye(d ** 4) / d ** 2)
-    comp = sector_component(dev, Pattern(("I", "I", "I", "T")))
+    comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("I", "I", "I", "T"))]))
     x_plus_y = np.diag([1.0, 1.0, 0.0]) - 2 * np.eye(3) / 3
     assert np.abs(comp.data - np.kron(np.eye(27), x_plus_y) / 9).max() < 1e-10
 

@@ -6,7 +6,6 @@ import pytest
 from hoq import (
     LabeledOperator,
     SystemRegistry,
-    apply_choi,
     choi_of_kraus,
     eigh,
     is_deterministic,
@@ -15,7 +14,6 @@ from hoq import (
     merge_factors,
     parse_type,
     partial_trace,
-    partial_transpose,
     permute_systems,
     tensor_op,
 )
@@ -28,10 +26,10 @@ from hoq.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from hoq.linalg import _DEFECT_BLOCK, hermitian_part, identity, max_entangled, scalar, transpose
+from hoq.linalg import _DEFECT_BLOCK, hermitian_part, identity, transpose
 from hoq.processes import haar_unitary, random_state
 
-from helpers import NON_FINITE, non_finite_operator
+from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
 
 
 def op(labels_dims, data):
@@ -119,22 +117,7 @@ class TestPartialTraceTranspose:
 
     def test_full_transpose_of_hermitian_is_conjugate(self, rng):
         a = rand_herm(rng, [("A", 2), ("B", 2)])
-        t = partial_transpose(a, ["A", "B"])
-        assert np.allclose(t.data, a.data.conj())
-
-    def test_partial_transpose_involution(self, rng):
-        a = rand_op(rng, [("A", 2), ("B", 3)])
-        twice = partial_transpose(partial_transpose(a, ["B"]), ["B"])
-        assert np.allclose(twice.data, a.data)
-
-    def test_partial_transpose_of_max_entangled_is_swap(self):
-        me = max_entangled("A", "B", 2)
-        pt = partial_transpose(me, ["B"])
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[2 * i + j, 2 * j + i] = 1
-        assert np.allclose(pt.data, swap)
+        assert np.allclose(transpose(a).data, a.data.conj())
 
 
 class TestLinkProduct:
@@ -356,7 +339,7 @@ class TestStructure:
         assert np.abs(ma.data - a.data * b.trace()).max() < 1e-12
 
     def test_scalar_and_transpose(self, rng):
-        s = scalar(2.5)
-        assert s.dim == 1 and s.factors == ()
+        s = LabeledOperator((), np.array([[2.5]]))
+        assert s.dim == 1 and s.factors == () and s.trace() == 2.5
         a = rand_op(rng, [("A", 2)])
         assert np.allclose(transpose(a).data, a.data.T)

@@ -13,12 +13,13 @@ from hoq import (
     parse_type,
     partial_trace,
     sample_deterministic,
-    sector_component,
+    sector_project,
     tensor,
 )
 from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
 from hoq.membership import random_hermitian
+from hoq.sectors import SectorSet
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
@@ -74,7 +75,8 @@ def test_breakdown_lists_only_patterns_with_weight():
     t = parse_type("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))", reg)
     base = sample_deterministic(t, reg, eps=0.5, seed=1)
     noise = LabeledOperator(base.factors, random_hermitian(256, np.random.default_rng(1)))
-    comp = sector_component(noise, Pattern(("I", "I", "T", "T", "I", "I"))).data
+    pattern = Pattern(("I", "I", "T", "T", "I", "I"))
+    comp = sector_project(noise, SectorSet(noise.factors, [pattern])).data
     op = LabeledOperator(base.factors, base.data + 1e-3 * comp / np.linalg.norm(comp))
     rep = is_deterministic(op, t, reg)
     assert [pat for pat, _ in rep.forbidden_components] == ["A1:I B1:I A2:T B2:T P:I F:I"]
@@ -141,6 +143,29 @@ def test_auto_permutation_recorded():
     assert rep.passed and rep.permutation == ("A", "B")
     with pytest.raises(FactorMismatch):
         is_deterministic(LabeledOperator((("A", 2), ("C", 2)), np.eye(4) / 2), t, REG)
+
+
+def test_misaligned_check_permutes_nothing(monkeypatch):
+    # the check runs in the operator's factor order; only an admissibility
+    # witness is permuted, back to the type's order
+    import sys
+
+    t = parse_type("((^A -> ^B) -> (P -> F))", REG)
+    op = permute_systems(sample_deterministic(t, REG, eps=0.4, seed=3), ["F", "B", "P", "A"])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return permute_systems(*args, **kwargs)
+    hoq_modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hoq"]
+    for module in hoq_modules:
+        if getattr(module, "permute_systems", None) is permute_systems:
+            monkeypatch.setattr(module, "permute_systems", counted)
+    rep = is_deterministic(op, t, REG)
+    assert rep.passed and rep.permutation == ("A", "B", "P", "F") and calls == []
+    res = is_admissible(op, t, REG)
+    assert res.feasible and res.witness.labels == ("A", "B", "P", "F")
+    assert calls == [("A", "B", "P", "F")]
 
 
 class TestSamples:

@@ -15,6 +15,7 @@ from hoq import (
     check_bitooth,
     check_bsp,
     check_network,
+    classify,
     compose_network,
     decompose_network,
     dehat,
@@ -25,6 +26,7 @@ from hoq import (
 )
 from hoq.errors import BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork
 from hoq.linalg import link_all, permute_systems, relabel
+from hoq.membership import characterization_of, check_operator
 from hoq.network import _fresh_memory_labels
 from hoq.processes import (
     flippable_switch_choi,
@@ -263,6 +265,38 @@ class TestFamilies:
         assert vars(std) == vars(is_deterministic(r, dehat(bsp_type), reg))
         assert std.passed == (process == "sampled")
 
+    def test_hierarchy_by_name(self):
+        # a name selects the same hierarchy as the member; any other value raises
+        r = merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        two = [(2, 2), (2, 2)]
+        std = check_bsp(r, two, 4, 4, hierarchy="standard")
+        assert vars(std) == vars(check_bsp(r, two, 4, 4, hierarchy=Hierarchy.STANDARD))
+        assert not std.passed and check_bsp(r, two, 4, 4, hierarchy="bistoch").passed
+        with pytest.raises(ValueError):
+            check_bsp(r, two, 4, 4, hierarchy="ordinary")
+
+    def test_check_operator_in_any_factor_order(self):
+        # the switch in the order P F B2 A1 B1 A2 against the dehatted BSP
+        # type: check_operator names the same forbidden patterns, in the
+        # type's order, as on the aligned operator
+        reg = SystemRegistry.of(P=4, A1=2, B1=2, A2=2, B2=2, F=4)
+        std_type = dehat(Arrow(tensor_all([pair(1), pair(2)]),
+                               Arrow(SystemString(("P",)), SystemString(("F",)))))
+        coeff, sectors = characterization_of(std_type, reg)
+        r = merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        want = check_operator(permute_systems(r, sectors.labels), coeff, sectors)
+        got = check_operator(permute_systems(r, ["P", "F", "B2", "A1", "B1", "A2"]),
+                             coeff, sectors)
+        assert want.permutation is None and got.permutation == sectors.labels
+        assert got.verdict == want.verdict == "FAIL"
+        assert "A1:I B1:T A2:T B2:T P:T F:I" in [p for p, _ in want.forbidden_components]
+        assert [p for p, _ in got.forbidden_components] == \
+            [p for p, _ in want.forbidden_components]
+        assert [n for _, n in got.forbidden_components] == \
+            pytest.approx([n for _, n in want.forbidden_components], rel=1e-12)
+        assert got.sector_residual == pytest.approx(want.sector_residual, rel=1e-12)
+
     def test_real_process_is_checked_in_real_arithmetic(self):
         # the switch is stored complex with a zero imaginary part, and its
         # check works on float64 arrays: the peak stays below 2.5 input
@@ -283,20 +317,28 @@ class TestFamilies:
         # a PASS check keeps at most two operator-sized float64 arrays alive:
         # the Hermitian part with its Cholesky factor, then the deviation
         # with its outside component; the global output F is marked identity
-        # in every forbidden pattern, so the projection runs 64 times smaller
+        # in every forbidden pattern, so the projection runs 64 times smaller.
+        # That holds in any factor order: the P-first operator is checked
+        # against the BSP type, whose order puts P after the slots, without
+        # a permuted copy; classify adds the second sector test's projection
         r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
         r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
         reg = SystemRegistry.from_dict(dict(r.factors))
         spec = NetworkSpec((dual(pair(1)), dual(pair(2))), ("P", "I", "F"))
-        assert r.dim == 1024 and not r.data.imag.any()
-        tracemalloc.start()
-        try:
-            rep = is_deterministic(r, spec, reg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.passed and rep.psd_method == "cholesky"
-        assert peak <= 2.1 * r.dim ** 2 * 8
+        bsp_type = Arrow(tensor_all([pair(1), pair(2)]),
+                         Arrow(SystemString(("P",)), SystemString(("F",))))
+        assert r.dim == 1024 and r.data.dtype == np.complex128 and not r.data.imag.any()
+        for check, bound in [(lambda: is_deterministic(r, spec, reg), 2.1),
+                             (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8), 2.1),
+                             (lambda: classify(r, bsp_type, reg).bistoch_report, 2.6)]:
+            tracemalloc.start()
+            try:
+                rep = check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.passed and rep.psd_method == "cholesky"
+            assert peak <= bound * r.dim ** 2 * 8
 
     def test_n_time_flip_is_bislot(self):
         f2 = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})

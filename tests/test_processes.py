@@ -10,7 +10,7 @@ from hoq import (
     parse_type,
     partial_trace,
     permute_systems,
-    sector_component,
+    sector_project,
 )
 from hoq.errors import (
     BadLevels,
@@ -22,7 +22,6 @@ from hoq.errors import (
 )
 from hoq.processes import (
     DEFAULT_DIM_CAP,
-    bistoch_type_of,
     flippable_switch_choi,
     functional_compose,
     functional_decompose,
@@ -37,10 +36,10 @@ from hoq.processes import (
     time_flip_choi,
     time_flip_merged,
 )
-from hoq.sectors import Pattern
+from hoq.sectors import Pattern, SectorSet
 from hoq.linalg import choi_of_kraus, link_all, relabel
 
-from helpers import NON_FINITE, reference_n_time_flip, reference_time_flip
+from helpers import NON_FINITE, bistoch_type_of, reference_n_time_flip, reference_time_flip
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 FLIP_TYPE = parse_type("((^A -> ^B) -> (P -> F))", REG)
@@ -273,7 +272,7 @@ class TestLC:
         r = lc_23_process(2)
         lam = 1 / 4
         dev = LabeledOperator(r.factors, r.data - lam * np.eye(16))
-        comp = sector_component(dev, Pattern(("T", "T", "I", "T")))
+        comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("T", "T", "I", "T"))]))
         sz = np.diag([1.0, -1.0])
         expect = np.kron(np.kron(np.kron(sz, sz), np.eye(2)), sz) / 4
         assert np.abs(comp.data - expect).max() < 1e-12
@@ -308,7 +307,7 @@ class TestLC:
         r = lc_22_process(d, 0, 1)
         lam = 1 / d ** 2
         dev = LabeledOperator(r.factors, r.data - lam * np.eye(d ** 4))
-        comp = sector_component(dev, Pattern(("I", "I", "I", "T")))
+        comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("I", "I", "I", "T"))]))
         x_plus_y = np.diag([1.0, 1.0, 0.0]) - 2 * np.eye(d) / d
         expect = np.kron(np.eye(d ** 3), x_plus_y) / d ** 2
         assert np.abs(comp.data - expect).max() < 1e-12

@@ -1,7 +1,10 @@
 """Property-based tests of the numerical sector projection and pattern norms,
 of the invariants that let ``classify`` and ``is_admissible`` share the
 check's front half, of real arithmetic against complex arithmetic in the
-check, and of the factor order of network characterizations."""
+check, of checks that run in the operator's own factor order, and of the
+factor order of network characterizations."""
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,10 @@ from hoq import (
     pattern_norms,
     permute_systems,
     sample_deterministic,
-    sector_component,
     sector_project,
 )
 from hoq.linalg import hermitian_part
-from hoq.membership import characterization_of, random_hermitian
+from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _marks_of, _project_masks, deviation_sectors,
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
@@ -178,7 +180,7 @@ def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
         assume(outside)
         noise = LabeledOperator(op.factors, random_hermitian(op.dim, np.random.default_rng(
             random.randrange(1 << 16))))
-        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        term = sector_project(noise, SectorSet(noise.factors, [random.choice(outside)]))
         op = LabeledOperator(op.factors, op.data + 0.05 * term.data)
     order = list(op.labels)
     random.shuffle(order)
@@ -210,7 +212,7 @@ def test_local_phases_keep_the_verdict_and_the_pattern_norms(case, add_forbidden
         assume(outside)
         noise = LabeledOperator(factors, random_hermitian(
             sample.dim, np.random.default_rng(random.randrange(1 << 16))).real)
-        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        term = sector_project(noise, SectorSet(noise.factors, [random.choice(outside)]))
         real = real + 0.05 * term.data
     op = LabeledOperator(factors, real)
     # a tensor product of diagonal phase unitaries: U R U^H is R * u u^H
@@ -257,7 +259,7 @@ def test_admissibility_gate_is_the_check_gate(case, kind, size, random):
         assume(outside)
         noise = LabeledOperator(sample.factors, random_hermitian(
             sample.dim, np.random.default_rng(random.randrange(1 << 16))))
-        term = sector_component(noise, Pattern(_marks_of(random.choice(outside), k)))
+        term = sector_project(noise, SectorSet(noise.factors, [random.choice(outside)]))
         data += 10.0 ** (size - 2) * term.data
     order = list(sample.labels)
     random.shuffle(order)
@@ -305,3 +307,58 @@ def test_network_characterization_lives_on_the_system_order(case):
     assert flat.memories == spec.memories and not any(map(has_hats, flat.slot_types))
     std_coeff, std_sectors = characterization_of(flat, reg)
     assert std_coeff == coeff and std_sectors.systems == sectors.systems
+
+
+
+def _assert_same_report(got, want, permutation, scale):
+    """``got`` (an operator in another factor order) says what ``want`` (the
+    aligned operator) says: exact fields equal, floats to 1e-12 * scale."""
+    for name in ("verdict", "psd_ok", "psd_method", "lambda_ok", "lambda_expected"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert want.permutation is None and got.permutation == permutation
+    for name in ("min_eigenvalue", "herm_defect", "lambda_measured", "sector_residual"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale, name
+    assert [p for p, _ in got.forbidden_components] == [p for p, _ in want.forbidden_components]
+    for (_, a), (_, b) in zip(got.forbidden_components, want.forbidden_components):
+        assert abs(a - b) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_type(), st.booleans(), st.sampled_from([0.5, 1.0, 1.01]),
+       st.randoms(use_true_random=False))
+def test_checks_run_in_any_factor_order(case, add_forbidden, size, random):
+    # every check on a shuffled operator gives the aligned operator's report,
+    # with patterns named in the type's order
+    t, reg = case
+    coeff, sectors = characterization_of(t, reg)
+    assume(math.prod(d for _, d in sectors.systems) <= 64)
+    op = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    data = size * op.data
+    k = len(op.factors)
+    outside = [m for m in range(1, 1 << k) if m not in sectors.masks]
+    if add_forbidden and outside:
+        noise = LabeledOperator(op.factors, random_hermitian(
+            op.dim, np.random.default_rng(random.randrange(1 << 16))))
+        data = data + 0.05 * sector_project(noise, SectorSet(op.factors, outside)).data
+    op = LabeledOperator(op.factors, data)
+    order = list(op.labels)
+    random.shuffle(order)
+    moved = permute_systems(op, order)
+    permutation = None if moved.labels == sectors.labels else sectors.labels
+    scale = 1.0 + float(np.linalg.norm(data - float(coeff) * np.eye(op.dim)))
+
+    _assert_same_report(check_operator(moved, coeff, sectors),
+                        check_operator(op, coeff, sectors), permutation, scale)
+    _assert_same_report(is_deterministic(moved, t, reg), is_deterministic(op, t, reg),
+                        permutation, scale)
+    if has_hats(t):
+        got, want = classify(moved, t, reg), classify(op, t, reg)
+        assert got.verdict == want.verdict
+        assert [p for p, _ in got.forbidden] == [p for p, _ in want.forbidden]
+        _assert_same_report(got.bistoch_report, want.bistoch_report, permutation, scale)
+        _assert_same_report(got.standard_report, want.standard_report, permutation, scale)
+    got, want = is_admissible(moved, t, reg, max_iter=100), is_admissible(op, t, reg, max_iter=100)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness.factors == want.witness.factors == sectors.systems

@@ -16,7 +16,6 @@ from hoq import (
     network_characterization,
     parse_type,
     pattern_norms,
-    sector_component,
     sector_project,
     tensor,
     tensor_deviation_direct,
@@ -124,6 +123,18 @@ class TestDeviation:
             (("A", "I"), ("B", "T"), ("P", "T"), ("F", "I")),
         }
 
+
+    def test_reorder_takes_a_permutation(self):
+        sect = traceless_space((("A", 2), ("B", 3)))
+        assert sect.reorder(["A", "B"]) is sect
+        flipped = sect.reorder((("B", 3), ("A", 2)))
+        assert flipped.systems == (("B", 3), ("A", 2)) and flipped.masks == {1, 2, 3}
+        assert sect.reorder([["B", 3], ["A", 2]]) == flipped
+        for labels in (["B"], ["A", "C"], ["A", "B", "B"]):
+            with pytest.raises(FactorMismatch, match="do not match"):
+                sect.reorder(labels)
+        with pytest.raises(FactorMismatch, match="dimensions"):
+            sect.reorder((("B", 2), ("A", 2)))
 
     def test_same_subspace_ignores_factor_order_only(self):
         dev = deviation_sectors(FLIP_TYPE, REG)
@@ -243,19 +254,20 @@ class TestNetworkCharacterization:
 class TestNumericalSectors:
     def test_identity_components(self):
         one = LabeledOperator((("A", 2), ("B", 2)), np.eye(4))
-        idn = sector_component(one, Pattern(("I", "I")))
+        idn = sector_project(one, SectorSet(one.factors, [Pattern(("I", "I"))]))
         assert np.allclose(idn.data, np.eye(4))
         for marks in [("T", "I"), ("I", "T"), ("T", "T")]:
-            comp = sector_component(one, Pattern(marks))
+            comp = sector_project(one, SectorSet(one.factors, [Pattern(marks)]))
             assert np.abs(comp.data).max() < 1e-14
 
     def test_pauli_component(self):
         sz = np.diag([1.0, -1.0])
         opz = LabeledOperator((("A", 2), ("B", 2)), np.kron(sz, np.eye(2)))
-        hit = sector_component(opz, Pattern(("T", "I")))
+        hit = sector_project(opz, SectorSet(opz.factors, [Pattern(("T", "I"))]))
         assert np.allclose(hit.data, opz.data)
         for marks in [("I", "I"), ("I", "T"), ("T", "T")]:
-            assert np.abs(sector_component(opz, Pattern(marks)).data).max() < 1e-14
+            comp = sector_project(opz, SectorSet(opz.factors, [Pattern(marks)]))
+            assert np.abs(comp.data).max() < 1e-14
 
     def test_parseval(self, rng):
         for _ in range(10):
@@ -286,8 +298,10 @@ class TestNumericalSectors:
     def test_non_finite_entries_raise(self, func, where):
         op = non_finite_operator(where)
         sect = traceless_space(op.factors)
+        # "sector_component": the component on one pattern
+        one = SectorSet(op.factors, [Pattern(("T", "I"))])
         calls = {"sector_project": lambda: sector_project(op, sect),
-                 "sector_component": lambda: sector_component(op, Pattern(("T", "I"))),
+                 "sector_component": lambda: sector_project(op, one),
                  "outside_component": lambda: outside_component(op, sect),
                  "pattern_norms": lambda: pattern_norms(op)}
         with pytest.raises(NonFiniteOperator, match="non-finite"):

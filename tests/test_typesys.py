@@ -11,7 +11,6 @@ from hoq import (
     dual,
     extend,
     parse_type,
-    precedes,
     print_type,
     systems_of,
     tensor,
@@ -138,34 +137,6 @@ def test_dual_and_tensor_shapes():
     assert tensor(x, y) == Arrow(Arrow(x, Arrow(y, TRIVIAL)), TRIVIAL)
 
 
-def test_precedes():
-    a = parse_type("A", REG)
-    b = parse_type("B", REG)
-    ab = Arrow(a, b)
-    abc = Arrow(ab, SystemString(("C",)))
-    assert precedes(a, ab)
-    assert precedes(a, abc)
-    assert precedes(b, abc)
-    assert not precedes(SystemString(("C",)), ab)
-    # irreflexive
-    assert not precedes(ab, ab)
-
-
-def test_precedes_strict_partial_order_sampled():
-    rng = np.random.default_rng(3)
-    types = []
-    for _ in range(30):
-        t, _ = random_type(rng, (2,), max_depth=4)
-        types.append(t)
-        for node in [t]:
-            assert not precedes(node, node)
-    # transitivity on subterm chains
-    for t in types:
-        if isinstance(t, Arrow) and isinstance(t.lhs, Arrow):
-            assert precedes(t.lhs.lhs, t.lhs) and precedes(t.lhs, t)
-            assert precedes(t.lhs.lhs, t)
-
-
 def test_dehat():
     t = parse_type("(^A -> ^B)", REG)
     assert print_type(dehat(t)) == "(A -> B)"
@@ -217,3 +188,13 @@ def test_registry_invariants():
         reg.dim("Q")
     reg2 = reg.with_entries(Q=5)
     assert reg2.dim("Q") == 5 and reg.dim("A") == 2
+
+
+def test_registry_dimensions_follow_the_factor_rule():
+    # as for operator factors: Python and numpy integers, stored as int;
+    # booleans, floats and strings refused
+    reg = SystemRegistry.of(A=np.int64(2), B=3)
+    assert type(reg.dim("A")) is int and reg == SystemRegistry.of(A=2, B=3)
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SystemRegistry.of(A=bad)
