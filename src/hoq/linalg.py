@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,30 +97,25 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def herm_defect(self, sym: Optional[np.ndarray] = None) -> float:
-        """``max |A - A^H|``.
+    def herm_defect(self, sym: np.ndarray) -> float:
+        """``max |A - A^H|``, from the Hermitian part ``sym = (A + A^H) / 2``.
 
-        A caller that has formed the Hermitian part ``sym = (A + A^H) / 2``
-        passes it, and the defect is taken from it as ``2 max |A - sym|``,
-        without another transposed pass.  A real ``sym`` is compared with the
-        real part of ``A``.  The maximum is taken over blocks of rows, so no
-        full-size temporary is formed; a NaN anywhere makes the result NaN.
+        The defect is taken as ``2 max |A - sym|``, without another transposed
+        pass; a real ``sym`` is compared with the real part of ``A``.  The
+        maximum is taken over blocks of rows, so no full-size temporary is
+        formed; a NaN anywhere makes the result NaN.
         """
-        data = self.data
-        if sym is not None and np.isrealobj(sym):
-            data = data.real
+        data = self.data.real if np.isrealobj(sym) else self.data
         n = data.shape[0]
         step = max(1, _DEFECT_BLOCK // n)
         defect = 0.0
         for r0 in range(0, n, step):
-            rows = data[r0:r0 + step]
-            ref = data[:, r0:r0 + step].conj().T if sym is None else sym[r0:r0 + step]
-            peak = float(np.abs(rows - ref).max())
+            peak = float(np.abs(data[r0:r0 + step] - sym[r0:r0 + step]).max())
             if not peak <= defect:
                 defect = peak
                 if math.isnan(peak):  # no later block may replace it
                     break
-        return defect if sym is None else 2.0 * defect
+        return 2.0 * defect
 
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)
@@ -131,10 +126,6 @@ def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
     factors = tuple(factors)
     total = math.prod(d for _, d in factors)
     return LabeledOperator(factors, np.eye(total, dtype=complex))
-
-
-def _as_tensor(a: LabeledOperator) -> np.ndarray:
-    return a.data.reshape(a.dims + a.dims)
 
 
 def tensor_op(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -153,7 +144,7 @@ def permute_systems(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator
         return a
     perm = [a.labels.index(lab) for lab in order]
     k = len(perm)
-    tens = _as_tensor(a).transpose(tuple(perm) + tuple(k + p for p in perm))
+    tens = a.data.reshape(a.dims + a.dims).transpose(tuple(perm) + tuple(k + p for p in perm))
     new_factors = tuple(a.factors[p] for p in perm)
     total = a.dim
     return LabeledOperator(new_factors, tens.reshape(total, total))
@@ -174,6 +165,8 @@ def merge_factors(a: LabeledOperator, group: Sequence[str], new_label: str) -> L
     """
     labels = a.labels
     group = tuple(group)
+    if not group:
+        raise BadPermutation("no factors to merge")
     for lab in group:
         if lab not in labels:
             raise UnknownLabel(lab)
@@ -203,16 +196,50 @@ def partial_trace(a: LabeledOperator, subset: Iterable[str]) -> LabeledOperator:
             raise UnknownLabel(lab)
     if not subset:
         return a
-    tens = _as_tensor(a)
-    k = len(a.factors)
-    keep = [i for i, (lab, _) in enumerate(a.factors) if lab not in subset]
-    out = tens
-    # trace highest axis pairs first so earlier indices stay valid
-    for i in sorted((i for i in range(k) if i not in keep), reverse=True):
-        out = np.trace(out, axis1=i, axis2=i + out.ndim // 2)
-    new_factors = tuple(a.factors[i] for i in keep)
-    total = math.prod(d for _, d in new_factors)
-    return LabeledOperator(new_factors, out.reshape(total, total))
+    data, dims = a.data, a.dims
+    # highest position first, so the lower positions stay valid
+    for pos in reversed([i for i, lab in enumerate(a.labels) if lab in subset]):
+        data = _trace_factor(data, dims, pos)
+        dims = dims[:pos] + dims[pos + 1:]
+    return LabeledOperator(tuple(f for f in a.factors if f[0] not in subset), data)
+
+
+def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:
+    """``data`` as a (left, d, right, left, d, right) view around factor ``pos``.
+
+    ``data`` is a C-contiguous row-major matrix over ``dims``, so the
+    reshape is a view and writes to it land in ``data``.
+    """
+    d = dims[pos]
+    left = math.prod(dims[:pos])
+    right = math.prod(dims[pos + 1:])
+    return data.reshape(left, d, right, left, d, right)
+
+
+def _trace_factor(data: np.ndarray, dims, pos: int) -> np.ndarray:
+    """Partial trace over factor ``pos``: the sum of its d diagonal blocks, as
+    a new C-contiguous matrix over the other factors."""
+    t = _factor_view(data, dims, pos)
+    blocks = t.diagonal(axis1=1, axis2=4)  # block a is blocks[..., a]
+    d = blocks.shape[-1]
+    out = np.add(blocks[..., 0], blocks[..., 1]) if d > 1 else blocks[..., 0].copy()
+    for a in range(2, d):
+        out += blocks[..., a]
+    lr = t.shape[0] * t.shape[2]
+    return out.reshape(lr, lr)
+
+
+def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:
+    """In place, ``data = ufunc(data, small (x) 1)`` with the identity at factor ``pos``.
+
+    The adjoint of :func:`_trace_factor`: only the d diagonal blocks of
+    factor ``pos`` change, and the embedding itself is never formed.
+    """
+    t = _factor_view(data, dims, pos)
+    s = small.reshape(t.shape[0], t.shape[2], t.shape[0], t.shape[2])
+    for a in range(t.shape[1]):
+        block = t[:, a, :, :, a, :]
+        ufunc(block, s, out=block)
 
 
 def transpose(a: LabeledOperator) -> LabeledOperator:

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FactorMismatch
-from .linalg import TOL_HERM, LabeledOperator, _require_hermitian
+from .linalg import (TOL_HERM, LabeledOperator, _combine_identity, _require_hermitian,
+                     _trace_factor)
 from .typesys import (
     BistochElem,
     SystemRegistry,
@@ -354,121 +355,67 @@ def _check_hermitian(op: LabeledOperator, herm_tol: float) -> None:
         _require_hermitian(op, herm_tol)
 
 
-def _factor_view(data: np.ndarray, dims, pos: int) -> np.ndarray:
-    """``data`` as a (left, d, right, left, d, right) view around factor ``pos``.
-
-    ``data`` is C-contiguous here, so the reshape is a view and writes to
-    it land in ``data``.
-    """
-    d = dims[pos]
-    left = math.prod(dims[:pos])
-    right = math.prod(dims[pos + 1:])
-    return data.reshape(left, d, right, left, d, right)
-
-
-def _traced_average(data: np.ndarray, dims, pos: int) -> np.ndarray:
-    """Tr over factor ``pos`` divided by its dimension; factor removed."""
-    t = _factor_view(data, dims, pos)
-    d = t.shape[1]
-    out = t[:, 0, :, :, 0, :].copy()
-    for a in range(1, d):
-        out += t[:, a, :, :, a, :]
-    out /= d
-    lr = t.shape[0] * t.shape[2]
-    return out.reshape(lr, lr)
-
-
-def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:
-    """In place, ``data = ufunc(data, small (x) 1)`` with the identity at factor ``pos``.
-
-    Only the d diagonal blocks of factor ``pos`` change; the embedding
-    itself is never formed.
-    """
-    t = _factor_view(data, dims, pos)
-    s = small.reshape(t.shape[0], t.shape[2], t.shape[0], t.shape[2])
-    for a in range(t.shape[1]):
-        block = t[:, a, :, :, a, :]
-        ufunc(block, s, out=block)
-
-
 def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     """Project onto the union of sector masks over factors pos..k-1.
 
-    Splits the factor at ``pos`` into its identity average and the traceless
-    complement.  The identity branch recurses on the traced-out matrix, so
-    full-size arithmetic happens only along runs of traceless factors; empty
-    branches return None and full branches return their input unchanged.
-    The traceless branch is formed in ``data`` itself when the call
-    ``owned`` it, else in one copy, and the identity branch is added into it
-    block by block, so a projection costs at most one full-size array.
+    A factor that every mask marks identity is traced out, the recursion
+    runs on the matrix d^2 times smaller, and its result is embedded back as
+    ``(x) 1``; the highest such factor goes first, at every level.  With
+    none, the factor at ``pos`` splits into its identity average and the
+    traceless complement, and the identity branch recurses on the
+    traced-out matrix.  So full-size arithmetic happens only along runs of
+    traceless factors; empty branches return None and full branches return
+    their input unchanged.  Results are formed in ``data`` itself when the
+    call ``owned`` it, else in one new array, and identity branches are
+    added into them block by block, so a projection costs at most one
+    full-size array.
     """
     k = len(dims)
     if not masks:
         return None
     if len(masks) == 1 << (k - pos):
         return data
-    avg_small = _traced_average(data, dims, pos)
-    low = {m >> 1 for m in masks if not m & 1}
-    high = {m >> 1 for m in masks if m & 1}
+    marked = 0
+    for m in masks:
+        marked |= m
+    idle = ~marked & ((1 << (k - pos)) - 1)
+    if idle:
+        i = idle.bit_length() - 1
+        below = (1 << i) - 1
+        traced, high = pos + i, ()
+        low = {m & below | m >> 1 & ~below for m in masks}
+    else:
+        traced, high = pos, {m >> 1 for m in masks if m & 1}
+        low = {m >> 1 for m in masks if not m & 1}
+    small = _trace_factor(data, dims, traced)
+    small /= dims[traced]
 
     out = None
     if high:
         out = data if owned else data.copy()
-        _combine_identity(np.subtract, out, avg_small, dims, pos)
+        _combine_identity(np.subtract, out, small, dims, pos)
         out = _project_masks(out, dims, pos + 1, high, owned=True)
 
-    reduced_dims = dims[:pos] + dims[pos + 1:]
-    low_small = _project_masks(avg_small, reduced_dims, pos, low, owned=True)
+    low_small = _project_masks(small, dims[:traced] + dims[traced + 1:], pos, low, owned=True)
     if low_small is None:
         return out
     if out is None:
         out = data if owned else np.empty_like(data)
         out.fill(0)
-    _combine_identity(np.add, out, low_small, dims, pos)
+    _combine_identity(np.add, out, low_small, dims, traced)
     return out
-
-
-@lru_cache(maxsize=256)
-def _shared_identity(masks: frozenset, k: int) -> tuple[tuple[int, ...], frozenset]:
-    """The factors that every mask marks identity (none for an empty set),
-    and the masks over the other factors."""
-    if not masks:
-        return (), masks
-    marked = 0
-    for m in masks:
-        marked |= m
-    idle = tuple(j for j in range(k) if not marked >> j & 1)
-    kept = [j for j in range(k) if marked >> j & 1]
-    return idle, frozenset(sum((m >> b & 1) << i for i, b in enumerate(kept)) for m in masks)
 
 
 def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     """Projection onto ``masks``, through the complement when that set is smaller.
 
-    The factors that every mask of the chosen side marks identity are traced
-    out first, :func:`_project_masks` runs on a matrix prod d_j^2 times
-    smaller, and its result is embedded as ``(x) 1`` into one zeroed
-    array.  So the projection allocates one full-size array besides
-    ``data``, and ``data`` is never written.
+    The projection allocates one full-size array besides ``data``, and
+    ``data`` is never written.
     """
     masks = frozenset(masks)
     complement = frozenset(range(1 << len(dims))) - masks
     through_complement = len(complement) < len(masks)
-    side = complement if through_complement else masks
-    idle, small_masks = _shared_identity(side, len(dims))
-    if idle:
-        small, small_dims = data, dims
-        for j in reversed(idle):
-            small = _traced_average(small, small_dims, j)
-            small_dims = small_dims[:j] + small_dims[j + 1:]
-        out = _project_masks(small, small_dims, 0, small_masks, owned=True)
-        for j in idle:
-            small, small_dims = out, small_dims[:j] + (dims[j],) + small_dims[j:]
-            size = math.prod(small_dims)
-            out = np.zeros((size, size), dtype=data.dtype)
-            _combine_identity(np.add, out, small, small_dims, j)
-    else:
-        out = _project_masks(data, dims, 0, side)
+    out = _project_masks(data, dims, 0, complement if through_complement else masks)
     if through_complement:
         # the complement is a proper subset, so ``out`` is a new array
         return data if out is None else np.subtract(data, out, out=out)
@@ -516,17 +463,18 @@ def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Patte
     # weights[live]: squared norm of the average over the factors not in ``live``
     weights = np.empty(1 << k)
 
-    def explore(tens: np.ndarray, live: int, divisor: float, start: int) -> None:
-        flat = tens.reshape(-1)
+    def explore(mat: np.ndarray, live_dims: tuple, live: int, divisor: float,
+                start: int) -> None:
+        flat = mat.reshape(-1)
         weights[live] = float(np.vdot(flat, flat).real) / divisor
         for j in range(start, k):
             # only factors below ``start`` are traced out, so factor j sits
-            # at the axis counting the live factors before it
+            # at the position counting the live factors before it
             pos = (live & ((1 << j) - 1)).bit_count()
-            traced = np.trace(tens, axis1=pos, axis2=pos + tens.ndim // 2)
-            explore(traced, live & ~(1 << j), divisor * dims[j], j + 1)
+            explore(_trace_factor(mat, live_dims, pos), live_dims[:pos] + live_dims[pos + 1:],
+                    live & ~(1 << j), divisor * dims[j], j + 1)
 
-    explore(op.data.reshape(dims + dims), full, 1.0, 0)
+    explore(op.data, dims, full, 1.0, 0)
     # each weight is exact to about eps * ||op||^2 and a pattern sums up to
     # 2^k of them: values at or below that resolution are reported as 0
     resolution = (1 << k) * np.finfo(float).eps * weights[full]
@@ -536,7 +484,6 @@ def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Patte
         by_mark = np.moveaxis(cube, axis, 0)
         by_mark[1] -= by_mark[0]
     weights[weights <= resolution] = 0.0
-    # axis i of the transposed cube is factor i, traceless at index 1
-    by_factor = cube.T
-    return {Pattern(tuple(TRL if bit else IDN for bit in idx)): float(by_factor[idx])
-            for idx in np.ndindex(by_factor.shape)}
+    # weights[m] is now the component traceless on the factors set in m
+    values = weights.tolist()
+    return {Pattern(_marks_of(m, k)): values[m] for m in range(1 << k)}

@@ -392,7 +392,7 @@ def parse_config(text: str) -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key.startswith("registry."):
-                registry[key[len("registry."):]] = int(value)
+                _register(registry, key[len("registry."):], int(value), f"line {lineno}: ")
             elif key in _KEYS:
                 attr, kind, low = _KEYS[key]
                 number = kind(value)
@@ -429,7 +429,16 @@ def parse_inline_registry(text: str) -> dict[str, int]:
             raise ConfigError(f"bad registry entry {chunk!r}, expected LABEL=DIM")
         label, dim = chunk.split("=", 1)
         try:
-            out[label.strip()] = int(dim)
+            dim = int(dim)
         except ValueError:
             raise ConfigError(f"bad dimension in registry entry {chunk!r}") from None
+        _register(out, label.strip(), dim)
     return out
+
+
+def _register(registry: dict[str, int], label: str, dim: int, where: str = "") -> None:
+    """Add ``label`` to a registry being parsed; :class:`ConfigError` if it is
+    already there with another dimension."""
+    if registry.setdefault(label, dim) != dim:
+        raise ConfigError(f"{where}registry label {label!r} given as {registry[label]} "
+                          f"and as {dim}")

@@ -75,6 +75,22 @@ def _identity_average(tens, dims, i):
     return out.reshape(tens.shape)
 
 
+def reference_partial_trace(data, dims, traced):
+    """Partial trace of a row-major matrix over the factor positions ``traced``.
+
+    An oracle independent of ``hoq.linalg``: one ``np.einsum`` over the
+    2k-axis tensor that gives each traced factor the same row and column
+    index.
+    """
+    k = len(dims)
+    rows = "abcdefghijklm"[:k]
+    cols = "".join(rows[i] if i in traced else "nopqrstuvwxyz"[i] for i in range(k))
+    kept = [i for i in range(k) if i not in traced]
+    out = "".join(rows[i] for i in kept) + "".join(cols[i] for i in kept)
+    size = math.prod(dims[i] for i in kept)
+    return np.einsum(f"{rows}{cols}->{out}", data.reshape(tuple(dims) * 2)).reshape(size, size)
+
+
 def reference_component(op, marks):
     """Matrix of the component of ``op`` on the sector pattern ``marks``.
 

@@ -435,6 +435,21 @@ limits.max_iter = 99
         with pytest.raises(ConfigError):
             parse_inline_registry("A:2")
 
+    def test_registry_label_given_twice(self, runner, tmp_path):
+        # a repeated label must repeat its dimension, as SystemRegistry demands
+        assert parse_inline_registry("A=2,B=3,A=2") == {"A": 2, "B": 3}
+        assert parse_config("registry.A = 2\nregistry.A = 2\n").registry.dim("A") == 2
+        with pytest.raises(ConfigError, match="registry label 'A' given as 2 and as 3"):
+            parse_inline_registry("A=2,A=3")
+        with pytest.raises(ConfigError, match="line 2: registry label 'A' given as 2 and as 3"):
+            parse_config("registry.A = 2\nregistry.A = 3\n")
+        res = runner.invoke(main, ["lambda", "A", "--registry", "A=2,A=3"])
+        assert res.exit_code == 2 and "'A'" in res.output
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("registry.A = 2\nregistry.A = 3\n")
+        res = runner.invoke(main, ["lambda", "A", "--config", str(cfg)])
+        assert res.exit_code == 2 and "'A'" in res.output
+
 
 class TestLambdaDelta:
     def test_lambda_pair(self, runner):

@@ -234,7 +234,7 @@ class TestRealArithmetic:
             sym, defect = hermitian_part(a)
             assert sym.dtype == dtype and sym.flags.c_contiguous
             assert np.array_equal(sym, (a.data + a.data.conj().T) / 2)
-            assert np.isclose(defect, a.herm_defect(), rtol=1e-12, atol=0)
+            assert np.isclose(defect, np.abs(a.data - a.data.conj().T).max(), rtol=1e-12, atol=0)
 
     def test_only_float64_stays_real(self, rng):
         g = rng.normal(size=(6, 6))
@@ -283,7 +283,7 @@ class TestBlockedDefect:
         assert sym.dtype == (np.float64 if kind in ("real", "zero_imaginary") else np.complex128)
         compared = a.data.real if np.isrealobj(sym) else a.data
         assert defect == 2.0 * float(np.abs(compared - sym).max())
-        assert a.herm_defect() == float(np.abs(a.data - a.data.conj().T).max())
+        assert np.isclose(defect, np.abs(a.data - a.data.conj().T).max(), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("entry", [(-1, -1, np.nan), (-1, -1, np.inf),
                                        (-2, -1, np.nan), (-1, -2, -np.inf),
@@ -299,7 +299,7 @@ class TestBlockedDefect:
         assert n + min(row, col) >= n - n % (_DEFECT_BLOCK // n)
         a = LabeledOperator((("A", n),), data)
         with np.errstate(invalid="ignore"):
-            assert not math.isfinite(a.herm_defect())
+            assert not math.isfinite(np.abs(a.data - a.data.conj().T).max())
         with pytest.raises(NonFiniteOperator):
             hermitian_part(a)
         reg = SystemRegistry.of(A=n)
@@ -330,6 +330,8 @@ class TestStructure:
         assert np.array_equal(m.data, a.data)
         with pytest.raises(BadPermutation):
             merge_factors(a, ("A", "C"), "AC")
+        with pytest.raises(BadPermutation, match="no factors to merge"):
+            merge_factors(identity([("A", 2)]), (), "X")
 
     def test_marginals_of_product(self, rng):
         a = rand_herm(rng, [("A", 2)])

@@ -320,7 +320,9 @@ class TestFamilies:
         # in every forbidden pattern, so the projection runs 64 times smaller.
         # That holds in any factor order: the P-first operator is checked
         # against the BSP type, whose order puts P after the slots, without
-        # a permuted copy; classify adds the second sector test's projection
+        # a permuted copy; classify adds the second sector test's projection.
+        # A FAIL check adds the live partial traces of the sector breakdown's
+        # walk over the outside component, about a third of a copy
         r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
         r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
         reg = SystemRegistry.from_dict(dict(r.factors))
@@ -328,16 +330,20 @@ class TestFamilies:
         bsp_type = Arrow(tensor_all([pair(1), pair(2)]),
                          Arrow(SystemString(("P",)), SystemString(("F",))))
         assert r.dim == 1024 and r.data.dtype == np.complex128 and not r.data.imag.any()
-        for check, bound in [(lambda: is_deterministic(r, spec, reg), 2.1),
-                             (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8), 2.1),
-                             (lambda: classify(r, bsp_type, reg).bistoch_report, 2.6)]:
+        standard = Hierarchy.STANDARD
+        for check, bound, passed in [
+                (lambda: is_deterministic(r, spec, reg), 2.1, True),
+                (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8), 2.1, True),
+                (lambda: classify(r, bsp_type, reg).bistoch_report, 2.6, True),
+                (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8, hierarchy=standard), 2.4, False)]:
             tracemalloc.start()
             try:
                 rep = check()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert rep.passed and rep.psd_method == "cholesky"
+            assert rep.passed == passed and rep.psd_method == "cholesky"
+            assert passed or rep.forbidden_components
             assert peak <= bound * r.dim ** 2 * 8
 
     def test_n_time_flip_is_bislot(self):

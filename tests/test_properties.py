@@ -1,8 +1,8 @@
-"""Property-based tests of the numerical sector projection and pattern norms,
-of the invariants that let ``classify`` and ``is_admissible`` share the
-check's front half, of real arithmetic against complex arithmetic in the
-check, of checks that run in the operator's own factor order, and of the
-factor order of network characterizations."""
+"""Property-based tests of the partial trace, of the numerical sector
+projection and pattern norms, of the invariants that let ``classify`` and
+``is_admissible`` share the check's front half, of real arithmetic against
+complex arithmetic in the check, of checks that run in the operator's own
+factor order, and of the factor order of network characterizations."""
 import math
 
 import numpy as np
@@ -21,6 +21,7 @@ from hoq import (
     is_admissible,
     is_deterministic,
     parse_type,
+    partial_trace,
     pattern_norms,
     permute_systems,
     sample_deterministic,
@@ -32,7 +33,7 @@ from hoq.sectors import (SectorSet, _marks_of, _project_masks, deviation_sectors
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
-from helpers import random_type, reference_component
+from helpers import random_type, reference_component, reference_partial_trace
 
 
 @st.composite
@@ -75,6 +76,33 @@ def test_projection_in_place_complementary_idempotent(case):
     rest = sector_project(op, complement)
     assert np.allclose(proj.data + rest.data, h, atol=1e-12)
     assert np.allclose(sector_project(proj, sectors).data, proj.data, atol=1e-12)
+
+
+@st.composite
+def operator_and_traced_labels(draw):
+    """An operator on up to 5 factors of dimension 1 to 3, real or complex, and
+    a random subset of its labels in a random order."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
+    traced = draw(st.lists(st.sampled_from([lab for lab, _ in systems]), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = math.prod(dims)
+    data = rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        data = data + 1j * rng.normal(size=(dim, dim))
+    return LabeledOperator(systems, data), traced
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_and_traced_labels())
+def test_partial_trace_against_einsum(case):
+    op, traced = case
+    out = partial_trace(op, traced)
+    assert out.factors == tuple(f for f in op.factors if f[0] not in traced)
+    assert out.data.dtype == op.data.dtype
+    positions = {op.labels.index(lab) for lab in traced}
+    reference = reference_partial_trace(op.data, op.dims, positions)
+    assert np.abs(out.data - reference).max() <= 1e-12
 
 
 @st.composite
