@@ -30,7 +30,6 @@ from .linalg import (
 )
 from .sectors import (
     Hierarchy,
-    Pattern,
     SectorSet,
     deviation_sectors,
     dual_deviation_direct,

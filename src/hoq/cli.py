@@ -195,19 +195,28 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
     target and control ports fused into single P and F factors.
     """
     cfg = _config(config_path, registry_inline)
-    if process == "time-flip":
-        op = processes.canonical_ports(processes.time_flip_choi(dim))
+    # the operator's dimension, from the options alone, and how to build it;
+    # a negative option counts as 0, so that its builder's own error reports it
+    d, n, t_in, t_out = (max(v, 0) for v in (dim, slots, tail_in, tail_out))
+    if process == "time-flip":  # A, B, and P, F of dimension 2d
+        size, build = 4 * d ** 4, lambda: processes.canonical_ports(
+            processes.time_flip_choi(dim))
     elif process == "n-time-flip":
-        op = processes.canonical_ports(
-            processes.n_time_flip_choi(slots, dim, dim_cap=cfg.max_dim))
+        size, build = (d * 2 ** n) ** 2 * d ** (2 * n), lambda: (
+            processes.canonical_ports(processes.n_time_flip_choi(slots, dim, dim_cap=cfg.max_dim)))
     elif process == "flip-switch":
-        op = processes.canonical_ports(processes.flippable_switch_choi(dim))
+        size, build = 4 * d ** 6, lambda: processes.canonical_ports(
+            processes.flippable_switch_choi(dim))
     elif process == "lc23":
-        op = processes.lc_23_process(slots)
+        size, build = n ** 4, lambda: processes.lc_23_process(slots)
     elif process == "lc22":
-        op = processes.lc_22_process(dim, x, y)
+        size, build = d ** 4, lambda: processes.lc_22_process(dim, x, y)
     else:
-        op = processes.random_bistochastic_channel(dim, tail_in, tail_out, k=k, seed=seed)
+        size, build = d ** 2 * t_in * t_out, lambda: (
+            processes.random_bistochastic_channel(dim, tail_in, tail_out, k=k, seed=seed))
+    if size > cfg.max_dim:
+        raise SizeLimit(f"operator dimension {size} exceeds limits.max_dim = {cfg.max_dim}")
+    op = build()
     write_operator(op, output)
     click.echo(f"wrote {output}: factors {list(op.labels)}, dim {op.dim}")
 

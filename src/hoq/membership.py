@@ -13,8 +13,9 @@ from .errors import NoHattedSystems
 from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, check_tol, hermitian_part,
                      permute_systems)
 from .sectors import (
-    Pattern,
     SectorSet,
+    _mask_text,
+    _permute_mask,
     _project,
     deviation_sectors,
     identity_coeff,
@@ -178,13 +179,12 @@ def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet,
     if residual > _NOISE_FLOOR * scale:
         norms = pattern_norms(outside, herm_tol=np.inf)
         where = [deviation.labels.index(lab) for lab in sectors.labels]
-        for pattern, sq in norms.items():
-            if pattern.all_identity or pattern in matched:
+        for mask, sq in enumerate(norms.tolist()):
+            if mask == 0 or mask in matched:
                 continue
             norm = math.sqrt(sq)
             if norm > _NOISE_FLOOR * scale:
-                named = Pattern(tuple(pattern.marks[i] for i in where))
-                forbidden.append((named.text(sectors.systems), norm))
+                forbidden.append((_mask_text(_permute_mask(mask, where), sectors.systems), norm))
         # norms equal to 12 digits tie and the pattern text orders them, so
         # last-bit rounding does not decide the order
         forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))

@@ -38,12 +38,8 @@ from .typesys import BistochElem, SystemRegistry, dual
 # ---------------------------------------------------------------------------
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    """Haar-distributed unitary: the one Kraus operator of a random unitary channel."""
+    return random_kraus(d, d, 1, rng)[0]
 
 
 def random_kraus(d_in: int, d_out: int, n_kraus: int,
@@ -81,6 +77,9 @@ def random_bistochastic_channel(d: int, tail_in_dim: int = 1, tail_out_dim: int 
     """
     if k < 1:
         raise ValueError("need at least one mixture term")
+    if min(d, tail_in_dim, tail_out_dim) < 1:
+        raise ValueError(f"dimensions must be at least 1: d = {d}, tails {tail_in_dim} "
+                         f"and {tail_out_dim}")
     hat_in, t_in, hat_out, t_out = labels
     with_tails = tail_in_dim > 1 or tail_out_dim > 1
     rng = np.random.default_rng(seed)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -49,78 +48,37 @@ class Hierarchy(Enum):
     STANDARD = "standard"
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Per-factor assignment of identity-span (I) or traceless (T)."""
-
-    marks: tuple[str, ...]
-
-    def __post_init__(self):
-        for m in self.marks:
-            if m != IDN and m != TRL:
-                raise ValueError(f"pattern marks must be '{IDN}' or '{TRL}': {self.marks}")
-
-    @property
-    def all_identity(self) -> bool:
-        return TRL not in self.marks
-
-    def text(self, systems: Sequence[tuple[str, int]]) -> str:
-        return " ".join(f"{lab}:{m}" for (lab, _), m in zip(systems, self.marks))
+def _permute_mask(mask: int, perm) -> int:
+    """The mask whose bit ``j`` is bit ``perm[j]`` of ``mask``."""
+    return sum((mask >> p & 1) << j for j, p in enumerate(perm))
 
 
-def _mask_of(marks: tuple[str, ...]) -> int:
-    mask = 0
-    for i, m in enumerate(marks):
-        if m == TRL:
-            mask |= 1 << i
-    return mask
-
-
-def _marks_of(mask: int, k: int) -> tuple[str, ...]:
-    return tuple(TRL if mask >> i & 1 else IDN for i in range(k))
+def _mask_text(mask: int, systems) -> str:
+    """A pattern as text, ``label:T`` or ``label:I`` per factor."""
+    return " ".join(f"{lab}:{TRL if mask >> i & 1 else IDN}" for i, (lab, _) in enumerate(systems))
 
 
 class SectorSet:
     """A union of mutually orthogonal sector patterns over named systems.
 
-    Internally each pattern is a bitmask (bit ``i`` set when factor ``i`` is
-    traceless), which keeps the subspace arithmetic exact and cheap; the
-    ``patterns`` view materializes :class:`Pattern` objects on demand.
+    Each pattern is a bitmask, bit ``i`` set when factor ``i`` is traceless,
+    which keeps the subspace arithmetic exact and cheap.
     """
 
-    __slots__ = ("systems", "masks", "_patterns")
+    __slots__ = ("systems", "masks")
 
-    def __init__(self, systems, patterns):
+    def __init__(self, systems, masks):
         self.systems = tuple(systems)
-        k = len(self.systems)
-        masks = set()
-        for p in patterns:
-            if isinstance(p, Pattern):
-                if len(p.marks) != k:
-                    raise ValueError("pattern length does not match system count")
-                masks.add(_mask_of(p.marks))
-            else:
-                masks.add(int(p))
-        if any(m >> k for m in masks):
-            raise ValueError("pattern mask out of range for system count")
         self.masks = frozenset(masks)
-        self._patterns = None
-
-    @property
-    def patterns(self) -> frozenset[Pattern]:
-        if self._patterns is None:
-            k = len(self.systems)
-            self._patterns = frozenset(Pattern(_marks_of(m, k)) for m in self.masks)
-        return self._patterns
+        if any(m >> len(self.systems) for m in self.masks):
+            raise ValueError("pattern mask out of range for system count")
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.systems)
 
-    def __contains__(self, p) -> bool:
-        if isinstance(p, Pattern):
-            return _mask_of(p.marks) in self.masks
-        return int(p) in self.masks
+    def __contains__(self, mask: int) -> bool:
+        return mask in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -149,9 +107,9 @@ class SectorSet:
 
     def texts(self) -> list[str]:
         """Deterministic rendering, traceless marks sorting first."""
-        order = {TRL: 0, IDN: 1}
-        pats = sorted(self.patterns, key=lambda p: tuple(order[m] for m in p.marks))
-        return [p.text(self.systems) for p in pats]
+        k = len(self.systems)
+        masks = sorted(self.masks, key=lambda m: tuple(~m >> i & 1 for i in range(k)))
+        return [_mask_text(m, self.systems) for m in masks]
 
 
 @lru_cache(maxsize=256)
@@ -167,8 +125,7 @@ def _reordered(s: SectorSet, order: tuple) -> SectorSet:
     if labels == s.labels:
         return s
     perm = [s.labels.index(lab) for lab in labels]
-    masks = {sum(((m >> p) & 1) << j for j, p in enumerate(perm)) for m in s.masks}
-    return SectorSet(tuple(s.systems[i] for i in perm), masks)
+    return SectorSet(tuple(s.systems[i] for i in perm), {_permute_mask(m, perm) for m in s.masks})
 
 
 def full_space(systems) -> SectorSet:
@@ -449,8 +406,9 @@ def outside_component(op: LabeledOperator, s: SectorSet,
     return _projected(op, forbidden, herm_tol)
 
 
-def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Pattern, float]:
-    """Squared Frobenius norm of every sector component of ``op``.
+def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> np.ndarray:
+    """Squared Frobenius norm of every sector component of ``op``, indexed by
+    the component's mask in ``op``'s factor order.
 
     Computed from partial-trace norms over all factor subsets and inclusion-
     exclusion, avoiding the explicit construction of each component.  The
@@ -485,5 +443,4 @@ def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> dict[Patte
         by_mark[1] -= by_mark[0]
     weights[weights <= resolution] = 0.0
     # weights[m] is now the component traceless on the factors set in m
-    values = weights.tolist()
-    return {Pattern(_marks_of(m, k)): values[m] for m in range(1 << k)}
+    return weights

@@ -201,16 +201,21 @@ class _Parser:
         self.advance()
         return out
 
+    def labels(self) -> tuple[str, ...]:
+        """The run of labels at the cursor, possibly empty."""
+        out = []
+        while _LABEL_RE.fullmatch(self.tok or ""):
+            out.append(self.label())
+        return tuple(out)
+
     def type_expr(self, depth=0) -> TypeExpr:
         if depth > self.limit:
             raise RecursionLimit(f"type nesting exceeds limit {self.limit}")
         if self.tok == "(":
             return self.paren(depth)
-        labels = [self.label()]
-        while _LABEL_RE.fullmatch(self.tok or ""):
-            labels.append(self.label())
+        labels = (self.label(),) + self.labels()
         try:
-            return SystemString(tuple(labels))
+            return SystemString(labels)
         except ValueError as exc:
             raise TypeSyntaxError(str(exc), self.pos) from None
 
@@ -229,17 +234,13 @@ class _Parser:
     def hatted(self) -> BistochElem:
         self.expect("^")
         hat_in = self.label()
-        in_tail = []
-        while _LABEL_RE.fullmatch(self.tok or ""):
-            in_tail.append(self.label())
+        in_tail = self.labels()
         self.expect("->")
         self.expect("^")
         hat_out = self.label()
-        out_tail = []
-        while _LABEL_RE.fullmatch(self.tok or ""):
-            out_tail.append(self.label())
+        out_tail = self.labels()
         try:
-            return BistochElem(hat_in, tuple(in_tail), hat_out, tuple(out_tail))
+            return BistochElem(hat_in, in_tail, hat_out, out_tail)
         except ValueError as exc:
             raise TypeSyntaxError(str(exc), self.pos) from None
 
@@ -268,16 +269,12 @@ def validate(t: TypeExpr, reg: SystemRegistry) -> None:
             raise DuplicateSystem(f"label {label!r} occurs more than once in the type")
         seen.add(label)
 
-    for node in walk(t):
-        if isinstance(node, SystemString):
-            for lab in node.labels:
-                visit(lab)
-        elif isinstance(node, BistochElem):
-            for lab in (node.hat_in, *node.in_tail, node.hat_out, *node.out_tail):
-                visit(lab)
-            if reg.dim(node.hat_in) != reg.dim(node.hat_out):
-                raise HatDimMismatch(node.hat_in, node.hat_out,
-                                     reg.dim(node.hat_in), reg.dim(node.hat_out))
+    for node, labels in _elementary(t):
+        for lab in labels:
+            visit(lab)
+        if isinstance(node, BistochElem) and reg.dim(node.hat_in) != reg.dim(node.hat_out):
+            raise HatDimMismatch(node.hat_in, node.hat_out,
+                                 reg.dim(node.hat_in), reg.dim(node.hat_out))
 
 
 def walk(t: TypeExpr) -> Iterator[TypeExpr]:
@@ -289,6 +286,16 @@ def walk(t: TypeExpr) -> Iterator[TypeExpr]:
         if isinstance(node, Arrow):
             stack.append(node.rhs)
             stack.append(node.lhs)
+
+
+def _elementary(t: TypeExpr) -> Iterator[tuple[TypeExpr, tuple[str, ...]]]:
+    """Each elementary type of ``t``, left to right, with its labels, ``I``
+    included; a pair's come in the order hat_in, in_tail, hat_out, out_tail."""
+    for node in walk(t):
+        if isinstance(node, SystemString):
+            yield node, node.labels
+        elif isinstance(node, BistochElem):
+            yield node, (node.hat_in, *node.in_tail, node.hat_out, *node.out_tail)
 
 
 def print_type(t: TypeExpr) -> str:
@@ -313,30 +320,9 @@ def systems_of(t: TypeExpr, reg: SystemRegistry | None = None):
     type ``t``.  With a registry the result is a list of ``(label, dim)``
     pairs, otherwise a list of labels.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
-
-    def add(lab: str) -> None:
-        if lab != TRIVIAL_LABEL and lab not in seen:
-            seen.add(lab)
-            labels.append(lab)
-
-    def go(node: TypeExpr) -> None:
-        if isinstance(node, SystemString):
-            for lab in node.labels:
-                add(lab)
-        elif isinstance(node, BistochElem):
-            add(node.hat_in)
-            for lab in node.in_tail:
-                add(lab)
-            add(node.hat_out)
-            for lab in node.out_tail:
-                add(lab)
-        else:
-            go(node.lhs)
-            go(node.rhs)
-
-    go(t)
+    # a dict keeps the first occurrence of each label, in order
+    labels = list(dict.fromkeys(lab for _, labs in _elementary(t) for lab in labs
+                                if lab != TRIVIAL_LABEL))
     if reg is None:
         return labels
     return [(lab, reg.dim(lab)) for lab in labels]

@@ -105,6 +105,16 @@ def reference_component(op, marks):
     return data
 
 
+def mask_of(marks):
+    """Bitmask of a pattern given as "I"/"T" marks: bit ``i`` set for a "T"."""
+    return sum(1 << i for i, mark in enumerate(marks) if mark == "T")
+
+
+def marks_of(mask, k):
+    """The "I"/"T" marks of a pattern bitmask over ``k`` factors."""
+    return tuple("T" if mask >> i & 1 else "I" for i in range(k))
+
+
 def max_entangled(label_a, label_b, d):
     """The unnormalized maximally entangled projector between two factors."""
     from hoq import LabeledOperator

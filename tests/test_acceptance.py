@@ -52,11 +52,11 @@ from hoq.processes import (
     time_flip_choi,
     time_flip_merged,
 )
-from hoq.sectors import (Pattern, SectorSet, arrow_coeff, arrow_sectors, dual_coeff_direct,
+from hoq.sectors import (SectorSet, arrow_coeff, arrow_sectors, dual_coeff_direct,
                          tensor_coeff_direct)
 from hoq.typesys import Arrow, extend, systems_of
 
-from helpers import random_type
+from helpers import mask_of, random_type
 
 
 def report(number, description, started, budget):
@@ -200,7 +200,7 @@ def test_criterion_03_process_matrix_reproduction():
     # extracted forbidden component of the n=2 signaling process
     r2 = lc_23_process(2)
     dev = LabeledOperator(r2.factors, r2.data - np.eye(16) / 4)
-    comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("T", "T", "I", "T"))]))
+    comp = sector_project(dev, SectorSet(dev.factors, [mask_of(("T", "T", "I", "T"))]))
     sz = np.diag([1.0, -1.0])
     target = np.kron(np.kron(np.kron(sz, sz), np.eye(2)), sz) / 4
     assert np.abs(comp.data - target).max() < 1e-10
@@ -209,7 +209,7 @@ def test_criterion_03_process_matrix_reproduction():
     d = 3
     r22 = lc_22_process(d, 0, 1)
     dev = LabeledOperator(r22.factors, r22.data - np.eye(d ** 4) / d ** 2)
-    comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("I", "I", "I", "T"))]))
+    comp = sector_project(dev, SectorSet(dev.factors, [mask_of(("I", "I", "I", "T"))]))
     x_plus_y = np.diag([1.0, 1.0, 0.0]) - 2 * np.eye(3) / 3
     assert np.abs(comp.data - np.kron(np.eye(27), x_plus_y) / 9).max() < 1e-10
 
@@ -297,7 +297,7 @@ def test_criterion_05_characterization_consistency():
             continue
         h = LabeledOperator(systems, random_hermitian(dim, rng))
         norms = pattern_norms(h)
-        assert abs(sum(norms.values()) - np.linalg.norm(h.data) ** 2) < 1e-10
+        assert abs(sum(norms) - np.linalg.norm(h.data) ** 2) < 1e-10
 
     report(5, "200 random types: direct formulas, double dual, Parseval",
            started, 60.0)

@@ -41,6 +41,14 @@ REG_FLIP = "A=2,B=2,P=4,F=4"
 FLIP_TYPE = "((^A -> ^B) -> (P -> F))"
 
 
+@pytest.fixture
+def max_dim_16(tmp_path):
+    """A config file that sets ``limits.max_dim = 16``."""
+    cfg = tmp_path / "max_dim_16.cfg"
+    cfg.write_text("limits.max_dim = 16\n")
+    return str(cfg)
+
+
 def _skewed(op):
     """``op`` plus 1e-8 i at (0, 1) and (1, 0): an anti-Hermitian part with
     hermiticity defect 2e-8, which leaves the Hermitian part unchanged."""
@@ -874,6 +882,46 @@ class TestMakeAndClassify:
             op = read_operator(str(out))
             assert op.dim == dim
             assert op.labels == labels
+
+    @pytest.mark.parametrize("args", [
+        ["time-flip", "--d", "2"], ["n-time-flip", "--n", "2", "--d", "2"],
+        ["flip-switch", "--d", "2"], ["lc22", "--d", "3"], ["lc23", "--n", "3"],
+        ["random-bistoch", "--d", "5"], ["random-bistoch", "--d", "2", "--tail-out", "5"]])
+    def test_make_refuses_more_than_max_dim(self, runner, tmp_path, max_dim_16, args):
+        out = tmp_path / "op.json"
+        res = runner.invoke(main, ["make", *args, "-o", str(out), "--config", max_dim_16])
+        assert res.exit_code == 2, res.output
+        assert "exceeds limits.max_dim = 16" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["lc23", "--n", "2"], ["random-bistoch", "--d", "2", "--tail-in", "2", "--tail-out", "2"]])
+    def test_make_at_max_dim_writes(self, runner, tmp_path, max_dim_16, args):
+        out = tmp_path / "op.json"
+        res = runner.invoke(main, ["make", *args, "-o", str(out), "--config", max_dim_16])
+        assert res.exit_code == 0, res.output
+        assert read_operator(str(out)).dim == 16
+
+    @pytest.mark.parametrize("args", [["--d", "0"], ["--d", "-2"], ["--tail-in", "0"],
+                                      ["--tail-in", "-3"], ["--tail-in", "-3", "--tail-out", "-2"],
+                                      ["--d", "-9"]])
+    def test_make_random_bistoch_refuses_dimensions_below_one(self, runner, tmp_path, max_dim_16,
+                                                              args):
+        # with a small max_dim too, the bad dimension is what is reported
+        out = tmp_path / "op.json"
+        for extra in ([], ["--config", max_dim_16]):
+            res = runner.invoke(main, ["make", "random-bistoch", *args, "-o", str(out), *extra])
+            assert res.exit_code == 2, res.output
+            assert "dimensions must be at least 1" in res.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize("process", ["time-flip", "flip-switch", "lc22"])
+    def test_make_reports_a_negative_dimension_under_a_small_max_dim(self, runner, tmp_path,
+                                                                       max_dim_16, process):
+        res = runner.invoke(main, ["make", process, "--d", "-3", "-o", str(tmp_path / "op.json"),
+                                   "--config", max_dim_16])
+        assert res.exit_code == 2, res.output
+        assert "max_dim" not in res.output
 
     def test_make_deterministic_given_seed(self, runner, tmp_path):
         a = tmp_path / "a.json"

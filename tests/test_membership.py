@@ -3,7 +3,6 @@ import pytest
 
 from hoq import (
     LabeledOperator,
-    Pattern,
     SystemRegistry,
     classify,
     dual,
@@ -23,7 +22,7 @@ from hoq.sectors import SectorSet
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
-from helpers import NON_FINITE, non_finite_operator, random_type, reference_admissible
+from helpers import NON_FINITE, mask_of, non_finite_operator, random_type, reference_admissible
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 
@@ -75,7 +74,7 @@ def test_breakdown_lists_only_patterns_with_weight():
     t = parse_type("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))", reg)
     base = sample_deterministic(t, reg, eps=0.5, seed=1)
     noise = LabeledOperator(base.factors, random_hermitian(256, np.random.default_rng(1)))
-    pattern = Pattern(("I", "I", "T", "T", "I", "I"))
+    pattern = mask_of(("I", "I", "T", "T", "I", "I"))
     comp = sector_project(noise, SectorSet(noise.factors, [pattern])).data
     op = LabeledOperator(base.factors, base.data + 1e-3 * comp / np.linalg.norm(comp))
     rep = is_deterministic(op, t, reg)

@@ -36,10 +36,11 @@ from hoq.processes import (
     time_flip_choi,
     time_flip_merged,
 )
-from hoq.sectors import Pattern, SectorSet
+from hoq.sectors import SectorSet
 from hoq.linalg import choi_of_kraus, link_all, relabel
 
-from helpers import NON_FINITE, bistoch_type_of, reference_n_time_flip, reference_time_flip
+from helpers import (NON_FINITE, bistoch_type_of, mask_of, reference_n_time_flip,
+                     reference_time_flip)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 FLIP_TYPE = parse_type("((^A -> ^B) -> (P -> F))", REG)
@@ -85,6 +86,11 @@ class TestRandomBistoch:
         reg = SystemRegistry.from_dict(dict(c.factors))
         t = bistoch_type_of(c, in_tail=('U',), out_tail=('V',))
         assert is_deterministic(c, t, reg).passed
+
+    @pytest.mark.parametrize("dims", [(0, 1, 1), (-2, 1, 1), (2, 0, 1), (2, -3, 1), (2, 1, 0)])
+    def test_dimensions_below_one_raise(self, dims):
+        with pytest.raises(ValueError, match="dimensions must be at least 1"):
+            random_bistochastic_channel(*dims)
 
     def test_marginal_identities(self):
         for seed in range(5):
@@ -272,7 +278,7 @@ class TestLC:
         r = lc_23_process(2)
         lam = 1 / 4
         dev = LabeledOperator(r.factors, r.data - lam * np.eye(16))
-        comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("T", "T", "I", "T"))]))
+        comp = sector_project(dev, SectorSet(dev.factors, [mask_of(("T", "T", "I", "T"))]))
         sz = np.diag([1.0, -1.0])
         expect = np.kron(np.kron(np.kron(sz, sz), np.eye(2)), sz) / 4
         assert np.abs(comp.data - expect).max() < 1e-12
@@ -307,7 +313,7 @@ class TestLC:
         r = lc_22_process(d, 0, 1)
         lam = 1 / d ** 2
         dev = LabeledOperator(r.factors, r.data - lam * np.eye(d ** 4))
-        comp = sector_project(dev, SectorSet(dev.factors, [Pattern(("I", "I", "I", "T"))]))
+        comp = sector_project(dev, SectorSet(dev.factors, [mask_of(("I", "I", "I", "T"))]))
         x_plus_y = np.diag([1.0, 1.0, 0.0]) - 2 * np.eye(d) / d
         expect = np.kron(np.eye(d ** 3), x_plus_y) / d ** 2
         assert np.abs(comp.data - expect).max() < 1e-12

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 from hoq import (
     LabeledOperator,
     NetworkSpec,
-    Pattern,
     SystemRegistry,
     classify,
     identity_coeff,
@@ -29,11 +28,11 @@ from hoq import (
 )
 from hoq.linalg import hermitian_part
 from hoq.membership import characterization_of, check_operator, random_hermitian
-from hoq.sectors import (SectorSet, _marks_of, _project_masks, deviation_sectors,
+from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
-from helpers import random_type, reference_component, reference_partial_trace
+from helpers import mask_of, marks_of, random_type, reference_component, reference_partial_trace
 
 
 @st.composite
@@ -69,7 +68,7 @@ def test_projection_in_place_complementary_idempotent(case):
     assert np.allclose(proj.data, np.zeros_like(h) if direct is None else direct,
                        atol=1e-12)
     # the sum of single-pattern components is the reference projection
-    reference = sum((reference_component(op, _marks_of(m, k)) for m in masks),
+    reference = sum((reference_component(op, marks_of(m, k)) for m in masks),
                     np.zeros_like(h))
     assert np.allclose(proj.data, reference, atol=1e-12)
 
@@ -139,7 +138,7 @@ def test_projection_traces_out_shared_identity_factors(case):
     side = min(wanted, everything - wanted, key=len)
     assert side and all(not m >> j & 1 for m in side for j in shared)
 
-    reference = {m: reference_component(op, _marks_of(m, k)) for m in wanted}
+    reference = {m: reference_component(op, marks_of(m, k)) for m in wanted}
     proj = sector_project(op, SectorSet(systems, wanted))
     expected = sum((reference[m] for m in wanted), np.zeros_like(h))
     assert np.abs(proj.data - expected).max() <= 1e-12
@@ -163,18 +162,18 @@ def test_pattern_norms_against_the_reference(case, random):
 
     norms = pattern_norms(op)
     assert len(norms) == 1 << k
-    assert all(value >= 0.0 for value in norms.values())
-    assert abs(sum(norms.values()) - total) <= 1e-10 * total
-    for pattern, value in norms.items():
-        direct = np.linalg.norm(reference_component(op, pattern.marks)) ** 2
+    assert all(value >= 0.0 for value in norms)
+    assert abs(sum(norms) - total) <= 1e-10 * total
+    for mask, value in enumerate(norms):
+        direct = np.linalg.norm(reference_component(op, marks_of(mask, k))) ** 2
         assert abs(value - direct) <= tolerance
 
     # permuting the factors permutes the pattern marks to match
     order = list(range(k))
     random.shuffle(order)
     permuted = pattern_norms(permute_systems(op, [systems[i][0] for i in order]))
-    for pattern, value in norms.items():
-        moved = Pattern(tuple(pattern.marks[i] for i in order))
+    for mask, value in enumerate(norms):
+        moved = mask_of(tuple(marks_of(mask, k)[i] for i in order))
         assert abs(permuted[moved] - value) <= tolerance
 
 

@@ -45,6 +45,15 @@ def test_parse_hat_dim_mismatch():
         parse_type("(^A B -> ^C)", REG)
 
 
+def test_validate_reports_the_first_fault_left_to_right():
+    # a pair's hat dimensions are checked right after its own labels, before
+    # any label that comes later
+    with pytest.raises(HatDimMismatch):
+        parse_type("((^A B -> ^C) -> A)", REG)
+    with pytest.raises(DuplicateSystem):
+        parse_type("(A -> (^A B -> ^C))", REG)
+
+
 def test_parse_tails():
     t = parse_type("(^A B -> ^E C)", REG)
     assert t == BistochElem("A", ("B",), "E", ("C",))
