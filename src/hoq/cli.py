@@ -9,6 +9,7 @@ as JSON with ``--json``.  A config file can be named with ``--config`` or the
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,13 @@ def _sized(t, reg: SystemRegistry, cfg: Config):
     if 2 ** k > cfg.max_dim:
         raise SizeLimit(f"{k} systems: 2^{k} sector patterns exceed limits.max_dim = {cfg.max_dim}")
     return t
+
+
+def _fits(dim: int, cfg: Config) -> None:
+    """:class:`SizeLimit` unless an operator of dimension ``dim`` fits ``limits.max_dim``,
+    so that every file written can be read back under the same config."""
+    if dim > cfg.max_dim:
+        raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {cfg.max_dim}")
 
 
 class HoqGroup(click.Group):
@@ -214,8 +222,7 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
     else:
         size, build = d ** 2 * t_in * t_out, lambda: (
             processes.random_bistochastic_channel(dim, tail_in, tail_out, k=k, seed=seed))
-    if size > cfg.max_dim:
-        raise SizeLimit(f"operator dimension {size} exceeds limits.max_dim = {cfg.max_dim}")
+    _fits(size, cfg)
     op = build()
     write_operator(op, output)
     click.echo(f"wrote {output}: factors {list(op.labels)}, dim {op.dim}")
@@ -250,6 +257,7 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
                                     limit=cfg.recursion)
     for i in range(spec.n):
         _sized(spec.block_type(i), reg, cfg)
+    _fits(math.prod(d for _, d in spec.system_order(reg)), cfg)
     composed = compose_network(blocks, spec, reg, tol=cfg.tol_sector,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_operator(composed, output)
@@ -270,6 +278,7 @@ def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
                                                   tol=cfg.tol_sector * 10,
                                                   psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
+    _fits(max(b.dim for b in blocks), cfg)
     write_bundle(blocks, new_spec, output)
     dims = [new_reg.dim(m) for m in new_spec.memories[1:-1]]
     click.echo(f"wrote {output}: {len(blocks)} blocks, memory dims {dims}")

@@ -40,12 +40,12 @@ def check_tol(name: str, value: float) -> None:
 
 
 def factor_entry(label, dim) -> tuple[str, int]:
-    """A ``(label, dim)`` factor; :class:`ShapeMismatch` unless ``dim`` is an integer.
+    """A ``(label, dim)`` factor; :class:`ShapeMismatch` unless ``dim`` is an integer >= 1.
 
     Python and numpy integers qualify; booleans, floats and strings do not.
     """
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-        raise ShapeMismatch(f"factor {label!r} has dimension {dim!r}, not an integer")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ShapeMismatch(f"factor {label!r} has dimension {dim!r}, not an integer >= 1")
     return str(label), int(dim)
 
 

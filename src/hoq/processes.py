@@ -96,15 +96,8 @@ def random_bistochastic_channel(d: int, tail_in_dim: int = 1, tail_out_dim: int 
             term = tensor_op(term, tails)
         data = weights[i] * term.data
         total = data if total is None else total + data
-    mix_factors = [(hat_in, d), (hat_out, d)]
-    if tail_in_dim > 1:
-        mix_factors.append((t_in, tail_in_dim))
-    if tail_out_dim > 1:
-        mix_factors.append((t_out, tail_out_dim))
-    op = LabeledOperator(tuple(mix_factors), total)
-    want = [hat_in] + ([t_in] if tail_in_dim > 1 else []) \
-        + [hat_out] + ([t_out] if tail_out_dim > 1 else [])
-    return permute_systems(op, want)
+    op = LabeledOperator(term.factors, total)
+    return permute_systems(op, [lab for lab in labels if lab in op.labels])
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def _pair_row(row, i: int) -> np.ndarray:
     return pairs
 
 
-def _matrix(rows, factors, max_dim: Optional[int], room: int = 0) -> np.ndarray:
+def _matrix(rows, factors, max_dim: Optional[int], room: int) -> np.ndarray:
     """Complex matrix of an iterable of rows, each converted and checked as it comes.
 
     ``factors`` is None when the matrix comes before them; more than
@@ -94,8 +94,7 @@ def _matrix(rows, factors, max_dim: Optional[int], room: int = 0) -> np.ndarray:
     reserves no memory.
     """
     n = None if factors is None else math.prod(d for _, d in factors)
-    # a negative n comes from a negative factor dimension, which no matrix fits
-    out = np.empty((n, n, 2)) if n is not None and 0 <= n and n * n <= room else None
+    out = np.empty((n, n, 2)) if n is not None and n * n <= room else None
     kept = []
     count = 0
     for count, row in enumerate(rows, start=1):
@@ -118,26 +117,6 @@ def _matrix(rows, factors, max_dim: Optional[int], room: int = 0) -> np.ndarray:
         except ValueError as exc:
             raise ShapeMismatch(f"malformed operator payload: {exc}") from None
     return out.view(np.complex128)[..., 0]
-
-
-_NOT_ROWS = "malformed operator payload: the matrix must be a list of rows"
-
-
-def operator_from_dict(payload: dict, *, max_dim: Optional[int] = None) -> LabeledOperator:
-    """Operator of a parsed payload; :class:`ShapeMismatch` when it is malformed.
-
-    With ``max_dim``, a declared dimension above it raises :class:`SizeLimit`
-    before the matrix is converted.  A NaN or infinite entry raises
-    :class:`NonFiniteOperator`.
-    """
-    try:
-        entries, rows = payload["factors"], payload["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
-    factors = _factors(entries, max_dim)
-    if not isinstance(rows, list):
-        raise ShapeMismatch(_NOT_ROWS)
-    return LabeledOperator(factors, _matrix(rows, factors, max_dim))
 
 
 _DECODER = json.JSONDecoder()
@@ -212,14 +191,14 @@ class _Cursor:
 def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
     """The operator object at the cursor, its matrix decoded one row at a time."""
     if cur.peek() != "{":
-        return operator_from_dict(cur.value(), max_dim=max_dim)
+        raise ShapeMismatch(f"malformed operator payload: not a JSON object at character {cur.pos}")
     found = {}
     for key in cur.keys():
         if key == "factors":
             found[key] = _factors(cur.value(), max_dim)
         elif key == "matrix":
             if cur.peek() != "[":
-                raise ShapeMismatch(_NOT_ROWS)
+                raise ShapeMismatch("malformed operator payload: the matrix must be a list of rows")
             # each entry takes 5 characters at least: [0,0]
             room = (len(cur.text) - cur.pos) // 5
             rows = (cur.value() for _ in cur.elements())
@@ -270,19 +249,32 @@ def bundle_to_dict(blocks, spec: NetworkSpec) -> dict:
     return {"blocks": [operator_to_dict(b) for b in blocks], "spec": _spec_to_dict(spec)}
 
 
-def bundle_from_dict(payload: dict, reg: SystemRegistry, *, max_dim: Optional[int] = None,
-                     limit: int = DEFAULT_RECURSION_LIMIT):
-    try:
-        blocks = [operator_from_dict(b, max_dim=max_dim) for b in payload["blocks"]]
-    except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
-    return _bundle(blocks, payload, reg, limit)
+def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
+    with _open(path, "w") as fh:
+        fh.write('{"blocks": [')
+        for k, block in enumerate(blocks):
+            fh.write(", " if k else "")
+            fh.writelines(_operator_chunks(block))
+        fh.write('], "spec": ' + json.dumps(_spec_to_dict(spec)) + "}\n")
 
 
-def _bundle(blocks, payload: dict, reg: SystemRegistry, limit: int):
-    """Blocks, spec and registry of a bundle whose blocks are already read."""
+def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None,
+                limit: int = DEFAULT_RECURSION_LIMIT):
+    """Blocks, spec and registry of a bundle file."""
+    cur = _Cursor(_read_text(path))
+    if cur.peek() != "{":
+        raise ShapeMismatch(f"malformed bundle payload: not a JSON object at character {cur.pos}")
+    payload = {}
+    for key in cur.keys():
+        if key != "blocks":
+            payload[key] = cur.value()
+        elif cur.peek() == "[":
+            payload[key] = [_operator_at(cur, max_dim) for _ in cur.elements()]
+        else:
+            raise ShapeMismatch("malformed bundle payload: the blocks must be a list")
+    cur.end()
     try:
-        spec_part = payload["spec"]
+        blocks, spec_part = payload["blocks"], payload["spec"]
         memories = tuple(str(m) for m in spec_part["memories"])
     except (KeyError, TypeError) as exc:
         raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
@@ -300,34 +292,6 @@ def _bundle(blocks, payload: dict, reg: SystemRegistry, limit: int):
             raise ShapeMismatch(f"memory {mem!r} not registered and absent from blocks")
     full_reg = reg.with_entries(**extra) if extra else reg
     return blocks, spec_from_dict(spec_part, full_reg, limit=limit), full_reg
-
-
-def write_bundle(blocks, spec: NetworkSpec, path: str) -> None:
-    with _open(path, "w") as fh:
-        fh.write('{"blocks": [')
-        for k, block in enumerate(blocks):
-            fh.write(", " if k else "")
-            fh.writelines(_operator_chunks(block))
-        fh.write('], "spec": ' + json.dumps(_spec_to_dict(spec)) + "}\n")
-
-
-def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None,
-                limit: int = DEFAULT_RECURSION_LIMIT):
-    cur = _Cursor(_read_text(path))
-    if cur.peek() != "{":
-        return bundle_from_dict(cur.value(), reg, max_dim=max_dim, limit=limit)
-    payload = {}
-    for key in cur.keys():
-        if key != "blocks":
-            payload[key] = cur.value()
-        elif cur.peek() == "[":
-            payload[key] = [_operator_at(cur, max_dim) for _ in cur.elements()]
-        else:
-            raise ShapeMismatch("malformed bundle payload: the blocks must be a list")
-    cur.end()
-    if "blocks" not in payload:
-        raise ShapeMismatch("malformed bundle payload: 'blocks'")
-    return _bundle(payload["blocks"], payload, reg, limit)
 
 
 def spec_from_dict(payload: dict, reg: SystemRegistry, *,

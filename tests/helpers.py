@@ -115,6 +115,13 @@ def marks_of(mask, k):
     return tuple("T" if mask >> i & 1 else "I" for i in range(k))
 
 
+def converted(payload):
+    """Factors and matrix bytes of an operator payload as ``json.loads`` gives
+    it, the matrix converted whole by numpy: the reference for the reader."""
+    matrix = np.array(payload["matrix"], dtype=np.float64).view(np.complex128)[..., 0]
+    return tuple((lab, d) for lab, d in payload["factors"]), matrix.tobytes()
+
+
 def max_entangled(label_a, label_b, d):
     """The unnormalized maximally entangled projector between two factors."""
     from hoq import LabeledOperator

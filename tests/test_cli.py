@@ -13,9 +13,7 @@ from hoq.linalg import permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
     Config,
-    bundle_from_dict,
     bundle_to_dict,
-    operator_from_dict,
     operator_to_dict,
     parse_config,
     parse_inline_registry,
@@ -29,7 +27,7 @@ from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type, pri
 from hoq.errors import (ConfigError, HoqError, NonFiniteOperator, RecursionLimit,
                         ShapeMismatch, SizeLimit)
 
-from helpers import NON_FINITE, non_finite_operator
+from helpers import NON_FINITE, converted, non_finite_operator
 
 
 @pytest.fixture
@@ -110,11 +108,13 @@ DEEP = "[" * 100000 + "]" * 100000
 
 
 def _deep_files(tmp_path, where):
-    """The files of _command_files with DEEP in one place of each: the matrix
-    (``where="matrix"``) or the whole top level of the operator, the spec's
-    slot types, and the bundle's one block, which is that operator."""
+    """The files of _command_files with DEEP in one place of each: the
+    operator's matrix (``where="matrix"``) or its factors (``where="top"``, a
+    value at the top level of its object), the spec's slot types, and the
+    bundle's one block, which is that operator."""
     files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
-    op = DEEP if where == "top" else '{"factors": [["A", 2], ["B", 2]], "matrix": ' + DEEP + "}"
+    op = ('{"factors": ' + DEEP + ', "matrix": [[[1, 0]]]}' if where == "top"
+          else '{"factors": [["A", 2], ["B", 2]], "matrix": ' + DEEP + "}")
     texts = {"op": op, "spec": '{"slot_types": ' + DEEP + ', "memories": ["I", "I"]}',
              "bundle": '{"blocks": [' + op + '], "spec": {"slot_types": [], "memories": []}}'}
     for name, text in texts.items():
@@ -142,11 +142,13 @@ class TestSerialization:
         assert payload["factors"] == [["A", 2]]
         assert np.array_equal(read_operator(str(path)).data, op.data)
 
-    def test_dict_shapes(self):
+    def test_dict_shapes(self, tmp_path):
         op = LabeledOperator((("A", 2),), np.array([[1, 2j], [-2j, 0.5]]))
         payload = operator_to_dict(op)
         assert payload["matrix"][0][1] == [0.0, 2.0]
-        assert np.array_equal(operator_from_dict(payload).data, op.data)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(payload))
+        assert np.array_equal(read_operator(str(path)).data, op.data)
 
     @pytest.mark.parametrize("name", ["op.json", "op.json.gz"])
     def test_files_are_json_dumps_of_the_dicts(self, tmp_path, rng, name):
@@ -187,14 +189,14 @@ class TestSerialization:
             written.append(raw[:4] + raw[8:] if name.endswith(".gz") else raw)
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("dim,n", [(2.7, 2), ("2", 2), (True, 1)], ids=repr)
+    @pytest.mark.parametrize("dim,n", [(2.7, 2), ("2", 2), (True, 1), (0, 1), (-2, 1)], ids=repr)
     def test_non_integer_factor_dimension(self, runner, tmp_path, dim, n):
         payload = operator_to_dict(LabeledOperator((("A", n),), np.eye(n) / n))
         payload["factors"] = [["A", dim]]
-        with pytest.raises(ShapeMismatch, match="not an integer"):
-            operator_from_dict(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeMismatch, match="not an integer"):
+            read_operator(str(path))
         res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", f"A={n}"])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "not an integer" in res.output
@@ -252,14 +254,10 @@ class TestSerialization:
             with opener(path, "wt", encoding="utf-8") as fh:
                 fh.write(text)
             if doc is payload:
-                got, want = [read_operator(path)], [operator_from_dict(json.loads(text))]
-                # the whole-document conversion of earlier versions
-                pairs = np.array(json.loads(text)["matrix"], dtype=np.float64)
-                assert got[0].data.tobytes() == pairs.view(np.complex128)[..., 0].tobytes()
+                got, want = [read_operator(path)], [json.loads(text)]
             else:
-                got, want = read_bundle(path, reg)[0], bundle_from_dict(json.loads(text), reg)[0]
-            assert [x.factors for x in got] == [x.factors for x in want]
-            assert [x.data.tobytes() for x in got] == [x.data.tobytes() for x in want]
+                got, want = read_bundle(path, reg)[0], json.loads(text)["blocks"]
+            assert [(x.factors, x.data.tobytes()) for x in got] == [converted(w) for w in want]
 
     @pytest.mark.parametrize("matrix", [
         [[[1, 0], [0, 0]], [[0, 0]]],
@@ -271,8 +269,6 @@ class TestSerialization:
     ], ids=["ragged", "triple", "strings", "null", "2-d", "huge-int"])
     def test_malformed_matrix(self, runner, tmp_path, matrix):
         payload = {"factors": [["A", 2]], "matrix": matrix}
-        with pytest.raises(ShapeMismatch):
-            operator_from_dict(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2"])
@@ -284,10 +280,8 @@ class TestSerialization:
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
         bundle = {"blocks": [payload], "spec": bundle_to_dict([], spec)["spec"]}
         path.write_text(json.dumps(bundle))
-        reg = SystemRegistry.of(A=2, B=2)
-        for read in (lambda: read_bundle(str(path), reg), lambda: bundle_from_dict(bundle, reg)):
-            with pytest.raises(ShapeMismatch):
-                read()
+        with pytest.raises(ShapeMismatch):
+            read_bundle(str(path), SystemRegistry.of(A=2, B=2))
         res = runner.invoke(main, ["compose", str(path), "-o", str(tmp_path / "out.json"),
                                    "--registry", "A=2,B=2"])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
@@ -315,6 +309,28 @@ class TestSerialization:
                 read()
             res = runner.invoke(main, args + ["--registry", "A=2,B=2"])
             assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"x"', "null", DEEP],
+                             ids=["list", "number", "string", "null", "deep-list"])
+    @pytest.mark.parametrize("kind", ["operator", "bundle", "block"])
+    def test_non_object_document(self, runner, tmp_path, kind, text):
+        # as the whole file, or as the one block of a bundle
+        spec = '"spec": {"slot_types": ["(^A -> ^B)"], "memories": ["I", "I"]}'
+        path, out = tmp_path / f"{kind}.json", tmp_path / "out.json"
+        path.write_text('{"blocks": [' + text + "], " + spec + "}" if kind == "block" else text)
+        if kind == "operator":
+            args = ["check", "(^A -> ^B)", "-f", str(path)]
+            read = functools.partial(read_operator, str(path))
+        else:
+            args = ["compose", str(path), "-o", str(out)]
+            read = functools.partial(read_bundle, str(path), SystemRegistry.of(A=2, B=2))
+        payload = "bundle" if kind == "bundle" else "operator"
+        with pytest.raises(ShapeMismatch, match=f"malformed {payload} payload: not a JSON object"):
+            read()
+        res = runner.invoke(main, args + ["--registry", "A=2,B=2"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert f"error: malformed {payload} payload" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_entries_stop_the_read(self, tmp_path, literal):
@@ -356,19 +372,22 @@ class TestSerialization:
         {"memories": ["I", "I"], "slot_types": 3},
         {"memories": ["I", "I"], "slot_types": [3]},
     ], ids=["no-slot-types", "not-a-list", "not-a-string"])
-    def test_malformed_bundle_spec(self, spec):
+    def test_malformed_bundle_spec(self, tmp_path, spec):
         # a bundle's spec is parsed as a network spec file is
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"blocks": [], "spec": spec}))
         with pytest.raises(ShapeMismatch, match="malformed network spec"):
-            bundle_from_dict({"blocks": [], "spec": spec}, SystemRegistry.of(A=2, B=2))
+            read_bundle(str(path), SystemRegistry.of(A=2, B=2))
 
-    def test_bundle_takes_the_recursion_limit(self):
+    def test_bundle_takes_the_recursion_limit(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
-        payload = bundle_to_dict([op], spec)
+        path = str(tmp_path / "bundle.json")
+        write_bundle([op], spec, path)
         reg = SystemRegistry.of(A=2, B=2)
-        assert bundle_from_dict(payload, reg)[1] == spec
+        assert read_bundle(path, reg)[1] == spec
         with pytest.raises(RecursionLimit, match="exceeds limit 0"):
-            bundle_from_dict(payload, reg, limit=0)
+            read_bundle(path, reg, limit=0)
 
     def test_max_dim_on_read(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
@@ -986,6 +1005,52 @@ class TestComposeDecompose:
         second = read_operator(str(r2))
         assert first.factors == second.factors
         assert np.abs(first.data - second.data).max() < 1e-8
+
+    @pytest.mark.parametrize("cap", [4, 16, 256])
+    def test_compose_writes_no_more_than_max_dim(self, runner, tmp_path, cap):
+        # two 4-dim blocks compose to a 16-dim operator
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2)
+        spec = NetworkSpec((dual(BistochElem("A1", (), "B1", ())),
+                            dual(BistochElem("A2", (), "B2", ()))), ("I", "I", "I"))
+        blocks = [sample_deterministic(spec.block_type(i), reg, eps=0.5, seed=3 + i)
+                  for i in range(2)]
+        bundle, out, cfg = (tmp_path / name for name in ("bundle.json", "out.json", "hoq.cfg"))
+        write_bundle(blocks, spec, str(bundle))
+        cfg.write_text(f"limits.max_dim = {cap}\n")
+        res = runner.invoke(main, ["compose", str(bundle), "-o", str(out), "--config", str(cfg),
+                                   "--registry", "A1=2,B1=2,A2=2,B2=2"])
+        if cap < 16:
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+            assert f"operator dimension 16 exceeds limits.max_dim = {cap}" in res.output
+            assert not out.exists()
+        else:
+            assert res.exit_code == 0, res.output
+            assert read_operator(str(out), max_dim=cap).dim == 16
+
+    @pytest.mark.parametrize("cap", [64, 256])
+    def test_decompose_writes_no_more_than_max_dim(self, runner, tmp_path, cap):
+        # a 64-dim three-slot network whose block A2 B2 M1 M2 has dimension 256
+        labels = {f"{x}{i}": 2 for i in (1, 2, 3) for x in "AB"}
+        reg = SystemRegistry.of(**labels)
+        spec = NetworkSpec(tuple(parse_type(f"(A{i} -> B{i})", reg) for i in (1, 2, 3)),
+                           ("I",) * 4)
+        op, bundle, spec_file, cfg = (
+            tmp_path / name for name in ("op.json", "bundle.json", "spec.json", "hoq.cfg"))
+        write_operator(sample_deterministic(spec, reg, eps=0.5, seed=3), str(op))
+        spec_file.write_text(json.dumps(bundle_to_dict([], spec)["spec"]))
+        cfg.write_text(f"limits.max_dim = {cap}\n")
+        common = ["--config", str(cfg), "--registry", ",".join(f"{k}=2" for k in labels)]
+        res = runner.invoke(main, ["decompose", "--spec", str(spec_file), "-f", str(op),
+                                   "-o", str(bundle)] + common)
+        if cap < 256:
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+            assert f"operator dimension 256 exceeds limits.max_dim = {cap}" in res.output
+            assert not bundle.exists()
+        else:
+            assert res.exit_code == 0, res.output
+            res = runner.invoke(main, ["compose", str(bundle), "-o", str(tmp_path / "out.json")]
+                                + common)
+            assert res.exit_code == 0, res.output
 
     def test_config_file_and_env(self, runner, tmp_path, monkeypatch):
         cfg = tmp_path / "hoq.cfg"

@@ -318,6 +318,16 @@ class TestStructure:
             LabeledOperator((("A", dim),), np.eye(2))
         assert LabeledOperator((("A", np.int64(2)),), np.eye(2)).factors == (("A", 2),)
 
+    @pytest.mark.parametrize("factors,data", [
+        ((("A", -2), ("B", -2)), np.eye(4) / 4),
+        ((("A", 0),), np.zeros((0, 0))),
+        ((("A", 2), ("B", 0)), np.zeros((0, 0))),
+    ], ids=["negative", "zero", "zero-product"])
+    def test_factor_dimensions_are_at_least_one(self, factors, data):
+        # a product that fits the matrix is not enough
+        with pytest.raises(ShapeMismatch, match="not an integer >= 1"):
+            LabeledOperator(factors, data)
+
     def test_data_immutable(self):
         a = identity([("A", 2)])
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from hoq.processes import (
     merge_ports,
     n_time_flip_choi,
     random_bistochastic_channel,
+    random_kraus,
     random_state,
     time_flip_apply,
     time_flip_choi,
@@ -91,6 +92,30 @@ class TestRandomBistoch:
     def test_dimensions_below_one_raise(self, dims):
         with pytest.raises(ValueError, match="dimensions must be at least 1"):
             random_bistochastic_channel(*dims)
+
+    @pytest.mark.parametrize("d,tail_in,tail_out,want", [
+        (1, 1, 1, ["A", "B"]), (2, 1, 1, ["A", "B"]), (2, 3, 1, ["A", "U", "B"]),
+        (3, 1, 2, ["A", "B", "V"]), (2, 2, 2, ["A", "U", "B", "V"]),
+    ])
+    def test_matches_the_mixture_in_port_order(self, d, tail_in, tail_out, want):
+        # the mixture rebuilt from the same random stream over A B U V,
+        # trivial tails left out, and permuted to the ports' order
+        rng = np.random.default_rng(5)
+        weights = rng.dirichlet(np.ones(3))
+        total = None
+        for w in weights:
+            u = haar_unitary(d, rng)
+            data = choi_of_kraus([u.T if rng.integers(2) else u], "A", "B").data
+            if tail_in > 1 or tail_out > 1:
+                tail = choi_of_kraus(random_kraus(tail_in, tail_out, 2, rng), "U", "V").data
+                data = np.kron(data, tail)
+            total = w * data if total is None else total + w * data
+        tails = [f for f in (("U", tail_in), ("V", tail_out)) if f[1] > 1]
+        factors = [("A", d), ("B", d)] + tails
+        ref = permute_systems(LabeledOperator(tuple(factors), total), want)
+        c = random_bistochastic_channel(d, tail_in, tail_out, k=3, seed=5)
+        assert c.factors == ref.factors
+        assert c.data.tobytes() == ref.data.tobytes()
 
     def test_marginal_identities(self):
         for seed in range(5):

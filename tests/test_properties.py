@@ -2,8 +2,13 @@
 projection and pattern norms, of the invariants that let ``classify`` and
 ``is_admissible`` share the check's front half, of real arithmetic against
 complex arithmetic in the check, of checks that run in the operator's own
-factor order, and of the factor order of network characterizations."""
+factor order, of the factor order of network characterizations, and of the
+operator and bundle file reader against a whole-document conversion."""
+import gzip
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +32,14 @@ from hoq import (
     sector_project,
 )
 from hoq.linalg import hermitian_part
+from hoq.serialize import read_bundle, read_operator
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
-from helpers import mask_of, marks_of, random_type, reference_component, reference_partial_trace
+from helpers import (converted, mask_of, marks_of, random_type, reference_component,
+                     reference_partial_trace)
 
 
 @st.composite
@@ -389,3 +396,39 @@ def test_checks_run_in_any_factor_order(case, add_forbidden, size, random):
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
         assert got.witness.factors == want.witness.factors == sectors.systems
+
+
+# the parts of a matrix entry: floats, -0.0, integers, and 0.0 for a real entry
+ENTRY_PART = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0),
+                       st.integers(-2 ** 63, 2 ** 63), st.just(0.0))
+
+
+@st.composite
+def operator_payload(draw):
+    """An operator document as ``json.loads`` returns it, in one of the key
+    orders, with or without an unknown key."""
+    dims = draw(st.lists(st.integers(1, 3), max_size=3).filter(lambda ds: math.prod(ds) <= 8))
+    n = math.prod(dims)
+    matrix = [[[draw(ENTRY_PART), draw(ENTRY_PART)] for _ in range(n)] for _ in range(n)]
+    items = [("factors", [[f"S{i}", d] for i, d in enumerate(dims)]), ("matrix", matrix)]
+    if draw(st.booleans()):
+        items.reverse()
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, 2)), ("note", {"made by": ["hand", 1]}))
+    return dict(items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(operator_payload(), min_size=1, max_size=2), st.sampled_from([None, 2]),
+       st.sampled_from(["doc.json", "doc.json.gz"]))
+def test_reader_matches_the_whole_document_conversion(payloads, indent, name):
+    bundle = {"blocks": payloads, "spec": {"slot_types": ["(A -> B)"], "memories": ["I", "I"]}}
+    opener = gzip.open if name.endswith(".gz") else open
+    reg = SystemRegistry.of(A=2, B=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        for doc, blocks in ((payloads[0], payloads[:1]), (bundle, payloads)):
+            with opener(path, "wt", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=indent))
+            got = read_bundle(path, reg)[0] if doc is bundle else [read_operator(path)]
+            assert [(x.factors, x.data.tobytes()) for x in got] == [converted(p) for p in blocks]
