@@ -23,6 +23,7 @@ from .network import compose_network, decompose_network
 from .sectors import deviation_sectors, identity_coeff
 from .serialize import (
     Config,
+    check_max_dim,
     load_config,
     parse_inline_registry,
     read_bundle,
@@ -49,13 +50,6 @@ def _sized(t, reg: SystemRegistry, cfg: Config):
     if 2 ** k > cfg.max_dim:
         raise SizeLimit(f"{k} systems: 2^{k} sector patterns exceed limits.max_dim = {cfg.max_dim}")
     return t
-
-
-def _fits(dim: int, cfg: Config) -> None:
-    """:class:`SizeLimit` unless an operator of dimension ``dim`` fits ``limits.max_dim``,
-    so that every file written can be read back under the same config."""
-    if dim > cfg.max_dim:
-        raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {cfg.max_dim}")
 
 
 class HoqGroup(click.Group):
@@ -222,7 +216,7 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
     else:
         size, build = d ** 2 * t_in * t_out, lambda: (
             processes.random_bistochastic_channel(dim, tail_in, tail_out, k=k, seed=seed))
-    _fits(size, cfg)
+    check_max_dim(size, cfg.max_dim)
     op = build()
     write_operator(op, output)
     click.echo(f"wrote {output}: factors {list(op.labels)}, dim {op.dim}")
@@ -257,7 +251,7 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
                                     limit=cfg.recursion)
     for i in range(spec.n):
         _sized(spec.block_type(i), reg, cfg)
-    _fits(math.prod(d for _, d in spec.system_order(reg)), cfg)
+    check_max_dim(math.prod(d for _, d in spec.system_order(reg)), cfg.max_dim)
     composed = compose_network(blocks, spec, reg, tol=cfg.tol_sector,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
     write_operator(composed, output)
@@ -278,7 +272,7 @@ def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
                                                   tol=cfg.tol_sector * 10,
                                                   psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
-    _fits(max(b.dim for b in blocks), cfg)
+    check_max_dim(max(b.dim for b in blocks), cfg.max_dim)
     write_bundle(blocks, new_spec, output)
     dims = [new_reg.dim(m) for m in new_spec.memories[1:-1]]
     click.echo(f"wrote {output}: {len(blocks)} blocks, memory dims {dims}")

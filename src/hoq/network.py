@@ -168,17 +168,21 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
 # Comb and process-matrix families
 # ---------------------------------------------------------------------------
 
-def _pair_specs(r: LabeledOperator, dims, offset: int):
-    labels = r.labels[offset:]
-    pairs = []
-    for idx, (da, db) in enumerate(dims):
-        la, lb = labels[2 * idx], labels[2 * idx + 1]
-        if r.dim_of(la) != da or r.dim_of(lb) != db:
-            raise FactorMismatch(
-                f"slot {idx}: expected dims {(da, db)}, found "
-                f"{(r.dim_of(la), r.dim_of(lb))}")
-        pairs.append(BistochElem(la, (), lb, ()))
-    return pairs
+def _comb_layout(r: LabeledOperator, dims, ports=()):
+    """Registry and slot pairs of an operator laid out ``[P,] A1 B1 … An Bn [, F]``.
+
+    ``dims`` lists per-slot ``(d_in, d_out)`` and ``ports`` is ``(dP, dF)``
+    when the operator has global ports; :class:`FactorMismatch` unless the
+    operator's factor dimensions are exactly that list.
+    """
+    expected = [d for da, db in dims for d in (da, db)]
+    if ports:
+        expected = [ports[0], *expected, ports[1]]
+    if list(r.dims) != expected:
+        raise FactorMismatch(f"expected factor dimensions {expected}, found {list(r.dims)}")
+    slots = r.labels[1:-1] if ports else r.labels
+    pairs = [BistochElem(la, (), lb, ()) for la, lb in zip(slots[::2], slots[1::2])]
+    return SystemRegistry.from_dict(dict(r.factors)), pairs
 
 
 def check_bitooth(r: LabeledOperator, dims, tol: float = 1e-9) -> CheckReport:
@@ -187,23 +191,9 @@ def check_bitooth(r: LabeledOperator, dims, tol: float = 1e-9) -> CheckReport:
     ``dims`` lists per-slot ``(d_in, d_out)``; the operator's factors are
     taken pairwise in their current order.
     """
-    if len(r.factors) != 2 * len(dims):
-        raise FactorMismatch("expected two factors per slot")
-    pairs = _pair_specs(r, dims, 0)
-    reg = SystemRegistry.from_dict(dict(r.factors))
+    reg, pairs = _comb_layout(r, dims)
     spec = NetworkSpec(tuple(pairs), (TRIVIAL_LABEL,) * (len(dims) + 1))
     return check_network(r, spec, reg, tol=tol)
-
-
-def _global_ports(r: LabeledOperator, dims, dP: int, dF: int):
-    """Global port labels, slot pairs and registry of a ``P, slot pairs, F`` operator."""
-    if len(r.factors) != 2 * len(dims) + 2:
-        raise FactorMismatch("expected P, slot pairs, F")
-    p_lab, f_lab = r.labels[0], r.labels[-1]
-    if r.dim_of(p_lab) != dP or r.dim_of(f_lab) != dF:
-        raise FactorMismatch(f"global ports: expected dims {(dP, dF)}, found "
-                             f"{(r.dim_of(p_lab), r.dim_of(f_lab))}")
-    return p_lab, f_lab, _pair_specs(r, dims, 1), SystemRegistry.from_dict(dict(r.factors))
 
 
 def check_bislot(r: LabeledOperator, dims, dP: int, dF: int,
@@ -213,9 +203,9 @@ def check_bislot(r: LabeledOperator, dims, dP: int, dF: int,
     The operator's first factor is the global input, the last the global
     output, with slot pairs in between.
     """
-    p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
+    reg, pairs = _comb_layout(r, dims, (dP, dF))
     spec = NetworkSpec(tuple(dual(p) for p in pairs),
-                       (p_lab,) + (TRIVIAL_LABEL,) * (len(dims) - 1) + (f_lab,))
+                       (r.labels[0],) + (TRIVIAL_LABEL,) * (len(dims) - 1) + (r.labels[-1],))
     return check_network(r, spec, reg, tol=tol)
 
 
@@ -229,9 +219,9 @@ def check_bsp(r: LabeledOperator, dims, dP: int, dF: int,
     dehatted, so the slots are checked as one-way channels instead; any
     other value than the two hierarchies raises ValueError.
     """
-    p_lab, f_lab, pairs, reg = _global_ports(r, dims, dP, dF)
-    slot_part = tensor_all(pairs)
-    proc_type = Arrow(slot_part, Arrow(SystemString((p_lab,)), SystemString((f_lab,))))
+    reg, pairs = _comb_layout(r, dims, (dP, dF))
+    ports = Arrow(SystemString(r.labels[:1]), SystemString(r.labels[-1:]))
+    proc_type = Arrow(tensor_all(pairs), ports)
     if Hierarchy(hierarchy) is Hierarchy.STANDARD:
         proc_type = dehat(proc_type)
     return is_deterministic(r, proc_type, reg, tol=tol)

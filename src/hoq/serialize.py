@@ -6,10 +6,10 @@ name ends in ``.gz`` are gzip containers of the same JSON.
 
 Files are streamed one matrix row at a time both ways.  A write encodes each
 row with json's C encoder.  A read steps through the document's objects and
-arrays and decodes each ``"matrix"`` row with json's own scanner into a float64
-array, preallocated when ``"factors"`` comes first, as hoq writes it; so the
-Python objects of at most one row are alive at once.  Each row is checked as it
-arrives: a malformed row raises :class:`ShapeMismatch` and a NaN or infinite
+arrays and decodes each ``"matrix"`` row with json's own scanner, integers as
+floats, into one float64 array sized by the ``"factors"`` or the first row, so
+the Python objects of at most one row are alive at once.  Each row is checked as
+it arrives: a malformed row raises :class:`ShapeMismatch` and a NaN or infinite
 entry :class:`NonFiniteOperator`.
 """
 from __future__ import annotations
@@ -55,15 +55,19 @@ def _operator_chunks(op: LabeledOperator):
     yield "]}"
 
 
+def check_max_dim(dim: int, max_dim: Optional[int]) -> None:
+    """:class:`SizeLimit` unless dimension ``dim`` fits ``max_dim``; reads and writes alike."""
+    if max_dim is not None and dim > max_dim:
+        raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {max_dim}")
+
+
 def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
     """Factors of a payload's ``factors`` list; :class:`SizeLimit` above ``max_dim``."""
     try:
         factors = tuple(factor_entry(lab, d) for lab, d in entries)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatch(f"malformed operator payload: {exc}") from None
-    dim = math.prod(d for _, d in factors)
-    if max_dim is not None and dim > max_dim:
-        raise SizeLimit(f"operator dimension {dim} exceeds limits.max_dim = {max_dim}")
+    check_max_dim(math.prod(d for _, d in factors), max_dim)
     return factors
 
 
@@ -71,55 +75,63 @@ def _pair_row(row, i: int) -> np.ndarray:
     """Row ``i`` of a matrix as a float64 array of ``[re, im]`` pairs."""
     try:
         pairs = np.array(row)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ShapeMismatch(f"malformed operator payload: row {i}: {exc}") from None
-    # integers beyond float range, strings and nulls leave a non-numeric dtype
-    if pairs.ndim != 2 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "iuf":
+    # strings, nulls and booleans alone leave a dtype other than float64
+    if pairs.ndim != 2 or pairs.shape[-1] != 2 or pairs.dtype != np.float64:
         raise ShapeMismatch("malformed operator payload: the matrix must be rows of "
                             f"[re, im] number pairs, got row {i} of shape {pairs.shape} "
                             f"of {pairs.dtype}")
-    pairs = pairs.astype(np.float64, copy=False)
     if not np.isfinite(pairs).all():
         raise NonFiniteOperator(f"operator matrix has a non-finite entry in row {i}")
     return pairs
 
 
-def _matrix(rows, factors, max_dim: Optional[int], room: int) -> np.ndarray:
-    """Complex matrix of an iterable of rows, each converted and checked as it comes.
+def _allocated(n: int, max_dim: Optional[int], room: int) -> np.ndarray:
+    """An empty ``(n, n, 2)`` matrix, once ``n`` fits ``max_dim`` and ``room`` entries."""
+    check_max_dim(n, max_dim)
+    if n * n > room:
+        raise ShapeMismatch(f"malformed operator payload: dimension {n} needs {n * n} "
+                            f"entries, more than the {room} that the rest of the text holds")
+    return np.empty((n, n, 2))
 
-    ``factors`` is None when the matrix comes before them; more than
-    ``max_dim`` rows then raise :class:`SizeLimit`.  The matrix is filled in
-    place when the factors are known and ``room`` says the source can still
-    hold that many entries, so a header that claims more than its file holds
-    reserves no memory.
+
+def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndarray:
+    """The complex matrix at the cursor, each row converted and checked as it comes.
+
+    ``n`` is the factors' product when they came first, else None for the first
+    row's length.  The one array is allocated before the first row is stored, so
+    a header that claims more entries than its text holds reserves no memory.
     """
-    n = None if factors is None else math.prod(d for _, d in factors)
-    out = np.empty((n, n, 2)) if n is not None and n * n <= room else None
-    kept = []
+    if cur.peek() != "[":
+        raise ShapeMismatch("malformed operator payload: the matrix must be a list of rows")
+    start = cur.pos
+    # each entry takes 5 characters at least: [0,0]
+    room = (len(cur.text) - start) // 5
+    out = None if n is None else _allocated(n, max_dim, room)
+    size = "a matrix of at least one row" if n is None else f"factor dimensions of product {n}"
     count = 0
-    for count, row in enumerate(rows, start=1):
-        if n is None and max_dim is not None and count > max_dim:
-            raise SizeLimit(f"operator matrix rows exceed limits.max_dim = {max_dim}")
-        pairs = _pair_row(row, count - 1)
-        if n is not None and (count > n or len(pairs) != n):
-            raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(pairs)} "
-                                f"entries for factor dimensions of product {n}")
+    for count, _ in enumerate(cur.elements(), start=1):
+        pairs = _pair_row(cur.value(_ROW_DECODER), count - 1)
         if out is None:
-            kept.append(pairs)
-        else:
-            out[count - 1] = pairs
-    if n is not None and count != n:
-        raise ShapeMismatch(f"malformed operator payload: {count} rows for factor "
-                            f"dimensions of product {n}")
-    if out is None:
-        try:
-            out = np.array(kept) if kept else np.empty((0, 0, 2))
-        except ValueError as exc:
-            raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+            n = len(pairs)
+            out = _allocated(n, max_dim, room)
+            size = f"a matrix whose first row has {n} entries"
+        if count > n or len(pairs) != n:
+            raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(pairs)} "
+                                f"entries for {size}")
+        out[count - 1] = pairs
+    if count != n:
+        raise ShapeMismatch(f"malformed operator payload: {count} rows for {size}")
+    # numpy coerces a boolean beside a number, so the matrix's text is searched
+    if cur.text.find("true", start, cur.pos) >= 0 or cur.text.find("false", start, cur.pos) >= 0:
+        raise ShapeMismatch("malformed operator payload: the matrix holds a boolean")
     return out.view(np.complex128)[..., 0]
 
 
 _DECODER = json.JSONDecoder()
+# matrix rows read integers as floats, so that no integer outgrows float64
+_ROW_DECODER = json.JSONDecoder(parse_int=float)
 
 
 class _Cursor:
@@ -137,10 +149,10 @@ class _Cursor:
         self.pos = WHITESPACE.match(self.text, self.pos).end()
         return self.text[self.pos:self.pos + 1]
 
-    def value(self):
+    def value(self, decoder: json.JSONDecoder = _DECODER):
         self.peek()
         try:
-            value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+            value, self.pos = decoder.raw_decode(self.text, self.pos)
         except RecursionError:
             raise HoqError(f"JSON nested too deeply at character {self.pos}") from None
         return value
@@ -197,12 +209,8 @@ def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
         if key == "factors":
             found[key] = _factors(cur.value(), max_dim)
         elif key == "matrix":
-            if cur.peek() != "[":
-                raise ShapeMismatch("malformed operator payload: the matrix must be a list of rows")
-            # each entry takes 5 characters at least: [0,0]
-            room = (len(cur.text) - cur.pos) // 5
-            rows = (cur.value() for _ in cur.elements())
-            found[key] = _matrix(rows, found.get("factors"), max_dim, room)
+            n = math.prod(d for _, d in found["factors"]) if "factors" in found else None
+            found[key] = _matrix(cur, n, max_dim)
         else:
             cur.value()
     try:
@@ -275,9 +283,9 @@ def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None
     cur.end()
     try:
         blocks, spec_part = payload["blocks"], payload["spec"]
-        memories = tuple(str(m) for m in spec_part["memories"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
+    memories, _ = _spec_fields(spec_part)
     # memory labels may be synthetic (from a decomposition); pick their
     # dimensions up from the block factors
     extra = {}
@@ -294,15 +302,23 @@ def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None
     return blocks, spec_from_dict(spec_part, full_reg, limit=limit), full_reg
 
 
+def _spec_fields(payload) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Memories and slot-type texts of a spec payload, each a JSON array of strings."""
+    try:
+        fields = payload["memories"], payload["slot_types"]
+    except (KeyError, TypeError) as exc:
+        raise ShapeMismatch(f"malformed network spec: {exc}") from None
+    for key, value in zip(("memories", "slot_types"), fields):
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ShapeMismatch(f"malformed network spec: {key} must be an array of strings")
+    return tuple(fields[0]), tuple(fields[1])
+
+
 def spec_from_dict(payload: dict, reg: SystemRegistry, *,
                    limit: int = DEFAULT_RECURSION_LIMIT) -> NetworkSpec:
     """Network spec of a parsed payload; slot types nest at most ``limit`` deep."""
-    try:
-        memories = tuple(str(m) for m in payload["memories"])
-        slot_types = tuple(parse_type(s, reg, limit=limit) for s in payload["slot_types"])
-    except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed network spec: {exc}") from None
-    return NetworkSpec(slot_types, memories)
+    memories, slot_texts = _spec_fields(payload)
+    return NetworkSpec(tuple(parse_type(s, reg, limit=limit) for s in slot_texts), memories)
 
 
 def read_spec(path: str, reg: SystemRegistry, *,

@@ -239,7 +239,7 @@ class TestSerialization:
         g[0, :2] = [complex(-0.0, 1e-300), complex(1e300, -0.0)]
         op = LabeledOperator((("A", 2), ("B", 3)), g)
         payload = operator_to_dict(op)
-        payload["matrix"][1][2] = [3, -4]  # integers read as floats
+        payload["matrix"][1][2] = [3, -2 ** 64]  # integers read as floats, beyond int64 too
         if layout == "matrix-first":
             payload = {"matrix": payload["matrix"], "factors": payload["factors"]}
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
@@ -265,8 +265,10 @@ class TestSerialization:
         [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
         [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
         [[1, 2]],
-        [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]],
-    ], ids=["ragged", "triple", "strings", "null", "2-d", "huge-int"])
+        # numpy coerces a boolean beside a number
+        [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    ], ids=["ragged", "triple", "strings", "null", "2-d", "bool-int", "bool-float"])
     def test_malformed_matrix(self, runner, tmp_path, matrix):
         payload = {"factors": [["A", 2]], "matrix": matrix}
         path = tmp_path / "bad.json"
@@ -332,7 +334,9 @@ class TestSerialization:
         assert f"error: malformed {payload} payload" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    # an integer beyond float range reads as infinity, as 1e400 does
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e400", "huge-int"])
     def test_non_finite_entries_stop_the_read(self, tmp_path, literal):
         path = tmp_path / "op.json"
         path.write_text('{"factors": [["A", 2]], "matrix": [[[1, 0], [0, 0]], '
@@ -371,13 +375,33 @@ class TestSerialization:
         {"memories": ["I", "I"]},
         {"memories": ["I", "I"], "slot_types": 3},
         {"memories": ["I", "I"], "slot_types": [3]},
-    ], ids=["no-slot-types", "not-a-list", "not-a-string"])
-    def test_malformed_bundle_spec(self, tmp_path, spec):
-        # a bundle's spec is parsed as a network spec file is
-        path = tmp_path / "bundle.json"
-        path.write_text(json.dumps({"blocks": [], "spec": spec}))
+        {"memories": "II", "slot_types": ["((^A -> ^B) -> I)"]},
+        {"memories": ["I", "I"], "slot_types": "I"},
+        {"memories": {"I": 1, "J": 2}, "slot_types": ["((^A -> ^B) -> I)"]},
+        {"memories": ["I", 1], "slot_types": ["((^A -> ^B) -> I)"]},
+    ], ids=["no-slot-types", "not-a-list", "not-a-string", "memories-string",
+            "slot-types-string", "memories-object", "memories-number"])
+    def test_malformed_bundle_spec(self, runner, tmp_path, spec):
+        # a bundle's spec is parsed as a network spec file is: each field is a
+        # JSON array of strings, and nothing else is iterated into one
+        files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
+        reg = SystemRegistry.of(A=2, B=2)
+        with open(files["bundle"], encoding="utf-8") as fh:
+            bundle = json.load(fh)
+        bundle["spec"] = spec
+        with open(files["bundle"], "w", encoding="utf-8") as fh:
+            json.dump(bundle, fh)
+        with open(files["spec"], "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
         with pytest.raises(ShapeMismatch, match="malformed network spec"):
-            read_bundle(str(path), SystemRegistry.of(A=2, B=2))
+            read_bundle(files["bundle"], reg)
+        with pytest.raises(ShapeMismatch, match="malformed network spec"):
+            read_spec(files["spec"], reg)
+        for args in (["check", "--network-spec", files["spec"], "-f", files["op"]],
+                     ["compose", files["bundle"], "-o", files["out"]]):
+            res = runner.invoke(main, args + ["--registry", "A=2,B=2"])
+            assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+            assert "error: malformed network spec" in res.output
 
     def test_bundle_takes_the_recursion_limit(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
@@ -403,19 +427,36 @@ class TestSerialization:
         assert len(read_bundle(str(bundle), reg, max_dim=4)[0]) == 1
         with pytest.raises(SizeLimit):
             read_bundle(str(bundle), reg, max_dim=3)
-        # a matrix before its factors stops at row max_dim + 1, before the bad fifth row
+        # a matrix before its factors is sized by its first row: the bad fifth
+        # row is reached when the four-dimensional matrix fits
         payload = operator_to_dict(op)
         path.write_text(json.dumps({"matrix": payload["matrix"] + [["x"]],
                                     "factors": payload["factors"]}))
-        with pytest.raises(ShapeMismatch):
-            read_operator(str(path), max_dim=5)
-        with pytest.raises(SizeLimit, match="rows exceed limits.max_dim = 4"):
-            read_operator(str(path), max_dim=4)
+        for max_dim in (5, 4):
+            with pytest.raises(ShapeMismatch, match="got row 4 of shape"):
+                read_operator(str(path), max_dim=max_dim)
+        with pytest.raises(SizeLimit, match="operator dimension 4 exceeds limits.max_dim = 3"):
+            read_operator(str(path), max_dim=3)
         path.write_text(json.dumps({"matrix": payload["matrix"],
                                     "factors": payload["factors"]}))
         assert np.array_equal(read_operator(str(path), max_dim=4).data, op.data)
-        with pytest.raises(SizeLimit, match="rows exceed limits.max_dim = 3"):
+        with pytest.raises(SizeLimit, match="operator dimension 4 exceeds limits.max_dim = 3"):
             read_operator(str(path), max_dim=3)
+
+    @pytest.mark.parametrize("text", [
+        '{"factors": [["A", 1000]], "matrix": [[[1, 0]]]}',
+        '{"factors": [["A", 1000]], "matrix": []}',
+        '{"matrix": [[' + ", ".join(["[0, 0]"] * 1000) + ']], "factors": [["A", 1000]]}',
+    ], ids=["factors-first", "no-rows", "matrix-first"])
+    def test_header_claiming_more_than_the_file_holds(self, runner, tmp_path, text):
+        # 10^6 entries claimed by the factors or by the first row, in a few kB
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        with pytest.raises(ShapeMismatch, match="dimension 1000 needs 1000000 entries"):
+            read_operator(str(path))
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=1000"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        assert "malformed operator payload" in res.output
 
     def test_config_parsing(self):
         cfg = parse_config("""
@@ -920,6 +961,32 @@ class TestMakeAndClassify:
         res = runner.invoke(main, ["make", *args, "-o", str(out), "--config", max_dim_16])
         assert res.exit_code == 0, res.output
         assert read_operator(str(out)).dim == 16
+
+    @pytest.mark.parametrize("args, dim", [
+        (["time-flip", "--d", "2"], 64), (["time-flip", "--d", "3"], 324),
+        (["time-flip", "--d", "4"], 1024),
+        (["n-time-flip", "--n", "1", "--d", "2"], 64),
+        (["n-time-flip", "--n", "1", "--d", "3"], 324),
+        (["n-time-flip", "--n", "2", "--d", "2"], 1024),
+        (["flip-switch", "--d", "2"], 256),
+        (["lc23", "--n", "2"], 16), (["lc23", "--n", "3"], 81),
+        (["lc22", "--d", "2"], 16), (["lc22", "--d", "3"], 81), (["lc22", "--d", "5"], 625),
+        (["random-bistoch", "--d", "2"], 4),
+        (["random-bistoch", "--d", "3", "--tail-in", "2"], 18),
+        (["random-bistoch", "--d", "2", "--tail-in", "2", "--tail-out", "3"], 24)],
+        ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, list) else str(v))
+    def test_make_size_formula_at_max_dim(self, runner, tmp_path, args, dim):
+        # each target's dimension formula, pinned one below limits.max_dim and at it
+        out, cfg = tmp_path / "op.json", tmp_path / "hoq.cfg"
+        cfg.write_text(f"limits.max_dim = {dim - 1}\n")
+        res = runner.invoke(main, ["make", *args, "-o", str(out), "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert f"operator dimension {dim} exceeds limits.max_dim = {dim - 1}" in res.output
+        assert not out.exists()
+        cfg.write_text(f"limits.max_dim = {dim}\n")
+        res = runner.invoke(main, ["make", *args, "-o", str(out), "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert read_operator(str(out), max_dim=dim).dim == dim
 
     @pytest.mark.parametrize("args", [["--d", "0"], ["--d", "-2"], ["--tail-in", "0"],
                                       ["--tail-in", "-3"], ["--tail-in", "-3", "--tail-out", "-2"],

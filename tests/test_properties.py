@@ -3,7 +3,8 @@ projection and pattern norms, of the invariants that let ``classify`` and
 ``is_admissible`` share the check's front half, of real arithmetic against
 complex arithmetic in the check, of checks that run in the operator's own
 factor order, of the factor order of network characterizations, and of the
-operator and bundle file reader against a whole-document conversion."""
+operator and bundle file reader against a whole-document conversion and
+across the two key orders of an operator document."""
 import gzip
 import json
 import math
@@ -31,8 +32,9 @@ from hoq import (
     sample_deterministic,
     sector_project,
 )
+from hoq.errors import HoqError, SizeLimit
 from hoq.linalg import hermitian_part
-from hoq.serialize import read_bundle, read_operator
+from hoq.serialize import operator_to_dict, read_bundle, read_operator
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
                          outside_component)
@@ -400,7 +402,7 @@ def test_checks_run_in_any_factor_order(case, add_forbidden, size, random):
 
 # the parts of a matrix entry: floats, -0.0, integers, and 0.0 for a real entry
 ENTRY_PART = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0),
-                       st.integers(-2 ** 63, 2 ** 63), st.just(0.0))
+                       st.integers(-2 ** 200, 2 ** 200), st.just(0.0))
 
 
 @st.composite
@@ -432,3 +434,43 @@ def test_reader_matches_the_whole_document_conversion(payloads, indent, name):
                 fh.write(json.dumps(doc, indent=indent))
             got = read_bundle(path, reg)[0] if doc is bundle else [read_operator(path)]
             assert [(x.factors, x.data.tobytes()) for x in got] == [converted(p) for p in blocks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3).filter(lambda ds: math.prod(ds) <= 16),
+       st.integers(0, 2 ** 16), st.floats(0, 1), st.sampled_from(["doc.json", "doc.json.gz"]),
+       st.booleans())
+def test_key_order_never_changes_the_read(dims, seed, share, name, as_block):
+    # one size rule in either key order: the factors' product when they come
+    # first, the first row's length when the matrix does
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    op = LabeledOperator(tuple((f"S{i}", d) for i, d in enumerate(dims)),
+                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    max_dim = 1 + int(share * (2 * n - 1))
+    opener = gzip.open if name.endswith(".gz") else open
+    payload = operator_to_dict(op)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        for keys in (["factors", "matrix"], ["matrix", "factors"]):
+            doc = {key: payload[key] for key in keys}
+            if as_block:
+                doc = {"blocks": [doc], "spec": {"slot_types": ["(A -> B)"],
+                                                 "memories": ["I", "I"]}}
+            with opener(path, "wt", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))
+            try:
+                got = (read_bundle(path, SystemRegistry.of(A=2, B=2), max_dim=max_dim)[0]
+                       if as_block
+                       else [read_operator(path, max_dim=max_dim)])
+            except HoqError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append([(x.factors, x.data.tobytes()) for x in got])
+    assert outcomes[0] == outcomes[1]
+    if n <= max_dim:
+        assert outcomes[0] == [(op.factors, op.data.tobytes())]
+    else:
+        assert outcomes[0] == (SizeLimit, f"operator dimension {n} exceeds limits.max_dim = "
+                                          f"{max_dim}")
