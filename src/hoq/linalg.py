@@ -312,6 +312,18 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_label: str,
 # Spectral helpers
 # ---------------------------------------------------------------------------
 
+def real_if_exact(data: np.ndarray) -> np.ndarray:
+    """The ``.real`` view of a complex ``data`` with no non-zero imaginary
+    part, else ``data`` itself.
+
+    The one realness rule: the check and the file writer both go real on it.
+    A NaN imaginary part counts as non-zero; the sign of a zero one is lost.
+    """
+    if np.iscomplexobj(data) and not data.imag.any():
+        return data.real
+    return data
+
+
 def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
     """``(A + A^H) / 2`` as a new array, and the hermiticity defect of ``A``.
 
@@ -322,9 +334,7 @@ def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
     :class:`NonFiniteOperator` when it is not finite, which any NaN or
     infinite entry makes it.
     """
-    data = a.data
-    if np.iscomplexobj(data) and not data.imag.any():
-        data = data.real
+    data = real_if_exact(a.data)
     sym = np.empty_like(data)
     np.conjugate(data.T, out=sym)
     # non-finite entries make NaNs here, which the defect then reports

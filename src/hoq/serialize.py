@@ -1,16 +1,24 @@
 """File formats: operator JSON, network specs and bundles, and the key-value config.
 
 Operator schema: ``{"factors": [["A", 2], ...], "matrix": [[[re, im], ...]]}``
-with the matrix row-major and the first factor most significant.  Files whose
-name ends in ``.gz`` are gzip containers of the same JSON.
+with the matrix row-major and the first factor most significant.  A real
+operator's rows are plain numbers instead, ``"matrix": [[x, ...]]``: the writer
+takes that form when no entry has a non-zero imaginary part
+(:func:`hoq.linalg.real_if_exact`, so the sign of a zero imaginary part is not
+kept), and a bundle takes it block by block.  Files whose name ends in ``.gz``
+are gzip containers of the same JSON.
 
 Files are streamed one matrix row at a time both ways.  A write encodes each
 row with json's C encoder.  A read steps through the document's objects and
 arrays and decodes each ``"matrix"`` row with json's own scanner, integers as
-floats, into one float64 array sized by the ``"factors"`` or the first row, so
-the Python objects of at most one row are alive at once.  Each row is checked as
-it arrives: a malformed row raises :class:`ShapeMismatch` and a NaN or infinite
-entry :class:`NonFiniteOperator`.
+floats, into one array sized by the ``"factors"`` or the first row, so the
+Python objects of at most one row are alive at once.  The first entry of the
+first row decides the array: a number makes it real float64, a list (as in
+every pair file, old ones too) complex128.  The text must hold the claimed
+entries at 2 characters each for the real form (``0,``) and 5 for pairs
+(``[0,0]``) before anything is allocated.  Each row is checked as it arrives:
+a malformed row, or one in the other form, raises :class:`ShapeMismatch` and a
+NaN or infinite entry :class:`NonFiniteOperator`.
 """
 from __future__ import annotations
 
@@ -25,21 +33,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, HoqError, NonFiniteOperator, ShapeMismatch, SizeLimit
-from .linalg import DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
+from .linalg import (DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry,
+                     real_if_exact)
 from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
                       parse_type, print_type)
 
 
-def _pairs(a: np.ndarray) -> np.ndarray:
-    """``a`` with a last axis of ``(re, im)`` float pairs.
-
-    A view of a complex array; a real array is converted to complex first.
-    """
-    return a.astype(complex, copy=False).view(np.float64).reshape(a.shape + (2,))
+def _entries(a: np.ndarray) -> np.ndarray:
+    """``a`` as a file spells it: a float64 array as it is, a complex128 one as
+    a view with a last axis of ``(re, im)`` pairs."""
+    if a.dtype == np.float64:
+        return a
+    return a.view(np.float64).reshape(a.shape + (2,))
 
 
 def operator_to_dict(op: LabeledOperator) -> dict:
-    return {"factors": [[lab, d] for lab, d in op.factors], "matrix": _pairs(op.data).tolist()}
+    return {"factors": [[lab, d] for lab, d in op.factors],
+            "matrix": _entries(real_if_exact(op.data)).tolist()}
 
 
 def _operator_chunks(op: LabeledOperator):
@@ -49,9 +59,10 @@ def _operator_chunks(op: LabeledOperator):
     (``json.dump`` to a file never does), and the full nested matrix never
     exists as Python objects.
     """
+    data = real_if_exact(op.data)
     yield '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + ', "matrix": ['
-    for i, row in enumerate(op.data):
-        yield (", " if i else "") + json.dumps(_pairs(row).tolist())
+    for i, row in enumerate(data):
+        yield (", " if i else "") + json.dumps(_entries(row).tolist())
     yield "]}"
 
 
@@ -71,62 +82,86 @@ def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
     return factors
 
 
-def _pair_row(row, i: int) -> np.ndarray:
-    """Row ``i`` of a matrix as a float64 array of ``[re, im]`` pairs."""
+def _row(row, i: int, real: bool) -> np.ndarray:
+    """Row ``i`` of a matrix as a float64 array: of numbers when ``real``, else
+    of ``[re, im]`` pairs."""
+    if isinstance(row, list) and row and isinstance(row[0], list) == real:
+        form = "plain numbers" if real else "[re, im] pairs"
+        raise ShapeMismatch(f"malformed operator payload: row {i} does not hold {form} "
+                            "as row 0 does")
     try:
-        pairs = np.array(row)
+        entries = np.array(row)
     except (ValueError, TypeError) as exc:
         raise ShapeMismatch(f"malformed operator payload: row {i}: {exc}") from None
+    entry = () if real else (2,)
     # strings, nulls and booleans alone leave a dtype other than float64
-    if pairs.ndim != 2 or pairs.shape[-1] != 2 or pairs.dtype != np.float64:
+    if entries.ndim != 1 + len(entry) or entries.shape[1:] != entry \
+            or entries.dtype != np.float64:
         raise ShapeMismatch("malformed operator payload: the matrix must be rows of "
-                            f"[re, im] number pairs, got row {i} of shape {pairs.shape} "
-                            f"of {pairs.dtype}")
-    if not np.isfinite(pairs).all():
+                            f"{'numbers' if real else '[re, im] number pairs'}, got row {i} "
+                            f"of shape {entries.shape} of {entries.dtype}")
+    if not np.isfinite(entries).all():
         raise NonFiniteOperator(f"operator matrix has a non-finite entry in row {i}")
-    return pairs
+    return entries
 
 
-def _allocated(n: int, max_dim: Optional[int], room: int) -> np.ndarray:
-    """An empty ``(n, n, 2)`` matrix, once ``n`` fits ``max_dim`` and ``room`` entries."""
+def _allocated(n: int, max_dim: Optional[int], left: int, real: bool) -> np.ndarray:
+    """An empty ``(n, n)`` float64 matrix when ``real``, else ``(n, n, 2)`` of
+    pairs, once ``n`` fits ``max_dim`` and ``left`` characters of text hold
+    ``n * n`` entries."""
     check_max_dim(n, max_dim)
+    # the shortest entry of each form: 0, and [0,0],
+    room = left // (2 if real else 5)
     if n * n > room:
         raise ShapeMismatch(f"malformed operator payload: dimension {n} needs {n * n} "
                             f"entries, more than the {room} that the rest of the text holds")
-    return np.empty((n, n, 2))
+    return np.empty((n, n) if real else (n, n, 2))
+
+
+def _first_entry(text: str, pos: int) -> str:
+    """The first character of the first entry of the first row of the matrix
+    whose ``[`` is at ``pos``; "" when the first row is not a list."""
+    for _ in range(2):
+        if text[pos:pos + 1] != "[":
+            return ""
+        pos = WHITESPACE.match(text, pos + 1).end()
+    return text[pos:pos + 1]
 
 
 def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndarray:
-    """The complex matrix at the cursor, each row converted and checked as it comes.
+    """The matrix at the cursor, each row converted and checked as it comes.
 
-    ``n`` is the factors' product when they came first, else None for the first
-    row's length.  The one array is allocated before the first row is stored, so
-    a header that claims more entries than its text holds reserves no memory.
+    The first entry of the first row decides the form: a number makes a real
+    float64 matrix and a list (or no entry) a complex one of ``[re, im]``
+    pairs.  ``n`` is the factors' product when they came first, else None
+    for the first row's length.  The one array is allocated before the first
+    row is stored, so a header that claims more entries than its text holds
+    reserves no memory.
     """
     if cur.peek() != "[":
         raise ShapeMismatch("malformed operator payload: the matrix must be a list of rows")
     start = cur.pos
-    # each entry takes 5 characters at least: [0,0]
-    room = (len(cur.text) - start) // 5
-    out = None if n is None else _allocated(n, max_dim, room)
+    real = _first_entry(cur.text, start) not in ("", "[", "]")
+    left = len(cur.text) - start
+    out = None if n is None else _allocated(n, max_dim, left, real)
     size = "a matrix of at least one row" if n is None else f"factor dimensions of product {n}"
     count = 0
     for count, _ in enumerate(cur.elements(), start=1):
-        pairs = _pair_row(cur.value(_ROW_DECODER), count - 1)
+        row = _row(cur.value(_ROW_DECODER), count - 1, real)
         if out is None:
-            n = len(pairs)
-            out = _allocated(n, max_dim, room)
+            n = len(row)
+            out = _allocated(n, max_dim, left, real)
             size = f"a matrix whose first row has {n} entries"
-        if count > n or len(pairs) != n:
-            raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(pairs)} "
+        if count > n or len(row) != n:
+            raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(row)} "
                                 f"entries for {size}")
-        out[count - 1] = pairs
+        out[count - 1] = row
     if count != n:
         raise ShapeMismatch(f"malformed operator payload: {count} rows for {size}")
     # numpy coerces a boolean beside a number, so the matrix's text is searched
     if cur.text.find("true", start, cur.pos) >= 0 or cur.text.find("false", start, cur.pos) >= 0:
         raise ShapeMismatch("malformed operator payload: the matrix holds a boolean")
-    return out.view(np.complex128)[..., 0]
+    return out if real else out.view(np.complex128)[..., 0]
 
 
 _DECODER = json.JSONDecoder()

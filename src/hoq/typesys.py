@@ -25,6 +25,7 @@ from .errors import (
     DuplicateSystem,
     HatDimMismatch,
     RecursionLimit,
+    ShapeMismatch,
     TypeSyntaxError,
     UnknownSystem,
 )
@@ -405,9 +406,9 @@ class NetworkSpec:
 
     def __post_init__(self):
         if len(self.memories) != len(self.slot_types) + 1:
-            raise ValueError("need exactly n+1 memory labels for n slots")
+            raise ShapeMismatch("need exactly n+1 memory labels for n slots")
         if not self.slot_types:
-            raise ValueError("a network needs at least one slot")
+            raise ShapeMismatch("a network needs at least one slot")
 
     @property
     def n(self) -> int:

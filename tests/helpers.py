@@ -117,8 +117,11 @@ def marks_of(mask, k):
 
 def converted(payload):
     """Factors and matrix bytes of an operator payload as ``json.loads`` gives
-    it, the matrix converted whole by numpy: the reference for the reader."""
-    matrix = np.array(payload["matrix"], dtype=np.float64).view(np.complex128)[..., 0]
+    it, the matrix converted whole by numpy: the reference for the reader.
+    Rows of plain numbers stay float64; rows of pairs become complex128."""
+    matrix = np.array(payload["matrix"], dtype=np.float64)
+    if matrix.ndim == 3:
+        matrix = matrix.view(np.complex128)[..., 0]
     return tuple((lab, d) for lab, d in payload["factors"]), matrix.tobytes()
 
 

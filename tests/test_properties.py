@@ -3,11 +3,12 @@ projection and pattern norms, of the invariants that let ``classify`` and
 ``is_admissible`` share the check's front half, of real arithmetic against
 complex arithmetic in the check, of checks that run in the operator's own
 factor order, of the factor order of network characterizations, and of the
-operator and bundle file reader against a whole-document conversion and
-across the two key orders of an operator document."""
+operator and bundle file reader against a whole-document conversion, across
+the two key orders of an operator document and across its two row forms."""
 import gzip
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,9 +33,9 @@ from hoq import (
     sample_deterministic,
     sector_project,
 )
-from hoq.errors import HoqError, SizeLimit
+from hoq.errors import HoqError, ShapeMismatch, SizeLimit
 from hoq.linalg import hermitian_part
-from hoq.serialize import operator_to_dict, read_bundle, read_operator
+from hoq.serialize import operator_to_dict, read_bundle, read_operator, write_bundle
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
                          outside_component)
@@ -439,14 +440,16 @@ def test_reader_matches_the_whole_document_conversion(payloads, indent, name):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=3).filter(lambda ds: math.prod(ds) <= 16),
        st.integers(0, 2 ** 16), st.floats(0, 1), st.sampled_from(["doc.json", "doc.json.gz"]),
-       st.booleans())
-def test_key_order_never_changes_the_read(dims, seed, share, name, as_block):
+       st.booleans(), st.booleans())
+def test_key_order_never_changes_the_read(dims, seed, share, name, as_block, real):
     # one size rule in either key order: the factors' product when they come
-    # first, the first row's length when the matrix does
+    # first, the first row's length when the matrix does; a real operator is
+    # written as plain numbers and reads back as float64
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
+    data = rng.normal(size=(n, n))
     op = LabeledOperator(tuple((f"S{i}", d) for i, d in enumerate(dims)),
-                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                         data if real else data + 1j * rng.normal(size=(n, n)))
     max_dim = 1 + int(share * (2 * n - 1))
     opener = gzip.open if name.endswith(".gz") else open
     payload = operator_to_dict(op)
@@ -467,10 +470,81 @@ def test_key_order_never_changes_the_read(dims, seed, share, name, as_block):
             except HoqError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:
-                outcomes.append([(x.factors, x.data.tobytes()) for x in got])
+                outcomes.append([(x.factors, x.data.dtype, x.data.tobytes()) for x in got])
     assert outcomes[0] == outcomes[1]
     if n <= max_dim:
-        assert outcomes[0] == [(op.factors, op.data.tobytes())]
+        assert outcomes[0] == [(op.factors, op.data.dtype, op.data.tobytes())]
+        assert op.data.dtype == (np.float64 if real else np.complex128)
     else:
         assert outcomes[0] == (SizeLimit, f"operator dimension {n} exceeds limits.max_dim = "
                                           f"{max_dim}")
+
+
+def _read_text_as(text: str, name: str, as_block: bool):
+    """The operators of ``text``, written to a file ``name`` as an operator
+    document or as the one block of a bundle."""
+    if as_block:
+        text = ('{"blocks": [' + text + '], "spec": {"slot_types": ["(A -> B)"], '
+                '"memories": ["I", "I"]}}')
+    opener = gzip.open if name.endswith(".gz") else open
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        with opener(path, "wt", encoding="utf-8") as fh:
+            fh.write(text)
+        return (read_bundle(path, SystemRegistry.of(A=2, B=2))[0] if as_block
+                else [read_operator(path)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.data(), st.booleans(), st.booleans(), st.booleans())
+def test_mixed_row_forms_name_the_row(n, data, real_first, matrix_first, as_block):
+    # the first row fixes the form; the first row in the other form is named
+    switch = data.draw(st.integers(1, n - 1))
+    rows = [[float(i == j) for j in range(n)] for i in range(n)]
+    pairs = [[[x, 0.0] for x in row] for row in rows]
+    first, second = (rows, pairs) if real_first else (pairs, rows)
+    items = [("factors", [["S0", n]]), ("matrix", first[:switch] + second[switch:])]
+    if matrix_first:
+        items.reverse()
+    form = "plain numbers" if real_first else "[re, im] pairs"
+    with pytest.raises(ShapeMismatch, match=re.escape(f"row {switch} does not hold {form} "
+                                                      "as row 0 does")):
+        _read_text_as(json.dumps(dict(items)), "doc.json", as_block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda ds: math.prod(ds) <= 24),
+       st.integers(0, 2 ** 16), st.booleans(), st.sampled_from(["doc.json", "doc.json.gz"]),
+       st.booleans())
+def test_compact_real_file_fits_the_room_guard(dims, seed, matrix_first, name, as_block):
+    # one-digit entries with no spaces, "[[1,0],[0,1]]": two characters an
+    # entry, fewer than the five of the shortest pair
+    n = math.prod(dims)
+    factors = tuple((f"S{i}", d) for i, d in enumerate(dims))
+    matrix = np.random.default_rng(seed).integers(0, 2, size=(n, n))
+    items = [("factors", factors), ("matrix", matrix.tolist())]
+    if matrix_first:
+        items.reverse()
+    got = _read_text_as(json.dumps(dict(items), separators=(",", ":")), name, as_block)
+    assert [(x.factors, x.data.dtype, x.data.tobytes()) for x in got] == \
+        [(factors, np.float64, matrix.astype(float).tobytes())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(["doc.json", "doc.json.gz"]), st.booleans())
+def test_bundle_of_a_real_and_a_complex_block(seed, name, real_first):
+    # each block of a bundle takes its own form
+    rng = np.random.default_rng(seed)
+    real = LabeledOperator((("A", 2), ("B", 2)), rng.normal(size=(4, 4)))
+    phased = LabeledOperator((("A", 2), ("B", 2)),
+                             rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    blocks = [real, phased] if real_first else [phased, real]
+    spec = NetworkSpec((parse_type("(A -> B)", SystemRegistry.of(A=2, B=2)),), ("I", "I"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        write_bundle(blocks, spec, path)
+        got, spec_back, _ = read_bundle(path, SystemRegistry.of(A=2, B=2))
+    assert spec_back == spec
+    assert real.data.dtype == np.float64 and phased.data.dtype == np.complex128
+    assert [(x.factors, x.data.dtype, x.data.tobytes()) for x in got] == \
+        [(x.factors, x.data.dtype, x.data.tobytes()) for x in blocks]

@@ -18,6 +18,7 @@ from hoq import (
 from hoq.errors import (
     DuplicateSystem,
     HatDimMismatch,
+    ShapeMismatch,
     TypeSyntaxError,
     UnknownSystem,
 )
@@ -172,9 +173,9 @@ def test_network_spec_memories_and_order():
     assert print_type(spec.block_type(1)) == "(((C -> D) -> I) -> (E -> Q))"
     closed = NetworkSpec(slots, ("P", "I", "I"))
     assert [lab for lab, _ in closed.system_order(REG)] == ["P", "A", "B", "C", "D"]
-    with pytest.raises(ValueError, match="n\\+1 memory labels"):
+    with pytest.raises(ShapeMismatch, match="n\\+1 memory labels"):
         NetworkSpec(slots, ("I", "I"))
-    with pytest.raises(ValueError, match="at least one slot"):
+    with pytest.raises(ShapeMismatch, match="at least one slot"):
         NetworkSpec((), ("I",))
 
 
