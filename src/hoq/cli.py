@@ -58,7 +58,7 @@ class HoqGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (HoqError, ValueError, OSError, json.JSONDecodeError) as exc:
+        except (HoqError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -205,7 +205,7 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
             processes.time_flip_choi(dim))
     elif process == "n-time-flip":
         size, build = (d * 2 ** n) ** 2 * d ** (2 * n), lambda: (
-            processes.canonical_ports(processes.n_time_flip_choi(slots, dim, dim_cap=cfg.max_dim)))
+            processes.canonical_ports(processes.n_time_flip_choi(slots, dim)))
     elif process == "flip-switch":
         size, build = 4 * d ** 6, lambda: processes.canonical_ports(
             processes.flippable_switch_choi(dim))

@@ -1,11 +1,11 @@
 """Dense operator algebra on labeled tensor factors.
 
-Operators carry an ordered list of ``(label, dim)`` factors; the matrix,
-complex or real float64, is stored row-major with the first factor most
-significant.  Choi operators use the input-factor-first convention: the Choi
-matrix of a map from A to B lives on ``A (x) B`` and a channel satisfies
-``Tr_B[M] = 1_A``.  All transposes are taken in the fixed computational basis
-of each factor.
+Operators carry an ordered list of ``(label, dim)`` factors; the matrix is
+stored row-major with the first factor most significant, as float64 when no
+entry has a non-zero imaginary part and as complex128 otherwise.  Choi
+operators use the input-factor-first convention: the Choi matrix of a map
+from A to B lives on ``A (x) B`` and a channel satisfies ``Tr_B[M] = 1_A``.
+All transposes are taken in the fixed computational basis of each factor.
 """
 from __future__ import annotations
 
@@ -51,9 +51,12 @@ def factor_entry(label, dim) -> tuple[str, int]:
 
 @dataclass(frozen=True, eq=False)
 class LabeledOperator:
-    """A complex or real float64 square matrix over named tensor factors.
+    """A square matrix over named tensor factors, real when its entries are.
 
-    A float64 array is kept real; any other array is stored as complex128.
+    The one realness rule: the matrix is stored as float64 when no entry has
+    a non-zero imaginary part (any real dtype, or complex with every
+    imaginary part 0, whose sign is then lost), and as complex128 otherwise.
+    A NaN imaginary part counts as non-zero.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -64,8 +67,12 @@ class LabeledOperator:
         object.__setattr__(self, "factors", factors)
         total = math.prod(d for _, d in factors)
         arr = np.asarray(self.data)
-        if arr.dtype != np.float64:
+        if arr.dtype.kind in "biuf":
+            arr = arr.astype(np.float64, copy=False)
+        else:
             arr = arr.astype(complex, copy=False)
+            if not arr.imag.any():
+                arr = arr.real
         if arr.shape != (total, total):
             raise ShapeMismatch(
                 f"matrix shape {arr.shape} does not match factor dimensions (product {total})")
@@ -101,16 +108,14 @@ class LabeledOperator:
         """``max |A - A^H|``, from the Hermitian part ``sym = (A + A^H) / 2``.
 
         The defect is taken as ``2 max |A - sym|``, without another transposed
-        pass; a real ``sym`` is compared with the real part of ``A``.  The
-        maximum is taken over blocks of rows, so no full-size temporary is
-        formed; a NaN anywhere makes the result NaN.
+        pass.  The maximum is taken over blocks of rows, so no full-size
+        temporary is formed; a NaN anywhere makes the result NaN.
         """
-        data = self.data.real if np.isrealobj(sym) else self.data
-        n = data.shape[0]
+        n = self.dim
         step = max(1, _DEFECT_BLOCK // n)
         defect = 0.0
         for r0 in range(0, n, step):
-            peak = float(np.abs(data[r0:r0 + step] - sym[r0:r0 + step]).max())
+            peak = float(np.abs(self.data[r0:r0 + step] - sym[r0:r0 + step]).max())
             if not peak <= defect:
                 defect = peak
                 if math.isnan(peak):  # no later block may replace it
@@ -125,7 +130,7 @@ class LabeledOperator:
 def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
     factors = tuple(factors)
     total = math.prod(d for _, d in factors)
-    return LabeledOperator(factors, np.eye(total, dtype=complex))
+    return LabeledOperator(factors, np.eye(total))
 
 
 def tensor_op(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
@@ -312,34 +317,21 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_label: str,
 # Spectral helpers
 # ---------------------------------------------------------------------------
 
-def real_if_exact(data: np.ndarray) -> np.ndarray:
-    """The ``.real`` view of a complex ``data`` with no non-zero imaginary
-    part, else ``data`` itself.
-
-    The one realness rule: the check and the file writer both go real on it.
-    A NaN imaginary part counts as non-zero; the sign of a zero one is lost.
-    """
-    if np.iscomplexobj(data) and not data.imag.any():
-        return data.real
-    return data
-
-
 def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
     """``(A + A^H) / 2`` as a new array, and the hermiticity defect of ``A``.
 
-    When no entry of ``A`` has a non-zero imaginary part, the Hermitian part
-    is the real float64 ``(A + A^T) / 2``, and every check on it (Cholesky,
-    sector projections, norms) runs in real arithmetic.  The defect is
+    The Hermitian part has ``A``'s dtype, so for a real operator it is the
+    float64 ``(A + A^T) / 2`` and every check on it (Cholesky, sector
+    projections, norms) runs in real arithmetic.  The defect is
     measured once, from the Hermitian part.  Raises
     :class:`NonFiniteOperator` when it is not finite, which any NaN or
     infinite entry makes it.
     """
-    data = real_if_exact(a.data)
-    sym = np.empty_like(data)
-    np.conjugate(data.T, out=sym)
+    sym = np.empty_like(a.data)
+    np.conjugate(a.data.T, out=sym)
     # non-finite entries make NaNs here, which the defect then reports
     with np.errstate(invalid="ignore"):
-        sym += data
+        sym += a.data
         sym *= 0.5
         defect = a.herm_defect(sym)
     if not math.isfinite(defect):

@@ -13,10 +13,8 @@ from .errors import (
     DimMismatch,
     NotAFunctional,
     NotDensity,
-    SizeLimit,
 )
 from .linalg import (
-    DEFAULT_DIM_CAP,
     LabeledOperator,
     _psd_status,
     choi_of_kraus,
@@ -116,7 +114,7 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
     the slot pairs in order, ``Ft, Fc``.
     """
     n, controls = len(slots), len(routes)
-    v = np.zeros((d, controls) + (d,) * (2 * n) + (d, controls), dtype=complex)
+    v = np.zeros((d, controls) + (d,) * (2 * n) + (d, controls))
     for c, route in enumerate(routes):
         wires = np.indices((d,) * (len(route) + 1))  # the target's value on each wire
         index = [wires[0], c] + [None] * (2 * n) + [wires[-1], c]
@@ -128,7 +126,7 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
     factors = ((("Pt", d), ("Pc", controls))
                + tuple((lab, d) for pair in slots for lab in pair)
                + (("Ft", d), ("Fc", controls)))
-    return LabeledOperator(factors, np.outer(vec, vec.conj()))
+    return LabeledOperator(factors, np.outer(vec, vec))
 
 
 def time_flip_choi(d: int) -> LabeledOperator:
@@ -197,7 +195,7 @@ def time_flip_apply(channel_choi: LabeledOperator, rho: LabeledOperator,
     return link_all([flip, rho_p, omega_p, chan])
 
 
-def n_time_flip_choi(n: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> LabeledOperator:
+def n_time_flip_choi(n: int, d: int) -> LabeledOperator:
     """Sequential composition of ``n`` direction flips with per-slot controls.
 
     The target wire threads all slots; each slot owns one control qubit that
@@ -207,9 +205,6 @@ def n_time_flip_choi(n: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> LabeledO
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    total = (d * 2 ** n) ** 2 * d ** (2 * n)
-    if total > dim_cap:
-        raise SizeLimit(f"total dimension {total} exceeds cap {dim_cap}")
     slots = [(f"A{s}", f"B{s}") for s in range(1, n + 1)]
     routes = [tuple((s, c >> (n - 1 - s) & 1) for s in range(n)) for c in range(2 ** n)]
     return _routed(d, slots, routes)
@@ -245,7 +240,7 @@ def lc_23_process(n: int) -> LabeledOperator:
         for l in range(n):
             diag[(j + l) % n, j, (j - l) % n, l] = 1.0
     factors = (("A1", n), ("B1", n), ("A2", n), ("B2", n))
-    return LabeledOperator(factors, np.diag(diag.reshape(-1)).astype(complex))
+    return LabeledOperator(factors, np.diag(diag.reshape(-1)))
 
 
 def lc_22_process(d: int, x: int, y: int) -> LabeledOperator:
@@ -277,7 +272,7 @@ def lc_22_process(d: int, x: int, y: int) -> LabeledOperator:
     for a1, b1, a2, b2 in terms:
         diag += np.einsum("i,j,k,l->ijkl", a1, b1, a2, b2)
     factors = (("A1", d), ("B1", d), ("A2", d), ("B2", d))
-    return LabeledOperator(factors, np.diag(diag.reshape(-1)).astype(complex))
+    return LabeledOperator(factors, np.diag(diag.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

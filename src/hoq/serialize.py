@@ -3,10 +3,10 @@
 Operator schema: ``{"factors": [["A", 2], ...], "matrix": [[[re, im], ...]]}``
 with the matrix row-major and the first factor most significant.  A real
 operator's rows are plain numbers instead, ``"matrix": [[x, ...]]``: the writer
-takes that form when no entry has a non-zero imaginary part
-(:func:`hoq.linalg.real_if_exact`, so the sign of a zero imaginary part is not
-kept), and a bundle takes it block by block.  Files whose name ends in ``.gz``
-are gzip containers of the same JSON.
+spells a float64 operator, which is what :class:`~hoq.linalg.LabeledOperator`
+stores when no entry has a non-zero imaginary part, in that form, and a bundle
+does so block by block.  Files whose name ends in ``.gz`` are gzip containers
+of the same JSON.
 
 Files are streamed one matrix row at a time both ways.  A write encodes each
 row with json's C encoder.  A read steps through the document's objects and
@@ -14,7 +14,8 @@ arrays and decodes each ``"matrix"`` row with json's own scanner, integers as
 floats, into one array sized by the ``"factors"`` or the first row, so the
 Python objects of at most one row are alive at once.  The first entry of the
 first row decides the array: a number makes it real float64, a list (as in
-every pair file, old ones too) complex128.  The text must hold the claimed
+every pair file, old ones too) complex128, which the operator then stores
+as float64 when every imaginary part is 0.  The text must hold the claimed
 entries at 2 characters each for the real form (``0,``) and 5 for pairs
 (``[0,0]``) before anything is allocated.  Each row is checked as it arrives:
 a malformed row, or one in the other form, raises :class:`ShapeMismatch` and a
@@ -33,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, HoqError, NonFiniteOperator, ShapeMismatch, SizeLimit
-from .linalg import (DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry,
-                     real_if_exact)
+from .linalg import DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
 from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
                       parse_type, print_type)
 
@@ -49,7 +49,7 @@ def _entries(a: np.ndarray) -> np.ndarray:
 
 def operator_to_dict(op: LabeledOperator) -> dict:
     return {"factors": [[lab, d] for lab, d in op.factors],
-            "matrix": _entries(real_if_exact(op.data)).tolist()}
+            "matrix": _entries(op.data).tolist()}
 
 
 def _operator_chunks(op: LabeledOperator):
@@ -59,9 +59,8 @@ def _operator_chunks(op: LabeledOperator):
     (``json.dump`` to a file never does), and the full nested matrix never
     exists as Python objects.
     """
-    data = real_if_exact(op.data)
     yield '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + ', "matrix": ['
-    for i, row in enumerate(data):
+    for i, row in enumerate(op.data):
         yield (", " if i else "") + json.dumps(_entries(row).tolist())
     yield "]}"
 

@@ -118,10 +118,13 @@ def marks_of(mask, k):
 def converted(payload):
     """Factors and matrix bytes of an operator payload as ``json.loads`` gives
     it, the matrix converted whole by numpy: the reference for the reader.
-    Rows of plain numbers stay float64; rows of pairs become complex128."""
+    Rows of plain numbers stay float64; rows of pairs become complex128, and
+    then float64 when every imaginary part is 0."""
     matrix = np.array(payload["matrix"], dtype=np.float64)
     if matrix.ndim == 3:
         matrix = matrix.view(np.complex128)[..., 0]
+        if not matrix.imag.any():
+            matrix = matrix.real
     return tuple((lab, d) for lab, d in payload["factors"]), matrix.tobytes()
 
 

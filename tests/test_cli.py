@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual
+from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual, processes
 from hoq.cli import main
-from hoq.linalg import permute_systems
+from hoq.linalg import DEFAULT_DIM_CAP, permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
     Config,
@@ -177,8 +177,10 @@ class TestSerialization:
         data = rng.normal(size=(6, 6))
         data[0, :2] = [-0.0, 1e-300]
         real = LabeledOperator((("A", 2), ("B", 3)), data)
+        # the twin's imaginary parts are all zero, so it is float64 from construction
         twin = LabeledOperator(real.factors, data.astype(complex))
-        assert real.data.dtype == np.float64 and twin.data.dtype == np.complex128
+        assert real.data.dtype == twin.data.dtype == np.float64
+        assert twin.data.tobytes() == real.data.tobytes()
         written = []
         for x, sub in ((real, "real"), (twin, "twin")):
             path = tmp_path / sub / name
@@ -993,6 +995,36 @@ class TestMakeAndClassify:
         assert res.exit_code == 2, res.output
         assert "exceeds limits.max_dim = 16" in res.output
         assert not out.exists()
+
+    def test_make_refuses_the_default_max_dim(self, runner, tmp_path):
+        # three slots at d = 2 make D = 16384: the CLI's check is the one dimension rule
+        out = tmp_path / "op.json"
+        res = runner.invoke(main, ["make", "n-time-flip", "--n", "3", "--d", "2", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"operator dimension 16384 exceeds limits.max_dim = {DEFAULT_DIM_CAP}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["op.json", "op.json.gz"])
+    @pytest.mark.parametrize("args, build", [pytest.param(*case, id=case[0][0]) for case in [
+        (["time-flip", "--d", "2"],
+         lambda: processes.canonical_ports(processes.time_flip_choi(2))),
+        (["n-time-flip", "--n", "1", "--d", "2"],
+         lambda: processes.canonical_ports(processes.n_time_flip_choi(1, 2))),
+        (["flip-switch", "--d", "2"],
+         lambda: processes.canonical_ports(processes.flippable_switch_choi(2))),
+        (["lc23", "--n", "3"], lambda: processes.lc_23_process(3)),
+        (["lc22", "--d", "3", "--x", "2", "--y", "0"], lambda: processes.lc_22_process(3, 2, 0)),
+        (["random-bistoch", "--d", "2", "--tail-in", "2", "--seed", "1"],
+         lambda: processes.random_bistochastic_channel(2, 2, 1, k=3, seed=1))]])
+    def test_make_targets_read_back_as_built(self, runner, tmp_path, name, args, build):
+        # every canonical process is real; only the random channel is complex
+        dtype = np.complex128 if args[0] == "random-bistoch" else np.float64
+        out = tmp_path / name
+        res = runner.invoke(main, ["make", *args, "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        built, back = build(), read_operator(str(out))
+        assert built.data.dtype == back.data.dtype == dtype
+        assert back.factors == built.factors and back.data.tobytes() == built.data.tobytes()
 
     @pytest.mark.parametrize("args", [
         ["lc23", "--n", "2"], ["random-bistoch", "--d", "2", "--tail-in", "2", "--tail-out", "2"]])

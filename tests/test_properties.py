@@ -4,7 +4,8 @@ projection and pattern norms, of the invariants that let ``classify`` and
 complex arithmetic in the check, of checks that run in the operator's own
 factor order, of the factor order of network characterizations, and of the
 operator and bundle file reader against a whole-document conversion, across
-the two key orders of an operator document and across its two row forms."""
+the two key orders of an operator document and across its two row forms, and
+of the realness rule by which an operator stores its matrix."""
 import gzip
 import json
 import math
@@ -35,7 +36,8 @@ from hoq import (
 )
 from hoq.errors import HoqError, ShapeMismatch, SizeLimit
 from hoq.linalg import hermitian_part
-from hoq.serialize import operator_to_dict, read_bundle, read_operator, write_bundle
+from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
+                           write_operator)
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
                          outside_component)
@@ -548,3 +550,49 @@ def test_bundle_of_a_real_and_a_complex_block(seed, name, real_first):
     assert real.data.dtype == np.float64 and phased.data.dtype == np.complex128
     assert [(x.factors, x.data.dtype, x.data.tobytes()) for x in got] == \
         [(x.factors, x.data.dtype, x.data.tobytes()) for x in blocks]
+
+
+@st.composite
+def matrix_of_any_dtype(draw):
+    """A square matrix of dtype bool, int, float32, float64 or complex128, and
+    the kind of its imaginary parts: None for a real dtype, else all 0, all
+    -0.0, or all 0 but one, which is non-zero or NaN."""
+    n = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.bool_, np.int64, np.float32, np.float64, np.complex128]))
+    entries = {np.bool_: st.booleans(), np.int64: st.integers(-2 ** 53, 2 ** 53),
+               np.float32: st.floats(allow_nan=False, allow_infinity=False, width=32)}.get(
+        dtype, st.floats(allow_nan=False, allow_infinity=False))
+    data = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=dtype)
+    data = data.reshape(n, n)
+    if dtype is not np.complex128:
+        return data, None
+    imag = draw(st.sampled_from(["zero", "minus_zero", "non_zero", "nan"]))
+    data.imag = -0.0 if imag == "minus_zero" else 0.0
+    if imag in ("non_zero", "nan"):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        data.imag[row, col] = np.nan if imag == "nan" else draw(
+            st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    return data, imag
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_of_any_dtype())
+def test_operator_is_float64_exactly_when_its_entries_are_real(case):
+    data, imag = case
+    op = LabeledOperator((("A", data.shape[0]),), data)
+    if imag in ("non_zero", "nan"):
+        assert op.data.dtype == np.complex128 and op.data.tobytes() == data.tobytes()
+    else:
+        # a zero imaginary part's sign is the one thing not kept
+        assert op.data.dtype == np.float64
+        assert op.data.tobytes() == np.real(data).astype(np.float64).tobytes()
+    if imag == "nan":
+        return  # a file holds no NaN
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("op.json", "op.json.gz"):
+            path = str(Path(tmp) / name)
+            write_operator(op, path)
+            back = read_operator(path)
+            assert back.factors == op.factors and back.data.dtype == op.data.dtype
+            assert back.data.tobytes() == op.data.tobytes()
+
