@@ -31,6 +31,8 @@ TOL_PSD = 1e-9
 DEFAULT_DIM_CAP = 4096
 # entries per block of rows in LabeledOperator.herm_defect
 _DEFECT_BLOCK = 1 << 16
+# rows per block of _psd_status's Cholesky factorization, and per tile of hermitian_part
+_BLOCK = 256
 
 
 def check_tol(name: str, value: float) -> None:
@@ -322,17 +324,25 @@ def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
 
     The Hermitian part has ``A``'s dtype, so for a real operator it is the
     float64 ``(A + A^T) / 2`` and every check on it (Cholesky, sector
-    projections, norms) runs in real arithmetic.  The defect is
-    measured once, from the Hermitian part.  Raises
-    :class:`NonFiniteOperator` when it is not finite, which any NaN or
-    infinite entry makes it.
+    projections, norms) runs in real arithmetic.  It is formed in tiles of
+    ``_BLOCK`` rows and columns, each ``(conj(A[J, I]^T) + A[I, J]) / 2``, so
+    the transposed reads stay in cache; the bytes are those of the
+    whole-matrix formula.  The defect is measured once, from the Hermitian
+    part.  Raises :class:`NonFiniteOperator` when it is not finite, which any
+    NaN or infinite entry makes it.
     """
-    sym = np.empty_like(a.data)
-    np.conjugate(a.data.T, out=sym)
+    data = a.data
+    sym = np.empty_like(data)
     # non-finite entries make NaNs here, which the defect then reports
     with np.errstate(invalid="ignore"):
-        sym += a.data
-        sym *= 0.5
+        for i0 in range(0, a.dim, _BLOCK):
+            rows = slice(i0, i0 + _BLOCK)
+            for j0 in range(0, a.dim, _BLOCK):
+                cols = slice(j0, j0 + _BLOCK)
+                tile = sym[rows, cols]
+                np.conjugate(data[cols, rows].T, out=tile)
+                tile += data[rows, cols]
+                tile *= 0.5
         defect = a.herm_defect(sym)
     if not math.isfinite(defect):
         raise NonFiniteOperator(f"operator has non-finite entries (hermiticity defect {defect})")
@@ -344,22 +354,109 @@ def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
 
     A Cholesky factorization of ``sym + psd_tol * 1`` certifies positivity
     and reports the lower bound ``-psd_tol``; only when it fails does
-    ``eigvalsh`` find the exact minimum.  The shift is applied to the
-    diagonal of ``sym`` in place and undone exactly before returning.
+    ``eigvalsh`` find the exact minimum.  The factorization runs in place
+    (:func:`_cholesky_lower`), so it allocates no operator-sized array.
+    ``sym`` must be Hermitian bit for bit, as :func:`hermitian_part` forms
+    it, and it is byte-identical on return: the shifted diagonal comes back
+    from a saved copy, and the Schur complements the factorization wrote
+    below the diagonal are overwritten by the mirror of the untouched upper
+    triangle (:func:`_mirror_upper`).  With at most ``_BLOCK`` rows this is
+    one ``np.linalg.cholesky`` call and nothing is mirrored.
     """
     check_tol("psd_tol", psd_tol)
     diag = sym.reshape(-1)[::sym.shape[0] + 1]
     saved = diag.copy()
+    negative_zeros = _negative_zeros(sym)
     diag += psd_tol
     try:
-        np.linalg.cholesky(sym)
+        _cholesky_lower(sym)
         return -psd_tol, True, "cholesky"
     except np.linalg.LinAlgError:
         pass
     finally:
         diag[:] = saved
+        _mirror_upper(sym, negative_zeros)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return min_eig, min_eig >= -psd_tol, "eigvalsh"
+
+
+def _cholesky_lower(sym: np.ndarray) -> None:
+    """Blocked, right-looking Cholesky factorization of the Hermitian matrix
+    whose lower triangle ``sym`` holds; LinAlgError unless it is positive definite.
+
+    Each diagonal block goes through ``np.linalg.cholesky``, which reads only
+    its lower triangle.  Each panel ``L21 = A21 Lkk^-H`` is solved with
+    ``np.linalg.solve`` (numpy has no triangular solve) into an array of its
+    own, since only the verdict is kept, and :func:`_subtract_panel` updates
+    the trailing block.  So ``sym`` changes only on and below the diagonal,
+    from row and column ``_BLOCK`` on, and its strict upper triangle never does.
+    """
+    n = sym.shape[0]
+    for k0 in range(0, n, _BLOCK):
+        k1 = k0 + _BLOCK
+        lkk = np.linalg.cholesky(sym[k0:k1, k0:k1])
+        if k1 >= n:
+            return
+        _subtract_panel(sym, k1, np.linalg.solve(lkk, sym[k1:, k0:k1].conj().T))
+
+
+def _subtract_panel(sym: np.ndarray, k1: int, panel_h: np.ndarray) -> None:
+    """``A22 -= L21 L21^H`` on and below the diagonal of ``sym[k1:, k1:]``,
+    from ``panel_h = L21^H``, one block row at a time."""
+    n = sym.shape[0]
+    for i0 in range(k1, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        row = panel_h[:, i0 - k1:i1 - k1].conj().T
+        sym[i0:i1, k1:i0] -= row @ panel_h[:, :i0 - k1]
+        sym[i0:i1, i0:i1] -= np.tril(row @ panel_h[:, i0 - k1:i1 - k1])
+
+
+def _negative_zeros(sym: np.ndarray):
+    """Where :func:`_mirror_upper` writes a zero imaginary part that was -0.
+
+    The mirror negates the upper triangle's imaginary parts by ``0 - x``,
+    which gives a zero +0, as :func:`hermitian_part` forms it but for one
+    pair of signs (-0 below the diagonal of ``A``, +0 above).  Those entries
+    are listed here, before the factorization; None for a real matrix, or
+    one of a single block, which is not mirrored.
+    """
+    n = sym.shape[0]
+    if sym.dtype.kind != "c" or n <= _BLOCK:
+        return None
+    rows, cols = [], []
+    for i0 in range(_BLOCK, n, _BLOCK):
+        band = sym.imag[i0:i0 + _BLOCK, _BLOCK:i0 + _BLOCK]
+        r, c = np.nonzero((band == 0) & np.signbit(band))
+        below = c + _BLOCK < r + i0
+        rows.append(r[below] + i0)
+        cols.append(c[below] + _BLOCK)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _mirror_upper(sym: np.ndarray, negative_zeros) -> None:
+    """Write the conjugated strict upper triangle onto the strict lower one
+    where :func:`_cholesky_lower` may have written, tile by tile."""
+    n = sym.shape[0]
+    for i0 in range(_BLOCK, n, _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        for j0 in range(_BLOCK, i0 + 1, _BLOCK):
+            cols = slice(j0, j0 + _BLOCK)
+            tile, source = sym[rows, cols], sym[cols, rows].T
+            if sym.dtype.kind == "c":
+                mirrored = np.empty_like(tile)
+                mirrored.real = source.real
+                np.subtract(0.0, source.imag, out=mirrored.imag)
+                source = mirrored
+            below = np.tri(*tile.shape, k=-1, dtype=bool) if j0 == i0 else True
+            np.copyto(tile, source, where=below)
+    if negative_zeros is not None:
+        sym.imag[negative_zeros] = -0.0
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """``||a||_F``, without the copies of the real and imaginary parts that
+    ``np.linalg.norm`` makes of a complex array (half an operator copy)."""
+    return math.sqrt(float(np.vdot(a, a).real))
 
 
 def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:

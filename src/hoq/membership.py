@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _psd_status, check_tol, hermitian_part,
-                     permute_systems)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _frobenius, _psd_status, check_tol,
+                     hermitian_part, permute_systems)
 from .sectors import (
     SectorSet,
     _mask_text,
@@ -145,40 +145,56 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
 
 
 def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
-                herm_tol: float) -> tuple[LabeledOperator, dict]:
-    """Deviation ``R - coeff*1`` of an operator, in its own factor order, and the
-    fields hermiticity, positivity and the identity coefficient decide."""
+                herm_tol: float) -> tuple[LabeledOperator, dict, float]:
+    """The operator the sector test measures, in ``op``'s own factor order, the
+    fields hermiticity, positivity and the identity coefficient decide, and
+    the scale ``1 + ||R - coeff*1||_F`` of the sector test's noise floor.
+
+    The operator is ``op`` itself when its hermiticity defect is 0, since
+    ``op`` then equals its Hermitian part, which is dropped; otherwise it is
+    the Hermitian part.  The Hermitian part is factored in place and the
+    deviation ``R - coeff*1`` is never formed, so the front half holds one
+    operator-sized array besides ``op``, and the back half then at most one.
+    """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     sym, herm_defect = hermitian_part(op)
+    expected = float(coeff)
+    # the norm of the deviation, on sym's diagonal shifted and restored from a copy
+    diag = sym.reshape(-1)[::op.dim + 1]
+    saved = diag.copy()
+    diag -= expected
+    scale = 1.0 + _frobenius(sym)
+    diag[:] = saved
     min_eig, spectrum_ok, psd_method = _psd_status(sym, psd_tol)
     herm_ok = herm_defect <= herm_tol
 
-    expected = float(coeff)
     measured = float(np.trace(op.data).real) / op.dim
     lambda_ok = herm_ok and abs(measured - expected) <= tol * expected
-
-    # sym becomes the deviation R - coeff * 1
-    sym.reshape(-1)[::op.dim + 1] -= expected
     fields = dict(psd_ok=herm_ok and spectrum_ok, min_eigenvalue=min_eig,
                   psd_method=psd_method, herm_defect=herm_defect, lambda_ok=lambda_ok,
                   lambda_expected=coeff, lambda_measured=measured)
-    return LabeledOperator(op.factors, sym), fields
+    measured_op = op if herm_defect == 0 else LabeledOperator(op.factors, sym)
+    return measured_op, fields, scale
 
 
-def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet,
+def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSet,
                tol: float) -> CheckReport:
-    """Sector residual and out-of-sector breakdown of a deviation in any factor
-    order of ``sectors``, and the verdict; patterns are named in ``sectors``' order."""
-    matched = sectors.reorder(deviation.factors)
-    outside = outside_component(deviation, matched, herm_tol=np.inf)
-    residual = float(np.linalg.norm(outside.data))
-    scale = 1.0 + float(np.linalg.norm(deviation.data))
+    """Sector residual and out-of-sector breakdown of an operator in any factor
+    order of ``sectors``, and the verdict; patterns are named in ``sectors``' order.
+
+    The identity pattern is never forbidden, so ``R`` and ``R - coeff*1`` have
+    the same outside component, and ``R`` is projected as it is.  ``scale`` is
+    the front half's ``1 + ||R - coeff*1||_F``.
+    """
+    matched = sectors.reorder(r.factors)
+    outside = outside_component(r, matched, herm_tol=np.inf)
+    residual = _frobenius(outside.data)
 
     forbidden = []
     if residual > _NOISE_FLOOR * scale:
         norms = pattern_norms(outside, herm_tol=np.inf)
-        where = [deviation.labels.index(lab) for lab in sectors.labels]
+        where = [r.labels.index(lab) for lab in sectors.labels]
         for mask, sq in enumerate(norms.tolist()):
             if mask == 0 or mask in matched:
                 continue
@@ -190,7 +206,7 @@ def _back_half(deviation: LabeledOperator, fields: dict, sectors: SectorSet,
         forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))
 
     ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
-    permutation = None if deviation.labels == sectors.labels else sectors.labels
+    permutation = None if r.labels == sectors.labels else sectors.labels
     return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,
                        forbidden_components=forbidden, permutation=permutation,
                        **fields)
@@ -276,20 +292,21 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
     masks = sectors.reorder(op.factors).masks
-    deviation, fields = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    r, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
     if not fields["psd_ok"]:
         if not fields["herm_defect"] <= herm_tol:
             reason = f"operator not Hermitian (defect {fields['herm_defect']:.3e})"
         else:
             reason = f"operator not PSD (min eigenvalue {fields['min_eigenvalue']:.3e})"
         return AdmissibilityResult("NOT_ADMISSIBLE", reason=reason)
+    deviation = r.data.copy()
+    deviation.reshape(-1)[::op.dim + 1] -= float(coeff)
 
     if isinstance(t, SystemString):
         trace = fields["lambda_measured"] * op.dim
         if trace <= 1.0 + tol:
-            data = deviation.data.copy()
-            data.reshape(-1)[::op.dim + 1] += float(coeff) + max(1 - trace, 0) / op.dim
-            witness = permute_systems(LabeledOperator(op.factors, data), sectors.labels)
+            deviation.reshape(-1)[::op.dim + 1] += float(coeff) + max(1 - trace, 0) / op.dim
+            witness = permute_systems(LabeledOperator(op.factors, deviation), sectors.labels)
             return AdmissibilityResult("FEASIBLE", witness=witness,
                                        reason="trace test for elementary states")
         return AdmissibilityResult(
@@ -300,7 +317,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     # projection is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp
     dims = op.dims
     perp = frozenset(range(1 << len(dims))) - masks
-    offset = -_project(deviation.data, dims, perp)
+    offset = -_project(deviation, dims, perp)
 
     x = np.zeros_like(offset)
     p = np.zeros_like(offset)
@@ -316,7 +333,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     if gap < tol:
         # witness = op + PSD part of x, so domination holds by construction
         # and only the membership of the witness needs confirming
-        data = deviation.data + _project_psd(x)
+        data = deviation + _project_psd(x)
         data.reshape(-1)[::op.dim + 1] += float(coeff)
         witness = LabeledOperator(op.factors, data)
         report = check_operator(witness, coeff, sectors, tol=max(tol * 10, 1e-8))

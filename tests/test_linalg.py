@@ -26,7 +26,7 @@ from hoq.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from hoq.linalg import _DEFECT_BLOCK, hermitian_part, identity, transpose
+from hoq.linalg import _BLOCK, _DEFECT_BLOCK, _psd_status, hermitian_part, identity, transpose
 from hoq.processes import haar_unitary, random_state
 
 from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
@@ -305,6 +305,40 @@ class TestBlockedDefect:
         reg = SystemRegistry.of(A=n)
         with pytest.raises(NonFiniteOperator):
             is_deterministic(a, parse_type("A", reg), reg)
+
+
+class TestBlockedCholesky:
+    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 188])
+    @pytest.mark.parametrize("kind", ["real", "complex", "non_hermitian"])
+    def test_tiled_hermitian_part_is_the_whole_matrix_formula(self, rng, n, kind):
+        g = rng.normal(size=(n, n))
+        data = {"real": g,
+                "complex": g + g.T + 1e-9j * rng.normal(size=(n, n)),
+                "non_hermitian": g + 1j * rng.normal(size=(n, n))}[kind]
+        a = LabeledOperator((("A", n),), data)
+        whole = np.conjugate(a.data.T)
+        whole += a.data
+        whole *= 0.5
+        assert hermitian_part(a)[0].tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("shift", [0.0, -2.0], ids=["positive", "not_positive"])
+    def test_zero_imaginary_parts_keep_their_signs(self, shift):
+        # a zero imaginary part below the diagonal of the Hermitian part is -0
+        # when the operator's entry there is -0 and the one above it +0 (with a
+        # negative real part); the mirror of the upper triangle alone gives +0
+        n = 2 * _BLOCK + 100
+        data = np.eye(n, dtype=complex) + shift * np.eye(n)[::-1]
+        data[0, 1], data[1, 0] = 0.01j, -0.01j
+        for row, col in [(300, 290), (600, 257), (611, 610), (400, 300)]:
+            data[row, col] = complex(-0.001, -0.0)
+            data[col, row] = complex(-0.001, 0.0)
+        sym = hermitian_part(LabeledOperator((("A", n),), data))[0]
+        below = sym.imag[np.tril_indices(n, -1)]
+        assert (np.signbit(below) & (below == 0)).sum() == 4
+        before = sym.tobytes()
+        method = _psd_status(sym, 1e-9)[2]
+        assert method == ("cholesky" if shift == 0.0 else "eigvalsh")
+        assert sym.tobytes() == before
 
 
 class TestStructure:

@@ -17,8 +17,8 @@ from hoq import (
 )
 from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
-from hoq.membership import random_hermitian
-from hoq.sectors import SectorSet
+from hoq.membership import characterization_of, random_hermitian
+from hoq.sectors import SectorSet, outside_component, pattern_norms
 from hoq.processes import random_state
 from hoq.typesys import extend, systems_of
 
@@ -80,6 +80,33 @@ def test_breakdown_lists_only_patterns_with_weight():
     rep = is_deterministic(op, t, reg)
     assert [pat for pat, _ in rep.forbidden_components] == ["A1:I B1:I A2:T B2:T P:I F:I"]
     assert rep.forbidden_components[0][1] == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("skew", [0.0, 1e-12], ids=["hermitian", "skewed"])
+def test_breakdown_is_the_deviations_outside_component(skew):
+    # the sector test projects the operator itself, or its Hermitian part
+    # when it is skewed within herm_tol; the identity pattern is never
+    # forbidden, so the residual and the breakdown are those of R - coeff*1
+    reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+    t = parse_type("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))", reg)
+    base = sample_deterministic(t, reg, eps=0.5, seed=1)
+    rng = np.random.default_rng(2)
+    g = rng.uniform(-1.0, 1.0, size=(256, 256))
+    data = base.data + 1e-2 * random_hermitian(256, rng) + skew * (g - g.T)
+    op = LabeledOperator(base.factors, data)
+    rep = is_deterministic(op, t, reg)
+    assert rep.verdict == "FAIL" and rep.forbidden_components
+    assert (0.0 < rep.herm_defect <= 1e-10) if skew else rep.herm_defect == 0.0
+
+    coeff, sectors = characterization_of(t, reg)
+    deviation = (data + data.conj().T) / 2 - float(coeff) * np.eye(256)
+    outside = outside_component(LabeledOperator(op.factors, deviation), sectors)
+    assert rep.sector_residual == pytest.approx(np.linalg.norm(outside.data), rel=1e-12)
+    floor = 1e-12 * (1.0 + np.linalg.norm(deviation))
+    norms = np.sqrt(pattern_norms(outside))
+    expected = sorted(float(norm) for norm in norms if norm > floor)
+    reported = sorted(norm for _, norm in rep.forbidden_components)
+    assert reported == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("where", sorted(NON_FINITE))
@@ -365,8 +392,9 @@ class TestAdmissibility:
         spy("__post_init__")
         res = is_admissible(op, t, REG, max_iter=500)
         assert (res.status, res.iterations) == ("UNDECIDED", 500)
-        # the one operator is the deviation the gate forms
-        assert counts == {"herm_defect": 1, "__post_init__": 1}
+        # no operator is formed: the event equals its Hermitian part, so the
+        # gate hands ``op`` itself on, and the deviation is a bare array
+        assert counts == {"herm_defect": 1, "__post_init__": 0}
 
 
 class TestClassify:

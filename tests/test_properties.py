@@ -4,8 +4,9 @@ projection and pattern norms, of the invariants that let ``classify`` and
 complex arithmetic in the check, of checks that run in the operator's own
 factor order, of the factor order of network characterizations, and of the
 operator and bundle file reader against a whole-document conversion, across
-the two key orders of an operator document and across its two row forms, and
-of the realness rule by which an operator stores its matrix."""
+the two key orders of an operator document and across its two row forms, of
+the realness rule by which an operator stores its matrix, and of the blocked
+in-place positivity test against planted spectra."""
 import gzip
 import json
 import math
@@ -35,7 +36,7 @@ from hoq import (
     sector_project,
 )
 from hoq.errors import HoqError, ShapeMismatch, SizeLimit
-from hoq.linalg import hermitian_part
+from hoq.linalg import TOL_PSD, _psd_status, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import characterization_of, check_operator, random_hermitian
@@ -596,3 +597,37 @@ def test_operator_is_float64_exactly_when_its_entries_are_real(case):
             assert back.factors == op.factors and back.data.dtype == op.data.dtype
             assert back.data.tobytes() == op.data.tobytes()
 
+
+@st.composite
+def planted_spectrum(draw):
+    """``Q diag Q^H``, as :func:`hermitian_part` forms it, with its minimum
+    eigenvalue planted at ``+edge`` or ``-edge`` for an ``edge >= 1e-6``; the
+    sizes straddle the factorization's blocks of 256 rows."""
+    n = draw(st.sampled_from([1, 255, 256, 257, 513, 700]))
+    complex_entries = draw(st.booleans())
+    positive = draw(st.booleans())
+    edge = draw(st.floats(1e-6, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.normal(size=(n, n))
+    if complex_entries:
+        g = g + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(g)
+    spectrum = rng.uniform(edge if positive else 1e-6, 1.0, n)
+    spectrum[rng.integers(n)] = edge if positive else -edge
+    sym, _ = hermitian_part(LabeledOperator((("S", n),), (q * spectrum) @ q.conj().T))
+    return sym, positive
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_spectrum())
+def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
+    sym, positive = case
+    before = sym.tobytes()
+    min_eig, psd_ok, method = _psd_status(sym, TOL_PSD)
+    assert sym.tobytes() == before
+    if positive:
+        assert (method, psd_ok, min_eig) == ("cholesky", True, -TOL_PSD)
+    else:
+        exact = float(np.linalg.eigvalsh(sym)[0])
+        assert method == "eigvalsh" and not psd_ok
+        assert abs(min_eig - exact) <= 1e-12 * abs(exact)
