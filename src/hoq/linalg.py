@@ -28,10 +28,8 @@ from .errors import (
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
-DEFAULT_DIM_CAP = 4096
-# entries per block of rows in LabeledOperator.herm_defect
-_DEFECT_BLOCK = 1 << 16
-# rows per block of _psd_status's Cholesky factorization, and per tile of hermitian_part
+# rows per block of _psd_status's Cholesky factorization, and per tile of
+# hermitian_part and LabeledOperator.herm_defect
 _BLOCK = 256
 
 
@@ -106,23 +104,34 @@ class LabeledOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def herm_defect(self, sym: np.ndarray) -> float:
-        """``max |A - A^H|``, from the Hermitian part ``sym = (A + A^H) / 2``.
+    def herm_defect(self) -> float:
+        """``max |A - A^H|``, exactly; :class:`NonFiniteOperator` on any NaN
+        or infinite entry.
 
-        The defect is taken as ``2 max |A - sym|``, without another transposed
-        pass.  The maximum is taken over blocks of rows, so no full-size
-        temporary is formed; a NaN anywhere makes the result NaN.
+        One scan over the pairs of ``_BLOCK``-wide tiles on and above the
+        diagonal compares ``A[I, J]`` with ``conj(A[J, I]^T)``, so no
+        operator-sized temporary is formed.  Each difference is the negated
+        conjugate of its mirror's, so the maximum is that of the whole
+        matrix, bit for bit.  A non-finite entry makes its difference
+        non-finite (``inf - inf`` is NaN), and the scan stops there; so does
+        a difference that overflows.
         """
-        n = self.dim
-        step = max(1, _DEFECT_BLOCK // n)
+        data, n = self.data, self.dim
         defect = 0.0
-        for r0 in range(0, n, step):
-            peak = float(np.abs(self.data[r0:r0 + step] - sym[r0:r0 + step]).max())
-            if not peak <= defect:
-                defect = peak
-                if math.isnan(peak):  # no later block may replace it
-                    break
-        return 2.0 * defect
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i0 in range(0, n, _BLOCK):
+                rows = slice(i0, i0 + _BLOCK)
+                for j0 in range(i0, n, _BLOCK):
+                    cols = slice(j0, j0 + _BLOCK)
+                    diff = data[rows, cols] - data[cols, rows].T.conj()
+                    # a real tile takes its moduli in place; a complex one's are real
+                    peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
+                    if not peak <= defect:
+                        if not math.isfinite(peak):
+                            raise NonFiniteOperator(
+                                f"operator has non-finite entries (hermiticity defect {peak})")
+                        defect = peak
+        return defect
 
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)
@@ -319,64 +328,64 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_label: str,
 # Spectral helpers
 # ---------------------------------------------------------------------------
 
-def hermitian_part(a: LabeledOperator) -> tuple[np.ndarray, float]:
-    """``(A + A^H) / 2`` as a new array, and the hermiticity defect of ``A``.
+def hermitian_part(a: LabeledOperator, out: np.ndarray | None = None) -> np.ndarray:
+    """``(A + A^H) / 2``, in ``out`` when given, else in a new array.
 
     The Hermitian part has ``A``'s dtype, so for a real operator it is the
     float64 ``(A + A^T) / 2`` and every check on it (Cholesky, sector
     projections, norms) runs in real arithmetic.  It is formed in tiles of
     ``_BLOCK`` rows and columns, each ``(conj(A[J, I]^T) + A[I, J]) / 2``, so
     the transposed reads stay in cache; the bytes are those of the
-    whole-matrix formula.  The defect is measured once, from the Hermitian
-    part.  Raises :class:`NonFiniteOperator` when it is not finite, which any
-    NaN or infinite entry makes it.
+    whole-matrix formula, and the same each time it is formed.  ``A`` is
+    taken to be finite, as :meth:`LabeledOperator.herm_defect` has found it.
     """
     data = a.data
-    sym = np.empty_like(data)
-    # non-finite entries make NaNs here, which the defect then reports
-    with np.errstate(invalid="ignore"):
-        for i0 in range(0, a.dim, _BLOCK):
-            rows = slice(i0, i0 + _BLOCK)
-            for j0 in range(0, a.dim, _BLOCK):
-                cols = slice(j0, j0 + _BLOCK)
-                tile = sym[rows, cols]
-                np.conjugate(data[cols, rows].T, out=tile)
-                tile += data[rows, cols]
-                tile *= 0.5
-        defect = a.herm_defect(sym)
-    if not math.isfinite(defect):
-        raise NonFiniteOperator(f"operator has non-finite entries (hermiticity defect {defect})")
-    return sym, defect
+    sym = np.empty_like(data) if out is None else out
+    for i0 in range(0, a.dim, _BLOCK):
+        rows = slice(i0, i0 + _BLOCK)
+        for j0 in range(0, a.dim, _BLOCK):
+            cols = slice(j0, j0 + _BLOCK)
+            tile = sym[rows, cols]
+            np.conjugate(data[cols, rows].T, out=tile)
+            tile += data[rows, cols]
+            tile *= 0.5
+    return sym
 
 
-def _psd_status(sym: np.ndarray, psd_tol: float) -> tuple[float, bool, str]:
-    """Minimum eigenvalue, positivity verdict and the method that decided.
+def _hermitian_copy(a: LabeledOperator, defect: float) -> np.ndarray:
+    """A new array equal to the Hermitian part of ``a``, whose hermiticity
+    defect is ``defect``: a plain copy of ``a.data`` when that is 0, since
+    ``a`` then is its Hermitian part, else :func:`hermitian_part`."""
+    return a.data.copy() if defect == 0 else hermitian_part(a)
 
-    A Cholesky factorization of ``sym + psd_tol * 1`` certifies positivity
-    and reports the lower bound ``-psd_tol``; only when it fails does
-    ``eigvalsh`` find the exact minimum.  The factorization runs in place
-    (:func:`_cholesky_lower`), so it allocates no operator-sized array.
-    ``sym`` must be Hermitian bit for bit, as :func:`hermitian_part` forms
-    it, and it is byte-identical on return: the shifted diagonal comes back
-    from a saved copy, and the Schur complements the factorization wrote
-    below the diagonal are overwritten by the mirror of the untouched upper
-    triangle (:func:`_mirror_upper`).  With at most ``_BLOCK`` rows this is
-    one ``np.linalg.cholesky`` call and nothing is mirrored.
+
+def _psd_status(a: LabeledOperator, defect: float, sym: np.ndarray,
+                psd_tol: float) -> tuple[float, bool, str]:
+    """Minimum eigenvalue of the Hermitian part of ``a``, positivity verdict
+    and the method that decided.
+
+    ``defect`` is the hermiticity defect of ``a``, and ``sym`` the array
+    :func:`_hermitian_copy` made from the two.  A Cholesky factorization of
+    ``sym + psd_tol * 1`` certifies positivity and reports the lower bound
+    ``-psd_tol``; only when it fails does ``eigvalsh`` find the exact
+    minimum.  The factorization runs in place (:func:`_cholesky_lower`), so
+    it allocates no operator-sized array, and ``eigvalsh`` reads an
+    unfactored matrix: ``a.data`` when the defect is 0, and otherwise the
+    Hermitian part, formed again into ``sym`` with the same bytes.  So on
+    return ``sym`` holds the Hermitian part when the defect is not 0, and a
+    factor to be thrown away when it is.
     """
-    check_tol("psd_tol", psd_tol)
-    diag = sym.reshape(-1)[::sym.shape[0] + 1]
-    saved = diag.copy()
-    negative_zeros = _negative_zeros(sym)
-    diag += psd_tol
+    sym.reshape(-1)[::sym.shape[0] + 1] += psd_tol
     try:
         _cholesky_lower(sym)
-        return -psd_tol, True, "cholesky"
+        factored = True
     except np.linalg.LinAlgError:
-        pass
-    finally:
-        diag[:] = saved
-        _mirror_upper(sym, negative_zeros)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+        factored = False
+    if defect:
+        hermitian_part(a, out=sym)
+    if factored:
+        return -psd_tol, True, "cholesky"
+    min_eig = float(np.linalg.eigvalsh(sym if defect else a.data)[0])
     return min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
@@ -411,67 +420,28 @@ def _subtract_panel(sym: np.ndarray, k1: int, panel_h: np.ndarray) -> None:
         sym[i0:i1, i0:i1] -= np.tril(row @ panel_h[:, i0 - k1:i1 - k1])
 
 
-def _negative_zeros(sym: np.ndarray):
-    """Where :func:`_mirror_upper` writes a zero imaginary part that was -0.
-
-    The mirror negates the upper triangle's imaginary parts by ``0 - x``,
-    which gives a zero +0, as :func:`hermitian_part` forms it but for one
-    pair of signs (-0 below the diagonal of ``A``, +0 above).  Those entries
-    are listed here, before the factorization; None for a real matrix, or
-    one of a single block, which is not mirrored.
-    """
-    n = sym.shape[0]
-    if sym.dtype.kind != "c" or n <= _BLOCK:
-        return None
-    rows, cols = [], []
-    for i0 in range(_BLOCK, n, _BLOCK):
-        band = sym.imag[i0:i0 + _BLOCK, _BLOCK:i0 + _BLOCK]
-        r, c = np.nonzero((band == 0) & np.signbit(band))
-        below = c + _BLOCK < r + i0
-        rows.append(r[below] + i0)
-        cols.append(c[below] + _BLOCK)
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _mirror_upper(sym: np.ndarray, negative_zeros) -> None:
-    """Write the conjugated strict upper triangle onto the strict lower one
-    where :func:`_cholesky_lower` may have written, tile by tile."""
-    n = sym.shape[0]
-    for i0 in range(_BLOCK, n, _BLOCK):
-        rows = slice(i0, i0 + _BLOCK)
-        for j0 in range(_BLOCK, i0 + 1, _BLOCK):
-            cols = slice(j0, j0 + _BLOCK)
-            tile, source = sym[rows, cols], sym[cols, rows].T
-            if sym.dtype.kind == "c":
-                mirrored = np.empty_like(tile)
-                mirrored.real = source.real
-                np.subtract(0.0, source.imag, out=mirrored.imag)
-                source = mirrored
-            below = np.tri(*tile.shape, k=-1, dtype=bool) if j0 == i0 else True
-            np.copyto(tile, source, where=below)
-    if negative_zeros is not None:
-        sym.imag[negative_zeros] = -0.0
-
-
 def _frobenius(a: np.ndarray) -> float:
     """``||a||_F``, without the copies of the real and imaginary parts that
     ``np.linalg.norm`` makes of a complex array (half an operator copy)."""
     return math.sqrt(float(np.vdot(a, a).real))
 
 
-def _require_hermitian(a: LabeledOperator, tol: float) -> np.ndarray:
-    sym, defect = hermitian_part(a)
+def _require_hermitian(a: LabeledOperator, tol: float) -> float:
+    """The hermiticity defect of ``a``; :class:`NotHermitian` beyond ``tol``."""
+    defect = a.herm_defect()
     if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return sym
+    return defect
 
 
 def eigh(a: LabeledOperator, herm_tol: float = TOL_HERM):
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    sym = _require_hermitian(a, herm_tol)
-    return np.linalg.eigh(sym)
+    defect = _require_hermitian(a, herm_tol)
+    return np.linalg.eigh(a.data if defect == 0 else hermitian_part(a))
 
 
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
-    return _psd_status(_require_hermitian(a, herm_tol), psd_tol)[1]
+    check_tol("psd_tol", psd_tol)
+    defect = _require_hermitian(a, herm_tol)
+    return _psd_status(a, defect, _hermitian_copy(a, defect), psd_tol)[1]

@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _frobenius, _psd_status, check_tol,
-                     hermitian_part, permute_systems)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _frobenius, _hermitian_copy,
+                     _psd_status, check_tol, permute_systems)
 from .sectors import (
     SectorSet,
     _mask_text,
@@ -43,8 +43,9 @@ class CheckReport:
     ``psd_method`` names the positivity test that decided: with
     ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
     ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
-    ``"eigvalsh"`` it is the computed minimum eigenvalue.  A ``herm_defect``
-    (``max |R - R^H|``) beyond ``herm_tol`` fails ``psd_ok`` and ``lambda_ok``.
+    ``"eigvalsh"`` it is the computed minimum eigenvalue.  ``herm_defect`` is
+    exactly ``max |R - R^H|``, and beyond ``herm_tol`` it fails ``psd_ok`` and
+    ``lambda_ok``.
     """
 
     verdict: str
@@ -151,14 +152,18 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     the scale ``1 + ||R - coeff*1||_F`` of the sector test's noise floor.
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
-    ``op`` then equals its Hermitian part, which is dropped; otherwise it is
-    the Hermitian part.  The Hermitian part is factored in place and the
+    ``op`` then equals its Hermitian part; otherwise it is the Hermitian
+    part.  Either is factored in place, as a plain copy of ``op`` or as the
+    Hermitian part that :func:`_psd_status` then forms again, and the
     deviation ``R - coeff*1`` is never formed, so the front half holds one
     operator-sized array besides ``op``, and the back half then at most one.
+    Every tolerance is checked before any of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
-    sym, herm_defect = hermitian_part(op)
+    check_tol("psd_tol", psd_tol)
+    herm_defect = op.herm_defect()
+    sym = _hermitian_copy(op, herm_defect)
     expected = float(coeff)
     # the norm of the deviation, on sym's diagonal shifted and restored from a copy
     diag = sym.reshape(-1)[::op.dim + 1]
@@ -166,7 +171,7 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     diag -= expected
     scale = 1.0 + _frobenius(sym)
     diag[:] = saved
-    min_eig, spectrum_ok, psd_method = _psd_status(sym, psd_tol)
+    min_eig, spectrum_ok, psd_method = _psd_status(op, herm_defect, sym, psd_tol)
     herm_ok = herm_defect <= herm_tol
 
     measured = float(np.trace(op.data).real) / op.dim

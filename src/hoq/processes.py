@@ -16,10 +16,10 @@ from .errors import (
 )
 from .linalg import (
     LabeledOperator,
+    _hermitian_copy,
     _psd_status,
     choi_of_kraus,
     drop_trivial,
-    hermitian_part,
     link_all,
     merge_factors,
     partial_trace,
@@ -302,10 +302,10 @@ def functional_compose(p: float, rho: LabeledOperator,
     for state in (rho, sigma):
         if len(state.factors) != 1:
             raise NotDensity("expected single-factor states")
-        sym, defect = hermitian_part(state)  # raises NonFiniteOperator on NaN or inf
+        defect = state.herm_defect()  # raises NonFiniteOperator on NaN or inf
         if abs(np.trace(state.data) - 1.0) > 1e-9 or defect > 1e-9:
             raise NotDensity("states must be unit-trace Hermitian")
-        if not _psd_status(sym, 1e-9)[1]:
+        if not _psd_status(state, defect, _hermitian_copy(state, defect), 1e-9)[1]:
             raise NotDensity("states must be positive")
     if rho.labels == sigma.labels:
         raise NotDensity("the two states must live on distinct labels")

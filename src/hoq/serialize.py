@@ -34,9 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, HoqError, NonFiniteOperator, ShapeMismatch, SizeLimit
-from .linalg import DEFAULT_DIM_CAP, TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
 from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
                       parse_type, print_type)
+
+DEFAULT_DIM_CAP = 4096
 
 
 def _entries(a: np.ndarray) -> np.ndarray:

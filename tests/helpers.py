@@ -219,11 +219,12 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
 
     coeff, sectors = characterization_of(t, reg)
     aligned = permute_systems(op, sectors.labels)
-    sym, herm_defect = hermitian_part(aligned)
+    herm_defect = aligned.herm_defect()
     if herm_defect > herm_tol:
         return AdmissibilityResult(
             "NOT_ADMISSIBLE", reason=f"operator not Hermitian (defect {herm_defect:.3e})")
-    min_eig, psd_ok, _ = _psd_status(sym, psd_tol)
+    sym = hermitian_part(aligned)
+    min_eig, psd_ok, _ = _psd_status(aligned, herm_defect, sym.copy(), psd_tol)
     if not psd_ok:
         return AdmissibilityResult("NOT_ADMISSIBLE",
                                    reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")

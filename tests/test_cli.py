@@ -9,9 +9,10 @@ from click.testing import CliRunner
 
 from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual, processes
 from hoq.cli import main
-from hoq.linalg import DEFAULT_DIM_CAP, permute_systems
+from hoq.linalg import permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
+    DEFAULT_DIM_CAP,
     Config,
     bundle_to_dict,
     operator_to_dict,

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hoq import (
     SystemRegistry,
     choi_of_kraus,
     eigh,
-    is_deterministic,
     is_psd,
     link_product,
     merge_factors,
@@ -26,8 +25,10 @@ from hoq.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
-from hoq.linalg import _BLOCK, _DEFECT_BLOCK, _psd_status, hermitian_part, identity, transpose
-from hoq.processes import haar_unitary, random_state
+from hoq.linalg import _BLOCK, hermitian_part, identity, transpose
+from hoq.membership import characterization_of, check_operator
+from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
+from hoq.sectors import pattern_norms, sector_project
 
 from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
 
@@ -231,10 +232,10 @@ class TestRealArithmetic:
         for data, dtype in [(g, np.float64), (g.astype(complex), np.float64),
                             (minus_zero, np.float64), (skew, np.complex128)]:
             a = LabeledOperator(self.FACTORS, data)
-            sym, defect = hermitian_part(a)
+            sym = hermitian_part(a)
             assert sym.dtype == dtype and sym.flags.c_contiguous
             assert np.array_equal(sym, (a.data + a.data.conj().T) / 2)
-            assert np.isclose(defect, np.abs(a.data - a.data.conj().T).max(), rtol=1e-12, atol=0)
+            assert a.herm_defect() == np.abs(a.data - a.data.conj().T).max()
 
     def test_real_entries_are_stored_float64(self, rng):
         g = rng.normal(size=(6, 6))
@@ -249,7 +250,7 @@ class TestRealArithmetic:
         # only a NaN imaginary part sends the operator down the complex path
         assert a.data.imag.any() == (where == "nan_imaginary")
         with pytest.raises(NonFiniteOperator):
-            hermitian_part(a)
+            a.herm_defect()
 
     def test_real_eigenbasis_reconstructs(self, rng):
         g = rng.normal(size=(6, 6))
@@ -259,52 +260,54 @@ class TestRealArithmetic:
         assert np.abs((vecs * vals) @ vecs.T - a.data).max() < 1e-10
 
 
-ONE_BLOCK = math.isqrt(_DEFECT_BLOCK)  # a square matrix of exactly one block
-# one row; exactly one block; several blocks with a partial last one
-DEFECT_SIZES = [1, ONE_BLOCK, 2 * ONE_BLOCK + 44]
+# one row; one tile short of full; exactly one tile; one row over; three
+# tiles with a partial last one
+DEFECT_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 44]
 
 
-class TestBlockedDefect:
-    def test_sizes_cover_the_block_layouts(self):
-        assert ONE_BLOCK ** 2 == _DEFECT_BLOCK
-        n = DEFECT_SIZES[-1]
-        step = _DEFECT_BLOCK // n
-        assert n // step >= 2 and n % step
-
+class TestTileScanDefect:
     @pytest.mark.parametrize("n", DEFECT_SIZES)
     @pytest.mark.parametrize("kind", ["real", "complex", "zero_imaginary", "non_hermitian"])
     def test_equals_the_whole_matrix_maximum(self, rng, n, kind):
         g = rng.normal(size=(n, n))
-        data = {"real": g + g.T,
+        data = {"real": g + g.T + 1e-12 * rng.normal(size=(n, n)),
                 "complex": g + g.T + 1e-9j * rng.normal(size=(n, n)),
                 "zero_imaginary": (g + g.T).astype(complex),
                 "non_hermitian": g + 1j * rng.normal(size=(n, n))}[kind]
         a = LabeledOperator((("A", n),), data)
-        sym, defect = hermitian_part(a)
-        assert sym.dtype == (np.float64 if kind in ("real", "zero_imaginary") else np.complex128)
-        assert defect == 2.0 * float(np.abs(a.data - sym).max())
-        assert np.isclose(defect, np.abs(a.data - a.data.conj().T).max(), rtol=1e-12, atol=0)
+        assert a.herm_defect() == np.abs(a.data - a.data.conj().T).max()
 
-    @pytest.mark.parametrize("entry", [(-1, -1, np.nan), (-1, -1, np.inf),
-                                       (-2, -1, np.nan), (-1, -2, -np.inf),
-                                       (-2, -1, complex(0.0, np.nan))],
-                             ids=["nan_diagonal", "inf_diagonal", "nan_off_diagonal",
-                                  "minus_inf_off_diagonal", "nan_imaginary"])
-    def test_non_finite_in_the_last_block_only(self, entry):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "minus_inf", "nan_imaginary"])
+    @pytest.mark.parametrize("where", [(-1, -1), (-1, -2)], ids=["diagonal", "below"])
+    def test_non_finite_in_the_last_partial_tile_only(self, value, where):
         n = DEFECT_SIZES[-1]
-        row, col, value = entry
         data = np.eye(n, dtype=complex) / n
-        data[row, col] = value
-        # the entry and its transpose both lie in the rows of the last block
-        assert n + min(row, col) >= n - n % (_DEFECT_BLOCK // n)
+        data[where] = value
+        # the entry lies in the last tile, which is partial, and so does its
+        # transposed partner
+        assert n % _BLOCK and n + min(where) >= n - n % _BLOCK
         a = LabeledOperator((("A", n),), data)
-        with np.errstate(invalid="ignore"):
-            assert not math.isfinite(np.abs(a.data - a.data.conj().T).max())
-        with pytest.raises(NonFiniteOperator):
-            hermitian_part(a)
         reg = SystemRegistry.of(A=n)
-        with pytest.raises(NonFiniteOperator):
-            is_deterministic(a, parse_type("A", reg), reg)
+        coeff, sectors = characterization_of(parse_type("A", reg), reg)
+        for call in (a.herm_defect, lambda: check_operator(a, coeff, sectors),
+                     lambda: sector_project(a, sectors), lambda: is_psd(a), lambda: eigh(a)):
+            with pytest.raises(NonFiniteOperator):
+                call()
+
+    def test_pattern_norms_gate_forms_no_operator_copy(self):
+        # the hermiticity gate is the tile scan, so only the walk's partial
+        # traces remain; it peaked at 1.13 float64 copies when the gate
+        # formed the Hermitian part
+        r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        assert r.dim == 1024 and r.data.dtype == np.float64
+        tracemalloc.start()
+        try:
+            pattern_norms(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * r.dim ** 2 * 8
 
 
 class TestBlockedCholesky:
@@ -319,26 +322,12 @@ class TestBlockedCholesky:
         whole = np.conjugate(a.data.T)
         whole += a.data
         whole *= 0.5
-        assert hermitian_part(a)[0].tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("shift", [0.0, -2.0], ids=["positive", "not_positive"])
-    def test_zero_imaginary_parts_keep_their_signs(self, shift):
-        # a zero imaginary part below the diagonal of the Hermitian part is -0
-        # when the operator's entry there is -0 and the one above it +0 (with a
-        # negative real part); the mirror of the upper triangle alone gives +0
-        n = 2 * _BLOCK + 100
-        data = np.eye(n, dtype=complex) + shift * np.eye(n)[::-1]
-        data[0, 1], data[1, 0] = 0.01j, -0.01j
-        for row, col in [(300, 290), (600, 257), (611, 610), (400, 300)]:
-            data[row, col] = complex(-0.001, -0.0)
-            data[col, row] = complex(-0.001, 0.0)
-        sym = hermitian_part(LabeledOperator((("A", n),), data))[0]
-        below = sym.imag[np.tril_indices(n, -1)]
-        assert (np.signbit(below) & (below == 0)).sum() == 4
-        before = sym.tobytes()
-        method = _psd_status(sym, 1e-9)[2]
-        assert method == ("cholesky" if shift == 0.0 else "eigvalsh")
-        assert sym.tobytes() == before
+        assert hermitian_part(a).tobytes() == whole.tobytes()
+        # formed again over a factored copy, it has the same bytes
+        out = a.data.copy()
+        out[np.tril_indices(n)] = 7.0
+        assert hermitian_part(a, out=out) is out
+        assert out.tobytes() == whole.tobytes()
 
 
 class TestStructure:

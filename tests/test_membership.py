@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,9 @@ from hoq import (
 )
 from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
-from hoq.membership import characterization_of, random_hermitian
-from hoq.sectors import SectorSet, outside_component, pattern_norms
-from hoq.processes import random_state
+from hoq.membership import characterization_of, check_operator, random_hermitian
+from hoq.sectors import SectorSet, full_space, outside_component, pattern_norms
+from hoq.processes import merge_ports, n_time_flip_choi, random_state
 from hoq.typesys import extend, systems_of
 
 from helpers import NON_FINITE, mask_of, non_finite_operator, random_type, reference_admissible
@@ -141,6 +144,23 @@ def test_tolerances_must_be_finite_and_non_negative(func, op, type_text, keyword
 def test_is_psd_tolerance_validated(bad):
     with pytest.raises(ValueError, match="psd_tol must be finite and >= 0"):
         is_psd(_NOT_PSD, psd_tol=bad)
+
+
+def test_psd_tol_is_validated_before_any_operator_sized_work():
+    # a NaN psd_tol used to raise only after the Hermitian part was formed
+    r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+    assert r.dim == 1024
+    for check in (lambda: check_operator(r, Fraction(1, 16), full_space(r.factors),
+                                         psd_tol=float("nan")),
+                  lambda: is_psd(r, psd_tol=float("nan"))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="psd_tol must be finite and >= 0"):
+                check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * r.data.nbytes
 
 
 @pytest.mark.parametrize("max_iter", [0, -3])
@@ -403,23 +423,26 @@ class TestClassify:
             classify(LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2),
                      parse_type("(A -> B)", REG), REG)
 
-    def test_one_hermitian_part_and_positivity_gate(self, monkeypatch):
+    def test_one_hermiticity_scan_and_positivity_gate(self, monkeypatch):
         from hoq import membership
 
         calls = []
 
-        def spy(name, fn):
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
             def wrapped(*args, **kwargs):
                 calls.append(name)
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(membership, name, wrapped)
+            monkeypatch.setattr(owner, name, wrapped)
 
-        spy("hermitian_part", membership.hermitian_part)
-        spy("_psd_status", membership._psd_status)
         t = parse_type("((^A -> ^B) -> (P -> F))", REG)
-        res = classify(sample_deterministic(t, REG, seed=3), t, REG)
+        op = sample_deterministic(t, REG, seed=3)
+        spy(LabeledOperator, "herm_defect")
+        spy(membership, "_psd_status")
+        res = classify(op, t, REG)
         assert res.verdict in ("BOTH", "BISTOCH_ONLY")
-        assert sorted(calls) == ["_psd_status", "hermitian_part"]
+        assert sorted(calls) == ["_psd_status", "herm_defect"]
 
     def test_identity_event_is_both(self):
         t = parse_type("((^A -> ^B) -> (P -> F))", REG)

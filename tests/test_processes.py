@@ -19,7 +19,6 @@ from hoq.errors import (
     NotAFunctional,
     NotDensity,
 )
-from hoq.linalg import DEFAULT_DIM_CAP
 from hoq.processes import (
     flippable_switch_choi,
     functional_compose,
@@ -37,6 +36,7 @@ from hoq.processes import (
     time_flip_merged,
 )
 from hoq.sectors import SectorSet
+from hoq.serialize import DEFAULT_DIM_CAP
 from hoq.linalg import choi_of_kraus, link_all, relabel
 
 from helpers import (NON_FINITE, bistoch_type_of, mask_of, reference_n_time_flip,

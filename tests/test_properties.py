@@ -5,20 +5,22 @@ complex arithmetic in the check, of checks that run in the operator's own
 factor order, of the factor order of network characterizations, and of the
 operator and bundle file reader against a whole-document conversion, across
 the two key orders of an operator document and across its two row forms, of
-the realness rule by which an operator stores its matrix, and of the blocked
-in-place positivity test against planted spectra."""
+the realness rule by which an operator stores its matrix, of the blocked
+in-place positivity test against planted spectra, and of the check's
+positivity fields against a whole-matrix reference."""
 import gzip
 import json
 import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hoq import (
     LabeledOperator,
@@ -36,11 +38,11 @@ from hoq import (
     sector_project,
 )
 from hoq.errors import HoqError, ShapeMismatch, SizeLimit
-from hoq.linalg import TOL_PSD, _psd_status, hermitian_part
+from hoq.linalg import TOL_HERM, TOL_PSD, _psd_status, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import characterization_of, check_operator, random_hermitian
-from hoq.sectors import (SectorSet, _project_masks, deviation_sectors,
+from hoq.sectors import (SectorSet, _project_masks, deviation_sectors, full_space,
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
@@ -261,8 +263,8 @@ def test_local_phases_keep_the_verdict_and_the_pattern_norms(case, add_forbidden
     for _, d in factors:
         u = np.kron(u, np.exp(2j * np.pi * rng.random(d)))
     phased = LabeledOperator(factors, real * np.outer(u, u.conj()))
-    assert hermitian_part(op)[0].dtype == np.float64
-    assert hermitian_part(phased)[0].dtype == np.complex128
+    assert hermitian_part(op).dtype == np.float64
+    assert hermitian_part(phased).dtype == np.complex128
 
     a, b = is_deterministic(op, t, reg), is_deterministic(phased, t, reg)
     assert a.verdict == b.verdict == ("FAIL" if add_forbidden else "PASS")
@@ -599,11 +601,12 @@ def test_operator_is_float64_exactly_when_its_entries_are_real(case):
 
 
 @st.composite
-def planted_spectrum(draw):
-    """``Q diag Q^H``, as :func:`hermitian_part` forms it, with its minimum
-    eigenvalue planted at ``+edge`` or ``-edge`` for an ``edge >= 1e-6``; the
-    sizes straddle the factorization's blocks of 256 rows."""
-    n = draw(st.sampled_from([1, 255, 256, 257, 513, 700]))
+def planted_spectrum(draw, sizes=(1, 255, 256, 257, 513, 700)):
+    """``Q diag Q^H`` as a product, Hermitian up to rounding, with its minimum
+    eigenvalue planted at ``+edge`` or ``-edge`` for an ``edge >= 1e-6``, and
+    whether it is positive; the sizes straddle the factorization's blocks of
+    256 rows."""
+    n = draw(st.sampled_from(sizes))
     complex_entries = draw(st.booleans())
     positive = draw(st.booleans())
     edge = draw(st.floats(1e-6, 1.0))
@@ -614,20 +617,69 @@ def planted_spectrum(draw):
     q, _ = np.linalg.qr(g)
     spectrum = rng.uniform(edge if positive else 1e-6, 1.0, n)
     spectrum[rng.integers(n)] = edge if positive else -edge
-    sym, _ = hermitian_part(LabeledOperator((("S", n),), (q * spectrum) @ q.conj().T))
-    return sym, positive
+    return (q * spectrum) @ q.conj().T, positive
 
 
 @settings(max_examples=30, deadline=None)
 @given(planted_spectrum())
 def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
-    sym, positive = case
-    before = sym.tobytes()
-    min_eig, psd_ok, method = _psd_status(sym, TOL_PSD)
-    assert sym.tobytes() == before
+    data, positive = case
+    factors = (("S", len(data)),)
+    sym = hermitian_part(LabeledOperator(factors, data))
+    a = LabeledOperator(factors, sym)
+    before = a.data.tobytes()
+    min_eig, psd_ok, method = _psd_status(a, a.herm_defect(), a.data.copy(), TOL_PSD)
+    assert a.data.tobytes() == before
     if positive:
         assert (method, psd_ok, min_eig) == ("cholesky", True, -TOL_PSD)
     else:
         exact = float(np.linalg.eigvalsh(sym)[0])
         assert method == "eigvalsh" and not psd_ok
         assert abs(min_eig - exact) <= 1e-12 * abs(exact)
+
+
+def _signed_zero_operator(shift):
+    """A complex Hermitian matrix of three 256-row blocks whose zero imaginary
+    parts below the diagonal are -0 where the entry above them is +0;
+    positive definite for ``shift = 0`` and not for ``shift = -2``."""
+    n = 2 * 256 + 100
+    data = np.eye(n, dtype=complex) + shift * np.eye(n)[::-1]
+    data[0, 1], data[1, 0] = 0.01j, -0.01j
+    for row, col in [(300, 290), (600, 257), (611, 610), (400, 300)]:
+        data[row, col] = complex(-0.001, -0.0)
+        data[col, row] = complex(-0.001, 0.0)
+    return data
+
+
+@st.composite
+def front_half_input(draw):
+    """A planted spectrum, real or complex, PSD or not, made exactly
+    Hermitian or left skewed within ``herm_tol``."""
+    data, _ = draw(planted_spectrum(sizes=(1, 255, 256, 257, 513)))
+    data = data + draw(st.sampled_from([0.0, 1e-13])) * np.tri(len(data))
+    if draw(st.booleans()):
+        data = (data + data.conj().T) / 2
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(front_half_input())
+@example(_signed_zero_operator(0.0))
+@example(_signed_zero_operator(-2.0))
+def test_check_decides_positivity_as_the_whole_matrix_reference(data):
+    # the reference: the whole-matrix Hermitian part, LAPACK's Cholesky of a
+    # shifted copy, and otherwise eigvalsh, against the check's copy factored
+    # in blocks and eigvalsh of an unfactored matrix
+    a = LabeledOperator((("S", data.shape[0]),), data)
+    assert a.herm_defect() <= TOL_HERM
+    before = a.data.tobytes()
+    sym = (a.data + a.data.conj().T) / 2
+    try:
+        np.linalg.cholesky(sym + TOL_PSD * np.eye(a.dim))
+        want = ("cholesky", True, -TOL_PSD)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        want = ("eigvalsh", min_eig >= -TOL_PSD, min_eig)
+    rep = check_operator(a, Fraction(1, a.dim), full_space(a.factors))
+    assert a.data.tobytes() == before
+    assert (rep.psd_method, rep.psd_ok, rep.min_eigenvalue) == want
