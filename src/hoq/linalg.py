@@ -56,7 +56,10 @@ class LabeledOperator:
     The one realness rule: the matrix is stored as float64 when no entry has
     a non-zero imaginary part (any real dtype, or complex with every
     imaginary part 0, whose sign is then lost), and as complex128 otherwise.
-    A NaN imaginary part counts as non-zero.
+    A NaN imaginary part counts as non-zero.  As with ``np.asarray``, an
+    operator built from a C-contiguous float64 or complex128 array that needs
+    no conversion shares the caller's memory; its own ``data`` is a
+    read-only view of it.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -79,7 +82,8 @@ class LabeledOperator:
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise LabelCollision(f"repeated factor labels in {labels}")
-        arr = np.ascontiguousarray(arr)
+        # a view, so that the caller's array stays writeable
+        arr = np.ascontiguousarray(arr).view()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -106,18 +110,22 @@ class LabeledOperator:
 
     def herm_defect(self) -> float:
         """``max |A - A^H|``, exactly; :class:`NonFiniteOperator` on any NaN
-        or infinite entry.
+        or infinite entry, and :class:`NotHermitian` when every entry is
+        finite but the defect overflows float64.
 
         One scan over the pairs of ``_BLOCK``-wide tiles on and above the
         diagonal compares ``A[I, J]`` with ``conj(A[J, I]^T)``, so no
         operator-sized temporary is formed.  Each difference is the negated
         conjugate of its mirror's, so the maximum is that of the whole
         matrix, bit for bit.  A non-finite entry makes its difference
-        non-finite (``inf - inf`` is NaN), and the scan stops there; so does
-        a difference that overflows.
+        non-finite (``inf - inf`` is NaN), and the scan stops there.  A
+        non-finite difference of two finite tiles is an overflow: it is
+        recorded and the scan goes on, so a non-finite entry further on
+        still raises first.
         """
         data, n = self.data, self.dim
         defect = 0.0
+        overflow = False
         with np.errstate(invalid="ignore", over="ignore"):
             for i0 in range(0, n, _BLOCK):
                 rows = slice(i0, i0 + _BLOCK)
@@ -126,11 +134,18 @@ class LabeledOperator:
                     diff = data[rows, cols] - data[cols, rows].T.conj()
                     # a real tile takes its moduli in place; a complex one's are real
                     peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
-                    if not peak <= defect:
-                        if not math.isfinite(peak):
-                            raise NonFiniteOperator(
-                                f"operator has non-finite entries (hermiticity defect {peak})")
+                    if peak <= defect:
+                        continue
+                    if math.isfinite(peak):
                         defect = peak
+                    elif (np.isfinite(data[rows, cols]).all()
+                          and np.isfinite(data[cols, rows]).all()):
+                        overflow = True
+                    else:
+                        raise NonFiniteOperator(
+                            f"operator has non-finite entries (hermiticity defect {peak})")
+        if overflow:
+            raise NotHermitian("hermiticity defect overflows float64")
         return defect
 
     def __repr__(self):
@@ -366,22 +381,32 @@ def _psd_status(a: LabeledOperator, defect: float, sym: np.ndarray,
 
     ``defect`` is the hermiticity defect of ``a``, and ``sym`` the array
     :func:`_hermitian_copy` made from the two.  A Cholesky factorization of
-    ``sym + psd_tol * 1`` certifies positivity and reports the lower bound
-    ``-psd_tol``; only when it fails does ``eigvalsh`` find the exact
-    minimum.  The factorization runs in place (:func:`_cholesky_lower`), so
-    it allocates no operator-sized array, and ``eigvalsh`` reads an
+    ``sym + psd_tol * 1`` on the rows of ``sym`` that hold an entry (the
+    other rows are ``psd_tol * 1``) certifies positivity and reports the
+    lower bound ``-psd_tol``; only when it fails does ``eigvalsh`` find the
+    exact minimum.  ``sym`` is exactly Hermitian, so its zero rows are zero
+    columns too, and after a permutation ``sym + psd_tol * 1`` is the direct
+    sum of the live block plus ``psd_tol * 1`` and ``psd_tol * 1``: positive
+    definite exactly when that block is.  When at most half the rows are
+    live, the block is factored in a copy of at most a quarter of the
+    operator, and ``sym`` is not touched.  Otherwise ``sym`` is factored
+    whole and in place (:func:`_cholesky_lower`), where its zero rows stay
+    zero, so no operator-sized array is allocated.  ``eigvalsh`` reads an
     unfactored matrix: ``a.data`` when the defect is 0, and otherwise the
-    Hermitian part, formed again into ``sym`` with the same bytes.  So on
-    return ``sym`` holds the Hermitian part when the defect is not 0, and a
-    factor to be thrown away when it is.
+    Hermitian part, formed again into ``sym`` with the same bytes when it
+    was factored.  So on return ``sym`` holds the Hermitian part when the
+    defect is not 0, and when it is, either ``a``'s matrix or a factor to be
+    thrown away.
     """
-    sym.reshape(-1)[::sym.shape[0] + 1] += psd_tol
+    live = np.flatnonzero(sym.any(axis=1))
+    block = sym if 2 * len(live) > len(sym) else sym[np.ix_(live, live)]
+    block.reshape(-1)[::block.shape[0] + 1] += psd_tol
     try:
-        _cholesky_lower(sym)
+        _cholesky_lower(block)
         factored = True
     except np.linalg.LinAlgError:
         factored = False
-    if defect:
+    if defect and block is sym:
         hermitian_part(a, out=sym)
     if factored:
         return -psd_tol, True, "cholesky"

@@ -41,7 +41,8 @@ class CheckReport:
     names patterns in the type's factor order, which ``permutation`` gives
     when the operator's order differs.
     ``psd_method`` names the positivity test that decided: with
-    ``"cholesky"`` a factorization of ``R + psd_tol * 1`` succeeded and
+    ``"cholesky"`` a factorization of ``R + psd_tol * 1`` on the rows of R
+    that hold an entry (the other rows are ``psd_tol * 1``) succeeded and
     ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
     ``"eigvalsh"`` it is the computed minimum eigenvalue.  ``herm_defect`` is
     exactly ``max |R - R^H|``, and beyond ``herm_tol`` it fails ``psd_ok`` and
@@ -153,9 +154,9 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
     ``op`` then equals its Hermitian part; otherwise it is the Hermitian
-    part.  Either is factored in place, as a plain copy of ``op`` or as the
-    Hermitian part that :func:`_psd_status` then forms again, and the
-    deviation ``R - coeff*1`` is never formed, so the front half holds one
+    part.  :func:`_psd_status` factors a plain copy of ``op`` or the
+    Hermitian part on the rows that hold an entry, and the deviation
+    ``R - coeff*1`` is never formed, so the front half holds one
     operator-sized array besides ``op``, and the back half then at most one.
     Every tolerance is checked before any of that.
     """

@@ -204,13 +204,15 @@ def reference_n_time_flip(n, d):
 def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm_tol=1e-10):
     """Admissibility by the bidirectional hierarchy, as a self-contained oracle.
 
-    Its own hermiticity and positivity gates, the trace test for elementary
-    states, and Dykstra's alternating projections with the affine offset
-    formed as ``a - P_V(a)`` from ``a = coeff*1 - op`` and every projection
-    made through ``sector_project`` on a ``LabeledOperator``.
+    Its own hermiticity and positivity gates, the latter LAPACK's Cholesky
+    factorization of the whole shifted Hermitian part and otherwise
+    ``eigvalsh``, the trace test for elementary states, and Dykstra's
+    alternating projections with the affine offset formed as
+    ``a - P_V(a)`` from ``a = coeff*1 - op`` and every projection made
+    through ``sector_project`` on a ``LabeledOperator``.
     """
     from hoq import LabeledOperator, SystemString, sector_project
-    from hoq.linalg import _psd_status, hermitian_part, permute_systems
+    from hoq.linalg import hermitian_part, permute_systems
     from hoq.membership import AdmissibilityResult, characterization_of, check_operator
 
     def project_psd(mat):
@@ -224,7 +226,12 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
         return AdmissibilityResult(
             "NOT_ADMISSIBLE", reason=f"operator not Hermitian (defect {herm_defect:.3e})")
     sym = hermitian_part(aligned)
-    min_eig, psd_ok, _ = _psd_status(aligned, herm_defect, sym.copy(), psd_tol)
+    try:
+        np.linalg.cholesky(sym + psd_tol * np.eye(aligned.dim))
+        psd_ok = True
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        psd_ok = min_eig >= -psd_tol
     if not psd_ok:
         return AdmissibilityResult("NOT_ADMISSIBLE",
                                    reason=f"operator not PSD (min eigenvalue {min_eig:.3e})")

@@ -702,6 +702,14 @@ class TestCheckCommand:
         assert res.exit_code == 2
         assert "non-finite" in res.output
 
+    def test_overflowing_hermiticity_defect_exit_2(self, runner, tmp_path):
+        path = tmp_path / "skew.json"
+        write_operator(LabeledOperator((("A", 2),), np.array([[1.0, 1e308], [-1e308, 1.0]])),
+                       str(path))
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2"])
+        assert res.exit_code == 2
+        assert "overflows float64" in res.output
+
     @pytest.mark.parametrize("line", [
         "tol.psd = nan", "tol.psd = inf", "tol.psd = -1e-9", "tol.herm = -1",
         "tol.herm = nan", "tol.sector = nan", "tol.sector = -inf", "tol.feas = 1e400",

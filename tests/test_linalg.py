@@ -6,6 +6,7 @@ import pytest
 from hoq import (
     LabeledOperator,
     SystemRegistry,
+    check_bislot,
     choi_of_kraus,
     eigh,
     is_psd,
@@ -25,10 +26,11 @@ from hoq.errors import (
     ShapeMismatch,
     UnknownLabel,
 )
+from hoq import linalg
 from hoq.linalg import _BLOCK, hermitian_part, identity, transpose
 from hoq.membership import characterization_of, check_operator
 from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
-from hoq.sectors import pattern_norms, sector_project
+from hoq.sectors import full_space, pattern_norms, sector_project
 
 from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
 
@@ -295,6 +297,24 @@ class TestTileScanDefect:
             with pytest.raises(NonFiniteOperator):
                 call()
 
+    def test_overflowing_skew_is_not_a_non_finite_entry(self):
+        # every entry is finite; only the difference 2e308 is not
+        a = LabeledOperator((("A", 2),), np.array([[1.0, 1e308], [-1e308, 1.0]]))
+        for call in (a.herm_defect, lambda: is_psd(a),
+                     lambda: check_operator(a, 0.5, full_space(a.factors))):
+            with pytest.raises(NotHermitian, match="overflows float64"):
+                call()
+
+    def test_a_non_finite_entry_after_an_overflow_still_raises(self):
+        # the overflowing pair sits in the first tile and the NaN in the last,
+        # partial one: the scan records the overflow and goes on to the NaN
+        n = 2 * _BLOCK + 1
+        data = np.eye(n)
+        data[0, 1], data[1, 0] = 1e308, -1e308
+        data[-1, -1] = np.nan
+        with pytest.raises(NonFiniteOperator):
+            LabeledOperator((("A", n),), data).herm_defect()
+
     def test_pattern_norms_gate_forms_no_operator_copy(self):
         # the hermiticity gate is the tile scan, so only the walk's partial
         # traces remain; it peaked at 1.13 float64 copies when the gate
@@ -330,6 +350,86 @@ class TestBlockedCholesky:
         assert out.tobytes() == whole.tobytes()
 
 
+def _sparse_flip():
+    """The D = 1024 n-time flip, whose 32 non-zero rows are its support."""
+    r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+    r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+    assert r.dim == 1024 and r.data.dtype == np.float64
+    assert np.count_nonzero(r.data.any(axis=1)) == 32
+    return r
+
+
+class TestSupportCholesky:
+    """The positivity certificate factors only the rows that hold an entry."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        shapes = []
+        inner = linalg._cholesky_lower
+
+        def spy(block):
+            shapes.append(block.shape)
+            inner(block)
+        monkeypatch.setattr(linalg, "_cholesky_lower", spy)
+        return shapes
+
+    def test_a_sparse_operator_factors_its_support(self, factored):
+        assert is_psd(_sparse_flip())
+        assert factored == [(32, 32)]
+
+    def test_a_dense_operator_is_factored_whole(self, rng, factored):
+        g = rng.normal(size=(1024, 1024))
+        assert is_psd(LabeledOperator((("A", 1024),), g @ g.T / 1024))
+        assert factored == [(1024, 1024)]
+
+    @pytest.mark.parametrize("live,forms", [(40, 1), (600, 2)])
+    def test_a_factored_copy_leaves_the_hermitian_part_in_place(
+            self, rng, monkeypatch, live, forms):
+        # a skewed operator's Hermitian part is formed once; only when it is
+        # factored whole, on a support of more than half the rows, is it
+        # formed again for the back half
+        n = 600
+        g = rng.normal(size=(live, live))
+        data = np.zeros((n, n))
+        rows = rng.choice(n, live, replace=False)
+        data[np.ix_(rows, rows)] = g @ g.T / live + np.eye(live) + 1e-13 * np.tri(live)
+        a = LabeledOperator((("A", n),), data)
+        assert 0 < a.herm_defect() <= 1e-12
+        calls = []
+        inner = linalg.hermitian_part
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(linalg, "hermitian_part", spy)
+        rep = check_operator(a, 1.0 / n, full_space(a.factors))
+        assert (rep.psd_method, rep.psd_ok) == ("cholesky", True)
+        assert len(calls) == forms
+
+    def test_is_psd_peaks_near_one_operator_copy(self):
+        # the full copy of the operator plus the 32-row block; factoring the
+        # whole copy took 1.39 copies
+        r = _sparse_flip()
+        tracemalloc.start()
+        try:
+            assert is_psd(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * r.data.nbytes
+
+    def test_passing_check_peaks_near_one_operator_copy(self):
+        r = _sparse_flip()
+        tracemalloc.start()
+        try:
+            rep = check_bislot(r, [(2, 2), (2, 2)], 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.psd_method == "cholesky"
+        assert peak <= 1.10 * r.data.nbytes
+
+
 class TestStructure:
     def test_shape_mismatch_on_build(self):
         with pytest.raises(ShapeMismatch):
@@ -355,6 +455,14 @@ class TestStructure:
         a = identity([("A", 2)])
         with pytest.raises(ValueError):
             a.data[0, 0] = 5
+
+    def test_caller_array_stays_writeable(self):
+        # the operator shares the caller's memory, as np.asarray does, and
+        # only its own view of it is read-only
+        x = np.eye(2)
+        a = LabeledOperator((("A", 2),), x)
+        assert x.flags.writeable and not a.data.flags.writeable
+        assert np.shares_memory(x, a.data)
 
     def test_merge_factors(self, rng):
         a = rand_op(rng, [("A", 2), ("B", 3), ("C", 2)])

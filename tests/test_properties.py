@@ -30,6 +30,7 @@ from hoq import (
     identity_coeff,
     is_admissible,
     is_deterministic,
+    is_psd,
     parse_type,
     partial_trace,
     pattern_norms,
@@ -611,13 +612,19 @@ def planted_spectrum(draw, sizes=(1, 255, 256, 257, 513, 700)):
     positive = draw(st.booleans())
     edge = draw(st.floats(1e-6, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _planted(rng, n, complex_entries, positive, edge), positive
+
+
+def _planted(rng, n, complex_entries, positive, edge):
+    """``Q diag Q^H`` for a random unitary Q, its spectrum in ``[edge, 1]``
+    when positive and otherwise in ``[1e-6, 1]`` with one ``-edge``."""
     g = rng.normal(size=(n, n))
     if complex_entries:
         g = g + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(g)
     spectrum = rng.uniform(edge if positive else 1e-6, 1.0, n)
     spectrum[rng.integers(n)] = edge if positive else -edge
-    return (q * spectrum) @ q.conj().T, positive
+    return (q * spectrum) @ q.conj().T
 
 
 @settings(max_examples=30, deadline=None)
@@ -667,19 +674,83 @@ def front_half_input(draw):
 @example(_signed_zero_operator(0.0))
 @example(_signed_zero_operator(-2.0))
 def test_check_decides_positivity_as_the_whole_matrix_reference(data):
-    # the reference: the whole-matrix Hermitian part, LAPACK's Cholesky of a
-    # shifted copy, and otherwise eigvalsh, against the check's copy factored
-    # in blocks and eigvalsh of an unfactored matrix
+    # the check's copy factored in blocks, and eigvalsh of an unfactored
+    # matrix, against the whole-matrix reference
     a = LabeledOperator((("S", data.shape[0]),), data)
     assert a.herm_defect() <= TOL_HERM
     before = a.data.tobytes()
+    rep = check_operator(a, Fraction(1, a.dim), full_space(a.factors))
+    assert a.data.tobytes() == before
+    assert (rep.psd_method, rep.psd_ok, rep.min_eigenvalue) == whole_matrix_positivity(a)
+
+
+def whole_matrix_positivity(a):
+    """``(psd_method, psd_ok, min_eigenvalue)`` from the whole-matrix
+    Hermitian part: LAPACK's Cholesky of a shifted copy, and otherwise
+    ``eigvalsh``."""
     sym = (a.data + a.data.conj().T) / 2
     try:
         np.linalg.cholesky(sym + TOL_PSD * np.eye(a.dim))
-        want = ("cholesky", True, -TOL_PSD)
+        return "cholesky", True, -TOL_PSD
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(sym)[0])
-        want = ("eigvalsh", min_eig >= -TOL_PSD, min_eig)
+        return "eigvalsh", min_eig >= -TOL_PSD, min_eig
+
+
+def planted_support(n, m, complex_entries=False, positive=True, edge=1e-3, skew=0.0,
+                    bridge=None, seed=0):
+    """An ``n``-row zero matrix with an ``m``-row planted spectrum on random
+    rows, its minimum eigenvalue at ``+edge`` or ``-edge``, exactly Hermitian
+    for ``skew = 0`` and otherwise skewed by ``skew`` on and below the
+    diagonal.  A ``bridge`` of ``(eps, sign)`` joins one free row, whose
+    diagonal is 0, to the block by the Hermitian pair ``sign * eps`` alone.
+    Against a block with eigenvalues in ``[1e-6, 1]``, a pair of 1e-4 fails
+    the certificate (``eps**2 > psd_tol``) and a pair of 1e-12 does not."""
+    rng = np.random.default_rng(seed)
+    data = np.zeros((n, n), dtype=complex if complex_entries else float)
+    rows = rng.choice(n, m, replace=False)
+    if m:
+        block = _planted(rng, m, complex_entries, positive, edge)
+        # a product is Hermitian only up to rounding: made exact, or skewed
+        block = (block + block.conj().T) / 2 if skew == 0 else block + skew * np.tri(m)
+        data[np.ix_(rows, rows)] = block
+    if bridge is not None and 0 < m < n:
+        eps, sign = bridge
+        free = rng.choice(np.setdiff1d(np.arange(n), rows))
+        data[free, rows[0]] = data[rows[0], free] = sign * eps
+    return data
+
+
+@st.composite
+def support_case(draw):
+    """A planted support, real or complex, PSD or not, exactly Hermitian or
+    skewed within ``herm_tol``, possibly bridged to a zero-diagonal row, or
+    the zero operator; n crosses the factorization's 256-row blocks."""
+    n = draw(st.integers(1, 300))
+    m = 0 if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, min(40, n)))
+    bridge = draw(st.sampled_from([None, 1e-12, 1e-4]))
+    return planted_support(
+        n, m, complex_entries=draw(st.booleans()), positive=draw(st.booleans()),
+        edge=draw(st.floats(1e-6, 1.0)), skew=draw(st.sampled_from([0.0, 1e-13])),
+        bridge=bridge and (bridge, draw(st.sampled_from([-1.0, 1.0]))),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_case())
+@example(planted_support(300, 0))
+@example(planted_support(1, 0))
+@example(planted_support(300, 30, bridge=(1e-4, 1.0)))
+@example(planted_support(300, 30, bridge=(1e-12, -1.0)))
+@example(planted_support(300, 200, complex_entries=True, skew=1e-13))
+def test_support_certificate_decides_as_the_whole_matrix_reference(data):
+    # the certificate factors only the rows that hold an entry; a row whose
+    # diagonal is 0 but which holds a bridge pair stays in the support
+    a = LabeledOperator((("S", data.shape[0]),), data)
+    assert a.herm_defect() <= TOL_HERM
+    before = a.data.tobytes()
+    want = whole_matrix_positivity(a)
     rep = check_operator(a, Fraction(1, a.dim), full_space(a.factors))
-    assert a.data.tobytes() == before
     assert (rep.psd_method, rep.psd_ok, rep.min_eigenvalue) == want
+    assert is_psd(a) == want[1]
+    assert a.data.tobytes() == before
