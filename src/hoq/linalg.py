@@ -28,9 +28,12 @@ from .errors import (
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
-# rows per block of _psd_status's Cholesky factorization, and per tile of
-# hermitian_part and LabeledOperator.herm_defect
+# rows per block of _psd_status's Cholesky factorization
 _BLOCK = 256
+# rows and columns per tile of hermitian_part and LabeledOperator.herm_defect's
+# scan: narrow tiles keep the transposed reads of a large operator from
+# contending for the same cache sets
+_TILE = (256, 64)
 
 
 def check_tol(name: str, value: float) -> None:
@@ -113,37 +116,48 @@ class LabeledOperator:
         or infinite entry, and :class:`NotHermitian` when every entry is
         finite but the defect overflows float64.
 
-        One scan over the pairs of ``_BLOCK``-wide tiles on and above the
-        diagonal compares ``A[I, J]`` with ``conj(A[J, I]^T)``, so no
-        operator-sized temporary is formed.  Each difference is the negated
-        conjugate of its mirror's, so the maximum is that of the whole
-        matrix, bit for bit.  A non-finite entry makes its difference
-        non-finite (``inf - inf`` is NaN), and the scan stops there.  A
-        non-finite difference of two finite tiles is an overflow: it is
-        recorded and the scan goes on, so a non-finite entry further on
-        still raises first.
+        The live rows L, those that hold an entry, are found first; a NaN or
+        infinite entry is non-zero, so it lies in one.  When at most half the
+        rows are live, every entry lies in rows L, so the defect is the larger
+        of ``max |B - B^H|`` over the block ``B = A[L, L]`` and
+        ``max |A[L, ~L]|``, whose mirrors lie in zero rows: only rows L are
+        read.  Otherwise one scan over the tiles of :data:`_TILE` rows and
+        columns on and above the diagonal compares ``A[I, J]`` with
+        ``conj(A[J, I]^T)``.  Neither forms an operator-sized temporary, and
+        each difference is the negated conjugate of its mirror's, so the
+        maximum is that of the whole matrix, bit for bit.  A non-finite entry
+        makes its difference non-finite (``inf - inf`` is NaN), and the scan
+        stops there.  A non-finite difference of finite entries is an
+        overflow: it is recorded and the scan goes on, so a non-finite entry
+        further on still raises first.
         """
-        data, n = self.data, self.dim
+        data = self.data
+        live = _sparse_support(data)
+        if live is not None and not len(live):
+            return 0.0
         defect = 0.0
         overflow = False
         with np.errstate(invalid="ignore", over="ignore"):
-            for i0 in range(0, n, _BLOCK):
-                rows = slice(i0, i0 + _BLOCK)
-                for j0 in range(i0, n, _BLOCK):
-                    cols = slice(j0, j0 + _BLOCK)
-                    diff = data[rows, cols] - data[cols, rows].T.conj()
-                    # a real tile takes its moduli in place; a complex one's are real
-                    peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
-                    if peak <= defect:
-                        continue
-                    if math.isfinite(peak):
-                        defect = peak
-                    elif (np.isfinite(data[rows, cols]).all()
-                          and np.isfinite(data[cols, rows]).all()):
-                        overflow = True
-                    else:
-                        raise NonFiniteOperator(
-                            f"operator has non-finite entries (hermiticity defect {peak})")
+            if live is None:
+                parts = ((data[i, j] - data[j, i].T.conj(), (data[i, j], data[j, i]))
+                         for i, j in _tiles(self.dim, upper=True))
+            else:
+                block = data[np.ix_(live, live)]
+                outside = data[np.ix_(live, np.delete(np.arange(self.dim), live))]
+                # the mirrors of ``outside`` are 0, so its differences are its entries
+                parts = [(block - block.T.conj(), (block,)), (outside, (outside,))]
+            for diff, entries in parts:
+                # a real difference takes its moduli in place; a complex one's are real
+                peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
+                if peak <= defect:
+                    continue
+                if math.isfinite(peak):
+                    defect = peak
+                elif all(np.isfinite(e).all() for e in entries):
+                    overflow = True
+                else:
+                    raise NonFiniteOperator(
+                        f"operator has non-finite entries (hermiticity defect {peak})")
         if overflow:
             raise NotHermitian("hermiticity defect overflows float64")
         return defect
@@ -151,6 +165,31 @@ class LabeledOperator:
     def __repr__(self):
         spec = ",".join(f"{lab}:{d}" for lab, d in self.factors)
         return f"LabeledOperator([{spec}], dim={self.dim})"
+
+
+def _tiles(n: int, upper: bool):
+    """Row and column slices of the tiles of an ``n x n`` matrix, :data:`_TILE`
+    in size; with ``upper``, only those of the row tiles' diagonal blocks and
+    right of them, which hold every pair ``(i, j)`` with ``i <= j``."""
+    height, width = _TILE
+    for i0 in range(0, n, height):
+        for j0 in range(i0 if upper else 0, n, width):
+            yield slice(i0, i0 + height), slice(j0, j0 + width)
+
+
+def _sparse_support(m: np.ndarray) -> np.ndarray | None:
+    """The indices of the rows of ``m`` that hold an entry when at most half
+    of them do, else None.
+
+    A NaN or infinite entry counts as an entry.  The first 8 columns (one
+    64-byte cache line of float64 per row) are read first: in a dense matrix
+    they already find more than half the rows live, and the rest is not read.
+    """
+    n = len(m)
+    if 2 * np.count_nonzero(m[:, :8].any(axis=1)) > n:
+        return None
+    live = np.flatnonzero(m.any(axis=1))
+    return live if 2 * len(live) <= n else None
 
 
 def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
@@ -349,68 +388,67 @@ def hermitian_part(a: LabeledOperator, out: np.ndarray | None = None) -> np.ndar
     The Hermitian part has ``A``'s dtype, so for a real operator it is the
     float64 ``(A + A^T) / 2`` and every check on it (Cholesky, sector
     projections, norms) runs in real arithmetic.  It is formed in tiles of
-    ``_BLOCK`` rows and columns, each ``(conj(A[J, I]^T) + A[I, J]) / 2``, so
-    the transposed reads stay in cache; the bytes are those of the
+    :data:`_TILE` rows and columns, each ``(conj(A[J, I]^T) + A[I, J]) / 2``,
+    so the transposed reads stay in cache; the bytes are those of the
     whole-matrix formula, and the same each time it is formed.  ``A`` is
     taken to be finite, as :meth:`LabeledOperator.herm_defect` has found it.
     """
     data = a.data
     sym = np.empty_like(data) if out is None else out
-    for i0 in range(0, a.dim, _BLOCK):
-        rows = slice(i0, i0 + _BLOCK)
-        for j0 in range(0, a.dim, _BLOCK):
-            cols = slice(j0, j0 + _BLOCK)
-            tile = sym[rows, cols]
-            np.conjugate(data[cols, rows].T, out=tile)
-            tile += data[rows, cols]
-            tile *= 0.5
+    for rows, cols in _tiles(a.dim, upper=False):
+        # formed in a contiguous tile and then stored: writing the transposed
+        # read straight into ``sym`` walks it column by column
+        tile = np.conjugate(data[cols, rows].T, order="C")
+        tile += data[rows, cols]
+        tile *= 0.5
+        sym[rows, cols] = tile
     return sym
 
 
-def _hermitian_copy(a: LabeledOperator, defect: float) -> np.ndarray:
-    """A new array equal to the Hermitian part of ``a``, whose hermiticity
-    defect is ``defect``: a plain copy of ``a.data`` when that is 0, since
-    ``a`` then is its Hermitian part, else :func:`hermitian_part`."""
-    return a.data.copy() if defect == 0 else hermitian_part(a)
+def _certificate_block(sym: np.ndarray) -> np.ndarray:
+    """The matrix whose factorization certifies that the exactly Hermitian
+    ``sym`` is positive semidefinite, in an array the factorization may
+    overwrite.
+
+    ``sym``'s zero rows are zero columns, so after a permutation
+    ``sym + psd_tol * 1`` is the direct sum of the live block (the rows
+    that hold an entry) plus ``psd_tol * 1`` and ``psd_tol * 1``: positive
+    definite exactly when that block is.  When at most half the rows are
+    live, the block is a copy of at most a quarter of the operator.
+    Otherwise it is ``sym`` whole: ``sym`` itself when it may be written,
+    and a copy of it when it is an operator's read-only matrix.
+    """
+    live = _sparse_support(sym)
+    if live is not None:
+        return sym[np.ix_(live, live)]
+    return sym if sym.flags.writeable else sym.copy()
 
 
-def _psd_status(a: LabeledOperator, defect: float, sym: np.ndarray,
+def _psd_status(a: LabeledOperator, sym: np.ndarray, block: np.ndarray,
                 psd_tol: float) -> tuple[float, bool, str]:
     """Minimum eigenvalue of the Hermitian part of ``a``, positivity verdict
     and the method that decided.
 
-    ``defect`` is the hermiticity defect of ``a``, and ``sym`` the array
-    :func:`_hermitian_copy` made from the two.  A Cholesky factorization of
-    ``sym + psd_tol * 1`` on the rows of ``sym`` that hold an entry (the
-    other rows are ``psd_tol * 1``) certifies positivity and reports the
-    lower bound ``-psd_tol``; only when it fails does ``eigvalsh`` find the
-    exact minimum.  ``sym`` is exactly Hermitian, so its zero rows are zero
-    columns too, and after a permutation ``sym + psd_tol * 1`` is the direct
-    sum of the live block plus ``psd_tol * 1`` and ``psd_tol * 1``: positive
-    definite exactly when that block is.  When at most half the rows are
-    live, the block is factored in a copy of at most a quarter of the
-    operator, and ``sym`` is not touched.  Otherwise ``sym`` is factored
-    whole and in place (:func:`_cholesky_lower`), where its zero rows stay
-    zero, so no operator-sized array is allocated.  ``eigvalsh`` reads an
-    unfactored matrix: ``a.data`` when the defect is 0, and otherwise the
-    Hermitian part, formed again into ``sym`` with the same bytes when it
-    was factored.  So on return ``sym`` holds the Hermitian part when the
-    defect is not 0, and when it is, either ``a``'s matrix or a factor to be
-    thrown away.
+    ``sym`` is the Hermitian part: ``a.data`` when ``a``'s hermiticity
+    defect is 0, else an array of its own, and ``block`` is
+    :func:`_certificate_block` of it.  A Cholesky factorization of
+    ``block + psd_tol * 1`` (:func:`_cholesky_lower`, in place) certifies
+    positivity and reports the lower bound ``-psd_tol``; only when it fails
+    does ``eigvalsh`` find the exact minimum, from ``sym``.  When ``block``
+    is ``sym`` itself, the Hermitian part is formed again into it, with the
+    same bytes, so on return ``sym`` holds the Hermitian part.
     """
-    live = np.flatnonzero(sym.any(axis=1))
-    block = sym if 2 * len(live) > len(sym) else sym[np.ix_(live, live)]
     block.reshape(-1)[::block.shape[0] + 1] += psd_tol
     try:
         _cholesky_lower(block)
         factored = True
     except np.linalg.LinAlgError:
         factored = False
-    if defect and block is sym:
+    if block is sym:
         hermitian_part(a, out=sym)
     if factored:
         return -psd_tol, True, "cholesky"
-    min_eig = float(np.linalg.eigvalsh(sym if defect else a.data)[0])
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
     return min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
@@ -469,4 +507,5 @@ def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
     check_tol("psd_tol", psd_tol)
     defect = _require_hermitian(a, herm_tol)
-    return _psd_status(a, defect, _hermitian_copy(a, defect), psd_tol)[1]
+    sym = a.data if defect == 0 else hermitian_part(a)
+    return _psd_status(a, sym, _certificate_block(sym), psd_tol)[1]

@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _frobenius, _hermitian_copy,
-                     _psd_status, check_tol, permute_systems)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _certificate_block, _frobenius,
+                     _psd_status, check_tol, hermitian_part, permute_systems)
 from .sectors import (
     SectorSet,
     _mask_text,
@@ -154,25 +154,31 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
     ``op`` then equals its Hermitian part; otherwise it is the Hermitian
-    part.  :func:`_psd_status` factors a plain copy of ``op`` or the
-    Hermitian part on the rows that hold an entry, and the deviation
-    ``R - coeff*1`` is never formed, so the front half holds one
-    operator-sized array besides ``op``, and the back half then at most one.
-    Every tolerance is checked before any of that.
+    part.  The noise floor and :func:`_psd_status` read the certificate's
+    block (:func:`_certificate_block`): the rows that hold an entry when at
+    most half of them do, else the whole matrix.  The Hermitian part's zero
+    rows are zero columns, so each row outside the block adds ``coeff^2`` to
+    ``||R - coeff*1||_F^2``, and the deviation is never formed.  So the front
+    half holds no operator-sized array besides ``op`` for an exactly
+    Hermitian operator with at most half its rows live, and one otherwise;
+    the back half then holds at most one.  Every tolerance is checked before
+    any of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     check_tol("psd_tol", psd_tol)
     herm_defect = op.herm_defect()
-    sym = _hermitian_copy(op, herm_defect)
+    sym = op.data if herm_defect == 0 else hermitian_part(op)
+    block = _certificate_block(sym)
     expected = float(coeff)
-    # the norm of the deviation, on sym's diagonal shifted and restored from a copy
-    diag = sym.reshape(-1)[::op.dim + 1]
+    # the deviation's norm, on the block's diagonal shifted and restored from a copy
+    diag = block.reshape(-1)[::len(block) + 1]
     saved = diag.copy()
     diag -= expected
-    scale = 1.0 + _frobenius(sym)
+    scale = 1.0 + math.sqrt(float(np.vdot(block, block).real)
+                            + (op.dim - len(block)) * expected ** 2)
     diag[:] = saved
-    min_eig, spectrum_ok, psd_method = _psd_status(op, herm_defect, sym, psd_tol)
+    min_eig, spectrum_ok, psd_method = _psd_status(op, sym, block, psd_tol)
     herm_ok = herm_defect <= herm_tol
 
     measured = float(np.trace(op.data).real) / op.dim

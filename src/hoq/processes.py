@@ -16,10 +16,9 @@ from .errors import (
 )
 from .linalg import (
     LabeledOperator,
-    _hermitian_copy,
-    _psd_status,
     choi_of_kraus,
     drop_trivial,
+    is_psd,
     link_all,
     merge_factors,
     partial_trace,
@@ -305,7 +304,7 @@ def functional_compose(p: float, rho: LabeledOperator,
         defect = state.herm_defect()  # raises NonFiniteOperator on NaN or inf
         if abs(np.trace(state.data) - 1.0) > 1e-9 or defect > 1e-9:
             raise NotDensity("states must be unit-trace Hermitian")
-        if not _psd_status(state, defect, _hermitian_copy(state, defect), 1e-9)[1]:
+        if not is_psd(state, psd_tol=1e-9, herm_tol=1e-9):
             raise NotDensity("states must be positive")
     if rho.labels == sigma.labels:
         raise NotDensity("the two states must live on distinct labels")

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hoq.errors import (
     UnknownLabel,
 )
 from hoq import linalg
-from hoq.linalg import _BLOCK, hermitian_part, identity, transpose
+from hoq.linalg import TOL_HERM, TOL_PSD, _TILE, hermitian_part, identity, transpose
 from hoq.membership import characterization_of, check_operator
 from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
 from hoq.sectors import full_space, pattern_norms, sector_project
@@ -262,9 +263,10 @@ class TestRealArithmetic:
         assert np.abs((vecs * vals) @ vecs.T - a.data).max() < 1e-10
 
 
-# one row; one tile short of full; exactly one tile; one row over; three
-# tiles with a partial last one
-DEFECT_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 44]
+HEIGHT, WIDTH = _TILE
+# one row; either side of a tile's width; one tile short of full height;
+# exactly one tile high; one row over; three tiles high with a partial last one
+DEFECT_SIZES = [1, WIDTH - 1, WIDTH + 1, HEIGHT - 1, HEIGHT, HEIGHT + 1, 2 * HEIGHT + 44]
 
 
 class TestTileScanDefect:
@@ -288,7 +290,7 @@ class TestTileScanDefect:
         data[where] = value
         # the entry lies in the last tile, which is partial, and so does its
         # transposed partner
-        assert n % _BLOCK and n + min(where) >= n - n % _BLOCK
+        assert n % HEIGHT and n % WIDTH and n + min(where) >= n - n % WIDTH
         a = LabeledOperator((("A", n),), data)
         reg = SystemRegistry.of(A=n)
         coeff, sectors = characterization_of(parse_type("A", reg), reg)
@@ -308,7 +310,7 @@ class TestTileScanDefect:
     def test_a_non_finite_entry_after_an_overflow_still_raises(self):
         # the overflowing pair sits in the first tile and the NaN in the last,
         # partial one: the scan records the overflow and goes on to the NaN
-        n = 2 * _BLOCK + 1
+        n = 2 * HEIGHT + 1
         data = np.eye(n)
         data[0, 1], data[1, 0] = 1e308, -1e308
         data[-1, -1] = np.nan
@@ -331,7 +333,7 @@ class TestTileScanDefect:
 
 
 class TestBlockedCholesky:
-    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 188])
+    @pytest.mark.parametrize("n", [1, WIDTH + 1, HEIGHT, HEIGHT + 1, 2 * HEIGHT + 188])
     @pytest.mark.parametrize("kind", ["real", "complex", "non_hermitian"])
     def test_tiled_hermitian_part_is_the_whole_matrix_formula(self, rng, n, kind):
         g = rng.normal(size=(n, n))
@@ -382,9 +384,24 @@ class TestSupportCholesky:
         assert is_psd(LabeledOperator((("A", 1024),), g @ g.T / 1024))
         assert factored == [(1024, 1024)]
 
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        # every call of hermitian_part, wherever the caller looks it up
+        from hoq import membership
+
+        calls = []
+        inner = linalg.hermitian_part
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(linalg, "hermitian_part", spy)
+        monkeypatch.setattr(membership, "hermitian_part", spy)
+        return calls
+
     @pytest.mark.parametrize("live,forms", [(40, 1), (600, 2)])
     def test_a_factored_copy_leaves_the_hermitian_part_in_place(
-            self, rng, monkeypatch, live, forms):
+            self, rng, formed, live, forms):
         # a skewed operator's Hermitian part is formed once; only when it is
         # factored whole, on a support of more than half the rows, is it
         # formed again for the back half
@@ -395,28 +412,38 @@ class TestSupportCholesky:
         data[np.ix_(rows, rows)] = g @ g.T / live + np.eye(live) + 1e-13 * np.tri(live)
         a = LabeledOperator((("A", n),), data)
         assert 0 < a.herm_defect() <= 1e-12
-        calls = []
-        inner = linalg.hermitian_part
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(linalg, "hermitian_part", spy)
         rep = check_operator(a, 1.0 / n, full_space(a.factors))
         assert (rep.psd_method, rep.psd_ok) == ("cholesky", True)
-        assert len(calls) == forms
+        assert len(formed) == forms
 
-    def test_is_psd_peaks_near_one_operator_copy(self):
-        # the full copy of the operator plus the 32-row block; factoring the
-        # whole copy took 1.39 copies
+    def test_an_exactly_hermitian_operator_forms_no_hermitian_part(self, rng, formed):
+        g = rng.normal(size=(300, 300))
+        dense = LabeledOperator((("A", 300),), g @ g.T / 300)
+        not_psd = LabeledOperator((("A", 300),), g + g.T)
+        for a in (_sparse_flip(), dense, not_psd):
+            assert a.herm_defect() == 0
+            is_psd(a)
+            check_operator(a, Fraction(1, a.dim), full_space(a.factors))
+        assert formed == []
+
+    @pytest.mark.parametrize("front", ["is_psd", "_front_half"])
+    def test_a_sparse_front_half_forms_no_operator_copy(self, front):
+        # the support's 32 rows hold every entry: the hermiticity scan, the
+        # noise floor and the certificate read them, not the operator; with a
+        # copy of the operator to factor, both peaked at 1.003-1.005 copies
+        from hoq.membership import _front_half
+
         r = _sparse_flip()
+        run = {"is_psd": lambda: is_psd(r),
+               "_front_half": lambda: _front_half(r, Fraction(1, 32), 1e-9, TOL_PSD,
+                                                  TOL_HERM)[1]["psd_ok"]}
         tracemalloc.start()
         try:
-            assert is_psd(r)
+            assert run[front]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * r.data.nbytes
+        assert peak <= 0.1 * r.data.nbytes
 
     def test_passing_check_peaks_near_one_operator_copy(self):
         r = _sparse_flip()

@@ -6,8 +6,9 @@ factor order, of the factor order of network characterizations, and of the
 operator and bundle file reader against a whole-document conversion, across
 the two key orders of an operator document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
-in-place positivity test against planted spectra, and of the check's
-positivity fields against a whole-matrix reference."""
+in-place positivity test against planted spectra, of the check's
+positivity fields against a whole-matrix reference, and of the hermiticity
+defect against the whole-matrix maximum on random supports."""
 import gzip
 import json
 import math
@@ -38,8 +39,8 @@ from hoq import (
     sample_deterministic,
     sector_project,
 )
-from hoq.errors import HoqError, ShapeMismatch, SizeLimit
-from hoq.linalg import TOL_HERM, TOL_PSD, _psd_status, hermitian_part
+from hoq.errors import HoqError, NonFiniteOperator, NotHermitian, ShapeMismatch, SizeLimit
+from hoq.linalg import TOL_HERM, TOL_PSD, _certificate_block, _psd_status, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import characterization_of, check_operator, random_hermitian
@@ -602,6 +603,62 @@ def test_operator_is_float64_exactly_when_its_entries_are_real(case):
 
 
 @st.composite
+def supported_operator(draw):
+    """A matrix whose entries lie in a random set of live rows, and what was
+    planted in it: ``None``, ``"non_finite"``, ``"overflow"`` (a pair in the
+    live block whose skew overflows) or ``"both"``.
+
+    The live share crosses one half in both directions, and the sizes cross
+    the hermiticity scan's tile edges of 64 and 256.  The live block is
+    Hermitian or not; a live row may hold an entry whose mirror column is
+    empty, and the matrix may be a lone off-diagonal entry or zero.
+    """
+    n = draw(st.one_of(st.sampled_from([1, 2, 63, 64, 65, 255, 256, 257, 600]),
+                       st.integers(1, 600)))
+    complex_entries = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = np.zeros((n, n), dtype=complex if complex_entries else float)
+    live = rng.choice(n, draw(st.integers(0, n)), replace=False)
+    block = rng.normal(size=(len(live), len(live)))
+    if complex_entries:
+        block = block + 1j * rng.normal(size=block.shape)
+    if draw(st.booleans()):
+        block = block + block.conj().T
+    data[np.ix_(live, live)] = block
+    dead = np.setdiff1d(np.arange(n), live)
+    if len(live) and len(dead) and draw(st.booleans()):
+        # a live row with an entry whose mirror column is empty
+        data[rng.choice(live), rng.choice(dead)] = rng.normal()
+    if n > 1 and not len(live) and draw(st.booleans()):
+        i, j = rng.choice(n, 2, replace=False)
+        data[i, j] = rng.normal()
+    planted = draw(st.sampled_from([None, "non_finite", "overflow", "both"]))
+    if planted in ("overflow", "both"):
+        if len(live) < 2:
+            planted = None if planted == "overflow" else "non_finite"
+        else:
+            i, j = rng.choice(live, 2, replace=False)
+            data[i, j], data[j, i] = 1e308, -1e308
+    if planted in ("non_finite", "both"):
+        data[rng.integers(n), rng.integers(n)] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf] + ([complex(0.0, np.nan)] if complex_entries else [])))
+    return data, planted
+
+
+@settings(max_examples=150, deadline=None)
+@given(supported_operator())
+def test_hermiticity_defect_is_the_whole_matrix_maximum(case):
+    data, planted = case
+    a = LabeledOperator((("A", len(data)),), data)
+    if planted is None:
+        assert a.herm_defect() == np.abs(a.data - a.data.conj().T).max()
+    else:
+        error = NotHermitian if planted == "overflow" else NonFiniteOperator
+        with pytest.raises(error):
+            a.herm_defect()
+
+
+@st.composite
 def planted_spectrum(draw, sizes=(1, 255, 256, 257, 513, 700)):
     """``Q diag Q^H`` as a product, Hermitian up to rounding, with its minimum
     eigenvalue planted at ``+edge`` or ``-edge`` for an ``edge >= 1e-6``, and
@@ -635,7 +692,8 @@ def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
     sym = hermitian_part(LabeledOperator(factors, data))
     a = LabeledOperator(factors, sym)
     before = a.data.tobytes()
-    min_eig, psd_ok, method = _psd_status(a, a.herm_defect(), a.data.copy(), TOL_PSD)
+    assert a.herm_defect() == 0
+    min_eig, psd_ok, method = _psd_status(a, a.data, _certificate_block(a.data), TOL_PSD)
     assert a.data.tobytes() == before
     if positive:
         assert (method, psd_ok, min_eig) == ("cholesky", True, -TOL_PSD)
