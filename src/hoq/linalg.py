@@ -125,41 +125,32 @@ class LabeledOperator:
         columns on and above the diagonal compares ``A[I, J]`` with
         ``conj(A[J, I]^T)``.  Neither forms an operator-sized temporary, and
         each difference is the negated conjugate of its mirror's, so the
-        maximum is that of the whole matrix, bit for bit.  A non-finite entry
-        makes its difference non-finite (``inf - inf`` is NaN), and the scan
-        stops there.  A non-finite difference of finite entries is an
-        overflow: it is recorded and the scan goes on, so a non-finite entry
-        further on still raises first.
+        maximum is that of the whole matrix, bit for bit.  The first part
+        whose largest difference is not finite ends the scan, and one pass
+        over the operator tells a non-finite entry from an overflowing defect.
         """
         data = self.data
         live = _sparse_support(data)
-        if live is not None and not len(live):
-            return 0.0
         defect = 0.0
-        overflow = False
         with np.errstate(invalid="ignore", over="ignore"):
             if live is None:
-                parts = ((data[i, j] - data[j, i].T.conj(), (data[i, j], data[j, i]))
+                parts = (data[i, j] - data[j, i].T.conj()
                          for i, j in _tiles(self.dim, upper=True))
             else:
                 block = data[np.ix_(live, live)]
                 outside = data[np.ix_(live, np.delete(np.arange(self.dim), live))]
                 # the mirrors of ``outside`` are 0, so its differences are its entries
-                parts = [(block - block.T.conj(), (block,)), (outside, (outside,))]
-            for diff, entries in parts:
+                parts = (block - block.T.conj(), outside)
+            for diff in parts:
                 # a real difference takes its moduli in place; a complex one's are real
-                peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None).max())
-                if peak <= defect:
-                    continue
-                if math.isfinite(peak):
-                    defect = peak
-                elif all(np.isfinite(e).all() for e in entries):
-                    overflow = True
-                else:
+                peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None)
+                             .max(initial=0.0))
+                if not math.isfinite(peak):
+                    if np.isfinite(data).all():
+                        raise NotHermitian("hermiticity defect overflows float64")
                     raise NonFiniteOperator(
                         f"operator has non-finite entries (hermiticity defect {peak})")
-        if overflow:
-            raise NotHermitian("hermiticity defect overflows float64")
+                defect = max(defect, peak)
         return defect
 
     def __repr__(self):

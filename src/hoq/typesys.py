@@ -18,7 +18,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator, Union
 
 from .errors import (
@@ -73,15 +73,9 @@ class SystemRegistry:
         items.setdefault(TRIVIAL_LABEL, 1)
         return cls(tuple(sorted(items.items())))
 
-    @property
+    @cached_property
     def _map(self) -> dict[str, int]:
-        try:
-            return self.__dict__["_map_cache"]
-        except KeyError:
-            m = dict(self.entries)
-            m.setdefault(TRIVIAL_LABEL, 1)
-            self.__dict__["_map_cache"] = m
-            return m
+        return {TRIVIAL_LABEL: 1, **dict(self.entries)}
 
     def __contains__(self, label: str) -> bool:
         return label in self._map
@@ -153,22 +147,15 @@ TRIVIAL = SystemString((TRIVIAL_LABEL,))
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|\^|\(|\)|[A-Za-z][A-Za-z0-9_]*)")
+_TOKEN_RE = re.compile(r"\s*(?:(->|\^|\(|\)|[A-Za-z][A-Za-z0-9_]*)|(\S))")
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise TypeSyntaxError(f"unexpected character {stripped[0]!r}", at)
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(2) is not None:
+            raise TypeSyntaxError(f"unexpected character {m.group(2)!r}", m.start(2))
         tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
     tokens.append(("", len(text)))
     return tokens
 

@@ -31,7 +31,7 @@ from hoq import linalg
 from hoq.linalg import TOL_HERM, TOL_PSD, _TILE, hermitian_part, identity, transpose
 from hoq.membership import characterization_of, check_operator
 from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
-from hoq.sectors import full_space, pattern_norms, sector_project
+from hoq.sectors import SectorSet, full_space, pattern_norms, sector_project
 
 from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
 
@@ -455,6 +455,54 @@ class TestSupportCholesky:
             tracemalloc.stop()
         assert rep.passed and rep.psd_method == "cholesky"
         assert peak <= 1.10 * r.data.nbytes
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestDensePositivityMemory:
+    """A dense operator is factored whole, in blocks of 256 rows, in one copy:
+    of the operator when its defect is 0, else of its Hermitian part, formed
+    again into the factored array for the sector test."""
+
+    FACTORS = (("A", 4), ("B", 16), ("C", 16))
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        n = 1024
+        g = np.random.default_rng(7).normal(size=(n, n))
+        h = g @ g.T / n + np.eye(n)
+        h = (h + h.T) / 2
+        return {"hermitian": LabeledOperator(self.FACTORS, h),
+                "skewed": LabeledOperator(self.FACTORS, h + 1e-13 * np.tri(n))}
+
+    @pytest.mark.parametrize("kind", ["hermitian", "skewed"])
+    def test_is_psd_factors_one_copy(self, dense, kind):
+        # 1.391 copies: the factored copy plus the panels of the blocked
+        # Cholesky; a private copy of the Hermitian part to factor read 2.39
+        a = dense[kind]
+        assert (a.herm_defect() == 0) == (kind == "hermitian")
+        ok, peak = _traced_peak(lambda: is_psd(a))
+        assert ok
+        assert peak <= 1.5 * a.data.nbytes
+
+    def test_a_failing_skewed_check_holds_two_copies(self, dense):
+        # the Hermitian part, factored and formed again in place, and the
+        # sector test's outside component: 2.079 copies; 2.39 with a private
+        # copy to factor
+        a = dense["skewed"]
+        first_traceless = SectorSet(self.FACTORS, [m for m in range(8) if m & 1])
+        rep, peak = _traced_peak(lambda: check_operator(a, Fraction(1, a.dim), first_traceless))
+        assert (rep.verdict, rep.psd_method, rep.psd_ok) == ("FAIL", "cholesky", True)
+        assert peak <= 2.25 * a.data.nbytes
 
 
 class TestStructure:

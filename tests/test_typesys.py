@@ -22,7 +22,7 @@ from hoq.errors import (
     TypeSyntaxError,
     UnknownSystem,
 )
-from hoq.typesys import TRIVIAL, has_hats
+from hoq.typesys import TRIVIAL, _lex, has_hats
 
 from helpers import random_type
 
@@ -70,6 +70,21 @@ def test_parse_errors_carry_position():
         parse_type("A -> B", REG)  # arrows need parentheses
     with pytest.raises(UnknownSystem):
         parse_type("(A -> ZZZ)", REG)
+
+
+@pytest.mark.parametrize("text,char,at", [("(A -> $B)", "$", 6), ("(A - B)", "-", 3),
+                                          ("  1A", "1", 2), ("(A -> \u00e9)", "\u00e9", 6)],
+                         ids=["dollar", "lone_minus", "leading_digit", "non_ascii"])
+def test_an_unexpected_character_is_named_at_its_position(text, char, at):
+    with pytest.raises(TypeSyntaxError) as err:
+        parse_type(text, REG)
+    assert str(err.value) == f"unexpected character {char!r} at position {at}"
+    assert err.value.position == at
+
+
+def test_trailing_whitespace_lexes_cleanly():
+    assert _lex("(A -> B) \t\n") == [("(", 0), ("A", 1), ("->", 3), ("B", 6), (")", 7), ("", 11)]
+    assert parse_type("(A -> B) \t\n", REG) == parse_type("(A -> B)", REG)
 
 
 def test_duplicate_labels_rejected():
