@@ -312,6 +312,15 @@ def _check_hermitian(op: LabeledOperator, herm_tol: float) -> None:
         _require_hermitian(op, herm_tol)
 
 
+def _is_zero(a: np.ndarray) -> bool:
+    """True when every entry of the matrix ``a`` is exactly 0 (NaN is not).
+
+    The first row is read first: in a dense matrix it already holds an
+    entry, and the rest is not read.
+    """
+    return not a[0].any() and not a.any()
+
+
 def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     """Project onto the union of sector masks over factors pos..k-1.
 
@@ -325,7 +334,9 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     their input unchanged.  Results are formed in ``data`` itself when the
     call ``owned`` it, else in one new array, and identity branches are
     added into them block by block, so a projection costs at most one
-    full-size array.
+    full-size array.  The recursion stops at exactly zero arrays, since
+    every projection of 0 is 0: a zero identity average is neither
+    subtracted nor recursed on, and a zero traceless branch returns None.
     """
     k = len(dims)
     if not masks:
@@ -346,13 +357,17 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
         low = {m >> 1 for m in masks if not m & 1}
     small = _trace_factor(data, dims, traced)
     small /= dims[traced]
+    no_identity = _is_zero(small)
 
     out = None
     if high:
         out = data if owned else data.copy()
-        _combine_identity(np.subtract, out, small, dims, pos)
-        out = _project_masks(out, dims, pos + 1, high, owned=True)
+        if not no_identity:
+            _combine_identity(np.subtract, out, small, dims, pos)
+        out = None if _is_zero(out) else _project_masks(out, dims, pos + 1, high, owned=True)
 
+    if no_identity:
+        return out
     low_small = _project_masks(small, dims[:traced] + dims[traced + 1:], pos, low, owned=True)
     if low_small is None:
         return out
@@ -374,7 +389,8 @@ def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     through_complement = len(complement) < len(masks)
     out = _project_masks(data, dims, 0, complement if through_complement else masks)
     if through_complement:
-        # the complement is a proper subset, so ``out`` is a new array
+        # the complement is a proper subset, so ``out`` is a new array, or None
+        # when the complement's component is exactly 0
         return data if out is None else np.subtract(data, out, out=out)
     return np.zeros_like(data) if out is None else out
 
@@ -418,13 +434,16 @@ def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> np.ndarray
     dims = op.dims
     k = len(dims)
     full = (1 << k) - 1
-    # weights[live]: squared norm of the average over the factors not in ``live``
-    weights = np.empty(1 << k)
+    # weights[live]: squared norm of the average over the factors not in ``live``;
+    # the walk stops at an exactly zero matrix, whose partial traces are all 0
+    weights = np.zeros(1 << k)
 
     def explore(mat: np.ndarray, live_dims: tuple, live: int, divisor: float,
                 start: int) -> None:
         flat = mat.reshape(-1)
         weights[live] = float(np.vdot(flat, flat).real) / divisor
+        if weights[live] == 0.0 and _is_zero(mat):
+            return
         for j in range(start, k):
             # only factors below ``start`` are traced out, so factor j sits
             # at the position counting the live factors before it

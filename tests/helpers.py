@@ -266,3 +266,111 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
                                        residual=gap, iterations=iterations)
     return AdmissibilityResult("UNDECIDED", residual=gap, iterations=iterations,
                                reason="alternating projections did not certify feasibility")
+
+
+def unpruned_project(data, dims, masks):
+    """Projection of ``data`` onto the sector ``masks`` by the recursion of
+    ``hoq.sectors._project`` without its stops at exactly zero arrays: every
+    partial trace is subtracted and recursed on, zero or not.  The reference
+    that the pruned recursion must equal entry for entry."""
+    from hoq.linalg import _combine_identity, _trace_factor
+
+    def recurse(data, dims, pos, masks, owned=False):
+        k = len(dims)
+        if not masks:
+            return None
+        if len(masks) == 1 << (k - pos):
+            return data
+        marked = 0
+        for m in masks:
+            marked |= m
+        idle = ~marked & ((1 << (k - pos)) - 1)
+        if idle:
+            i = idle.bit_length() - 1
+            below = (1 << i) - 1
+            traced, high = pos + i, ()
+            low = {m & below | m >> 1 & ~below for m in masks}
+        else:
+            traced, high = pos, {m >> 1 for m in masks if m & 1}
+            low = {m >> 1 for m in masks if not m & 1}
+        small = _trace_factor(data, dims, traced)
+        small /= dims[traced]
+        out = None
+        if high:
+            out = data if owned else data.copy()
+            _combine_identity(np.subtract, out, small, dims, pos)
+            out = recurse(out, dims, pos + 1, high, owned=True)
+        low_small = recurse(small, dims[:traced] + dims[traced + 1:], pos, low, owned=True)
+        if low_small is None:
+            return out
+        if out is None:
+            out = data if owned else np.empty_like(data)
+            out.fill(0)
+        _combine_identity(np.add, out, low_small, dims, traced)
+        return out
+
+    masks = frozenset(masks)
+    complement = frozenset(range(1 << len(dims))) - masks
+    if len(complement) < len(masks):
+        out = recurse(data, dims, 0, complement)
+        return data.copy() if out is None else data - out
+    out = recurse(data, dims, 0, masks)
+    return np.zeros_like(data) if out is None else out
+
+
+def unpruned_pattern_norms(op):
+    """``hoq.sectors.pattern_norms`` without its stop at exactly zero
+    matrices: the partial-trace walk visits every factor subset."""
+    from hoq.linalg import _trace_factor
+
+    dims = op.dims
+    k = len(dims)
+    weights = np.empty(1 << k)
+
+    def explore(mat, live_dims, live, divisor, start):
+        flat = mat.reshape(-1)
+        weights[live] = float(np.vdot(flat, flat).real) / divisor
+        for j in range(start, k):
+            pos = (live & ((1 << j) - 1)).bit_count()
+            explore(_trace_factor(mat, live_dims, pos), live_dims[:pos] + live_dims[pos + 1:],
+                    live & ~(1 << j), divisor * dims[j], j + 1)
+
+    explore(op.data, dims, (1 << k) - 1, 1.0, 0)
+    resolution = (1 << k) * np.finfo(float).eps * weights[-1]
+    cube = weights.reshape((2,) * k)
+    for axis in range(k):
+        by_mark = np.moveaxis(cube, axis, 0)
+        by_mark[1] -= by_mark[0]
+    weights[weights <= resolution] = 0.0
+    return weights
+
+
+def disjoint_gram(rng, dim, share):
+    """A 0/1 Gram operator ``sum_c |v_c><v_c|`` whose 0/1 vectors have disjoint
+    supports, as the paper's canonical processes are: each row joins one of a
+    few vectors with probability ``share``, else stays zero."""
+    which = rng.integers(0, 1 + rng.integers(0, 4), size=dim)
+    which[rng.random(dim) >= share] = -1
+    v = (which[:, None] == np.arange(max(which.max() + 1, 0))[None, :]).astype(float)
+    return v @ v.T
+
+
+def planted_traceless(rng, dims, complex_entries):
+    """An integer Hermitian matrix over ``dims``, a sum of a few tensor products
+    of small integer factors, in which a random set of factors is traceless
+    in every term: its partial traces over those factors are exactly 0."""
+    forced = rng.random(len(dims)) < 0.5
+    dim = math.prod(dims)
+    out = np.zeros((dim, dim), dtype=complex if complex_entries else float)
+    for _ in range(rng.integers(1, 4)):
+        term = np.ones((1, 1))
+        for d, traceless in zip(dims, forced):
+            f = rng.integers(-1, 2, size=(d, d)) * (rng.random((d, d)) < 0.5)
+            if complex_entries:
+                f = f + 1j * rng.integers(-1, 2, size=(d, d)) * (rng.random((d, d)) < 0.5)
+            f = f + f.conj().T
+            if traceless:
+                f[-1, -1] -= np.trace(f)
+            term = np.kron(term, f)
+        out += term
+    return out

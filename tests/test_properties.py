@@ -1,9 +1,10 @@
 """Property-based tests of the partial trace, of the numerical sector
-projection and pattern norms, of the invariants that let ``classify`` and
-``is_admissible`` share the check's front half, of real arithmetic against
-complex arithmetic in the check, of checks that run in the operator's own
-factor order, of the factor order of network characterizations, and of the
-operator and bundle file reader against a whole-document conversion, across
+projection and pattern norms on dense and exact sparse inputs and against
+their recursions without stops at zero arrays, of the invariants that let
+``classify`` and ``is_admissible`` share the check's front half, of real
+arithmetic against complex arithmetic in the check, of checks that run in
+the operator's own factor order, of the factor order of network
+characterizations, and of the operator and bundle file reader against a whole-document conversion, across
 the two key orders of an operator document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
 in-place positivity test against planted spectra, of the check's
@@ -48,8 +49,25 @@ from hoq.sectors import (SectorSet, _project_masks, deviation_sectors, full_spac
                          outside_component)
 from hoq.typesys import dehat, has_hats, systems_of
 
-from helpers import (converted, mask_of, marks_of, random_type, reference_component,
-                     reference_partial_trace)
+from helpers import (converted, disjoint_gram, mask_of, marks_of, planted_traceless, random_type,
+                     reference_component, reference_partial_trace, unpruned_pattern_norms,
+                     unpruned_project)
+
+
+def drawn_hermitian(draw, dims):
+    """A Hermitian matrix over ``dims``: dense complex Gaussian, an exact
+    0/1 Gram operator with disjoint column supports, or an integer matrix
+    with planted zero partial traces.  The exact kinds send the projection
+    and the pattern-norm walk through their stops at zero arrays."""
+    kind = draw(st.sampled_from(["dense", "gram", "planted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = math.prod(dims)
+    if kind == "gram":
+        return disjoint_gram(rng, dim, draw(st.sampled_from([0.0, 0.1, 0.3, 1.0])))
+    if kind == "planted":
+        return planted_traceless(rng, dims, draw(st.booleans()))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
 
 
 @st.composite
@@ -57,12 +75,8 @@ def operator_and_masks(draw):
     dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
     k = len(dims)
     masks = frozenset(draw(st.sets(st.integers(0, (1 << k) - 1))))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    dim = int(np.prod(dims))
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
-    return systems, masks, (g + g.conj().T) / 2
+    return systems, masks, drawn_hermitian(draw, dims)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,9 +153,8 @@ def operator_and_shared_identity(draw):
     # on a tie _project runs on ``wanted`` itself
     assume(not flip or 2 * len(target) < 1 << k)
     wanted = frozenset(range(1 << k)) - target if flip else frozenset(target)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
-    return systems, shared, wanted, random_hermitian(int(np.prod(dims)), rng)
+    return systems, shared, wanted, drawn_hermitian(draw, dims)
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,6 +205,22 @@ def test_pattern_norms_against_the_reference(case, random):
     for mask, value in enumerate(norms):
         moved = mask_of(tuple(marks_of(mask, k)[i] for i in order))
         assert abs(permuted[moved] - value) <= tolerance
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_and_masks())
+def test_pruned_recursions_equal_the_unpruned_ones(case):
+    systems, masks, h = case
+    k = len(systems)
+    dims = tuple(d for _, d in systems)
+    op = LabeledOperator(systems, h)
+    sectors = SectorSet(systems, masks)
+    assert np.array_equal(sector_project(op, sectors).data, unpruned_project(h, dims, masks))
+    forbidden = frozenset(range(1 << k)) - masks - {0}
+    outside = outside_component(op, sectors)
+    assert np.array_equal(outside.data, unpruned_project(h, dims, forbidden))
+    assert pattern_norms(op).tobytes() == unpruned_pattern_norms(op).tobytes()
+    assert pattern_norms(outside).tobytes() == unpruned_pattern_norms(outside).tobytes()
 
 
 @st.composite

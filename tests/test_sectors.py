@@ -8,19 +8,28 @@ from hoq import (
     LabeledOperator,
     SystemRegistry,
     SystemString,
+    check_bislot,
+    check_bsp,
+    classify,
     deviation_sectors,
     dual,
     dual_deviation_direct,
     identity_coeff,
+    is_admissible,
     network_characterization,
     parse_type,
     pattern_norms,
+    permute_systems,
+    sample_deterministic,
     sector_project,
     tensor,
     tensor_deviation_direct,
 )
+from hoq import sectors
 from hoq.errors import FactorMismatch, NonFiniteOperator
+from hoq.processes import flippable_switch_choi, merge_ports, n_time_flip_choi
 from hoq.sectors import (
+    Hierarchy,
     SectorSet,
     arrow_coeff,
     arrow_sectors,
@@ -36,6 +45,7 @@ from helpers import (NON_FINITE, mask_of, marks_of, non_finite_operator, random_
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
+PAIR_AB = parse_type("(^A -> ^B)", SystemRegistry.of(A=2, B=2))
 FLIP_TYPE = parse_type("((^A -> ^B) -> (P -> F))", REG)
 
 
@@ -324,3 +334,60 @@ class TestNumericalSectors:
         via_complement = sector_project(h, big)
         direct = sum(reference_component(h, marks_of(m, 2)) for m in big.masks)
         assert np.abs(via_complement.data - direct).max() < 1e-12
+
+
+class TestZeroPruning:
+    """The projection recursion and the pattern-norm walk stop at exactly
+    zero arrays.  The canonical processes are 0/1 Gram operators, so most of
+    their partial traces and sector components are exactly 0; the counts of
+    partial traces below are those of the pruned recursions (the recursions
+    without the stops take 84, 90, 103, 84 and 1002)."""
+
+    ORDER = ["P", "A1", "B1", "A2", "B2", "F"]
+    BSP = "((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))"
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        calls = []
+        original = sectors._trace_factor
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(sectors, "_trace_factor", counted)
+        return calls
+
+    def _fused(self, op):
+        ports = {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")}
+        return permute_systems(merge_ports(op, ports), self.ORDER)
+
+    def test_switch_checks_at_d256(self, traces):
+        r = self._fused(flippable_switch_choi(2))
+        two = [(2, 2), (2, 2)]
+        rep = check_bsp(r, two, 4, 4, hierarchy=Hierarchy.STANDARD)
+        assert not rep.passed and rep.forbidden_components and len(traces) == 40
+        traces.clear()
+        rep = check_bislot(r, two, 4, 4)
+        assert not rep.passed and rep.forbidden_components and len(traces) == 27
+        traces.clear()
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+        assert classify(r, parse_type(self.BSP, reg), reg).verdict == "BISTOCH_ONLY"
+        assert len(traces) == 52
+
+    def test_n_flip_standard_check_at_d1024(self, traces):
+        r = self._fused(n_time_flip_choi(2, 2))
+        rep = check_bsp(r, [(2, 2), (2, 2)], 8, 8, hierarchy=Hierarchy.STANDARD)
+        assert not rep.passed and rep.forbidden_components and len(traces) == 47
+
+    def test_undecided_admissibility(self, traces):
+        # 2 % above a deterministic event: the PSD step of every iteration
+        # is exactly 0, so each projection of it takes one partial trace
+        reg = SystemRegistry.of(A=2, B=2)
+        event = sample_deterministic(PAIR_AB, reg, seed=1009)
+        op = LabeledOperator(event.factors, 1.02 * event.data)
+        traces.clear()
+        res = is_admissible(op, PAIR_AB, reg, max_iter=500)
+        assert (res.status, res.iterations) == ("UNDECIDED", 500)
+        assert res.residual.hex() == "0x1.47ae147ae1480p-6"
+        assert len(traces) == 502
