@@ -312,30 +312,26 @@ def link_product(n: LabeledOperator, m: LabeledOperator) -> LabeledOperator:
 
     Disjoint labels reduce to the tensor product, identical label sets to the
     scalar ``Tr[n^T m]``.  Output factors are n's unshared factors followed by
-    m's unshared factors.
+    m's unshared factors.  Only the result is reordered, once.
     """
     shared = [lab for lab in n.labels if lab in m.labels]
     for lab in shared:
         if n.dim_of(lab) != m.dim_of(lab):
             raise DimMismatch(
                 f"shared factor {lab!r} has dims {n.dim_of(lab)} and {m.dim_of(lab)}")
-    n_only = [lab for lab in n.labels if lab not in shared]
-    m_only = [lab for lab in m.labels if lab not in shared]
-
-    np_ = permute_systems(n, n_only + shared)
-    mp = permute_systems(m, shared + m_only)
-    dn = math.prod(np_.dim_of(lab) for lab in n_only)
-    ds = math.prod(np_.dim_of(lab) for lab in shared)
-    dm = math.prod(mp.dim_of(lab) for lab in m_only)
-
-    # out[(a,c),(b,d)] = sum_{s,t} n[(a,s),(b,t)] m[(s,c),(t,d)]
-    # grouped as a matrix product over the doubled shared index (s,t)
-    n2 = np_.data.reshape(dn, ds, dn, ds).transpose(0, 2, 1, 3).reshape(dn * dn, ds * ds)
-    m2 = mp.data.reshape(ds, dm, ds, dm).transpose(0, 2, 1, 3).reshape(ds * ds, dm * dm)
-    out = (n2 @ m2).reshape(dn, dn, dm, dm).transpose(0, 2, 1, 3)
-    factors = tuple((lab, np_.dim_of(lab)) for lab in n_only) + \
-        tuple((lab, mp.dim_of(lab)) for lab in m_only)
-    return LabeledOperator(factors, out.reshape(dn * dm, dn * dm))
+    k, l = len(n.factors), len(m.factors)
+    ns = [n.labels.index(lab) for lab in shared]
+    ms = [m.labels.index(lab) for lab in shared]
+    # out[(a,c),(b,d)] = sum_{s,t} n[(a,s),(b,t)] m[(s,c),(t,d)]: the shared row
+    # axes contract with each other, and so do the shared column axes
+    out = np.tensordot(n.data.reshape(n.dims * 2), m.data.reshape(m.dims * 2),
+                       axes=(ns + [k + i for i in ns], ms + [l + i for i in ms]))
+    # out's axes are a, b, c, d: m's unshared rows c move ahead of n's columns b
+    a, c = k - len(shared), l - len(shared)
+    out = np.moveaxis(out, range(2 * a, 2 * a + c), range(a, a + c))
+    factors = tuple(f for f in n.factors + m.factors if f[0] not in shared)
+    total = math.prod(d for _, d in factors)
+    return LabeledOperator(factors, out.reshape(total, total))
 
 
 def link_all(ops: Sequence[LabeledOperator]) -> LabeledOperator:
@@ -481,7 +477,9 @@ def _frobenius(a: np.ndarray) -> float:
 
 
 def _require_hermitian(a: LabeledOperator, tol: float) -> float:
-    """The hermiticity defect of ``a``; :class:`NotHermitian` beyond ``tol``."""
+    """The hermiticity defect of ``a``; :class:`NotHermitian` beyond ``tol``,
+    which :func:`check_tol` tests first."""
+    check_tol("herm_tol", tol)
     defect = a.herm_defect()
     if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")

@@ -158,11 +158,11 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     block (:func:`_certificate_block`): the rows that hold an entry when at
     most half of them do, else the whole matrix.  The Hermitian part's zero
     rows are zero columns, so each row outside the block adds ``coeff^2`` to
-    ``||R - coeff*1||_F^2``, and the deviation is never formed.  So the front
-    half holds no operator-sized array besides ``op`` for an exactly
-    Hermitian operator with at most half its rows live, and one otherwise;
-    the back half then holds at most one.  Every tolerance is checked before
-    any of that.
+    ``||R - coeff*1||_F^2``: the deviation is never formed, and the block is
+    not written before the certificate factors it.  So the front half holds
+    no operator-sized array besides ``op`` for an exactly Hermitian operator
+    with at most half its rows live, and one otherwise; the back half then
+    holds at most one.  Every tolerance is checked before any of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
@@ -171,13 +171,11 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     sym = op.data if herm_defect == 0 else hermitian_part(op)
     block = _certificate_block(sym)
     expected = float(coeff)
-    # the deviation's norm, on the block's diagonal shifted and restored from a copy
-    diag = block.reshape(-1)[::len(block) + 1]
-    saved = diag.copy()
-    diag -= expected
-    scale = 1.0 + math.sqrt(float(np.vdot(block, block).real)
-                            + (op.dim - len(block)) * expected ** 2)
-    diag[:] = saved
+    # ||R - c*1||^2 = ||B||^2 - 2c tr B + c^2 D, read before the certificate
+    # writes the block; where the terms cancel, the 1 dominates the scale
+    square = (float(np.vdot(block, block).real) - 2 * expected * float(np.trace(block).real)
+              + expected ** 2 * op.dim)
+    scale = 1.0 + math.sqrt(max(square, 0.0))
     min_eig, spectrum_ok, psd_method = _psd_status(op, sym, block, psd_tol)
     herm_ok = herm_defect <= herm_tol
 

@@ -139,17 +139,17 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
         new_reg = new_reg.with_entries(**{new_mem: rank})
 
         # block i: conjugate by the inverse square root and compress onto the
-        # support, which becomes the fresh memory factor
+        # support, which becomes the fresh memory factor; the einsum writes it
+        # between the slot (s, t) and out-memory (o, u) factors
         # basis^H S^-1/2 = (basis / roots)^H and S^-1/2 basis = basis / roots
         scaled = basis / roots
         old_dim = marginal.dim
         rest_dim = current.dim // old_dim
-        cur = current.data.reshape(old_dim, rest_dim, old_dim, rest_dim)
-        compressed = np.einsum("pa,abcd,cq->pbqd", scaled.conj().T, cur, scaled,
-                               optimize=True)
-        block = LabeledOperator(((new_mem, rank), *slot_systems, *out_mem),
-                                compressed.reshape(rank * rest_dim, rank * rest_dim))
-        blocks.append(permute_systems(block, slot_labels + [new_mem] + out_labels))
+        dims = (old_dim, dim_i, rest_dim // dim_i)
+        compressed = np.einsum("pa,asobtu,bq->spotqu", scaled.conj().T,
+                               current.data.reshape(dims * 2), scaled, optimize=True)
+        blocks.append(LabeledOperator((*slot_systems, (new_mem, rank), *out_mem),
+                                      compressed.reshape(rank * rest_dim, rank * rest_dim)))
 
         # purification-style lift of the marginal onto the fresh memory
         lift = (basis * roots)  # columns sqrt(S) phi_k

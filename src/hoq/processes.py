@@ -142,29 +142,31 @@ def time_flip_choi(d: int) -> LabeledOperator:
 
 
 def merge_ports(op: LabeledOperator, groups: dict[str, tuple[str, ...]]) -> LabeledOperator:
-    """Fuse port groups (e.g. target+control) into single named factors."""
-    out = op
+    """Fuse port groups (e.g. target+control) into single named factors.
+
+    Each group in turn takes the place of its first member, its members in
+    order; one permutation places them all, and the merges are views of it."""
+    # each factor of the merged layout, with the factors of ``op`` it fuses
+    layout = [(lab, (lab,)) for lab in op.labels]
     for new_label, members in groups.items():
-        order = []
-        consumed = set()
-        for lab in out.labels:
-            if lab in members:
-                if lab == members[0]:
-                    order.extend(members)
-                consumed.add(lab)
-            elif lab not in consumed:
-                order.append(lab)
-        out = permute_systems(out, order)
+        parts = dict(layout)
+        fused = tuple(lab for m in members for lab in parts.get(m, (m,)))
+        layout = [(new_label, fused) if lab in members[:1] else (lab, part)
+                  for lab, part in layout if lab in members[:1] or lab not in members]
+    out = permute_systems(op, [lab for _, part in layout for lab in part])
+    for new_label, members in groups.items():
         out = merge_factors(out, members, new_label)
     return out
 
 
 def canonical_ports(op: LabeledOperator) -> LabeledOperator:
-    """Fuse ``Pt, Pc`` into ``P`` and ``Ft, Fc`` into ``F``, then order the
-    factors as the process type does: slot factors first, then ``P, F``."""
-    merged = merge_ports(op, {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
-    slots = [lab for lab in merged.labels if lab not in ("P", "F")]
-    return permute_systems(merged, slots + ["P", "F"])
+    """Fuse ``Pt, Pc`` into ``P`` and ``Ft, Fc`` into ``F``, with the factors
+    in the process type's order: slot factors first, then ``P, F``.  One
+    permutation places them; the merges are views of it."""
+    ports = ("Pt", "Pc", "Ft", "Fc")
+    slots = [lab for lab in op.labels if lab not in ports]
+    out = permute_systems(op, slots + list(ports))
+    return merge_factors(merge_factors(out, ports[:2], "P"), ports[2:], "F")
 
 
 def time_flip_merged(d: int) -> LabeledOperator:

@@ -307,7 +307,8 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
 
 def _check_hermitian(op: LabeledOperator, herm_tol: float) -> None:
     """Raise NotHermitian beyond ``herm_tol`` and NonFiniteOperator on NaN or
-    infinite entries; ``np.inf`` skips the measurement."""
+    infinite entries; ``np.inf`` skips the measurement, and any other
+    tolerance that is not finite and ``>= 0`` raises ValueError."""
     if herm_tol != np.inf:
         _require_hermitian(op, herm_tol)
 
@@ -347,14 +348,13 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     for m in masks:
         marked |= m
     idle = ~marked & ((1 << (k - pos)) - 1)
-    if idle:
-        i = idle.bit_length() - 1
-        below = (1 << i) - 1
-        traced, high = pos + i, ()
-        low = {m & below | m >> 1 & ~below for m in masks}
-    else:
-        traced, high = pos, {m >> 1 for m in masks if m & 1}
-        low = {m >> 1 for m in masks if not m & 1}
+    # the factor traced out: the highest idle one, else the one at ``pos``,
+    # whose traceless masks form the high branch
+    i = max(idle.bit_length() - 1, 0)
+    below = (1 << i) - 1
+    traced = pos + i
+    high = () if idle else {m >> 1 for m in masks if m & 1}
+    low = {m & below | m >> 1 & ~below for m in masks if not m >> i & 1}
     small = _trace_factor(data, dims, traced)
     small /= dims[traced]
     no_identity = _is_zero(small)

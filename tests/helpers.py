@@ -41,6 +41,20 @@ def random_type(rng, reg_dims, max_depth=4, max_systems=10):
     return t, SystemRegistry.from_dict(dims)
 
 
+def rename_type(t, mapping):
+    """``t`` with each label renamed by ``mapping``; unmapped labels stay."""
+    from hoq.typesys import Arrow, BistochElem, SystemString
+
+    if isinstance(t, SystemString):
+        return SystemString(tuple(mapping.get(lab, lab) for lab in t.labels))
+    if isinstance(t, BistochElem):
+        return BistochElem(mapping.get(t.hat_in, t.hat_in),
+                           tuple(mapping.get(x, x) for x in t.in_tail),
+                           mapping.get(t.hat_out, t.hat_out),
+                           tuple(mapping.get(x, x) for x in t.out_tail))
+    return Arrow(rename_type(t.lhs, mapping), rename_type(t.rhs, mapping))
+
+
 # (row, column, value) of the one bad entry in a 4-dim identity event; only
 # "nan_imaginary" has a non-zero imaginary part, so the others are checked in
 # real arithmetic

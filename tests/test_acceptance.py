@@ -56,26 +56,13 @@ from hoq.sectors import (SectorSet, arrow_coeff, arrow_sectors, dual_coeff_direc
                          tensor_coeff_direct)
 from hoq.typesys import Arrow, extend, systems_of
 
-from helpers import mask_of, random_type
+from helpers import mask_of, random_type, rename_type
 
 
 def report(number, description, started, budget):
     elapsed = time.time() - started
     print(f"\n[criterion {number:2d}] PASS  ({elapsed:6.2f}s)  {description}")
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
-
-
-def _rename(t, mapping):
-    from hoq.typesys import Arrow, BistochElem, SystemString
-
-    if isinstance(t, SystemString):
-        return SystemString(tuple(mapping.get(lab, lab) for lab in t.labels))
-    if isinstance(t, BistochElem):
-        return BistochElem(mapping.get(t.hat_in, t.hat_in),
-                           tuple(mapping.get(x, x) for x in t.in_tail),
-                           mapping.get(t.hat_out, t.hat_out),
-                           tuple(mapping.get(x, x) for x in t.out_tail))
-    return Arrow(_rename(t.lhs, mapping), _rename(t.rhs, mapping))
 
 
 def bsp_type(reg, n, p="P", f="F"):
@@ -278,7 +265,7 @@ def test_criterion_05_characterization_consistency():
         # parallel-composition formula against the arrow recursion
         u, reg_u = random_type(rng, (2, 3), max_depth=3, max_systems=3)
         ren = {lab: f"{lab}q" for lab in systems_of(u)}
-        u = _rename(u, ren)
+        u = rename_type(u, ren)
         reg2 = reg.with_entries(**{ren[lab]: reg_u.dim(lab) for lab in ren})
         assert tensor_deviation_direct(t, u, reg2).same_subspace(
             deviation_sectors(tensor(t, u), reg2))
@@ -338,7 +325,7 @@ def test_criterion_06_invariance_properties():
         x, reg_x = random_type(rng, (2,), max_depth=2, max_systems=2)
         y, reg_y = random_type(rng, (2,), max_depth=2, max_systems=2)
         ren = {lab: f"{lab}y" for lab in systems_of(y)}
-        y = _rename(y, ren)
+        y = rename_type(y, ren)
         dims = dict(reg_x.entries) | {ren[k]: reg_y.dim(k) for k in ren}
         dims |= {"Ain": 2, "Bmid": 2, "Cout": 2}
         reg = SystemRegistry.from_dict(dims)

@@ -2,6 +2,7 @@ import functools
 import gzip
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual, processes
 from hoq.cli import main
-from hoq.linalg import permute_systems
+from hoq.linalg import TOL_PSD, permute_systems
 from hoq.membership import sample_deterministic
 from hoq.serialize import (
     DEFAULT_DIM_CAP,
@@ -981,6 +982,40 @@ class TestMakeAndClassify:
         assert res.output.splitlines()[0] == "BISTOCH_ONLY"
         assert any("A1:T B1:T A2:I B2:T" in line for line in res.output.splitlines())
 
+    @pytest.mark.parametrize("make, t, registry, verdict, lam, forbidden", [
+        (["lc23", "--n", "2"], "((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> I)",
+         "A1=2,B1=2,A2=2,B2=2", "BISTOCH_ONLY", "1/4",
+         [["A1:I B1:T A2:T B2:T", 1.0], ["A1:T B1:T A2:I B2:T", 1.0]]),
+        (["random-bistoch", "--d", "2"], "(^A -> ^B)", "A=2,B=2", "BOTH", "1/2", []),
+    ])
+    def test_classify_json_payload(self, runner, tmp_path, make, t, registry, verdict, lam,
+                                   forbidden):
+        out = str(tmp_path / "op.json")
+        assert runner.invoke(main, ["make", *make, "-o", out]).exit_code == 0
+        res = runner.invoke(main, ["classify", t, "-f", out, "--registry", registry, "--json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert list(payload) == ["verdict", "forbidden", "bistoch", "standard"]
+        assert payload["verdict"] == verdict
+        assert [p for p, _ in payload["forbidden"]] == [p for p, _ in forbidden]
+        assert np.allclose([n for _, n in payload["forbidden"]], [n for _, n in forbidden],
+                           rtol=1e-12, atol=0)
+        # both reports share the front half: only the sector test differs
+        for key, passed in (("bistoch", True), ("standard", verdict == "BOTH")):
+            rep = payload[key]
+            assert list(rep) == ["verdict", "psd_ok", "min_eigenvalue", "psd_method",
+                                 "herm_defect", "lambda_ok", "lambda_expected",
+                                 "lambda_measured", "sector_residual",
+                                 "forbidden_components", "permutation"]
+            assert rep["verdict"] == ("PASS" if passed else "FAIL")
+            assert (rep["psd_ok"], rep["psd_method"], rep["min_eigenvalue"]) == (
+                True, "cholesky", -TOL_PSD)
+            assert rep["lambda_ok"] and rep["lambda_expected"] == lam
+            assert abs(rep["lambda_measured"] - float(Fraction(lam))) < 1e-15
+            assert rep["herm_defect"] < 1e-15 and rep["permutation"] is None
+            assert (rep["sector_residual"] < 1e-15) == passed
+            assert rep["forbidden_components"] == ([] if passed else payload["forbidden"])
+
     def test_make_n_time_flip_and_switch(self, runner, tmp_path):
         two_slots = ("A1", "B1", "A2", "B2", "P", "F")
         for proc, args, dim, labels in (
@@ -1208,3 +1243,55 @@ class TestComposeDecompose:
         monkeypatch.setenv("HOQ_CONFIG", str(cfg))
         res = runner.invoke(main, ["lambda", "(^A -> ^B)"])
         assert res.output.strip() == "1/2"
+
+
+# inputs that every command refuses with exit 2 and one line naming the fault:
+# (command with ``{file}`` for the input file, the file's text, the message)
+BAD_INPUTS = {
+    "hatted_trivial_system": (["lambda", "(^I -> ^B)", "--registry", "B=2"], None,
+                              "the trivial system cannot be hatted at position 9"),
+    "trivial_system_in_a_tail": (["lambda", "(^A I -> ^B)", "--registry", "A=2,B=2"], None,
+                                 "'I' cannot appear in a tail at position 11"),
+    "operator_without_matrix": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                                {"factors": [["A", 2]]},
+                                "malformed operator payload: 'matrix'"),
+    "malformed_factors": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                          {"factors": [["A"]], "matrix": [[1, 0], [0, 1]]},
+                          "malformed operator payload: not enough values to unpack "
+                          "(expected 2, got 1)"),
+    "ragged_row": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                   {"factors": [["A", 2]], "matrix": [[0.5, 0], [0]]},
+                   "malformed operator payload: row 1 of 1 entries for factor dimensions "
+                   "of product 2"),
+    "repeated_labels": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                        {"factors": [["A", 2], ["A", 2]], "matrix": [[0] * 4] * 4},
+                        "repeated factor labels in ['A', 'A']"),
+    "bundle_blocks_not_a_list": (["compose", "{file}", "-o", "{out}", "--registry", "A=2,B=2"],
+                                 {"blocks": {}, "spec": {"slot_types": ["(^A -> ^B)"],
+                                                         "memories": ["I", "I"]}},
+                                 "malformed bundle payload: the blocks must be a list"),
+    "bundle_without_spec": (["compose", "{file}", "-o", "{out}", "--registry", "A=2,B=2"],
+                            {"blocks": []}, "malformed bundle payload: 'spec'"),
+    "unregistered_memory": (["compose", "{file}", "-o", "{out}", "--registry", "A=2,B=2"],
+                            {"blocks": [], "spec": {"slot_types": ["(^A -> ^B)"],
+                                                    "memories": ["E", "I"]}},
+                            "memory 'E' not registered and absent from blocks"),
+    "registry_dimension": (["lambda", "(^A -> ^B)", "--registry", "A=x"], None,
+                           "bad dimension in registry entry 'A=x'"),
+    "registry_label": (["lambda", "(^A -> ^B)", "--registry", "1A=2"], None,
+                       "invalid system label '1A'"),
+    "config_value": (["lambda", "(^A -> ^B)", "--registry", "A=2,B=2", "--config", "{file}"],
+                     "tol.herm = abc\n", "line 1: bad value 'abc' for 'tol.herm'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2_with_its_message(runner, tmp_path, name):
+    args, content, message = BAD_INPUTS[name]
+    path, out = tmp_path / "input", tmp_path / "out.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    res = runner.invoke(main, [a.format(file=path, out=out) for a in args])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert res.output == f"error: {message}\n"
+    assert not out.exists()

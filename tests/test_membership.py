@@ -9,6 +9,7 @@ from hoq import (
     SystemRegistry,
     classify,
     dual,
+    eigh,
     is_admissible,
     is_deterministic,
     is_psd,
@@ -25,7 +26,8 @@ from hoq.sectors import SectorSet, full_space, outside_component, pattern_norms
 from hoq.processes import merge_ports, n_time_flip_choi, random_state
 from hoq.typesys import extend, systems_of
 
-from helpers import NON_FINITE, mask_of, non_finite_operator, random_type, reference_admissible
+from helpers import (NON_FINITE, mask_of, non_finite_operator, random_type, reference_admissible,
+                     rename_type)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 
@@ -138,6 +140,32 @@ _TOL_CASES = [(func, op, type_text, keyword)
 def test_tolerances_must_be_finite_and_non_negative(func, op, type_text, keyword, bad):
     with pytest.raises(ValueError, match=f"^{keyword} must be finite and >= 0"):
         func(op, parse_type(type_text, REG), REG, **{keyword: bad})
+
+
+# every function that takes herm_tol alone; the sector functions take np.inf
+# to skip the measurement, as the check's back half does for the Hermitian part
+_HERM_TOL_FUNCS = {
+    "eigh": lambda op, tol: eigh(op, herm_tol=tol),
+    "is_psd": lambda op, tol: is_psd(op, herm_tol=tol),
+    "sector_project": lambda op, tol: sector_project(op, full_space(op.factors), herm_tol=tol),
+    "outside_component": lambda op, tol: outside_component(op, full_space(op.factors),
+                                                           herm_tol=tol),
+    "pattern_norms": lambda op, tol: pattern_norms(op, herm_tol=tol),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in _HERM_TOL_FUNCS
+                                       for bad in (float("nan"), -1e-9)]
+                         + [("eigh", float("inf")), ("is_psd", float("inf"))])
+def test_herm_tol_must_be_finite_and_non_negative(name, bad):
+    with pytest.raises(ValueError, match="^herm_tol must be finite and >= 0"):
+        _HERM_TOL_FUNCS[name](_PAIR, bad)
+
+
+@pytest.mark.parametrize("name", ["sector_project", "outside_component", "pattern_norms"])
+def test_infinite_herm_tol_skips_the_sector_functions_measurement(name):
+    skewed = LabeledOperator(_PAIR.factors, _PAIR.data + np.triu(np.ones((4, 4)), 1))
+    _HERM_TOL_FUNCS[name](skewed, np.inf)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
@@ -277,7 +305,7 @@ class TestInvariances:
             from hoq.typesys import Arrow, SystemString
 
             ren_y = {lab: f"{lab}y" for lab in systems_of(y)}
-            y = _rename(y, ren_y)
+            y = rename_type(y, ren_y)
             dims = dict(reg_x.entries) | {ren_y[k]: reg_y.dim(k) for k in ren_y}
             dims |= {"Ain": 2, "Bmid": 2, "Cout": 3}
             reg = SystemRegistry.from_dict(dims)
@@ -289,19 +317,6 @@ class TestInvariances:
             target = Arrow(tensor(x, y),
                            Arrow(SystemString(("Ain",)), SystemString(("Cout",))))
             assert is_deterministic(rs, target, reg, tol=1e-9).passed
-
-
-def _rename(t, mapping):
-    from hoq.typesys import Arrow, BistochElem, SystemString
-
-    if isinstance(t, SystemString):
-        return SystemString(tuple(mapping.get(lab, lab) for lab in t.labels))
-    if isinstance(t, BistochElem):
-        return BistochElem(mapping.get(t.hat_in, t.hat_in),
-                           tuple(mapping.get(x, x) for x in t.in_tail),
-                           mapping.get(t.hat_out, t.hat_out),
-                           tuple(mapping.get(x, x) for x in t.out_tail))
-    return Arrow(_rename(t.lhs, mapping), _rename(t.rhs, mapping))
 
 
 class TestAdmissibility:

@@ -394,3 +394,79 @@ class TestFamilies:
             total = link_all([r] + funcs)
             assert total.factors == ()
             assert abs(complex(total.data[0, 0]) - 1) < 1e-10
+
+
+@pytest.fixture
+def permute_calls(monkeypatch):
+    """The orders of every permute_systems call made through a hoq module."""
+    import importlib
+
+    from hoq import linalg
+
+    calls = []
+    original = linalg.permute_systems
+
+    def counted(op, order):
+        calls.append(tuple(order))
+        return original(op, order)
+
+    for name in ("hoq", "hoq.linalg", "hoq.sectors", "hoq.membership", "hoq.processes",
+                 "hoq.network", "hoq.serialize", "hoq.cli"):
+        module = importlib.import_module(name)
+        if getattr(module, "permute_systems", None) is original:
+            monkeypatch.setattr(module, "permute_systems", counted)
+    return calls
+
+
+def _merged_group_by_group(op, groups):
+    """The port merge as a sequence of one permutation and one merge per group."""
+    from hoq.linalg import merge_factors
+
+    for new_label, members in groups.items():
+        rest = [lab for lab in op.labels if lab not in members]
+        at = sum(lab not in members for lab in op.labels[:op.labels.index(members[0])])
+        op = merge_factors(permute_systems(op, rest[:at] + list(members) + rest[at:]),
+                           members, new_label)
+    return op
+
+
+class TestOneReorder:
+    """Each operator is reordered at most once, by the function that forms it."""
+
+    def test_link_product_permutes_no_operand(self, permute_calls):
+        from hoq.linalg import link_product
+
+        n, m = time_flip_choi(2), n_time_flip_choi(1, 2)
+        link_product(relabel(n, {"Pt": "X"}), relabel(m, {"Ft": "X"}))
+        assert permute_calls == []
+
+    def test_canonical_ports_permutes_once(self, permute_calls):
+        from hoq.processes import canonical_ports
+
+        op = canonical_ports(flippable_switch_choi(2))
+        assert op.labels == ("A1", "B1", "A2", "B2", "P", "F")
+        assert permute_calls == [("A1", "B1", "A2", "B2", "Pt", "Pc", "Ft", "Fc")]
+
+    @pytest.mark.parametrize("groups", [
+        {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")},
+        {"F": ("Ft", "Fc"), "P": ("Pt", "Pc")},
+        {"F": ("Fc", "Ft"), "P": ("Pc", "A1", "Pt")},
+    ])
+    def test_merge_ports_permutes_once(self, permute_calls, groups):
+        op = flippable_switch_choi(2)
+        merged = merge_ports(op, groups)
+        assert len(permute_calls) == 1
+        want = _merged_group_by_group(op, groups)
+        assert merged.factors == want.factors
+        assert np.array_equal(merged.data, want.data)
+
+    def test_decompose_network_permutes_its_input_only(self, permute_calls):
+        blocks, spec, reg = bitooth_blocks_and_spec(3, 2, {1: 2, 2: 2}, seed=4)
+        r = compose_network(blocks, spec, reg)
+        permute_calls.clear()
+        out_blocks, spec2, reg2 = decompose_network(r, spec, reg)
+        assert len(permute_calls) == 1
+        assert [b.labels for b in out_blocks] == [
+            ("A1", "B1", "M1"), ("A2", "B2", "M1", "M2"), ("A3", "B3", "M2")]
+        back = compose_network(out_blocks, spec2, reg2, validate=False)
+        assert np.abs(back.data - permute_systems(r, back.labels).data).max() < 1e-8

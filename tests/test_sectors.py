@@ -41,7 +41,7 @@ from hoq.sectors import (
 from hoq.typesys import dehat
 
 from helpers import (NON_FINITE, mask_of, marks_of, non_finite_operator, random_type,
-                     reference_component)
+                     reference_component, rename_type)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -184,7 +184,7 @@ class TestDirectFormulas:
             u, reg_u = random_type(rng, (2, 3), max_depth=3, max_systems=4)
             from hoq.typesys import systems_of
             ren = {lab: f"{lab}q" for lab in systems_of(u)}
-            u = _rename(u, ren)
+            u = rename_type(u, ren)
             reg2 = reg.with_entries(**{ren[lab]: reg_u.dim(lab) for lab in ren})
             assert tensor_deviation_direct(t, u, reg2).same_subspace(
                 deviation_sectors(tensor(t, u), reg2))
@@ -196,19 +196,6 @@ class TestDirectFormulas:
             t, reg = random_type(rng, (2, 3), max_depth=4, max_systems=6)
             assert deviation_sectors(dual(dual(t)), reg).same_subspace(
                 deviation_sectors(t, reg))
-
-
-def _rename(t, mapping):
-    from hoq.typesys import Arrow, BistochElem, SystemString
-
-    if isinstance(t, SystemString):
-        return SystemString(tuple(mapping.get(lab, lab) for lab in t.labels))
-    if isinstance(t, BistochElem):
-        return BistochElem(mapping.get(t.hat_in, t.hat_in),
-                           tuple(mapping.get(x, x) for x in t.in_tail),
-                           mapping.get(t.hat_out, t.hat_out),
-                           tuple(mapping.get(x, x) for x in t.out_tail))
-    return Arrow(_rename(t.lhs, mapping), _rename(t.rhs, mapping))
 
 
 class TestNetworkCharacterization:
