@@ -12,14 +12,16 @@ Files are streamed one matrix row at a time both ways.  A write encodes each
 row with json's C encoder.  A read steps through the document's objects and
 arrays and decodes each ``"matrix"`` row with json's own scanner, integers as
 floats, into one array sized by the ``"factors"`` or the first row, so the
-Python objects of at most one row are alive at once.  The first entry of the
-first row decides the array: a number makes it real float64, a list (as in
+Python objects of at most one row are alive at once.  The first decoded row
+decides the array: one of numbers makes it real float64, one of lists (as in
 every pair file, old ones too) complex128, which the operator then stores
 as float64 when every imaginary part is 0.  The text must hold the claimed
 entries at 2 characters each for the real form (``0,``) and 5 for pairs
 (``[0,0]``) before anything is allocated.  Each row is checked as it arrives:
 a malformed row, or one in the other form, raises :class:`ShapeMismatch` and a
-NaN or infinite entry :class:`NonFiniteOperator`.
+NaN or infinite entry :class:`NonFiniteOperator`.  Every object of a document,
+an operator, a bundle or a network spec, must be a JSON object with its keys,
+or :class:`ShapeMismatch` names what it is not or the first key it lacks.
 """
 from __future__ import annotations
 
@@ -75,10 +77,11 @@ def check_max_dim(dim: int, max_dim: Optional[int]) -> None:
 
 def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
     """Factors of a payload's ``factors`` list; :class:`SizeLimit` above ``max_dim``."""
-    try:
-        factors = tuple(factor_entry(lab, d) for lab, d in entries)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
+    if not isinstance(entries, list) or any(not isinstance(e, list) or len(e) != 2
+                                            for e in entries):
+        raise ShapeMismatch("malformed operator payload: the factors must be "
+                            "[label, dimension] pairs")
+    factors = tuple(factor_entry(lab, d) for lab, d in entries)
     check_max_dim(math.prod(d for _, d in factors), max_dim)
     return factors
 
@@ -106,53 +109,47 @@ def _row(row, i: int, real: bool) -> np.ndarray:
     return entries
 
 
-def _allocated(n: int, max_dim: Optional[int], left: int, real: bool) -> np.ndarray:
-    """An empty ``(n, n)`` float64 matrix when ``real``, else ``(n, n, 2)`` of
-    pairs, once ``n`` fits ``max_dim`` and ``left`` characters of text hold
-    ``n * n`` entries."""
+def _fits(n: int, max_dim: Optional[int], left: int, width: int) -> None:
+    """:class:`SizeLimit` unless ``n`` fits ``max_dim``, :class:`ShapeMismatch`
+    unless ``left`` characters of text hold ``n * n`` entries of ``width`` each."""
     check_max_dim(n, max_dim)
-    # the shortest entry of each form: 0, and [0,0],
-    room = left // (2 if real else 5)
+    room = left // width
     if n * n > room:
         raise ShapeMismatch(f"malformed operator payload: dimension {n} needs {n * n} "
                             f"entries, more than the {room} that the rest of the text holds")
-    return np.empty((n, n) if real else (n, n, 2))
-
-
-def _first_entry(text: str, pos: int) -> str:
-    """The first character of the first entry of the first row of the matrix
-    whose ``[`` is at ``pos``; "" when the first row is not a list."""
-    for _ in range(2):
-        if text[pos:pos + 1] != "[":
-            return ""
-        pos = WHITESPACE.match(text, pos + 1).end()
-    return text[pos:pos + 1]
 
 
 def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndarray:
     """The matrix at the cursor, each row converted and checked as it comes.
 
-    The first entry of the first row decides the form: a number makes a real
-    float64 matrix and a list (or no entry) a complex one of ``[re, im]``
+    The first row decides the form: one of numbers makes a real float64
+    matrix and one of lists (or no entry) a complex one of ``[re, im]``
     pairs.  ``n`` is the factors' product when they came first, else None
-    for the first row's length.  The one array is allocated before the first
-    row is stored, so a header that claims more entries than its text holds
-    reserves no memory.
+    for the first row's length.  The text must hold ``n * n`` entries: the
+    factors' ``n`` is held to the shortest of either form, ``0,``, before any
+    row is decoded, and every ``n`` to its form's, ``0,`` or ``[0,0],``,
+    before the one array is allocated, so a header that claims more entries
+    than its text holds reserves no memory.
     """
     if cur.peek() != "[":
         raise ShapeMismatch("malformed operator payload: the matrix must be a list of rows")
     start = cur.pos
-    real = _first_entry(cur.text, start) not in ("", "[", "]")
     left = len(cur.text) - start
-    out = None if n is None else _allocated(n, max_dim, left, real)
+    if n is not None:
+        _fits(n, max_dim, left, 2)
     size = "a matrix of at least one row" if n is None else f"factor dimensions of product {n}"
     count = 0
     for count, _ in enumerate(cur.elements(), start=1):
-        row = _row(cur.value(_ROW_DECODER), count - 1, real)
-        if out is None:
-            n = len(row)
-            out = _allocated(n, max_dim, left, real)
-            size = f"a matrix whose first row has {n} entries"
+        row = cur.value(_ROW_DECODER)
+        if count == 1:
+            real = isinstance(row, list) and bool(row) and not isinstance(row[0], list)
+        row = _row(row, count - 1, real)
+        if count == 1:
+            if n is None:
+                n = len(row)
+                size = f"a matrix whose first row has {n} entries"
+            _fits(n, max_dim, left, 2 if real else 5)
+            out = np.empty((n, n) if real else (n, n, 2))
         if count > n or len(row) != n:
             raise ShapeMismatch(f"malformed operator payload: row {count - 1} of {len(row)} "
                                 f"entries for {size}")
@@ -212,9 +209,10 @@ class _Cursor:
         while self._more("]"):
             yield
 
-    def keys(self):
-        """Step into the object whose ``{`` comes next; the caller reads each key's value."""
-        self.peek()
+    def keys(self, what: str):
+        """Step into the object that comes next, a ``what``; the caller reads each key's value."""
+        if self.peek() != "{":
+            raise ShapeMismatch(f"malformed {what}: not a JSON object at character {self.pos}")
         self.pos += 1
         if self.peek() == "}":
             self.pos += 1
@@ -238,10 +236,8 @@ class _Cursor:
 
 def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
     """The operator object at the cursor, its matrix decoded one row at a time."""
-    if cur.peek() != "{":
-        raise ShapeMismatch(f"malformed operator payload: not a JSON object at character {cur.pos}")
     found = {}
-    for key in cur.keys():
+    for key in cur.keys("operator payload"):
         if key == "factors":
             found[key] = _factors(cur.value(), max_dim)
         elif key == "matrix":
@@ -249,11 +245,17 @@ def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
             found[key] = _matrix(cur, n, max_dim)
         else:
             cur.value()
-    try:
-        factors, matrix = found["factors"], found["matrix"]
-    except KeyError as exc:
-        raise ShapeMismatch(f"malformed operator payload: {exc}") from None
-    return LabeledOperator(factors, matrix)
+    return LabeledOperator(*_required(found, "operator payload", ("factors", "matrix")))
+
+
+def _required(found, what: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in ``found``, which must be a JSON object that has each."""
+    if not isinstance(found, dict):
+        raise ShapeMismatch(f"malformed {what}: not a JSON object")
+    for key in keys:
+        if key not in found:
+            raise ShapeMismatch(f"malformed {what}: no {key!r} key")
+    return [found[key] for key in keys]
 
 
 def _read_text(path: str) -> str:
@@ -306,10 +308,8 @@ def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None
                 limit: int = DEFAULT_RECURSION_LIMIT):
     """Blocks, spec and registry of a bundle file."""
     cur = _Cursor(_read_text(path))
-    if cur.peek() != "{":
-        raise ShapeMismatch(f"malformed bundle payload: not a JSON object at character {cur.pos}")
     payload = {}
-    for key in cur.keys():
+    for key in cur.keys("bundle payload"):
         if key != "blocks":
             payload[key] = cur.value()
         elif cur.peek() == "[":
@@ -317,22 +317,13 @@ def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None
         else:
             raise ShapeMismatch("malformed bundle payload: the blocks must be a list")
     cur.end()
-    try:
-        blocks, spec_part = payload["blocks"], payload["spec"]
-    except KeyError as exc:
-        raise ShapeMismatch(f"malformed bundle payload: {exc}") from None
-    memories, _ = _spec_fields(spec_part)
-    # memory labels may be synthetic (from a decomposition); pick their
-    # dimensions up from the block factors
-    extra = {}
-    for mem in memories:
-        if mem in reg:  # the trivial label always is
-            continue
-        for b in blocks:
-            if mem in b.labels:
-                extra[mem] = b.dim_of(mem)
-                break
-        else:
+    blocks, spec_part = _required(payload, "bundle payload", ("blocks", "spec"))
+    # memory labels may be synthetic (from a decomposition); their dimensions
+    # come from the first block that names them (the trivial label is registered)
+    named = {lab: d for b in reversed(blocks) for lab, d in b.factors}
+    extra = {mem: named.get(mem) for mem in _spec_fields(spec_part)[0] if mem not in reg}
+    for mem, dim in extra.items():
+        if dim is None:
             raise ShapeMismatch(f"memory {mem!r} not registered and absent from blocks")
     full_reg = reg.with_entries(**extra) if extra else reg
     return blocks, spec_from_dict(spec_part, full_reg, limit=limit), full_reg
@@ -340,10 +331,7 @@ def read_bundle(path: str, reg: SystemRegistry, *, max_dim: Optional[int] = None
 
 def _spec_fields(payload) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Memories and slot-type texts of a spec payload, each a JSON array of strings."""
-    try:
-        fields = payload["memories"], payload["slot_types"]
-    except (KeyError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed network spec: {exc}") from None
+    fields = _required(payload, "network spec", ("memories", "slot_types"))
     for key, value in zip(("memories", "slot_types"), fields):
         if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
             raise ShapeMismatch(f"malformed network spec: {key} must be an array of strings")

@@ -457,6 +457,18 @@ class TestSerialization:
         with pytest.raises(RecursionLimit, match="exceeds limit 0"):
             read_bundle(path, reg, limit=0)
 
+    def test_bundle_memory_takes_the_first_block_that_names_it(self, tmp_path):
+        # "M" is not registered: its dimension comes from the blocks' factors,
+        # and the first block that names it wins over a later one
+        blocks = [LabeledOperator((("A", 2), ("M", 3)), np.eye(6) / 2),
+                  LabeledOperator((("M", 2), ("B", 2)), np.eye(4) / 2)]
+        spec = {"slot_types": ["(^A -> ^B)"] * 2, "memories": ["I", "M", "I"]}
+        path = str(tmp_path / "bundle.json")
+        for order, dim in ((blocks, 3), (blocks[::-1], 2)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"blocks": [operator_to_dict(b) for b in order], "spec": spec}, fh)
+            assert read_bundle(path, SystemRegistry.of(A=2, B=2))[2].dim("M") == dim
+
     def test_max_dim_on_read(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("I", "I"))
@@ -1245,8 +1257,11 @@ class TestComposeDecompose:
         assert res.output.strip() == "1/2"
 
 
+FACTORS_NOT_PAIRS = "malformed operator payload: the factors must be [label, dimension] pairs"
+
 # inputs that every command refuses with exit 2 and one line naming the fault:
-# (command with ``{file}`` for the input file, the file's text, the message)
+# (command with ``{file}`` for the input file and ``{op}`` for a good operator
+# file, the input file's text, the message)
 BAD_INPUTS = {
     "hatted_trivial_system": (["lambda", "(^I -> ^B)", "--registry", "B=2"], None,
                               "the trivial system cannot be hatted at position 9"),
@@ -1254,11 +1269,22 @@ BAD_INPUTS = {
                                  "'I' cannot appear in a tail at position 11"),
     "operator_without_matrix": (["check", "A", "-f", "{file}", "--registry", "A=2"],
                                 {"factors": [["A", 2]]},
-                                "malformed operator payload: 'matrix'"),
+                                "malformed operator payload: no 'matrix' key"),
     "malformed_factors": (["check", "A", "-f", "{file}", "--registry", "A=2"],
-                          {"factors": [["A"]], "matrix": [[1, 0], [0, 1]]},
-                          "malformed operator payload: not enough values to unpack "
-                          "(expected 2, got 1)"),
+                          {"factors": [["A"]], "matrix": [[1, 0], [0, 1]]}, FACTORS_NOT_PAIRS),
+    "factors_not_a_list": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                           {"factors": 5, "matrix": [[1, 0], [0, 1]]}, FACTORS_NOT_PAIRS),
+    "factor_triple": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                      {"factors": [["A", 2, 3]], "matrix": [[1, 0], [0, 1]]}, FACTORS_NOT_PAIRS),
+    "no_rows": (["check", "A", "-f", "{file}", "--registry", "A=1"],
+                {"factors": [["A", 1]], "matrix": []},
+                "malformed operator payload: 0 rows for factor dimensions of product 1"),
+    # 371 characters from the matrix's "[": room for 185 entries of "0,"
+    "pair_header_claiming_too_much": (["check", "A", "-f", "{file}", "--registry", "A=1000"],
+                                      {"factors": [["A", 1000]], "matrix": [[[0, 0]] * 46]},
+                                      "malformed operator payload: dimension 1000 needs 1000000 "
+                                      "entries, more than the 185 that the rest of the text "
+                                      "holds"),
     "ragged_row": (["check", "A", "-f", "{file}", "--registry", "A=2"],
                    {"factors": [["A", 2]], "matrix": [[0.5, 0], [0]]},
                    "malformed operator payload: row 1 of 1 entries for factor dimensions "
@@ -1271,7 +1297,7 @@ BAD_INPUTS = {
                                                          "memories": ["I", "I"]}},
                                  "malformed bundle payload: the blocks must be a list"),
     "bundle_without_spec": (["compose", "{file}", "-o", "{out}", "--registry", "A=2,B=2"],
-                            {"blocks": []}, "malformed bundle payload: 'spec'"),
+                            {"blocks": []}, "malformed bundle payload: no 'spec' key"),
     "unregistered_memory": (["compose", "{file}", "-o", "{out}", "--registry", "A=2,B=2"],
                             {"blocks": [], "spec": {"slot_types": ["(^A -> ^B)"],
                                                     "memories": ["E", "I"]}},
@@ -1283,15 +1309,31 @@ BAD_INPUTS = {
     "config_value": (["lambda", "(^A -> ^B)", "--registry", "A=2,B=2", "--config", "{file}"],
                      "tol.herm = abc\n", "line 1: bad value 'abc' for 'tol.herm'"),
 }
+# a network spec standing alone, for check and decompose, or as a bundle's spec
+BAD_INPUTS.update({
+    f"spec_{name}_{route}": (args + ["--registry", "A=2,B=2"],
+                             '{"blocks": [], "spec": ' + text + "}" if route == "bundle" else text,
+                             f"malformed network spec: {message}")
+    for name, text, message in [("list", "[]", "not a JSON object"),
+                                ("string", '"x"', "not a JSON object"),
+                                ("null", "null", "not a JSON object"),
+                                ("empty", "{}", "no 'memories' key"),
+                                ("no_slot_types", '{"memories": ["I", "I"]}',
+                                 "no 'slot_types' key")]
+    for route, args in [("check", ["check", "--network-spec", "{file}", "-f", "{op}"]),
+                        ("decompose", ["decompose", "--spec", "{file}", "-f", "{op}",
+                                       "-o", "{out}"]),
+                        ("bundle", ["compose", "{file}", "-o", "{out}"])]})
 
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_bad_input_exits_2_with_its_message(runner, tmp_path, name):
     args, content, message = BAD_INPUTS[name]
-    path, out = tmp_path / "input", tmp_path / "out.json"
+    path, out, op = tmp_path / "input", tmp_path / "out.json", tmp_path / "op.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
-    res = runner.invoke(main, [a.format(file=path, out=out) for a in args])
+    write_operator(LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2), str(op))
+    res = runner.invoke(main, [a.format(file=path, out=out, op=op) for a in args])
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
     assert res.output == f"error: {message}\n"
     assert not out.exists()

@@ -8,8 +8,9 @@ characterizations, and of the operator and bundle file reader against a whole-do
 the two key orders of an operator document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
 in-place positivity test against planted spectra, of the check's
-positivity fields against a whole-matrix reference, and of the hermiticity
-defect against the whole-matrix maximum on random supports."""
+positivity fields against a whole-matrix reference, of the hermiticity
+defect against the whole-matrix maximum on random supports, and of the
+hierarchy's exact laws and its time symmetry on random types."""
 import gzip
 import json
 import math
@@ -47,11 +48,12 @@ from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_b
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors, full_space,
                          outside_component)
-from hoq.typesys import dehat, has_hats, systems_of
+from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, systems_of,
+                         tensor)
 
 from helpers import (converted, disjoint_gram, mask_of, marks_of, planted_traceless, random_type,
-                     reference_component, reference_partial_trace, unpruned_pattern_norms,
-                     unpruned_project)
+                     reference_component, reference_partial_trace, rename_type,
+                     unpruned_pattern_norms, unpruned_project)
 
 
 def drawn_hermitian(draw, dims):
@@ -237,6 +239,70 @@ def test_dehat_keeps_factor_order_and_coefficient(case):
     t, reg = case
     assert systems_of(dehat(t), reg) == systems_of(t, reg)
     assert identity_coeff(dehat(t), reg) == identity_coeff(t, reg)
+
+
+def _equal_types(a, b, reg) -> bool:
+    """Whether ``a`` and ``b`` have one coefficient and one deviation subspace."""
+    return (identity_coeff(a, reg) == identity_coeff(b, reg)
+            and deviation_sectors(a, reg).same_subspace(deviation_sectors(b, reg)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_hierarchy_laws_hold_exactly(seed):
+    # three random types over disjoint labels
+    rng = np.random.default_rng(seed)
+    types, dims = [], {}
+    for tag in "xyz":
+        t, reg = random_type(rng, (2, 3), max_depth=3, max_systems=4)
+        renamed = {lab: lab + tag for lab in systems_of(t)}
+        types.append(rename_type(t, renamed))
+        dims |= {renamed[lab]: reg.dim(lab) for lab in renamed}
+    x, y, z = types
+    reg = SystemRegistry.from_dict(dims)
+    assert _equal_types(Arrow(tensor(x, y), z), Arrow(x, Arrow(y, z)), reg)
+    assert _equal_types(tensor(x, y), tensor(y, x), reg)
+    assert _equal_types(tensor(tensor(x, y), z), tensor(x, tensor(y, z)), reg)
+    assert _equal_types(Arrow(x, y), Arrow(dual(y), dual(x)), reg)
+    assert _equal_types(dual(dual(x)), x, reg)
+    # x ⊗ y within x ⅋ y = (x* -> y)
+    par = Arrow(dual(x), y)
+    assert identity_coeff(tensor(x, y), reg) == identity_coeff(par, reg)
+    inner = deviation_sectors(tensor(x, y), reg)
+    assert inner.masks <= deviation_sectors(par, reg).reorder(inner.labels).masks
+
+
+@st.composite
+def pair_type(draw):
+    """A type of one to three tail-free hatted pairs ``^Ai -> ^Bi`` and ``I``
+    leaves, with its registry."""
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    leaves = draw(st.permutations([BistochElem(f"A{i}", (), f"B{i}", ()) for i in range(n)]
+                                  + [TRIVIAL] * draw(st.integers(0, 2))))
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        k = draw(st.integers(1, len(leaves) - 1))
+        return Arrow(tree(leaves[:k]), tree(leaves[k:]))
+
+    reg = SystemRegistry.from_dict({f"{side}{i}": d for i, d in enumerate(dims) for side in "AB"})
+    return tree(leaves), reg
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_type())
+def test_exchanging_each_pair_keeps_the_deviation_sectors(case):
+    # time symmetry: ^Ai -> ^Bi and ^Bi -> ^Ai allow the same deviations, so
+    # exchanging every pair keeps the set; the one-way arrows of the dehatted
+    # type do not
+    t, reg = case
+    swapped = rename_type(t, {lab: ("B" if lab[0] == "A" else "A") + lab[1:]
+                              for lab in systems_of(t)})
+    assert deviation_sectors(swapped, reg).same_subspace(deviation_sectors(t, reg))
+    assert not deviation_sectors(dehat(swapped), reg).same_subspace(
+        deviation_sectors(dehat(t), reg))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,14 @@
-"""README.md's Python examples run as written, and their result comments hold."""
+"""README.md's Python examples and its command-line block run as written,
+and their result comments hold."""
 import ast
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from hoq.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +40,31 @@ def test_readme_python_blocks_run_and_match_their_comments():
                 assert _matches(value, expected), f"{ast.unparse(stmt)} gave {value!r}"
                 checked += 1
     assert checked >= 5
+
+
+def test_readme_command_line_block_runs_and_matches_its_comments(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    ran = 0
+    # the commands run in order in one directory, so a later line reads the
+    # files an earlier one wrote
+    for line in block.replace("\\\n", "").splitlines():
+        command, _, comment = line.partition("#")
+        args = shlex.split(command)[1:]
+        # a "..." placeholder, or a file that no earlier line wrote
+        if not args or "..." in args or any(
+                a.endswith(".json") and prev != "-o" and not Path(a).exists()
+                for prev, a in zip([""] + args, args)):
+            continue
+        res = runner.invoke(main, args)
+        comment = comment.strip()
+        exits = re.match(r"exits (\d+)", comment)
+        assert res.exit_code == (int(exits.group(1)) if exits else 0), (line, res.output)
+        if comment and not exits:
+            # "a / b" is two printed lines
+            expected = comment.split(" / ")
+            assert res.output.splitlines()[:len(expected)] == expected, (line, res.output)
+        ran += 1
+    assert ran == 7
