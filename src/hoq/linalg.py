@@ -470,12 +470,6 @@ def _subtract_panel(sym: np.ndarray, k1: int, panel_h: np.ndarray) -> None:
         sym[i0:i1, i0:i1] -= np.tril(row @ panel_h[:, i0 - k1:i1 - k1])
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """``||a||_F``, without the copies of the real and imaginary parts that
-    ``np.linalg.norm`` makes of a complex array (half an operator copy)."""
-    return math.sqrt(float(np.vdot(a, a).real))
-
-
 def _require_hermitian(a: LabeledOperator, tol: float) -> float:
     """The hermiticity defect of ``a``; :class:`NotHermitian` beyond ``tol``,
     which :func:`check_tol` tests first."""

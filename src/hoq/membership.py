@@ -10,12 +10,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _certificate_block, _frobenius,
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _certificate_block,
                      _psd_status, check_tol, hermitian_part, permute_systems)
 from .sectors import (
     SectorSet,
     _mask_text,
     _permute_mask,
+    _idle_traced,
     _project,
     deviation_sectors,
     identity_coeff,
@@ -162,7 +163,8 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     not written before the certificate factors it.  So the front half holds
     no operator-sized array besides ``op`` for an exactly Hermitian operator
     with at most half its rows live, and one otherwise; the back half then
-    holds at most one.  Every tolerance is checked before any of that.
+    holds none, or one when :func:`_back_half`'s Z is empty.  Every
+    tolerance is checked before any of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
@@ -194,19 +196,24 @@ def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSe
     order of ``sectors``, and the verdict; patterns are named in ``sectors``' order.
 
     The identity pattern is never forbidden, so ``R`` and ``R - coeff*1`` have
-    the same outside component, and ``R`` is projected as it is.  ``scale`` is
-    the front half's ``1 + ||R - coeff*1||_F``.
+    the same outside component.  Every forbidden pattern marks the factors Z
+    identity (the global future, in every level that has one), so it is
+    ``Y (x) 1_Z``: ``Y`` is taken on ``R`` averaged over Z, d_Z^2 times
+    smaller, and its squared norm and pattern weights times d_Z are those of
+    the component.  ``scale`` is the front half's ``1 + ||R - coeff*1||_F``.
     """
-    matched = sectors.reorder(r.factors)
-    outside = outside_component(r, matched, herm_tol=np.inf)
-    residual = _frobenius(outside.data)
+    small, allowed, idle_dim = _idle_traced(r, sectors.reorder(r.factors))
+    outside = outside_component(small, allowed, herm_tol=np.inf)
+    residual = math.sqrt(idle_dim * float(np.vdot(outside.data, outside.data).real))
 
     forbidden = []
     if residual > _NOISE_FLOOR * scale:
-        norms = pattern_norms(outside, herm_tol=np.inf)
-        where = [r.labels.index(lab) for lab in sectors.labels]
+        norms = pattern_norms(outside, herm_tol=np.inf) * idle_dim
+        # bit len(small.labels) of a mask is 0: identity at every factor of Z
+        where = [small.labels.index(lab) if lab in small.labels else len(small.labels)
+                 for lab in sectors.labels]
         for mask, sq in enumerate(norms.tolist()):
-            if mask == 0 or mask in matched:
+            if mask == 0 or mask in allowed:
                 continue
             norm = math.sqrt(sq)
             if norm > _NOISE_FLOOR * scale:

@@ -378,6 +378,31 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     return out
 
 
+def _idle_traced(op: LabeledOperator, s: SectorSet) -> tuple[LabeledOperator, SectorSet, int]:
+    """``op`` averaged over the factors Z that every pattern outside ``s``
+    and the identity marks identity, ``s`` over the factors kept, and d_Z;
+    ``op`` and ``s`` as they are when Z is empty.  ``s`` is in ``op``'s
+    order, and Z is traced out highest first, as in :func:`_project_masks`.
+    """
+    k = len(op.factors)
+    marked = 0
+    for m in range(1, 1 << k):
+        if m not in s.masks:
+            marked |= m
+    kept = [i for i in range(k) if marked >> i & 1]
+    if len(kept) == k:
+        return op, s, 1
+    data, dims = op.data, op.dims
+    for pos in reversed(range(k)):
+        if not marked >> pos & 1:
+            data = _trace_factor(data, dims, pos)
+            data /= dims[pos]
+            dims = dims[:pos] + dims[pos + 1:]
+    factors = [op.factors[i] for i in kept]
+    masks = {_permute_mask(m, kept) for m in s.masks if m & marked == m}
+    return LabeledOperator(factors, data), SectorSet(factors, masks), op.dim // data.shape[0]
+
+
 def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     """Projection onto ``masks``, through the complement when that set is smaller.
 

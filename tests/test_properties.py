@@ -3,8 +3,9 @@ projection and pattern norms on dense and exact sparse inputs and against
 their recursions without stops at zero arrays, of the invariants that let
 ``classify`` and ``is_admissible`` share the check's front half, of real
 arithmetic against complex arithmetic in the check, of checks that run in
-the operator's own factor order, of the factor order of network
-characterizations, and of the operator and bundle file reader against a whole-document conversion, across
+the operator's own factor order, of the check's sector test against the
+outside component formed on the whole operator, of the factor order of
+network characterizations, and of the operator and bundle file reader against a whole-document conversion, across
 the two key orders of an operator document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
 in-place positivity test against planted spectra, of the check's
@@ -18,6 +19,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -501,6 +503,81 @@ def test_checks_run_in_any_factor_order(case, add_forbidden, size, random):
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
         assert got.witness.factors == want.witness.factors == sectors.systems
+
+
+def _full_space_breakdown(op, sectors, scale):
+    """The sector residual of ``op`` and its forbidden patterns with their
+    norms, from the outside component formed on the whole operator: the
+    reference for the check, which forms it on ``op`` averaged over the
+    factors that every forbidden pattern marks identity."""
+    outside = outside_component(op, sectors)
+    residual = float(np.linalg.norm(outside.data))
+    allowed = sectors.reorder(op.factors).masks
+    found = {}
+    for mask, sq in enumerate(pattern_norms(outside)):
+        if mask and mask not in allowed and math.sqrt(sq) > 1e-12 * scale:
+            marks = ("T" if mask >> op.labels.index(lab) & 1 else "I" for lab in sectors.labels)
+            found[" ".join(f"{lab}:{m}" for lab, m in zip(sectors.labels, marks))] = math.sqrt(sq)
+    return residual, found if residual > 1e-12 * scale else {}
+
+
+def _assert_check_is_the_full_space_breakdown(t, reg, real, tol, random):
+    # a dense deterministic event plus noise of about a tenth of it, in a
+    # shuffled factor order
+    coeff, sectors = characterization_of(t, reg)
+    sample = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    rng = np.random.default_rng(random.randrange(1 << 16))
+    noise = random_hermitian(sample.dim, rng) * (0.1 * float(coeff) / math.sqrt(sample.dim))
+    data = sample.data + noise
+    if real:
+        data = ((data + data.T) / 2).real
+    order = list(sample.labels)
+    random.shuffle(order)
+    op = permute_systems(LabeledOperator(sample.factors, data), order)
+    assert op.data.dtype == (np.float64 if real else np.complex128)
+
+    rep = check_operator(op, coeff, sectors, tol=tol)
+    scale = 1.0 + float(np.linalg.norm(op.data - float(coeff) * np.eye(op.dim)))
+    residual, found = _full_space_breakdown(op, sectors, scale)
+    assert rep.verdict == ("PASS" if rep.psd_ok and rep.lambda_ok and residual <= tol
+                           else "FAIL")
+    assert rep.sector_residual == pytest.approx(residual, rel=1e-12, abs=0.0)
+    reported = dict(rep.forbidden_components)
+    assert len(reported) == len(rep.forbidden_components) and reported.keys() == found.keys()
+    for pattern, norm in found.items():
+        assert reported[pattern] == pytest.approx(norm, rel=1e-12, abs=0.0)
+    return rep
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_type(max_systems=6), st.booleans(), st.sampled_from([1e-9, 1.0]),
+       st.randoms(use_true_random=False))
+def test_check_equals_the_full_space_breakdown(case, real, tol, random):
+    t, reg = case
+    assume(math.prod(reg.dim(lab) for lab in systems_of(t)) <= 400)
+    _assert_check_is_the_full_space_breakdown(t, reg, real, tol, random)
+
+
+@pytest.mark.parametrize("text,idle", [
+    # the lc23 level: no global future, and no factor idle in its check
+    ("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> I)", ""),
+    # the BSP level: the global future F is idle
+    ("((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))", "F"),
+    # a state of two systems forbids nothing: every factor is idle
+    ("A1 B1", "A1 B1"),
+])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_check_equals_the_full_space_breakdown_on_named_levels(text, idle, real):
+    reg = SystemRegistry.of(A1=2, B1=2, A2=3, B2=3, P=3, F=2)
+    t = parse_type(text, reg)
+    sectors = deviation_sectors(t, reg)
+    k = len(sectors.systems)
+    forbidden = frozenset(range(1, 1 << k)) - sectors.masks
+    assert [lab for i, lab in enumerate(sectors.labels)
+            if not any(m >> i & 1 for m in forbidden)] == idle.split()
+    for seed in range(3):
+        rep = _assert_check_is_the_full_space_breakdown(t, reg, real, 1e-9, Random(seed))
+        assert bool(rep.forbidden_components) == bool(forbidden)
 
 
 # the parts of a matrix entry: floats, -0.0, integers, and 0.0 for a real entry

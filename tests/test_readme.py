@@ -53,10 +53,8 @@ def test_readme_command_line_block_runs_and_matches_its_comments(tmp_path, monke
     for line in block.replace("\\\n", "").splitlines():
         command, _, comment = line.partition("#")
         args = shlex.split(command)[1:]
-        # a "..." placeholder, or a file that no earlier line wrote
-        if not args or "..." in args or any(
-                a.endswith(".json") and prev != "-o" and not Path(a).exists()
-                for prev, a in zip([""] + args, args)):
+        # a line with a "..." placeholder stands for a family of commands
+        if not args or "..." in args:
             continue
         res = runner.invoke(main, args)
         comment = comment.strip()
