@@ -9,6 +9,7 @@ All transposes are taken in the fixed computational basis of each factor.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -121,13 +122,14 @@ class LabeledOperator:
         rows are live, every entry lies in rows L, so the defect is the larger
         of ``max |B - B^H|`` over the block ``B = A[L, L]`` and
         ``max |A[L, ~L]|``, whose mirrors lie in zero rows: only rows L are
-        read.  Otherwise one scan over the tiles of :data:`_TILE` rows and
-        columns on and above the diagonal compares ``A[I, J]`` with
-        ``conj(A[J, I]^T)``.  Neither forms an operator-sized temporary, and
-        each difference is the negated conjugate of its mirror's, so the
-        maximum is that of the whole matrix, bit for bit.  The first part
-        whose largest difference is not finite ends the scan, and one pass
-        over the operator tells a non-finite entry from an overflowing defect.
+        read, ``A[L, ~L]`` a tile's area of rows at a time.  Otherwise one
+        scan over the tiles of :data:`_TILE` rows and columns on and above
+        the diagonal compares ``A[I, J]`` with ``conj(A[J, I]^T)``.  Neither
+        forms an operator-sized temporary, and each difference is the
+        negated conjugate of its mirror's, so the maximum is that of the
+        whole matrix, bit for bit.  The first part whose largest difference
+        is not finite ends the scan, and one pass over the operator tells a
+        non-finite entry from an overflowing defect.
         """
         data = self.data
         live = _sparse_support(data)
@@ -138,9 +140,8 @@ class LabeledOperator:
                          for i, j in _tiles(self.dim, upper=True))
             else:
                 block = data[np.ix_(live, live)]
-                outside = data[np.ix_(live, np.delete(np.arange(self.dim), live))]
-                # the mirrors of ``outside`` are 0, so its differences are its entries
-                parts = (block - block.T.conj(), outside)
+                # the mirrors of A[L, ~L] are 0, so its differences are its entries
+                parts = itertools.chain((block - block.T.conj(),), _live_strips(data, live))
             for diff in parts:
                 # a real difference takes its moduli in place; a complex one's are real
                 peak = float(np.abs(diff, out=diff if diff.dtype.kind == "f" else None)
@@ -166,6 +167,21 @@ def _tiles(n: int, upper: bool):
     for i0 in range(0, n, height):
         for j0 in range(i0 if upper else 0, n, width):
             yield slice(i0, i0 + height), slice(j0, j0 + width)
+
+
+def _live_strips(data: np.ndarray, live: np.ndarray):
+    """The rows ``live`` of ``data`` with the columns ``live`` set to 0, that
+    is ``A[L, ~L]`` padded with zeros, as many rows at a time as fit in one
+    :data:`_TILE` area, and at least one; each chunk is written into the
+    same buffer, so it is valid until the next is read."""
+    rows = max(1, min(len(live), _TILE[0] * _TILE[1] // len(data)))
+    buf = np.empty((rows, len(data)), data.dtype)
+    for i in range(0, len(live), rows):
+        index = live[i:i + rows]
+        # "clip" takes without a buffered copy; every index is in range
+        strip = np.take(data, index, axis=0, out=buf[:len(index)], mode="clip")
+        strip[:, live] = 0
+        yield strip
 
 
 def _sparse_support(m: np.ndarray) -> np.ndarray | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -14,9 +15,9 @@ from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _certificate_block,
                      _psd_status, check_tol, hermitian_part, permute_systems)
 from .sectors import (
     SectorSet,
-    _mask_text,
-    _permute_mask,
+    _complement,
     _idle_traced,
+    _level_plan,
     _project,
     deviation_sectors,
     identity_coeff,
@@ -200,24 +201,22 @@ def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSe
     identity (the global future, in every level that has one), so it is
     ``Y (x) 1_Z``: ``Y`` is taken on ``R`` averaged over Z, d_Z^2 times
     smaller, and its squared norm and pattern weights times d_Z are those of
-    the component.  ``scale`` is the front half's ``1 + ||R - coeff*1||_F``.
+    the component.  Z, the allowed set over the other factors and the texts
+    of the forbidden patterns come from the level's plan, worked out once
+    per level and factor order (:func:`hoq.sectors._level_plan`).  ``scale``
+    is the front half's ``1 + ||R - coeff*1||_F``.
     """
-    small, allowed, idle_dim = _idle_traced(r, sectors.reorder(r.factors))
-    outside = outside_component(small, allowed, herm_tol=np.inf)
-    residual = math.sqrt(idle_dim * float(np.vdot(outside.data, outside.data).real))
+    plan = _level_plan(sectors, r.factors)
+    outside = outside_component(_idle_traced(r, plan), plan.allowed, herm_tol=np.inf)
+    residual = math.sqrt(plan.idle_dim * float(np.vdot(outside.data, outside.data).real))
 
     forbidden = []
     if residual > _NOISE_FLOOR * scale:
-        norms = pattern_norms(outside, herm_tol=np.inf) * idle_dim
-        # bit len(small.labels) of a mask is 0: identity at every factor of Z
-        where = [small.labels.index(lab) if lab in small.labels else len(small.labels)
-                 for lab in sectors.labels]
-        for mask, sq in enumerate(norms.tolist()):
-            if mask == 0 or mask in allowed:
-                continue
-            norm = math.sqrt(sq)
+        norms = (pattern_norms(outside, herm_tol=np.inf) * plan.idle_dim).tolist()
+        for mask, text in plan.forbidden:
+            norm = math.sqrt(norms[mask])
             if norm > _NOISE_FLOOR * scale:
-                forbidden.append((_mask_text(_permute_mask(mask, where), sectors.systems), norm))
+                forbidden.append((text, norm))
         # norms equal to 12 digits tie and the pattern text orders them, so
         # last-bit rounding does not decide the order
         forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))
@@ -260,21 +259,29 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     sector patterns (with weights) that are allowed for bidirectional events
     but forbidden for ordinary ones.
     """
-    if not has_hats(t):
-        raise NoHattedSystems("classification requires at least one hatted pair")
-    coeff, bi_sectors = characterization_of(t, reg)
-    std_coeff, std_sectors = characterization_of(dehat(t), reg)
-    assert std_coeff == coeff and std_sectors.systems == bi_sectors.systems
+    coeff, bi_sectors, std_sectors, gap_texts = _classification_plan(t, reg)
     bi_sectors.reorder(op.factors)  # FactorMismatch before the front half
     front = _front_half(op, coeff, tol, psd_tol, herm_tol)
     bi = _back_half(*front, bi_sectors, tol)
     std = _back_half(*front, std_sectors, tol)
     if not bi.passed or std.passed:
         return Classification("BOTH" if bi.passed else "NEITHER", [], bi, std)
-    gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
-    gap_texts = set(gap.texts())
     forbidden = [(pat, norm) for pat, norm in std.forbidden_components if pat in gap_texts]
     return Classification("BISTOCH_ONLY", forbidden, bi, std)
+
+
+@lru_cache(maxsize=256)
+def _classification_plan(t: TypeExpr, reg: SystemRegistry):
+    """The coefficient, the sector sets of ``t`` and of its dehatted type, and
+    the texts of the patterns only the first allows: fixed by the type, so
+    worked out once.  Raises :class:`NoHattedSystems` for a type without hats."""
+    if not has_hats(t):
+        raise NoHattedSystems("classification requires at least one hatted pair")
+    coeff, bi_sectors = characterization_of(t, reg)
+    std_coeff, std_sectors = characterization_of(dehat(t), reg)
+    assert std_coeff == coeff and std_sectors.systems == bi_sectors.systems
+    gap = SectorSet(bi_sectors.systems, bi_sectors.masks - std_sectors.masks)
+    return coeff, bi_sectors, std_sectors, frozenset(gap.texts())
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +340,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     # the affine set is a + V (a = coeff*1 - op = -deviation, V the allowed sectors): its
     # projection is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp
     dims = op.dims
-    perp = frozenset(range(1 << len(dims))) - masks
+    perp = _complement(len(dims), masks)
     offset = -_project(deviation, dims, perp)
 
     x = np.zeros_like(offset)

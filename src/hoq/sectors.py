@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,6 +277,12 @@ def network_characterization(slot_types: Sequence[TypeExpr], e0: str, en: str,
     """
     if not slot_types:
         raise ValueError("a network needs at least one slot")
+    return _network_cached(tuple(slot_types), e0, en, reg)
+
+
+@lru_cache(maxsize=256)
+def _network_cached(slot_types: tuple, e0: str, en: str,
+                    reg: SystemRegistry) -> tuple[Fraction, SectorSet]:
     mem0 = systems_of(SystemString((e0,)), reg)
     memn = systems_of(SystemString((en,)), reg)
     slot_devs = [deviation_sectors(x, reg) for x in slot_types]
@@ -322,7 +328,29 @@ def _is_zero(a: np.ndarray) -> bool:
     return not a[0].any() and not a.any()
 
 
-def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
+@lru_cache(maxsize=4096)
+def _split(width: int, masks: frozenset) -> tuple[int, frozenset, frozenset]:
+    """One step of :func:`_project_masks` on ``masks`` over ``width`` factors:
+    the factor it traces out, counted from the first, and the mask sets of
+    its high (traceless) and low (identity) branches.
+
+    The factor is the highest one that every mask marks identity, else the
+    first, whose traceless masks form the high branch; with an idle factor
+    the high branch is empty.  A level's mask sets are fixed, so each step is
+    worked out once.
+    """
+    marked = 0
+    for m in masks:
+        marked |= m
+    idle = ~marked & ((1 << width) - 1)
+    i = max(idle.bit_length() - 1, 0)
+    below = (1 << i) - 1
+    high = frozenset() if idle else frozenset(m >> 1 for m in masks if m & 1)
+    low = frozenset(m & below | m >> 1 & ~below for m in masks if not m >> i & 1)
+    return i, high, low
+
+
+def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks: frozenset, owned=False):
     """Project onto the union of sector masks over factors pos..k-1.
 
     A factor that every mask marks identity is traced out, the recursion
@@ -330,13 +358,13 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     ``(x) 1``; the highest such factor goes first, at every level.  With
     none, the factor at ``pos`` splits into its identity average and the
     traceless complement, and the identity branch recurses on the
-    traced-out matrix.  So full-size arithmetic happens only along runs of
-    traceless factors; empty branches return None and full branches return
-    their input unchanged.  Results are formed in ``data`` itself when the
-    call ``owned`` it, else in one new array, and identity branches are
-    added into them block by block, so a projection costs at most one
-    full-size array.  The recursion stops at exactly zero arrays, since
-    every projection of 0 is 0: a zero identity average is neither
+    traced-out matrix (:func:`_split`).  So full-size arithmetic happens only
+    along runs of traceless factors; empty branches return None and full
+    branches return their input unchanged.  Results are formed in ``data``
+    itself when the call ``owned`` it, else in one new array, and identity
+    branches are added into them block by block, so a projection costs at
+    most one full-size array.  The recursion stops at exactly zero arrays,
+    since every projection of 0 is 0: a zero identity average is neither
     subtracted nor recursed on, and a zero traceless branch returns None.
     """
     k = len(dims)
@@ -344,17 +372,8 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
         return None
     if len(masks) == 1 << (k - pos):
         return data
-    marked = 0
-    for m in masks:
-        marked |= m
-    idle = ~marked & ((1 << (k - pos)) - 1)
-    # the factor traced out: the highest idle one, else the one at ``pos``,
-    # whose traceless masks form the high branch
-    i = max(idle.bit_length() - 1, 0)
-    below = (1 << i) - 1
+    i, high, low = _split(k - pos, masks)
     traced = pos + i
-    high = () if idle else {m >> 1 for m in masks if m & 1}
-    low = {m & below | m >> 1 & ~below for m in masks if not m >> i & 1}
     small = _trace_factor(data, dims, traced)
     small /= dims[traced]
     no_identity = _is_zero(small)
@@ -378,29 +397,75 @@ def _project_masks(data: np.ndarray, dims: tuple, pos: int, masks, owned=False):
     return out
 
 
-def _idle_traced(op: LabeledOperator, s: SectorSet) -> tuple[LabeledOperator, SectorSet, int]:
-    """``op`` averaged over the factors Z that every pattern outside ``s``
-    and the identity marks identity, ``s`` over the factors kept, and d_Z;
-    ``op`` and ``s`` as they are when Z is empty.  ``s`` is in ``op``'s
-    order, and Z is traced out highest first, as in :func:`_project_masks`.
+class _LevelPlan(NamedTuple):
+    """What a check of one level in one factor order needs besides the
+    operator; see :func:`_level_plan`."""
+
+    idle: tuple[int, ...]
+    factors: tuple[tuple[str, int], ...]
+    allowed: SectorSet
+    idle_dim: int
+    forbidden: tuple[tuple[int, str], ...]
+
+
+@lru_cache(maxsize=256)
+def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
+    """The sector test's plan for the level ``s``, a type's set, on an
+    operator with factors ``order``.
+
+    Z, the factors that every pattern outside ``s`` and the identity marks
+    identity, are ``idle``, by position in ``order`` and highest first; the
+    other factors are ``factors``, and ``allowed`` is ``s`` over them (the
+    patterns that mark a factor of Z traceless drop out), with ``d_Z`` as
+    ``idle_dim``.  ``forbidden`` pairs each other pattern over ``factors``
+    but the identity, by mask, with its text in ``s``' order.  The plan
+    depends on the two exact arguments only, so a level's bookkeeping is
+    done once.  Raises :class:`FactorMismatch` unless ``order`` is an order
+    of ``s``' factors.
     """
-    k = len(op.factors)
+    in_order = s.reorder(order)
+    k = len(order)
     marked = 0
     for m in range(1, 1 << k):
-        if m not in s.masks:
+        if m not in in_order.masks:
             marked |= m
     kept = [i for i in range(k) if marked >> i & 1]
-    if len(kept) == k:
-        return op, s, 1
+    idle = tuple(i for i in reversed(range(k)) if not marked >> i & 1)
+    factors = tuple(in_order.systems[i] for i in kept)
+    allowed = SectorSet(factors, {_permute_mask(m, kept) for m in in_order.masks
+                                  if m & marked == m})
+    idle_dim = math.prod(in_order.systems[i][1] for i in idle)
+    # bit len(factors) of a mask is 0: identity at every factor of Z
+    labels = [lab for lab, _ in factors]
+    where = [labels.index(lab) if lab in labels else len(labels) for lab in s.labels]
+    forbidden = tuple((mask, _mask_text(_permute_mask(mask, where), s.systems))
+                      for mask in range(1, 1 << len(factors)) if mask not in allowed)
+    return _LevelPlan(idle, factors, allowed, idle_dim, forbidden)
+
+
+def _idle_traced(op: LabeledOperator, plan: _LevelPlan) -> LabeledOperator:
+    """``op`` averaged over the factors Z of ``plan``, highest first as in
+    :func:`_project_masks`; ``op`` itself when Z is empty."""
+    if not plan.idle:
+        return op
     data, dims = op.data, op.dims
-    for pos in reversed(range(k)):
-        if not marked >> pos & 1:
-            data = _trace_factor(data, dims, pos)
-            data /= dims[pos]
-            dims = dims[:pos] + dims[pos + 1:]
-    factors = [op.factors[i] for i in kept]
-    masks = {_permute_mask(m, kept) for m in s.masks if m & marked == m}
-    return LabeledOperator(factors, data), SectorSet(factors, masks), op.dim // data.shape[0]
+    for pos in plan.idle:
+        data = _trace_factor(data, dims, pos)
+        data /= dims[pos]
+        dims = dims[:pos] + dims[pos + 1:]
+    return LabeledOperator(plan.factors, data)
+
+
+@lru_cache(maxsize=1024)
+def _complement(k: int, masks: frozenset) -> frozenset:
+    """The masks over ``k`` factors that are not in ``masks``."""
+    return frozenset(range(1 << k)) - masks
+
+
+@lru_cache(maxsize=256)
+def _forbidden(s: SectorSet) -> frozenset:
+    """The masks outside ``s`` and the identity."""
+    return _complement(len(s.systems), s.masks) - {0}
 
 
 def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
@@ -410,7 +475,7 @@ def _project(data: np.ndarray, dims: tuple, masks) -> np.ndarray:
     ``data`` is never written.
     """
     masks = frozenset(masks)
-    complement = frozenset(range(1 << len(dims))) - masks
+    complement = _complement(len(dims), masks)
     through_complement = len(complement) < len(masks)
     out = _project_masks(data, dims, 0, complement if through_complement else masks)
     if through_complement:
@@ -443,8 +508,7 @@ def outside_component(op: LabeledOperator, s: SectorSet,
     ``s``; computed through whichever of the two complementary mask sets is
     smaller, in ``op``'s factor order as :func:`sector_project` is.
     """
-    forbidden = frozenset(range(1 << len(op.factors))) - s.reorder(op.factors).masks - {0}
-    return _projected(op, forbidden, herm_tol)
+    return _projected(op, _forbidden(s.reorder(op.factors)), herm_tol)
 
 
 def pattern_norms(op: LabeledOperator, herm_tol: float = TOL_HERM) -> np.ndarray:

@@ -388,3 +388,23 @@ def planted_traceless(rng, dims, complex_entries):
             term = np.kron(term, f)
         out += term
     return out
+
+
+def hoq_caches():
+    """Every ``lru_cache`` of hoq's modules, each once."""
+    import hoq
+    from hoq import linalg, membership, network, processes, sectors, serialize, typesys
+
+    found = {}
+    for module in (hoq, linalg, membership, network, processes, sectors, serialize, typesys):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found[id(value)] = value
+    return list(found.values())
+
+
+def clear_plan_caches():
+    """Empty every cache, so that the next check works out its level's
+    characterization and plan again."""
+    for cached in hoq_caches():
+        cached.cache_clear()

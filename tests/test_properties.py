@@ -4,15 +4,18 @@ their recursions without stops at zero arrays, of the invariants that let
 ``classify`` and ``is_admissible`` share the check's front half, of real
 arithmetic against complex arithmetic in the check, of checks that run in
 the operator's own factor order, of the check's sector test against the
-outside component formed on the whole operator, of the factor order of
-network characterizations, and of the operator and bundle file reader against a whole-document conversion, across
-the two key orders of an operator document and across its two row forms, of
+outside component formed on the whole operator, of checks from emptied
+and from warm plan caches, of the factor order of network
+characterizations, and of the operator and bundle file reader against a
+whole-document conversion, across the two key orders of an operator
+document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
 in-place positivity test against planted spectra, of the check's
 positivity fields against a whole-matrix reference, of the hermiticity
 defect against the whole-matrix maximum on random supports, and of the
 hierarchy's exact laws and its time symmetry on random types."""
 import gzip
+import itertools
 import json
 import math
 import re
@@ -47,15 +50,16 @@ from hoq.errors import HoqError, NonFiniteOperator, NotHermitian, ShapeMismatch,
 from hoq.linalg import TOL_HERM, TOL_PSD, _certificate_block, _psd_status, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
-from hoq.membership import characterization_of, check_operator, random_hermitian
+from hoq.membership import Classification, characterization_of, check_operator, random_hermitian
 from hoq.sectors import (SectorSet, _project_masks, deviation_sectors, full_space,
                          outside_component)
 from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, systems_of,
                          tensor)
 
-from helpers import (converted, disjoint_gram, mask_of, marks_of, planted_traceless, random_type,
-                     reference_component, reference_partial_trace, rename_type,
-                     unpruned_pattern_norms, unpruned_project)
+from helpers import (clear_plan_caches, converted, disjoint_gram, mask_of, marks_of,
+                     planted_traceless, random_type, reference_component,
+                     reference_partial_trace, rename_type, unpruned_pattern_norms,
+                     unpruned_project)
 
 
 def drawn_hermitian(draw, dims):
@@ -521,10 +525,10 @@ def _full_space_breakdown(op, sectors, scale):
     return residual, found if residual > 1e-12 * scale else {}
 
 
-def _assert_check_is_the_full_space_breakdown(t, reg, real, tol, random):
-    # a dense deterministic event plus noise of about a tenth of it, in a
-    # shuffled factor order
-    coeff, sectors = characterization_of(t, reg)
+def _noisy_event(t, reg, real, random):
+    """A dense deterministic event of ``t`` plus noise of about a tenth of it,
+    real or complex, in a shuffled factor order."""
+    coeff = identity_coeff(t, reg)
     sample = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
     rng = np.random.default_rng(random.randrange(1 << 16))
     noise = random_hermitian(sample.dim, rng) * (0.1 * float(coeff) / math.sqrt(sample.dim))
@@ -535,7 +539,12 @@ def _assert_check_is_the_full_space_breakdown(t, reg, real, tol, random):
     random.shuffle(order)
     op = permute_systems(LabeledOperator(sample.factors, data), order)
     assert op.data.dtype == (np.float64 if real else np.complex128)
+    return op
 
+
+def _assert_check_is_the_full_space_breakdown(t, reg, real, tol, random):
+    coeff, sectors = characterization_of(t, reg)
+    op = _noisy_event(t, reg, real, random)
     rep = check_operator(op, coeff, sectors, tol=tol)
     scale = 1.0 + float(np.linalg.norm(op.data - float(coeff) * np.eye(op.dim)))
     residual, found = _full_space_breakdown(op, sectors, scale)
@@ -578,6 +587,68 @@ def test_check_equals_the_full_space_breakdown_on_named_levels(text, idle, real)
     for seed in range(3):
         rep = _assert_check_is_the_full_space_breakdown(t, reg, real, 1e-9, Random(seed))
         assert bool(rep.forbidden_components) == bool(forbidden)
+
+
+def _result_text(result) -> str:
+    """A check's or a classification's result as JSON text, to compare bytes."""
+    if isinstance(result, Classification):
+        return json.dumps([result.verdict, result.forbidden, result.bistoch_report.to_dict(),
+                           result.standard_report.to_dict()])
+    return json.dumps(result.to_dict())
+
+
+def _cold_then_warm(call) -> tuple[str, str]:
+    """``call``'s result from emptied caches, and again from the plans it formed."""
+    clear_plan_caches()
+    cold = _result_text(call())
+    return cold, _result_text(call())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_type(max_systems=6), st.booleans(), st.sampled_from([1e-9, 1.0]),
+       st.randoms(use_true_random=False))
+def test_checks_from_cold_and_warm_plans_agree(case, real, tol, random):
+    # a level's plan is exact bookkeeping: the check it serves reports the
+    # same bytes whether the plan was formed for it or read from the cache
+    t, reg = case
+    assume(math.prod(reg.dim(lab) for lab in systems_of(t)) <= 400)
+    op = _noisy_event(t, reg, real, random)
+    coeff, sectors = characterization_of(t, reg)
+    calls = [lambda: is_deterministic(op, t, reg, tol=tol),
+             lambda: check_operator(op, coeff, sectors, tol=tol)]
+    if has_hats(t):
+        calls.append(lambda: classify(op, t, reg, tol=tol))
+    for call in calls:
+        cold, warm = _cold_then_warm(call)
+        assert warm == cold
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2)])
+def test_plans_of_equal_masks_are_not_shared(dims):
+    # A -> B in the order (A, B) and B -> A in the order (B, A) allow the
+    # same masks, and each type is also read in the other order: after any
+    # other level's check, a check reports the bytes it reports from emptied
+    # caches, so no plan is shared between levels, whether the systems
+    # differ in their dimensions or only in their labels
+    reg = SystemRegistry.of(A=dims[0], B=dims[1])
+    n = math.prod(dims)
+    data = random_hermitian(n, np.random.default_rng(1009)) / n + np.eye(n) / n
+    checks = {}
+    for text in ("(A -> B)", "(B -> A)"):
+        t = parse_type(text, reg)
+        for order in ("AB", "BA"):
+            op = LabeledOperator([(lab, reg.dim(lab)) for lab in order], data)
+            checks[text, order] = lambda op=op, t=t: is_deterministic(op, t, reg)
+    same = [deviation_sectors(parse_type(text, reg), reg).reorder(order).masks
+            for text, order in [("(A -> B)", "AB"), ("(B -> A)", "BA")]]
+    assert same[0] == same[1]
+    cold = {key: _cold_then_warm(call)[0] for key, call in checks.items()}
+    assert len(set(cold.values())) == len(cold)
+    assert all(json.loads(text)["forbidden_components"] for text in cold.values())
+    for first, second in itertools.permutations(checks, 2):
+        clear_plan_caches()
+        checks[first]()
+        assert _result_text(checks[second]()) == cold[second]
 
 
 # the parts of a matrix entry: floats, -0.0, integers, and 0.0 for a real entry

@@ -40,8 +40,8 @@ from hoq.sectors import (
 )
 from hoq.typesys import dehat
 
-from helpers import (NON_FINITE, mask_of, marks_of, non_finite_operator, random_type,
-                     reference_component, rename_type)
+from helpers import (NON_FINITE, clear_plan_caches, hoq_caches, mask_of, marks_of,
+                     non_finite_operator, random_type, reference_component, rename_type)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -381,3 +381,50 @@ class TestZeroPruning:
         assert (res.status, res.iterations) == ("UNDECIDED", 500)
         assert res.residual.hex() == "0x1.47ae147ae1480p-6"
         assert len(traces) == 502
+
+    def test_a_repeated_check_repeats_only_its_numerics(self, traces, monkeypatch):
+        # each level's bookkeeping is worked out once: from emptied caches
+        # the first run of each check renders and permutes masks, the second
+        # does neither, and both take the partial traces counted above
+        bookkeeping = []
+        for name in ("_permute_mask", "_mask_text"):
+            original = getattr(sectors, name)
+            monkeypatch.setattr(sectors, name,
+                                lambda *args, f=original, n=name: bookkeeping.append(n) or f(*args))
+        sw = self._fused(flippable_switch_choi(2))
+        nf = self._fused(n_time_flip_choi(2, 2))
+        two = [(2, 2), (2, 2)]
+        standard = Hierarchy.STANDARD
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+        pair_reg = SystemRegistry.of(A=2, B=2)
+        event = sample_deterministic(PAIR_AB, pair_reg, seed=1009)
+        above = LabeledOperator(event.factors, 1.02 * event.data)
+        checks = [
+            (lambda: check_bsp(sw, two, 4, 4, hierarchy=standard).to_dict(), 27),
+            (lambda: check_bislot(sw, two, 4, 4).to_dict(), 25),
+            (lambda: classify(sw, parse_type(self.BSP, reg), reg).forbidden, 39),
+            (lambda: check_bsp(nf, two, 8, 8, hierarchy=standard).to_dict(), 33),
+            (lambda: is_admissible(above, PAIR_AB, pair_reg, max_iter=500).residual, 502)]
+        cold_calls = []
+        for check, count in checks:
+            clear_plan_caches()
+            runs = []
+            for _ in range(2):
+                bookkeeping.clear()
+                traces.clear()
+                runs.append((check(), len(traces), len(bookkeeping)))
+            (first, cold_traces, cold), (second, warm_traces, warm) = runs
+            assert first == second and cold_traces == warm_traces == count
+            assert warm == 0
+            cold_calls.append(cold)
+        # the four checks of the processes name forbidden patterns
+        assert all(cold_calls[:4])
+
+
+def test_every_cache_is_bounded():
+    # the caches hold exact objects of the levels checked, never operator
+    # data, and each keeps a bounded number of them
+    caches = {c.__name__: c for c in hoq_caches()}
+    assert {"_level_plan", "_split", "_complement", "_forbidden", "_network_cached",
+            "_classification_plan"} <= caches.keys()
+    assert all(c.cache_parameters()["maxsize"] is not None for c in caches.values())
