@@ -29,7 +29,7 @@ from .errors import (
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
-# rows per block of _psd_status's Cholesky factorization
+# rows per block of _cholesky_lower's factorization
 _BLOCK = 256
 # rows and columns per tile of hermitian_part and LabeledOperator.herm_defect's
 # scan: narrow tiles keep the transposed reads of a large operator from
@@ -408,39 +408,32 @@ def hermitian_part(a: LabeledOperator, out: np.ndarray | None = None) -> np.ndar
     return sym
 
 
-def _certificate_block(sym: np.ndarray) -> np.ndarray:
-    """The matrix whose factorization certifies that the exactly Hermitian
-    ``sym`` is positive semidefinite, in an array the factorization may
-    overwrite.
+def _positivity(a: LabeledOperator, defect: float,
+                psd_tol: float) -> tuple[np.ndarray, float, float, bool, str]:
+    """The Hermitian part of ``a``, its squared Frobenius norm, its minimum
+    eigenvalue, the positivity verdict and the method that decided.
 
-    ``sym``'s zero rows are zero columns, so after a permutation
-    ``sym + psd_tol * 1`` is the direct sum of the live block (the rows
-    that hold an entry) plus ``psd_tol * 1`` and ``psd_tol * 1``: positive
-    definite exactly when that block is.  When at most half the rows are
-    live, the block is a copy of at most a quarter of the operator.
-    Otherwise it is ``sym`` whole: ``sym`` itself when it may be written,
-    and a copy of it when it is an operator's read-only matrix.
+    ``defect`` is ``a``'s hermiticity defect.  The Hermitian part is
+    ``a.data`` when it is 0, and else :func:`hermitian_part` of ``a``.  Its
+    zero rows are zero columns, so after a permutation ``sym + psd_tol * 1``
+    is the live block (the rows that hold an entry) plus ``psd_tol * 1``,
+    beside ``psd_tol * 1``: positive definite exactly when that block is.
+    When at most half the rows are live, the block is a copy of them, at
+    most a quarter of the operator.  Otherwise it is the whole part: the
+    part itself when it is an array of its own, formed again with the same
+    bytes after the factorization, and else a copy.  The norm is read from
+    the block, which holds every entry, before :func:`_cholesky_lower`
+    factors it in place.  A successful factorization certifies positivity
+    and reports the lower bound ``-psd_tol``; only when it fails does
+    ``eigvalsh`` find the exact minimum, from the unfactored part.
     """
+    sym = a.data if defect == 0 else hermitian_part(a)
     live = _sparse_support(sym)
     if live is not None:
-        return sym[np.ix_(live, live)]
-    return sym if sym.flags.writeable else sym.copy()
-
-
-def _psd_status(a: LabeledOperator, sym: np.ndarray, block: np.ndarray,
-                psd_tol: float) -> tuple[float, bool, str]:
-    """Minimum eigenvalue of the Hermitian part of ``a``, positivity verdict
-    and the method that decided.
-
-    ``sym`` is the Hermitian part: ``a.data`` when ``a``'s hermiticity
-    defect is 0, else an array of its own, and ``block`` is
-    :func:`_certificate_block` of it.  A Cholesky factorization of
-    ``block + psd_tol * 1`` (:func:`_cholesky_lower`, in place) certifies
-    positivity and reports the lower bound ``-psd_tol``; only when it fails
-    does ``eigvalsh`` find the exact minimum, from ``sym``.  When ``block``
-    is ``sym`` itself, the Hermitian part is formed again into it, with the
-    same bytes, so on return ``sym`` holds the Hermitian part.
-    """
+        block = sym[np.ix_(live, live)]
+    else:
+        block = sym if sym.flags.writeable else sym.copy()
+    norm_sq = float(np.vdot(block, block).real)
     block.reshape(-1)[::block.shape[0] + 1] += psd_tol
     try:
         _cholesky_lower(block)
@@ -450,9 +443,9 @@ def _psd_status(a: LabeledOperator, sym: np.ndarray, block: np.ndarray,
     if block is sym:
         hermitian_part(a, out=sym)
     if factored:
-        return -psd_tol, True, "cholesky"
+        return sym, norm_sq, -psd_tol, True, "cholesky"
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return min_eig, min_eig >= -psd_tol, "eigvalsh"
+    return sym, norm_sq, min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
 def _cholesky_lower(sym: np.ndarray) -> None:
@@ -505,6 +498,4 @@ def eigh(a: LabeledOperator, herm_tol: float = TOL_HERM):
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
     check_tol("psd_tol", psd_tol)
-    defect = _require_hermitian(a, herm_tol)
-    sym = a.data if defect == 0 else hermitian_part(a)
-    return _psd_status(a, sym, _certificate_block(sym), psd_tol)[1]
+    return _positivity(a, _require_hermitian(a, herm_tol), psd_tol)[3]

@@ -11,13 +11,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _certificate_block,
-                     _psd_status, check_tol, hermitian_part, permute_systems)
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, _positivity, check_tol, permute_systems
 from .sectors import (
     SectorSet,
     _complement,
     _idle_traced,
     _level_plan,
+    _LevelPlan,
     _project,
     deviation_sectors,
     identity_coeff,
@@ -144,8 +144,8 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
     in the allowed sectors.  Raises :class:`NonFiniteOperator` on NaN or
     infinite entries.
     """
-    sectors.reorder(op.factors)  # FactorMismatch here, not after the front half
-    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), sectors, tol)
+    plan = _level_plan(sectors, op.factors)  # FactorMismatch here, not after the front half
+    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), plan, tol)
 
 
 def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
@@ -156,33 +156,28 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
     ``op`` then equals its Hermitian part; otherwise it is the Hermitian
-    part.  The noise floor and :func:`_psd_status` read the certificate's
-    block (:func:`_certificate_block`): the rows that hold an entry when at
-    most half of them do, else the whole matrix.  The Hermitian part's zero
-    rows are zero columns, so each row outside the block adds ``coeff^2`` to
-    ``||R - coeff*1||_F^2``: the deviation is never formed, and the block is
-    not written before the certificate factors it.  So the front half holds
-    no operator-sized array besides ``op`` for an exactly Hermitian operator
-    with at most half its rows live, and one otherwise; the back half then
-    holds none, or one when :func:`_back_half`'s Z is empty.  Every
-    tolerance is checked before any of that.
+    part.  One call of :func:`hoq.linalg._positivity` gives that part, its
+    positivity and ``||R||_F^2``, and with ``tr R``, read for the
+    coefficient, ``||R - coeff*1||_F^2`` follows: the deviation is never
+    formed.  So the front half holds no operator-sized array besides ``op``
+    for an exactly Hermitian operator with at most half its rows live, and
+    one otherwise; the back half then holds none, or one when
+    :func:`_back_half`'s Z is empty.  Every tolerance is checked before any
+    of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     check_tol("psd_tol", psd_tol)
     herm_defect = op.herm_defect()
-    sym = op.data if herm_defect == 0 else hermitian_part(op)
-    block = _certificate_block(sym)
-    expected = float(coeff)
-    # ||R - c*1||^2 = ||B||^2 - 2c tr B + c^2 D, read before the certificate
-    # writes the block; where the terms cancel, the 1 dominates the scale
-    square = (float(np.vdot(block, block).real) - 2 * expected * float(np.trace(block).real)
-              + expected ** 2 * op.dim)
-    scale = 1.0 + math.sqrt(max(square, 0.0))
-    min_eig, spectrum_ok, psd_method = _psd_status(op, sym, block, psd_tol)
+    sym, norm_sq, min_eig, spectrum_ok, psd_method = _positivity(op, herm_defect, psd_tol)
     herm_ok = herm_defect <= herm_tol
+    expected = float(coeff)
+    trace = float(np.trace(op.data).real)
+    # ||R - c*1||^2 = ||R||^2 - 2c tr R + c^2 D; where the terms cancel, the 1
+    # dominates the scale
+    scale = 1.0 + math.sqrt(max(norm_sq - 2 * expected * trace + expected ** 2 * op.dim, 0.0))
 
-    measured = float(np.trace(op.data).real) / op.dim
+    measured = trace / op.dim
     lambda_ok = herm_ok and abs(measured - expected) <= tol * expected
     fields = dict(psd_ok=herm_ok and spectrum_ok, min_eigenvalue=min_eig,
                   psd_method=psd_method, herm_defect=herm_defect, lambda_ok=lambda_ok,
@@ -191,10 +186,12 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     return measured_op, fields, scale
 
 
-def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSet,
+def _back_half(r: LabeledOperator, fields: dict, scale: float, plan: _LevelPlan,
                tol: float) -> CheckReport:
-    """Sector residual and out-of-sector breakdown of an operator in any factor
-    order of ``sectors``, and the verdict; patterns are named in ``sectors``' order.
+    """Sector residual and out-of-sector breakdown of an operator against the
+    level ``plan``, :func:`hoq.sectors._level_plan` of its sector set in the
+    operator's factor order, and the verdict; patterns are named in the
+    set's order, which the report's ``permutation`` gives when it differs.
 
     The identity pattern is never forbidden, so ``R`` and ``R - coeff*1`` have
     the same outside component.  Every forbidden pattern marks the factors Z
@@ -202,11 +199,9 @@ def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSe
     ``Y (x) 1_Z``: ``Y`` is taken on ``R`` averaged over Z, d_Z^2 times
     smaller, and its squared norm and pattern weights times d_Z are those of
     the component.  Z, the allowed set over the other factors and the texts
-    of the forbidden patterns come from the level's plan, worked out once
-    per level and factor order (:func:`hoq.sectors._level_plan`).  ``scale``
-    is the front half's ``1 + ||R - coeff*1||_F``.
+    of the forbidden patterns come from the plan, worked out once per level
+    and factor order.  ``scale`` is the front half's ``1 + ||R - coeff*1||_F``.
     """
-    plan = _level_plan(sectors, r.factors)
     outside = outside_component(_idle_traced(r, plan), plan.allowed, herm_tol=np.inf)
     residual = math.sqrt(plan.idle_dim * float(np.vdot(outside.data, outside.data).real))
 
@@ -222,9 +217,8 @@ def _back_half(r: LabeledOperator, fields: dict, scale: float, sectors: SectorSe
         forbidden.sort(key=lambda item: (-float(f"{item[1]:.12g}"), item[0]))
 
     ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
-    permutation = None if r.labels == sectors.labels else sectors.labels
     return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,
-                       forbidden_components=forbidden, permutation=permutation,
+                       forbidden_components=forbidden, permutation=plan.permutation,
                        **fields)
 
 
@@ -260,10 +254,11 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     but forbidden for ordinary ones.
     """
     coeff, bi_sectors, std_sectors, gap_texts = _classification_plan(t, reg)
-    bi_sectors.reorder(op.factors)  # FactorMismatch before the front half
+    # FactorMismatch before the front half
+    bi_plan, std_plan = (_level_plan(s, op.factors) for s in (bi_sectors, std_sectors))
     front = _front_half(op, coeff, tol, psd_tol, herm_tol)
-    bi = _back_half(*front, bi_sectors, tol)
-    std = _back_half(*front, std_sectors, tol)
+    bi = _back_half(*front, bi_plan, tol)
+    std = _back_half(*front, std_plan, tol)
     if not bi.passed or std.passed:
         return Classification("BOTH" if bi.passed else "NEITHER", [], bi, std)
     forbidden = [(pat, norm) for pat, norm in std.forbidden_components if pat in gap_texts]

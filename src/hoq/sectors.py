@@ -406,6 +406,7 @@ class _LevelPlan(NamedTuple):
     allowed: SectorSet
     idle_dim: int
     forbidden: tuple[tuple[int, str], ...]
+    permutation: tuple[str, ...] | None
 
 
 @lru_cache(maxsize=256)
@@ -418,10 +419,11 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     other factors are ``factors``, and ``allowed`` is ``s`` over them (the
     patterns that mark a factor of Z traceless drop out), with ``d_Z`` as
     ``idle_dim``.  ``forbidden`` pairs each other pattern over ``factors``
-    but the identity, by mask, with its text in ``s``' order.  The plan
-    depends on the two exact arguments only, so a level's bookkeeping is
-    done once.  Raises :class:`FactorMismatch` unless ``order`` is an order
-    of ``s``' factors.
+    but the identity, by mask, with its text in ``s``' order, and
+    ``permutation`` is ``s``' labels when ``order``'s differ, else None.  The
+    plan depends on the two exact arguments only, so a level's bookkeeping
+    is done once.  Raises :class:`FactorMismatch` unless ``order`` is an
+    order of ``s``' factors.
     """
     in_order = s.reorder(order)
     k = len(order)
@@ -440,7 +442,8 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     where = [labels.index(lab) if lab in labels else len(labels) for lab in s.labels]
     forbidden = tuple((mask, _mask_text(_permute_mask(mask, where), s.systems))
                       for mask in range(1, 1 << len(factors)) if mask not in allowed)
-    return _LevelPlan(idle, factors, allowed, idle_dim, forbidden)
+    permutation = None if in_order.labels == s.labels else s.labels
+    return _LevelPlan(idle, factors, allowed, idle_dim, forbidden, permutation)
 
 
 def _idle_traced(op: LabeledOperator, plan: _LevelPlan) -> LabeledOperator:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from hoq import (
 from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
 from hoq.membership import characterization_of, check_operator, random_hermitian
+from hoq.network import check_bislot
 from hoq.sectors import SectorSet, full_space, outside_component, pattern_norms
 from hoq.processes import merge_ports, n_time_flip_choi, random_state
 from hoq.typesys import extend, systems_of
@@ -207,6 +209,26 @@ def test_factor_dimension_mismatch():
         is_deterministic(op, t, REG)
     with pytest.raises(FactorMismatch, match="dimensions"):
         is_admissible(op, t, REG)
+
+
+@pytest.mark.parametrize("wrong", ["label", "dimension"])
+@pytest.mark.parametrize("check", ["is_deterministic", "classify", "check_bislot"])
+def test_factor_mismatch_comes_before_any_arithmetic(monkeypatch, check, wrong):
+    # the sector set is matched to the operator before its hermiticity scan.
+    # check_bislot names the comb's systems after the operator's factors, so
+    # for it either operator is out of the P-first layout its dimensions give
+    factors = {"label": (("A", 2), ("C", 2), ("P", 4), ("F", 4)),
+               "dimension": (("A", 2), ("B", 3), ("P", 4), ("F", 4))}[wrong]
+    op = LabeledOperator(factors, np.eye(math.prod(d for _, d in factors)))
+    t = parse_type("((^A -> ^B) -> (P -> F))", REG)
+    run = {"is_deterministic": lambda: is_deterministic(op, t, REG),
+           "classify": lambda: classify(op, t, REG),
+           "check_bislot": lambda: check_bislot(op, [(2, 2)], 4, 4)}[check]
+    scans = []
+    monkeypatch.setattr(LabeledOperator, "herm_defect", lambda self: scans.append(self))
+    with pytest.raises(FactorMismatch):
+        run()
+    assert scans == []
 
 
 def test_auto_permutation_recorded():
@@ -454,10 +476,10 @@ class TestClassify:
         t = parse_type("((^A -> ^B) -> (P -> F))", REG)
         op = sample_deterministic(t, REG, seed=3)
         spy(LabeledOperator, "herm_defect")
-        spy(membership, "_psd_status")
+        spy(membership, "_positivity")
         res = classify(op, t, REG)
         assert res.verdict in ("BOTH", "BISTOCH_ONLY")
-        assert sorted(calls) == ["_psd_status", "herm_defect"]
+        assert sorted(calls) == ["_positivity", "herm_defect"]
 
     def test_identity_event_is_both(self):
         t = parse_type("((^A -> ^B) -> (P -> F))", REG)

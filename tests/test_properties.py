@@ -23,6 +23,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ from hoq import (
     sector_project,
 )
 from hoq.errors import HoqError, NonFiniteOperator, NotHermitian, ShapeMismatch, SizeLimit
-from hoq.linalg import TOL_HERM, TOL_PSD, _certificate_block, _psd_status, hermitian_part
+from hoq import linalg
+from hoq.linalg import TOL_HERM, TOL_PSD, _positivity, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import Classification, characterization_of, check_operator, random_hermitian
@@ -927,22 +929,59 @@ def _planted(rng, n, complex_entries, positive, edge):
     return (q * spectrum) @ q.conj().T
 
 
+@st.composite
+def positivity_case(draw):
+    """A planted spectrum in each case of the positivity test's block, and
+    whether it is positive: a support of at most half the rows, exactly
+    Hermitian or skewed (its live rows are copied), a dense exactly
+    Hermitian matrix (the whole is copied), or a dense matrix skewed on and
+    below the diagonal (its Hermitian part is factored in place and formed
+    again); the sizes straddle the factorization's blocks of 256 rows."""
+    case = draw(st.sampled_from(["support", "exact", "skewed"]))
+    n = draw(st.sampled_from((1, 255, 256, 257, 513, 700)[case != "exact":]))
+    complex_entries, positive = draw(st.booleans()), draw(st.booleans())
+    edge = draw(st.floats(1e-6, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if case == "support":
+        return case, planted_support(
+            n, draw(st.integers(1, n // 2)), complex_entries, positive, edge,
+            skew=draw(st.sampled_from([0.0, 1e-13])), seed=seed), positive
+    data = _planted(np.random.default_rng(seed), n, complex_entries, positive, edge)
+    data = (data + data.conj().T) / 2 if case == "exact" else data + 1e-13 * np.tri(n)
+    return case, data, positive
+
+
 @settings(max_examples=30, deadline=None)
-@given(planted_spectrum())
+@given(positivity_case())
 def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
-    data, positive = case
-    factors = (("S", len(data)),)
-    sym = hermitian_part(LabeledOperator(factors, data))
-    a = LabeledOperator(factors, sym)
+    kind, data, positive = case
+    a = LabeledOperator((("S", len(data)),), data)
     before = a.data.tobytes()
-    assert a.herm_defect() == 0
-    min_eig, psd_ok, method = _psd_status(a, a.data, _certificate_block(a.data), TOL_PSD)
+    defect = a.herm_defect()
+    assert kind == "support" or (defect > 0) == (kind == "skewed")
+    factored = []
+    inner = linalg._cholesky_lower
+
+    def spy(block):
+        factored.append(block)
+        inner(block)
+    with mock.patch.object(linalg, "_cholesky_lower", spy):
+        sym, norm_sq, min_eig, psd_ok, method = _positivity(a, defect, TOL_PSD)
     assert a.data.tobytes() == before
+    part = a.data if defect == 0 else hermitian_part(a)
+    assert sym.tobytes() == part.tobytes()
+    # the block: a copy of the live rows, the part itself, or a copy of it
+    [block] = factored
+    live = np.count_nonzero(part.any(axis=1))
+    assert block.shape == ((live, live) if kind == "support" else part.shape)
+    assert (block is sym) == (kind == "skewed")
+    assert abs(norm_sq - np.vdot(sym, sym).real) <= 1e-14 * norm_sq
+    exact = float(np.linalg.eigvalsh(part)[0])
     if positive:
         assert (method, psd_ok, min_eig) == ("cholesky", True, -TOL_PSD)
+        assert exact >= -TOL_PSD
     else:
-        exact = float(np.linalg.eigvalsh(sym)[0])
-        assert method == "eigvalsh" and not psd_ok
+        assert method == "eigvalsh" and not psd_ok and exact < -TOL_PSD
         assert abs(min_eig - exact) <= 1e-12 * abs(exact)
 
 
