@@ -20,7 +20,6 @@ from .typesys import (
 from .linalg import (
     LabeledOperator,
     choi_of_kraus,
-    eigh,
     is_psd,
     link_product,
     merge_factors,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 import click
@@ -37,8 +36,7 @@ from .typesys import NetworkSpec, SystemRegistry, dehat, parse_type, systems_of
 
 def _config(config_path, registry_inline) -> Config:
     """The config file's settings, with the inline registry merged into its registry."""
-    path = config_path or os.environ.get("HOQ_CONFIG")
-    cfg = load_config(path) if path else Config()
+    cfg = load_config(config_path) if config_path else Config()
     if registry_inline:
         cfg.registry = cfg.registry.with_entries(**parse_inline_registry(registry_inline))
     return cfg
@@ -65,7 +63,7 @@ class HoqGroup(click.Group):
 
 common_options = [
     click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="Config file (default: $HOQ_CONFIG)."),
+                 envvar="HOQ_CONFIG", help="Config file (default: $HOQ_CONFIG)."),
     click.option("--registry", "registry_inline", default=None,
                  help="Inline registry, e.g. 'A=2,B=2,P=4,F=4'."),
 ]
@@ -128,8 +126,8 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
     cfg = _config(config_path, registry_inline)
     t = (read_spec(network_spec_file, cfg.registry, limit=cfg.recursion) if network_spec_file
          else parse_type(type_string, cfg.registry, limit=cfg.recursion))
+    t = _sized(t, cfg.registry, cfg)  # before the operator file is read
     op = read_operator(operator_file, max_dim=cfg.max_dim)
-    t = _sized(t, cfg.registry, cfg)
     if hierarchy == "standard":
         t = dehat(t)
     if admissible:
@@ -155,10 +153,10 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
 def cmd_classify(type_string, operator_file, as_json, config_path, registry_inline):
     """Classify an operator as BOTH / BISTOCH_ONLY / NEITHER."""
     cfg = _config(config_path, registry_inline)
-    t = parse_type(type_string, cfg.registry, limit=cfg.recursion)
+    t = _sized(parse_type(type_string, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
-    result = classify_op(op, _sized(t, cfg.registry, cfg), cfg.registry, tol=cfg.tol_sector,
-                         psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
+    result = classify_op(op, t, cfg.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
+                         herm_tol=cfg.tol_herm)
     if as_json:
         click.echo(json.dumps({
             "verdict": result.verdict,
@@ -267,8 +265,8 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
 def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline):
     """Peel a network operator into blocks and write them as a bundle."""
     cfg = _config(config_path, registry_inline)
-    op = read_operator(operator_file, max_dim=cfg.max_dim)
     spec = _sized(read_spec(spec_file, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
+    op = read_operator(operator_file, max_dim=cfg.max_dim)
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
                                                   tol=cfg.tol_sector * 10,
                                                   psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)

@@ -186,17 +186,9 @@ def _live_strips(data: np.ndarray, live: np.ndarray):
 
 def _sparse_support(m: np.ndarray) -> np.ndarray | None:
     """The indices of the rows of ``m`` that hold an entry when at most half
-    of them do, else None.
-
-    A NaN or infinite entry counts as an entry.  The first 8 columns (one
-    64-byte cache line of float64 per row) are read first: in a dense matrix
-    they already find more than half the rows live, and the rest is not read.
-    """
-    n = len(m)
-    if 2 * np.count_nonzero(m[:, :8].any(axis=1)) > n:
-        return None
+    of them do, else None; a NaN or infinite entry counts as an entry."""
     live = np.flatnonzero(m.any(axis=1))
-    return live if 2 * len(live) <= n else None
+    return live if 2 * len(live) <= len(m) else None
 
 
 def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
@@ -487,12 +479,6 @@ def _require_hermitian(a: LabeledOperator, tol: float) -> float:
     if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return defect
-
-
-def eigh(a: LabeledOperator, herm_tol: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    defect = _require_hermitian(a, herm_tol)
-    return np.linalg.eigh(a.data if defect == 0 else hermitian_part(a))
 
 
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,

@@ -3,6 +3,7 @@ alternating projections, and the bidirectional-vs-ordinary classifier."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -301,14 +302,15 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     admit the exact trace test.  Otherwise the feasibility problem is solved
     by Dykstra's alternating projections on ``Y = D - op`` between the PSD
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
-    verdicts return the witness ``D`` in the type's factor order, and
+    verdicts return the witness ``D`` in the type's factor order, once
+    :func:`check_operator` confirms it at ``max(10 * tol, 1e-8)``, and
     UNDECIDED is an honest outcome when the iteration does not settle.  The
     work runs in ``op``'s factor order; only the witness is permuted.  Raises
-    :class:`NonFiniteOperator` on NaN or infinite entries, ValueError on
-    ``max_iter < 1`` or a bad tolerance.
+    :class:`NonFiniteOperator` on NaN or infinite entries, ValueError unless
+    ``max_iter`` is an integer >= 1 (not a boolean), and on a bad tolerance.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
     masks = sectors.reorder(op.factors).masks
     r, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
@@ -391,8 +393,8 @@ def sample_deterministic(t, reg: SystemRegistry,
         return op
     rng = np.random.default_rng(seed)
     noise = LabeledOperator(sectors.systems, random_hermitian(dim, rng))
+    # the projection of exactly Hermitian noise is exactly Hermitian
     dev = sector_project(noise, sectors).data
-    dev = (dev + dev.conj().T) / 2
     low = float(np.linalg.eigvalsh(dev)[0])
     if low >= -1e-15:
         scale = 1.0

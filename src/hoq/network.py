@@ -92,6 +92,7 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     fresh labels whose dimensions are the discovered support ranks (one
     representative of a gauge class; no minimality is claimed).  Recomposing
     the blocks reproduces ``r`` and every block passes its slot-type check.
+    Both checks, of ``r`` and of the blocks, run at ``max(tol, 1e-8)``.
     """
     report = check_network(r, spec, reg, tol=max(tol, 1e-8), psd_tol=psd_tol,
                            herm_tol=herm_tol)

@@ -110,8 +110,10 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
     ``(slot, backwards)`` pair, entering the slot's input and leaving its
     output, or the reverse when ``backwards`` is 1.  Consecutive ports are
     joined by identity wires, so ``v`` is a 0/1 vector.  Factors: ``Pt, Pc``,
-    the slot pairs in order, ``Ft, Fc``.
+    the slot pairs in order, ``Ft, Fc``.  ValueError unless ``d >= 2``.
     """
+    if d < 2:
+        raise ValueError("target dimension must be at least 2")
     n, controls = len(slots), len(routes)
     v = np.zeros((d, controls) + (d,) * (2 * n) + (d, controls))
     for c, route in enumerate(routes):
@@ -136,8 +138,6 @@ def time_flip_choi(d: int) -> LabeledOperator:
     bidirectional channel is traversed forwards or in the transposed
     direction.
     """
-    if d < 2:
-        raise ValueError("target dimension must be at least 2")
     return _routed(d, [("A", "B")], [((0, 0),), ((0, 1),)])
 
 
@@ -204,8 +204,8 @@ def n_time_flip_choi(n: int, d: int) -> LabeledOperator:
     order into ``Pc`` and ``Fc`` of dimension ``2^n`` (slot 1 most
     significant).  Factors: ``Pt, Pc, A1, B1, ..., An, Bn, Ft, Fc``.
     """
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
     slots = [(f"A{s}", f"B{s}") for s in range(1, n + 1)]
     routes = [tuple((s, c >> (n - 1 - s) & 1) for s in range(n)) for c in range(2 ** n)]
     return _routed(d, slots, routes)
@@ -218,8 +218,6 @@ def flippable_switch_choi(d: int) -> LabeledOperator:
     inserted channels in one causal order, branch 1 runs them in the opposite
     order with both used in the transposed direction.
     """
-    if d < 2:
-        raise ValueError("target dimension must be at least 2")
     return _routed(d, [("A1", "B1"), ("A2", "B2")], [((0, 0), (1, 0)), ((1, 1), (0, 1))])
 
 
@@ -252,15 +250,8 @@ def lc_22_process(d: int, x: int, y: int) -> LabeledOperator:
     """
     if d < 2 or x == y or not (0 <= x < d) or not (0 <= y < d):
         raise BadLevels(f"need distinct levels in range(0, {d})")
-
-    def proj(*levels):
-        p = np.zeros(d)
-        for lv in levels:
-            p[lv] = 1.0
-        return p
-
     one = np.ones(d)
-    px, py = proj(x), proj(y)
+    px, py = np.eye(d)[x], np.eye(d)[y]
     rest = one - px - py
     terms = [
         (one - py, px, px, px),
@@ -322,7 +313,8 @@ def functional_decompose(r: LabeledOperator, tol: float = 1e-9) -> FunctionalDec
     Extracts the two local traceless parts, takes the smallest eigenvalue of
     the forward branch to fix the direction probability, and normalizes each
     branch into a density operator; degenerate splits (p in {0, 1}) put the
-    maximally mixed state on the unused side.
+    maximally mixed state on the unused side.  The functional check runs at
+    ``max(tol, 1e-9)``.
     """
     if len(r.factors) != 2 or r.factors[0][1] != r.factors[1][1]:
         raise NotAFunctional("expected two factors of equal dimension")

@@ -89,14 +89,15 @@ def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
 def _row(row, i: int, real: bool) -> np.ndarray:
     """Row ``i`` of a matrix as a float64 array: of numbers when ``real``, else
     of ``[re, im]`` pairs."""
+    form = "plain numbers" if real else "[re, im] pairs"
     if isinstance(row, list) and row and isinstance(row[0], list) == real:
-        form = "plain numbers" if real else "[re, im] pairs"
         raise ShapeMismatch(f"malformed operator payload: row {i} does not hold {form} "
                             "as row 0 does")
     try:
         entries = np.array(row)
-    except (ValueError, TypeError) as exc:
-        raise ShapeMismatch(f"malformed operator payload: row {i}: {exc}") from None
+    except (ValueError, TypeError):
+        # a ragged row, or a list where a number belongs
+        raise ShapeMismatch(f"malformed operator payload: row {i} does not hold {form}") from None
     entry = () if real else (2,)
     # strings, nulls and booleans alone leave a dtype other than float64
     if entries.ndim != 1 + len(entry) or entries.shape[1:] != entry \

@@ -291,7 +291,10 @@ class TestSerialization:
         # numpy coerces a boolean beside a number
         [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
         [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-    ], ids=["ragged", "triple", "strings", "null", "2-d", "bool-int", "bool-float"])
+        [[[1, 0], [0]], [[0, 0], [1, 0]]],
+        [[1, [0]], [0, 1]],
+    ], ids=["ragged", "triple", "strings", "null", "2-d", "bool-int", "bool-float",
+            "ragged-pair-row", "list-in-a-real-row"])
     def test_malformed_matrix(self, runner, tmp_path, matrix):
         payload = {"factors": [["A", 2]], "matrix": matrix}
         path = tmp_path / "bad.json"
@@ -299,6 +302,9 @@ class TestSerialization:
         res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2"])
         assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
         assert "malformed operator payload" in res.output
+        # never numpy's own text: "setting an array element with a sequence.
+        # The requested array has an inhomogeneous shape ..."
+        assert "sequence" not in res.output and "inhomogeneous" not in res.output
         with pytest.raises(ShapeMismatch):
             read_operator(str(path))
         # the same matrix as a bundle block
@@ -897,13 +903,14 @@ class TestCheckCommand:
 
     @READING_COMMANDS
     def test_max_dim_limits_every_read(self, runner, tmp_path, args):
-        files = _command_files(tmp_path, LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2))
+        # the file's 9 dimensions exceed the cap; the type's 4 patterns do not
+        files = _command_files(tmp_path, LabeledOperator((("A", 3), ("B", 3)), np.eye(9) / 3))
         cfg = tmp_path / "hoq.cfg"
-        cfg.write_text("limits.max_dim = 3\n")
+        cfg.write_text("limits.max_dim = 8\n")
         res = runner.invoke(main, [a.format(**files) for a in args]
-                            + ["--registry", "A=2,B=2", "--config", str(cfg)])
+                            + ["--registry", "A=3,B=3", "--config", str(cfg)])
         assert res.exit_code == 2, res.output
-        assert "exceeds limits.max_dim = 3" in res.output
+        assert "operator dimension 9 exceeds limits.max_dim = 8" in res.output
 
     @READING_COMMANDS
     def test_non_finite_entries_stop_every_read(self, runner, tmp_path, args):
@@ -972,6 +979,28 @@ class TestCheckCommand:
                             + ["--registry", "A=1,B=1,C=1,D=1,E=1", "--config", str(cfg)])
         assert res.exit_code == 2, res.output
         assert "5 systems: 2^5 sector patterns exceed limits.max_dim = 16" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["check", "(A B -> C D E)", "-f", "{op}"],
+        ["check", "--network-spec", "{spec}", "-f", "{op}"],
+        ["check", "(A B -> C D E)", "-f", "{op}", "--admissible"],
+        ["classify", "((^A B -> ^C) -> (D -> E))", "-f", "{op}"],
+        ["decompose", "--spec", "{spec}", "-f", "{op}", "-o", "{out}"],
+    ], ids=["check", "check-spec", "check-admissible", "classify", "decompose"])
+    def test_pattern_cap_comes_before_the_operator_file(self, runner, tmp_path, args):
+        # the type is refused before a byte of the operator file is decoded
+        files = {k: str(tmp_path / f"{k}.json") for k in ("op", "spec", "out")}
+        with open(files["op"], "w", encoding="utf-8") as fh:
+            fh.write("not JSON")
+        with open(files["spec"], "w", encoding="utf-8") as fh:
+            json.dump({"slot_types": ["(A B -> C)"], "memories": ["D", "E"]}, fh)
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("limits.max_dim = 16\n")
+        res = runner.invoke(main, [a.format(**files) for a in args]
+                            + ["--registry", "A=2,B=2,C=2,D=2,E=2", "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "5 systems: 2^5 sector patterns exceed limits.max_dim = 16" in res.output
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestMakeAndClassify:
@@ -1289,6 +1318,12 @@ BAD_INPUTS = {
                    {"factors": [["A", 2]], "matrix": [[0.5, 0], [0]]},
                    "malformed operator payload: row 1 of 1 entries for factor dimensions "
                    "of product 2"),
+    "ragged_pair_row": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                        {"factors": [["A", 2]], "matrix": [[[1, 0], [0]], [[0, 0], [1, 0]]]},
+                        "malformed operator payload: row 0 does not hold [re, im] pairs"),
+    "list_in_a_real_row": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                           {"factors": [["A", 2]], "matrix": [[1, [0]], [0, 1]]},
+                           "malformed operator payload: row 0 does not hold plain numbers"),
     "repeated_labels": (["check", "A", "-f", "{file}", "--registry", "A=2"],
                         {"factors": [["A", 2], ["A", 2]], "matrix": [[0] * 4] * 4},
                         "repeated factor labels in ['A', 'A']"),
@@ -1308,6 +1343,11 @@ BAD_INPUTS = {
                        "invalid system label '1A'"),
     "config_value": (["lambda", "(^A -> ^B)", "--registry", "A=2,B=2", "--config", "{file}"],
                      "tol.herm = abc\n", "line 1: bad value 'abc' for 'tol.herm'"),
+    "config_and_inline_registry_disagree": (["lambda", "(^A -> ^B)", "--registry", "A=3,B=2",
+                                             "--config", "{file}"], "registry.A = 2\n",
+                                            "label 'A' already registered with dimension 2"),
+    "operator_empty_object": (["check", "A", "-f", "{file}", "--registry", "A=2"], {},
+                              "malformed operator payload: no 'factors' key"),
 }
 # a network spec standing alone, for check and decompose, or as a bundle's spec
 BAD_INPUTS.update({

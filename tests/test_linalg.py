@@ -11,7 +11,6 @@ from hoq import (
     check_bislot,
     check_bsp,
     choi_of_kraus,
-    eigh,
     is_psd,
     link_product,
     merge_factors,
@@ -204,6 +203,10 @@ class TestChoi:
         with pytest.raises(ShapeMismatch):
             choi_of_kraus([np.eye(2), np.eye(3)], "A", "B")
 
+    def test_no_kraus_operators(self):
+        with pytest.raises(ShapeMismatch, match="at least one Kraus operator"):
+            choi_of_kraus([], "A", "B")
+
 
 class TestSpectral:
     def test_tolerance_semantics(self):
@@ -211,18 +214,6 @@ class TestSpectral:
         a = op([("A", 2)], np.diag([1, -1e-12]))
         assert is_psd(a, psd_tol=1e-9)
         assert not is_psd(a, psd_tol=1e-15)
-
-    def test_eigh_requires_hermitian(self):
-        a = op([("A", 2)], [[0, 1], [0, 0]])
-        with pytest.raises(NotHermitian):
-            eigh(a)
-
-    def test_eigh_ascending(self, rng):
-        a = rand_herm(rng, [("A", 2), ("B", 2)])
-        vals, vecs = eigh(a)
-        assert np.all(np.diff(vals) >= -1e-12)
-        recon = (vecs * vals) @ vecs.conj().T
-        assert np.abs(recon - (a.data + a.data.conj().T) / 2).max() < 1e-10
 
 
 class TestRealArithmetic:
@@ -257,13 +248,6 @@ class TestRealArithmetic:
         with pytest.raises(NonFiniteOperator):
             a.herm_defect()
 
-    def test_real_eigenbasis_reconstructs(self, rng):
-        g = rng.normal(size=(6, 6))
-        a = op(self.FACTORS, g @ g.T)
-        vals, vecs = eigh(a)
-        assert vecs.dtype == np.float64
-        assert np.abs((vecs * vals) @ vecs.T - a.data).max() < 1e-10
-
 
 HEIGHT, WIDTH = _TILE
 # one row; either side of a tile's width; one tile short of full height;
@@ -297,7 +281,7 @@ class TestTileScanDefect:
         reg = SystemRegistry.of(A=n)
         coeff, sectors = characterization_of(parse_type("A", reg), reg)
         for call in (a.herm_defect, lambda: check_operator(a, coeff, sectors),
-                     lambda: sector_project(a, sectors), lambda: is_psd(a), lambda: eigh(a)):
+                     lambda: sector_project(a, sectors), lambda: is_psd(a)):
             with pytest.raises(NonFiniteOperator):
                 call()
 
@@ -565,6 +549,14 @@ class TestStructure:
             merge_factors(a, ("A", "C"), "AC")
         with pytest.raises(BadPermutation, match="no factors to merge"):
             merge_factors(identity([("A", 2)]), (), "X")
+        with pytest.raises(UnknownLabel):
+            merge_factors(a, ("B", "D"), "BD")
+
+    def test_dim_of(self):
+        a = identity([("A", 2), ("B", 3)])
+        assert (a.dim_of("A"), a.dim_of("B")) == (2, 3)
+        with pytest.raises(UnknownLabel):
+            a.dim_of("C")
 
     def test_marginals_of_product(self, rng):
         a = rand_herm(rng, [("A", 2)])

@@ -10,7 +10,6 @@ from hoq import (
     SystemRegistry,
     classify,
     dual,
-    eigh,
     is_admissible,
     is_deterministic,
     is_psd,
@@ -147,7 +146,6 @@ def test_tolerances_must_be_finite_and_non_negative(func, op, type_text, keyword
 # every function that takes herm_tol alone; the sector functions take np.inf
 # to skip the measurement, as the check's back half does for the Hermitian part
 _HERM_TOL_FUNCS = {
-    "eigh": lambda op, tol: eigh(op, herm_tol=tol),
     "is_psd": lambda op, tol: is_psd(op, herm_tol=tol),
     "sector_project": lambda op, tol: sector_project(op, full_space(op.factors), herm_tol=tol),
     "outside_component": lambda op, tol: outside_component(op, full_space(op.factors),
@@ -158,7 +156,7 @@ _HERM_TOL_FUNCS = {
 
 @pytest.mark.parametrize("name, bad", [(name, bad) for name in _HERM_TOL_FUNCS
                                        for bad in (float("nan"), -1e-9)]
-                         + [("eigh", float("inf")), ("is_psd", float("inf"))])
+                         + [("is_psd", float("inf"))])
 def test_herm_tol_must_be_finite_and_non_negative(name, bad):
     with pytest.raises(ValueError, match="^herm_tol must be finite and >= 0"):
         _HERM_TOL_FUNCS[name](_PAIR, bad)
@@ -193,11 +191,12 @@ def test_psd_tol_is_validated_before_any_operator_sized_work():
         assert peak < 0.1 * r.data.nbytes
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
+# factor_entry's integer rule: an integral number >= 1, and not a boolean
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, "3"])
 def test_admissibility_needs_an_iteration(max_iter):
     t = parse_type("(^A -> ^B)", REG)
     op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 4)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
         is_admissible(op, t, REG, max_iter=max_iter)
     assert is_admissible(op, t, REG, max_iter=1).status in ("FEASIBLE", "UNDECIDED")
 
@@ -269,6 +268,11 @@ class TestSamples:
         t = parse_type("(^A -> ^B)", REG)
         op = sample_deterministic(t, REG, eps=0.0, seed=1)
         assert np.allclose(op.data, np.eye(4) / 2)
+
+    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan")])
+    def test_eps_must_lie_below_one(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+            sample_deterministic(parse_type("(^A -> ^B)", REG), REG, eps=eps)
 
     def test_samples_pass_their_own_check(self):
         rng = np.random.default_rng(6)

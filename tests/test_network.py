@@ -114,6 +114,13 @@ class TestCompose:
         with pytest.raises(MemoryDimMismatch):
             compose_network([b1, bad], spec, reg)
 
+    def test_one_block_per_slot(self):
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, E1=3)
+        spec = NetworkSpec((pair(1), pair(2)), ("I", "E1", "I"))
+        b1 = sample_deterministic(spec.block_type(0), reg, eps=0.3, seed=1)
+        with pytest.raises(MemoryDimMismatch, match="expected 2 blocks, got 1"):
+            compose_network([b1], spec, reg)
+
 
 class TestCheck:
     def test_identity_event_passes(self):

@@ -15,6 +15,7 @@ from hoq import (
 from hoq.errors import (
     BadLevels,
     BadProbability,
+    DimMismatch,
     NonFiniteOperator,
     NotAFunctional,
     NotDensity,
@@ -91,6 +92,11 @@ class TestRandomBistoch:
     def test_dimensions_below_one_raise(self, dims):
         with pytest.raises(ValueError, match="dimensions must be at least 1"):
             random_bistochastic_channel(*dims)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_needs_a_mixture_term(self, k):
+        with pytest.raises(ValueError, match="at least one mixture term"):
+            random_bistochastic_channel(2, k=k)
 
     @pytest.mark.parametrize("d,tail_in,tail_out,want", [
         (1, 1, 1, ["A", "B"]), (2, 1, 1, ["A", "B"]), (2, 3, 1, ["A", "U", "B"]),
@@ -220,6 +226,31 @@ class TestTimeFlipApply:
         assert np.abs(marg.data - np.eye(4)).max() < 1e-10
 
 
+class TestTimeFlipApplyDimensions:
+    """Each of time_flip_apply's three dimension gates."""
+
+    CHAN = choi_of_kraus([np.eye(2)], "A", "B")
+    RHO = LabeledOperator((("R", 2),), np.eye(2) / 2)
+    OMEGA = LabeledOperator((("W", 2),), np.eye(2) / 2)
+
+    def test_channel_with_three_factors(self):
+        chan = LabeledOperator((("A", 2), ("B", 2), ("C", 1)), self.CHAN.data)
+        with pytest.raises(DimMismatch, match="exactly two factors"):
+            time_flip_apply(chan, self.RHO, self.OMEGA)
+
+    def test_channel_between_unequal_dimensions(self):
+        chan = choi_of_kraus([np.eye(3, 2)], "A", "B")
+        with pytest.raises(DimMismatch, match="equal input and output dimensions"):
+            time_flip_apply(chan, self.RHO, self.OMEGA)
+
+    @pytest.mark.parametrize("which", ["rho", "omega"])
+    def test_state_or_control_of_the_wrong_dimension(self, which):
+        states = {"rho": self.RHO, "omega": self.OMEGA}
+        states[which] = LabeledOperator((("X", 3),), np.eye(3) / 3)
+        with pytest.raises(DimMismatch, match="state/control dimensions"):
+            time_flip_apply(self.CHAN, states["rho"], states["omega"])
+
+
 class TestNTimeFlip:
     def test_single_slot_matches_flip(self):
         f1 = n_time_flip_choi(1, 2)
@@ -248,6 +279,18 @@ class TestNTimeFlip:
         ref = reference_n_time_flip(n, d)
         assert r.factors == ref.factors and r.data.dtype == np.float64
         assert np.array_equal(r.data, ref.data)
+
+    @pytest.mark.parametrize("build", [time_flip_choi, flippable_switch_choi,
+                                       lambda d: n_time_flip_choi(2, d)],
+                             ids=["time_flip", "flippable_switch", "n_time_flip"])
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_flips_need_a_target_of_dimension_two(self, build, d):
+        with pytest.raises(ValueError, match="^target dimension must be at least 2$"):
+            build(d)
+
+    def test_n_time_flip_needs_a_slot(self):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            n_time_flip_choi(0, 2)
 
 
 class TestFlippableSwitch:
@@ -415,3 +458,15 @@ class TestFunctionals:
         bad = LabeledOperator((("A", 2), ("B", 2)), np.diag([1.0, 0, 0, 0]))
         with pytest.raises(NotAFunctional):
             functional_decompose(bad)
+
+    def test_decompose_needs_two_factors_of_one_dimension(self):
+        with pytest.raises(NotAFunctional, match="equal dimension"):
+            functional_decompose(LabeledOperator((("A", 2), ("B", 3)), np.eye(6) / 3))
+
+    def test_compose_needs_one_factor_states_on_distinct_labels(self, rng):
+        rho = LabeledOperator((("A", 2),), random_state(2, rng))
+        pair = LabeledOperator((("B", 2), ("C", 2)), np.eye(4) / 4)
+        with pytest.raises(NotDensity, match="single-factor"):
+            functional_compose(0.5, rho, pair)
+        with pytest.raises(NotDensity, match="distinct labels"):
+            functional_compose(0.5, rho, rho)

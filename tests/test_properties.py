@@ -346,6 +346,15 @@ def sampled_type(draw, reg_dims=(2, 3), max_systems=4):
 
 
 @settings(max_examples=60, deadline=None)
+@given(sampled_type(), st.floats(0.0, 0.99), st.integers(0, 2 ** 16))
+def test_sampled_events_are_exactly_hermitian(case, eps, seed):
+    # the sector projection of exactly Hermitian noise is exactly Hermitian,
+    # so the sampler needs no symmetrization of its own
+    t, reg = case
+    assert sample_deterministic(t, reg, eps=eps, seed=seed).herm_defect() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
 @given(sampled_type(), st.booleans(), st.randoms(use_true_random=False))
 def test_local_phases_keep_the_verdict_and_the_pattern_norms(case, add_forbidden, random):
     t, reg = case

@@ -35,6 +35,7 @@ from hoq.sectors import (
     arrow_sectors,
     dual_coeff_direct,
     outside_component,
+    sector_union,
     tensor_coeff_direct,
     traceless_space,
 )
@@ -196,6 +197,21 @@ class TestDirectFormulas:
             t, reg = random_type(rng, (2, 3), max_depth=4, max_systems=6)
             assert deviation_sectors(dual(dual(t)), reg).same_subspace(
                 deviation_sectors(t, reg))
+
+
+class TestSectorSetGates:
+    def test_a_mask_beyond_the_systems(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SectorSet((("A", 2), ("B", 2)), {0b100})
+
+    def test_union_of_different_systems(self):
+        a = SectorSet((("A", 2),), {1})
+        with pytest.raises(ValueError, match="identical system lists"):
+            sector_union(a, SectorSet((("B", 2),), {1}))
+
+    def test_a_network_without_slots(self):
+        with pytest.raises(ValueError, match="at least one slot"):
+            network_characterization([], "P", "F", REG)
 
 
 class TestNetworkCharacterization:

@@ -215,6 +215,13 @@ def test_registry_invariants():
     assert reg2.dim("Q") == 5 and reg.dim("A") == 2
 
 
+def test_registry_refuses_a_label_of_two_dimensions():
+    with pytest.raises(ValueError, match="registered twice with different dimensions"):
+        SystemRegistry((("A", 2), ("A", 3)))
+    with pytest.raises(ValueError, match="already registered with dimension 2"):
+        SystemRegistry.of(A=2).with_entries(A=3)
+
+
 def test_registry_dimensions_follow_the_factor_rule():
     # as for operator factors: Python and numpy integers, stored as int;
     # booleans, floats and strings refused
