@@ -43,12 +43,15 @@ def check_tol(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def factor_entry(label, dim) -> tuple[str, int]:
-    """A ``(label, dim)`` factor; :class:`ShapeMismatch` unless ``dim`` is an integer >= 1.
+def _is_count(x) -> bool:
+    """True for an integer >= 1: Python and numpy integers qualify; booleans,
+    floats and strings do not."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral) and x >= 1
 
-    Python and numpy integers qualify; booleans, floats and strings do not.
-    """
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+
+def factor_entry(label, dim) -> tuple[str, int]:
+    """A ``(label, dim)`` factor; :class:`ShapeMismatch` unless ``dim`` is an integer >= 1."""
+    if not _is_count(dim):
         raise ShapeMismatch(f"factor {label!r} has dimension {dim!r}, not an integer >= 1")
     return str(label), int(dim)
 

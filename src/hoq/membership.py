@@ -3,7 +3,6 @@ alternating projections, and the bidirectional-vs-ordinary classifier."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, _positivity, check_tol, permute_systems
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _is_count, _positivity, check_tol,
+                     permute_systems)
 from .sectors import (
     SectorSet,
     _complement,
@@ -309,7 +309,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     :class:`NonFiniteOperator` on NaN or infinite entries, ValueError unless
     ``max_iter`` is an integer >= 1 (not a boolean), and on a bad tolerance.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+    if not _is_count(max_iter):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
     masks = sectors.reorder(op.factors).masks

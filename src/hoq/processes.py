@@ -110,10 +110,12 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
     ``(slot, backwards)`` pair, entering the slot's input and leaving its
     output, or the reverse when ``backwards`` is 1.  Consecutive ports are
     joined by identity wires, so ``v`` is a 0/1 vector.  Factors: ``Pt, Pc``,
-    the slot pairs in order, ``Ft, Fc``.  ValueError unless ``d >= 2``.
+    the slot pairs in order, ``Ft, Fc``.  ValueError unless ``d >= 2``,
+    raised before the iterable ``routes`` is read.
     """
     if d < 2:
         raise ValueError("target dimension must be at least 2")
+    routes = list(routes)
     n, controls = len(slots), len(routes)
     v = np.zeros((d, controls) + (d,) * (2 * n) + (d, controls))
     for c, route in enumerate(routes):
@@ -207,7 +209,8 @@ def n_time_flip_choi(n: int, d: int) -> LabeledOperator:
     if n < 1:
         raise ValueError("need n >= 1")
     slots = [(f"A{s}", f"B{s}") for s in range(1, n + 1)]
-    routes = [tuple((s, c >> (n - 1 - s) & 1) for s in range(n)) for c in range(2 ** n)]
+    # lazy, so that a bad d is refused before 2^n routes are built
+    routes = (tuple((s, c >> (n - 1 - s) & 1) for s in range(n)) for c in range(2 ** n))
     return _routed(d, slots, routes)
 
 

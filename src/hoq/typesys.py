@@ -15,7 +15,6 @@ freely (derived forms such as duals introduce several of them).
 """
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -29,6 +28,7 @@ from .errors import (
     TypeSyntaxError,
     UnknownSystem,
 )
+from .linalg import _is_count
 
 TRIVIAL_LABEL = "I"
 
@@ -53,8 +53,7 @@ class SystemRegistry:
         for label, dim in self.entries:
             if not _LABEL_RE.fullmatch(label):
                 raise ValueError(f"invalid system label {label!r}")
-            # Python and numpy integers qualify, booleans do not
-            if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            if not _is_count(dim):
                 raise ValueError(f"dimension of {label!r} must be an integer >= 1, got {dim!r}")
             if label in seen and seen[label] != dim:
                 raise ValueError(f"label {label!r} registered twice with different dimensions")

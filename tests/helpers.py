@@ -5,8 +5,27 @@ They live outside ``conftest.py`` because ``perfbench/tests`` has a
 would resolve to whichever pytest loaded last.
 """
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CAPPED_BYTES = 1 << 30
+
+
+def run_capped(code, *args):
+    """Run ``python -c code args`` with hoq on the path, in 1 GB of address
+    space and at most 60 s, so that a runaway allocation fails the test
+    instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAPPED_BYTES, CAPPED_BYTES))
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def random_type(rng, reg_dims, max_depth=4, max_systems=10):

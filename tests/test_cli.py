@@ -29,7 +29,7 @@ from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type, pri
 from hoq.errors import (ConfigError, HoqError, NonFiniteOperator, RecursionLimit,
                         ShapeMismatch, SizeLimit)
 
-from helpers import NON_FINITE, converted, non_finite_operator
+from helpers import NON_FINITE, converted, non_finite_operator, run_capped
 
 
 @pytest.fixture
@@ -1165,6 +1165,17 @@ class TestMakeAndClassify:
                                    "--config", max_dim_16])
         assert res.exit_code == 2, res.output
         assert "max_dim" not in res.output
+
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_make_refuses_a_bad_flip_target_before_its_routes(self, tmp_path, d):
+        # the size formula is 0 at d <= 0, so only the builder's own check
+        # stands between --n 64 and a list of 2^64 routes
+        out = tmp_path / "op.json"
+        res = run_capped("from hoq.cli import main; main()", "make", "n-time-flip",
+                         "--d", d, "--n", "64", "-o", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "target dimension must be at least 2" in res.stderr
+        assert not out.exists()
 
     def test_make_deterministic_given_seed(self, runner, tmp_path):
         a = tmp_path / "a.json"

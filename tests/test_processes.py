@@ -41,7 +41,7 @@ from hoq.serialize import DEFAULT_DIM_CAP
 from hoq.linalg import choi_of_kraus, link_all, relabel
 
 from helpers import (NON_FINITE, bistoch_type_of, mask_of, reference_n_time_flip,
-                     reference_time_flip)
+                     reference_time_flip, run_capped)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 FLIP_TYPE = parse_type("((^A -> ^B) -> (P -> F))", REG)
@@ -287,6 +287,12 @@ class TestNTimeFlip:
     def test_flips_need_a_target_of_dimension_two(self, build, d):
         with pytest.raises(ValueError, match="^target dimension must be at least 2$"):
             build(d)
+
+    def test_a_bad_target_is_refused_before_the_routes_are_built(self):
+        # 2^64 routes fit in no memory: the target check must come first
+        res = run_capped("from hoq.processes import n_time_flip_choi; n_time_flip_choi(64, 0)")
+        assert res.returncode == 1
+        assert res.stderr.rstrip().endswith("ValueError: target dimension must be at least 2")
 
     def test_n_time_flip_needs_a_slot(self):
         with pytest.raises(ValueError, match="^need n >= 1$"):
