@@ -8,6 +8,7 @@ as JSON with ``--json``.  A config file can be named with ``--config`` or the
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -34,14 +35,6 @@ from .serialize import (
 from .typesys import NetworkSpec, SystemRegistry, dehat, parse_type, systems_of
 
 
-def _config(config_path, registry_inline) -> Config:
-    """The config file's settings, with the inline registry merged into its registry."""
-    cfg = load_config(config_path) if config_path else Config()
-    if registry_inline:
-        cfg.registry = cfg.registry.with_entries(**parse_inline_registry(registry_inline))
-    return cfg
-
-
 def _sized(t, reg: SystemRegistry, cfg: Config):
     """A type or spec ``t``, unless its k systems make 2^k > ``limits.max_dim`` patterns."""
     k = len(t.system_order(reg) if isinstance(t, NetworkSpec) else systems_of(t))
@@ -61,18 +54,20 @@ class HoqGroup(click.Group):
             sys.exit(2)
 
 
-common_options = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 envvar="HOQ_CONFIG", help="Config file (default: $HOQ_CONFIG)."),
-    click.option("--registry", "registry_inline", default=None,
-                 help="Inline registry, e.g. 'A=2,B=2,P=4,F=4'."),
-]
-
-
-def with_common(f):
-    for opt in reversed(common_options):
-        f = opt(f)
-    return f
+def with_config(f):
+    """Give a command ``--config`` and ``--registry``; it receives their
+    :class:`Config`, the inline registry merged into the file's, first."""
+    @click.option("--config", "config_path", type=click.Path(), default=None,
+                  envvar="HOQ_CONFIG", help="Config file (default: $HOQ_CONFIG).")
+    @click.option("--registry", "registry_inline", default=None,
+                  help="Inline registry, e.g. 'A=2,B=2,P=4,F=4'.")
+    @functools.wraps(f)
+    def command(config_path, registry_inline, **options):
+        cfg = load_config(config_path) if config_path else Config()
+        if registry_inline:
+            cfg.registry = cfg.registry.with_entries(**parse_inline_registry(registry_inline))
+        return f(cfg, **options)
+    return command
 
 
 @click.group(cls=HoqGroup)
@@ -83,10 +78,9 @@ def main():
 
 @main.command("lambda")
 @click.argument("type_string")
-@with_common
-def cmd_lambda(type_string, config_path, registry_inline):
+@with_config
+def cmd_lambda(cfg, type_string):
     """Print the exact identity coefficient of a type."""
-    cfg = _config(config_path, registry_inline)
     t = parse_type(type_string, cfg.registry, limit=cfg.recursion)
     click.echo(str(identity_coeff(t, cfg.registry)))
 
@@ -95,10 +89,9 @@ def cmd_lambda(type_string, config_path, registry_inline):
 @click.argument("type_string")
 @click.option("--hierarchy", type=click.Choice(["bistoch", "standard"]),
               default="bistoch", show_default=True)
-@with_common
-def cmd_delta(type_string, hierarchy, config_path, registry_inline):
+@with_config
+def cmd_delta(cfg, type_string, hierarchy):
     """Print the allowed sector patterns of a type, one per line."""
-    cfg = _config(config_path, registry_inline)
     t = _sized(parse_type(type_string, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     if hierarchy == "standard":
         t = dehat(t)
@@ -117,13 +110,11 @@ def cmd_delta(type_string, hierarchy, config_path, registry_inline):
 @click.option("--admissible", is_flag=True,
               help="Test admissibility (domination by a deterministic event).")
 @click.option("--json", "as_json", is_flag=True)
-@with_common
-def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
-              admissible, as_json, config_path, registry_inline):
+@with_config
+def cmd_check(cfg, type_string, operator_file, hierarchy, network_spec_file, admissible, as_json):
     """Test an operator file against a type or a network specification."""
     if bool(type_string) == bool(network_spec_file):
         raise click.UsageError("give either a TYPE argument or --network-spec, not both")
-    cfg = _config(config_path, registry_inline)
     t = (read_spec(network_spec_file, cfg.registry, limit=cfg.recursion) if network_spec_file
          else parse_type(type_string, cfg.registry, limit=cfg.recursion))
     t = _sized(t, cfg.registry, cfg)  # before the operator file is read
@@ -149,10 +140,9 @@ def cmd_check(type_string, operator_file, hierarchy, network_spec_file,
 @click.argument("type_string")
 @click.option("-f", "--file", "operator_file", required=True, type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True)
-@with_common
-def cmd_classify(type_string, operator_file, as_json, config_path, registry_inline):
+@with_config
+def cmd_classify(cfg, type_string, operator_file, as_json):
     """Classify an operator as BOTH / BISTOCH_ONLY / NEITHER."""
-    cfg = _config(config_path, registry_inline)
     t = _sized(parse_type(type_string, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
     result = classify_op(op, t, cfg.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
@@ -186,15 +176,13 @@ def cmd_classify(type_string, operator_file, as_json, config_path, registry_inli
 @click.option("--k", type=int, default=3, show_default=True,
               help="Mixture terms for random-bistoch.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@with_common
-def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
-             config_path, registry_inline):
+@with_config
+def cmd_make(cfg, process, output, dim, slots, x, y, tail_in, tail_out, k, seed):
     """Construct a canonical process and write its operator JSON.
 
     Emitted factors follow the canonical order of the process type, with
     target and control ports fused into single P and F factors.
     """
-    cfg = _config(config_path, registry_inline)
     # the operator's dimension, from the options alone, and how to build it;
     # a negative option counts as 0, so that its builder's own error reports it
     d, n, t_in, t_out = (max(v, 0) for v in (dim, slots, tail_in, tail_out))
@@ -225,14 +213,11 @@ def cmd_make(process, output, dim, slots, x, y, tail_in, tail_out, k, seed,
 @click.option("--state", "state_file", required=True, type=click.Path(exists=True))
 @click.option("--control", "control_file", required=True, type=click.Path(exists=True))
 @click.option("-o", "--output", required=True, type=click.Path())
-@with_common
-def cmd_apply_flip(channel_file, state_file, control_file, output,
-                   config_path, registry_inline):
+@with_config
+def cmd_apply_flip(cfg, channel_file, state_file, control_file, output):
     """Run a channel through the direction flip on given target and control states."""
-    max_dim = _config(config_path, registry_inline).max_dim
-    chan = read_operator(channel_file, max_dim=max_dim)
-    rho = read_operator(state_file, max_dim=max_dim)
-    omega = read_operator(control_file, max_dim=max_dim)
+    chan, rho, omega = (read_operator(f, max_dim=cfg.max_dim)
+                        for f in (channel_file, state_file, control_file))
     out = processes.time_flip_apply(chan, rho, omega)
     write_operator(out, output)
     click.echo(f"wrote {output}: factors {list(out.labels)}, trace {out.trace().real:.12g}")
@@ -241,10 +226,9 @@ def cmd_apply_flip(channel_file, state_file, control_file, output,
 @main.command("compose")
 @click.argument("bundle_file", type=click.Path(exists=True))
 @click.option("-o", "--output", required=True, type=click.Path())
-@with_common
-def cmd_compose(bundle_file, output, config_path, registry_inline):
+@with_config
+def cmd_compose(cfg, bundle_file, output):
     """Chain the blocks of a network bundle and write the composed operator."""
-    cfg = _config(config_path, registry_inline)
     blocks, spec, reg = read_bundle(bundle_file, cfg.registry, max_dim=cfg.max_dim,
                                     limit=cfg.recursion)
     for i in range(spec.n):
@@ -261,10 +245,9 @@ def cmd_compose(bundle_file, output, config_path, registry_inline):
               help="Network spec JSON: {slot_types: [...], memories: [...]}.")
 @click.option("-f", "--file", "operator_file", required=True, type=click.Path(exists=True))
 @click.option("-o", "--output", required=True, type=click.Path())
-@with_common
-def cmd_decompose(spec_file, operator_file, output, config_path, registry_inline):
+@with_config
+def cmd_decompose(cfg, spec_file, operator_file, output):
     """Peel a network operator into blocks and write them as a bundle."""
-    cfg = _config(config_path, registry_inline)
     spec = _sized(read_spec(spec_file, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,

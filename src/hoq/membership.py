@@ -320,25 +320,25 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         else:
             reason = f"operator not PSD (min eigenvalue {fields['min_eigenvalue']:.3e})"
         return AdmissibilityResult("NOT_ADMISSIBLE", reason=reason)
-    deviation = r.data.copy()
-    deviation.reshape(-1)[::op.dim + 1] -= float(coeff)
 
     if isinstance(t, SystemString):
         trace = fields["lambda_measured"] * op.dim
         if trace <= 1.0 + tol:
-            deviation.reshape(-1)[::op.dim + 1] += float(coeff) + max(1 - trace, 0) / op.dim
-            witness = permute_systems(LabeledOperator(op.factors, deviation), sectors.labels)
+            data = r.data.copy()
+            data.reshape(-1)[::op.dim + 1] += max(1 - trace, 0) / op.dim
+            witness = permute_systems(LabeledOperator(op.factors, data), sectors.labels)
             return AdmissibilityResult("FEASIBLE", witness=witness,
                                        reason="trace test for elementary states")
         return AdmissibilityResult(
             "NOT_ADMISSIBLE",
             reason=f"trace {trace:.6g} exceeds 1: no deterministic state dominates")
 
-    # the affine set is a + V (a = coeff*1 - op = -deviation, V the allowed sectors): its
-    # projection is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp
+    # the affine set is a + V (a = coeff*1 - op, V the allowed sectors): its projection
+    # is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp; the
+    # identity pattern lies in V-perp, so P_V-perp(a) = coeff*1 - P_V-perp(op)
     dims = op.dims
-    perp = _complement(len(dims), masks)
-    offset = -_project(deviation, dims, perp)
+    offset = -_project(r.data, dims, _complement(len(dims), masks))
+    offset.reshape(-1)[::op.dim + 1] += float(coeff)
 
     x = np.zeros_like(offset)
     p = np.zeros_like(offset)
@@ -354,9 +354,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     if gap < tol:
         # witness = op + PSD part of x, so domination holds by construction
         # and only the membership of the witness needs confirming
-        data = deviation + _project_psd(x)
-        data.reshape(-1)[::op.dim + 1] += float(coeff)
-        witness = LabeledOperator(op.factors, data)
+        witness = LabeledOperator(op.factors, r.data + _project_psd(x))
         report = check_operator(witness, coeff, sectors, tol=max(tol * 10, 1e-8))
         if report.passed:
             return AdmissibilityResult("FEASIBLE", witness=permute_systems(witness, sectors.labels),

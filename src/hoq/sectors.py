@@ -16,7 +16,8 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,9 +77,6 @@ class SectorSet:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.systems)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -427,10 +425,7 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     """
     in_order = s.reorder(order)
     k = len(order)
-    marked = 0
-    for m in range(1, 1 << k):
-        if m not in in_order.masks:
-            marked |= m
+    marked = reduce(or_, _forbidden(in_order), 0)
     kept = [i for i in range(k) if marked >> i & 1]
     idle = tuple(i for i in reversed(range(k)) if not marked >> i & 1)
     factors = tuple(in_order.systems[i] for i in kept)
@@ -441,7 +436,7 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     labels = [lab for lab, _ in factors]
     where = [labels.index(lab) if lab in labels else len(labels) for lab in s.labels]
     forbidden = tuple((mask, _mask_text(_permute_mask(mask, where), s.systems))
-                      for mask in range(1, 1 << len(factors)) if mask not in allowed)
+                      for mask in sorted(_forbidden(allowed)))
     permutation = None if in_order.labels == s.labels else s.labels
     return _LevelPlan(idle, factors, allowed, idle_dim, forbidden, permutation)
 

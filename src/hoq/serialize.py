@@ -26,6 +26,7 @@ or :class:`ShapeMismatch` names what it is not or the first key it lacks.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import math
 import zlib
@@ -269,8 +270,11 @@ def _read_text(path: str) -> str:
 
 
 def _open(path: str, mode: str):
+    """``path`` as text; a ``.gz`` file is written with header time 0, so its bytes repeat."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
+        if mode == "w":
+            return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
 

@@ -369,8 +369,10 @@ def dehat(t: TypeExpr | NetworkSpec) -> TypeExpr | NetworkSpec:
     return Arrow(dehat(t.lhs), dehat(t.rhs))
 
 
-def has_hats(t: TypeExpr) -> bool:
-    return any(isinstance(node, BistochElem) for node in walk(t))
+def has_hats(t: TypeExpr | NetworkSpec) -> bool:
+    """Whether ``t``, or one of a spec's slots, holds a bidirectional pair."""
+    slots = t.slot_types if isinstance(t, NetworkSpec) else (t,)
+    return any(isinstance(node, BistochElem) for x in slots for node in walk(x))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +397,11 @@ class NetworkSpec:
             raise ShapeMismatch("need exactly n+1 memory labels for n slots")
         if not self.slot_types:
             raise ShapeMismatch("a network needs at least one slot")
+        labels = [lab for x in self.slot_types for _, labs in _elementary(x) for lab in labs]
+        labels = [lab for lab in (*self.memories, *labels) if lab != TRIVIAL_LABEL]
+        for i, lab in enumerate(labels):
+            if lab in labels[:i]:
+                raise DuplicateSystem(f"label {lab!r} occurs more than once in the network spec")
 
     @property
     def n(self) -> int:

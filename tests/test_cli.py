@@ -1,6 +1,9 @@
 import functools
 import gzip
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ from hoq.typesys import MAX_RECURSION_LIMIT, BistochElem, dehat, parse_type, pri
 from hoq.errors import (ConfigError, HoqError, NonFiniteOperator, RecursionLimit,
                         ShapeMismatch, SizeLimit)
 
-from helpers import NON_FINITE, converted, non_finite_operator, run_capped
+from helpers import SRC, NON_FINITE, converted, non_finite_operator, run_capped
 
 
 @pytest.fixture
@@ -143,6 +146,18 @@ class TestSerialization:
             payload = json.load(fh)
         assert payload["factors"] == [["A", 2]]
         assert np.array_equal(read_operator(str(path)).data, op.data)
+
+    def test_gzip_files_are_reproducible(self, tmp_path, monkeypatch):
+        # gzip stamps the clock into header bytes 4-7 unless it is given a time
+        op = LabeledOperator((("A", 2),), np.eye(2) / 3)
+        path = tmp_path / "op.json.gz"
+        written = []
+        for now in (1e9, 2e9):
+            monkeypatch.setattr(gzip.time, "time", lambda: now)
+            write_operator(op, str(path))
+            written.append(path.read_bytes())
+            assert np.array_equal(read_operator(str(path)).data, op.data)
+        assert written[0] == written[1]
 
     def test_dict_shapes(self, tmp_path):
         op = LabeledOperator((("A", 2),), np.array([[1, 2j], [-2j, 0.5]]))
@@ -468,12 +483,12 @@ class TestSerialization:
         # and the first block that names it wins over a later one
         blocks = [LabeledOperator((("A", 2), ("M", 3)), np.eye(6) / 2),
                   LabeledOperator((("M", 2), ("B", 2)), np.eye(4) / 2)]
-        spec = {"slot_types": ["(^A -> ^B)"] * 2, "memories": ["I", "M", "I"]}
+        spec = {"slot_types": ["(^A -> ^B)", "(^C -> ^D)"], "memories": ["I", "M", "I"]}
         path = str(tmp_path / "bundle.json")
         for order, dim in ((blocks, 3), (blocks[::-1], 2)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"blocks": [operator_to_dict(b) for b in order], "spec": spec}, fh)
-            assert read_bundle(path, SystemRegistry.of(A=2, B=2))[2].dim("M") == dim
+            assert read_bundle(path, SystemRegistry.of(A=2, B=2, C=2, D=2))[2].dim("M") == dim
 
     def test_max_dim_on_read(self, tmp_path):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
@@ -564,6 +579,20 @@ limits.max_iter = 99
         assert parse_inline_registry("A=2, B=3") == {"A": 2, "B": 3}
         with pytest.raises(ConfigError):
             parse_inline_registry("A:2")
+
+    def test_inline_registry_skips_empty_entries(self):
+        assert parse_inline_registry("A=2,,B=3,") == {"A": 2, "B": 3}
+
+    def test_spec_file_with_a_repeated_label(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"slot_types": ["((^A -> ^B) -> I)"] * 2,
+                                    "memories": ["P", "I", "F"]}))
+        op = tmp_path / "op.json"
+        write_operator(LabeledOperator((("A", 2),), np.eye(2) / 2), str(op))
+        res = runner.invoke(main, ["check", "--network-spec", str(spec), "-f", str(op),
+                                   "--registry", REG_FLIP])
+        assert res.exit_code == 2
+        assert "label 'A' occurs more than once in the network spec" in res.output
 
     def test_registry_label_given_twice(self, runner, tmp_path):
         # a repeated label must repeat its dimension, as SystemRegistry demands
@@ -1176,6 +1205,12 @@ class TestMakeAndClassify:
         assert res.returncode == 2, res.stderr
         assert "target dimension must be at least 2" in res.stderr
         assert not out.exists()
+
+    def test_module_runs_as_a_program(self):
+        res = subprocess.run([sys.executable, "-m", "hoq.cli", "lambda", "(^A -> ^B)",
+                              "--registry", "A=2,B=2"], capture_output=True, text=True,
+                             timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+        assert (res.returncode, res.stdout) == (0, "1/2\n"), res.stderr
 
     def test_make_deterministic_given_seed(self, runner, tmp_path):
         a = tmp_path / "a.json"

@@ -527,6 +527,9 @@ class TestStructure:
         with pytest.raises(ShapeMismatch, match="not an integer >= 1"):
             LabeledOperator(factors, data)
 
+    def test_repr(self):
+        assert repr(op([("A", 2), ("B", 3)], np.eye(6))) == "LabeledOperator([A:2,B:3], dim=6)"
+
     def test_data_immutable(self):
         a = identity([("A", 2)])
         with pytest.raises(ValueError):

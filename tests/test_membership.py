@@ -7,8 +7,10 @@ import pytest
 
 from hoq import (
     LabeledOperator,
+    NetworkSpec,
     SystemRegistry,
     classify,
+    dehat,
     dual,
     is_admissible,
     is_deterministic,
@@ -19,7 +21,7 @@ from hoq import (
     sector_project,
     tensor,
 )
-from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator
+from hoq.errors import FactorMismatch, NoHattedSystems, NonFiniteOperator, NotHermitian
 from hoq.linalg import TOL_PSD, link_product, permute_systems, tensor_op, transpose
 from hoq.membership import characterization_of, check_operator, random_hermitian
 from hoq.network import check_bislot
@@ -162,6 +164,13 @@ def test_herm_tol_must_be_finite_and_non_negative(name, bad):
         _HERM_TOL_FUNCS[name](_PAIR, bad)
 
 
+@pytest.mark.parametrize("name", list(_HERM_TOL_FUNCS))
+def test_herm_tol_gate_refuses_a_larger_defect(name):
+    skewed = LabeledOperator(_PAIR.factors, _PAIR.data + 1e-6j * np.triu(np.ones((4, 4)), 1))
+    with pytest.raises(NotHermitian, match=r"^hermiticity defect \S+ exceeds 1\.0e-08$"):
+        _HERM_TOL_FUNCS[name](skewed, 1e-8)
+
+
 @pytest.mark.parametrize("name", ["sector_project", "outside_component", "pattern_norms"])
 def test_infinite_herm_tol_skips_the_sector_functions_measurement(name):
     skewed = LabeledOperator(_PAIR.factors, _PAIR.data + np.triu(np.ones((4, 4)), 1))
@@ -273,6 +282,14 @@ class TestSamples:
     def test_eps_must_lie_below_one(self, eps):
         with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
             sample_deterministic(parse_type("(^A -> ^B)", REG), REG, eps=eps)
+
+    def test_a_one_dimensional_system_samples_the_identity_event(self):
+        # its traceless part is 0, so the projected noise is already positive
+        reg = SystemRegistry.of(Q=1)
+        t = parse_type("Q", reg)
+        op = sample_deterministic(t, reg, eps=0.5, seed=0)
+        assert np.array_equal(op.data, np.eye(1))
+        assert is_deterministic(op, t, reg).passed
 
     def test_samples_pass_their_own_check(self):
         rng = np.random.default_rng(6)
@@ -463,6 +480,15 @@ class TestClassify:
         with pytest.raises(NoHattedSystems):
             classify(LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2),
                      parse_type("(A -> B)", REG), REG)
+
+    def test_a_bidirectional_network_spec(self):
+        reg = SystemRegistry.of(A=2, B=2, C=2, D=2, P=2, F=2)
+        slots = tuple(parse_type(x, reg) for x in ("((^A -> ^B) -> I)", "((^C -> ^D) -> I)"))
+        spec = NetworkSpec(slots, ("P", "I", "F"))
+        op = sample_deterministic(spec, reg, seed=0)
+        assert classify(op, spec, reg).verdict == "BISTOCH_ONLY"
+        with pytest.raises(NoHattedSystems):
+            classify(op, dehat(spec), reg)
 
     def test_one_hermiticity_scan_and_positivity_gate(self, monkeypatch):
         from hoq import membership

@@ -209,6 +209,10 @@ class TestSectorSetGates:
         with pytest.raises(ValueError, match="identical system lists"):
             sector_union(a, SectorSet((("B", 2),), {1}))
 
+    def test_repr(self):
+        s = SectorSet((("A", 2), ("B", 3)), {1, 3})
+        assert repr(s) == "SectorSet((('A', 2), ('B', 3)), 2 patterns)"
+
     def test_a_network_without_slots(self):
         with pytest.raises(ValueError, match="at least one slot"):
             network_characterization([], "P", "F", REG)

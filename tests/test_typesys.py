@@ -146,6 +146,15 @@ def test_extend_clauses():
         extend(a, "NOPE", reg)
 
 
+def test_extend_the_trivial_type():
+    assert extend(TRIVIAL, "A", REG) == SystemString(("A",))
+
+
+def test_an_empty_system_string_is_refused():
+    with pytest.raises(ValueError, match="at least one label"):
+        SystemString(())
+
+
 def test_extend_appends_to_systems():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -192,6 +201,20 @@ def test_network_spec_memories_and_order():
         NetworkSpec(slots, ("I", "I"))
     with pytest.raises(ShapeMismatch, match="at least one slot"):
         NetworkSpec((), ("I",))
+
+
+@pytest.mark.parametrize("slots, memories, label", [
+    (["((^A -> ^B) -> I)", "((^A -> ^B) -> I)"], ("P", "I", "F"), "A"),
+    (["(^A -> ^B)"], ("B", "F"), "B"),
+    (["C"], ("P", "P"), "P"),
+], ids=["two-slots", "memory-is-a-slot-label", "two-memories"])
+def test_network_spec_refuses_a_repeated_label(slots, memories, label):
+    # as validate does for a type; the trivial label I may repeat
+    slot_types = tuple(parse_type(x, REG) for x in slots)
+    with pytest.raises(DuplicateSystem,
+                       match=f"label '{label}' occurs more than once in the network spec"):
+        NetworkSpec(slot_types, memories)
+    assert NetworkSpec(slot_types[:1], ("I", "I")).memories == ("I", "I")
 
 
 def test_dehat_spec_keeps_memories():
