@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +36,10 @@ _BLOCK = 256
 # scan: narrow tiles keep the transposed reads of a large operator from
 # contending for the same cache sets
 _TILE = (256, 64)
+# the list that :meth:`LabeledOperator.herm_defect` appends its live rows to,
+# set by :func:`_defect_and_support` around the one call it makes; a context
+# variable, so a check in another thread or task never sees it
+_FOUND_SUPPORT: ContextVar[list | None] = ContextVar("_FOUND_SUPPORT", default=None)
 
 
 def check_tol(name: str, value: float) -> None:
@@ -136,6 +141,9 @@ class LabeledOperator:
         """
         data = self.data
         live = _sparse_support(data)
+        found = _FOUND_SUPPORT.get()
+        if found is not None:
+            found.append(live)
         defect = 0.0
         with np.errstate(invalid="ignore", over="ignore"):
             if live is None:
@@ -192,6 +200,22 @@ def _sparse_support(m: np.ndarray) -> np.ndarray | None:
     of them do, else None; a NaN or infinite entry counts as an entry."""
     live = np.flatnonzero(m.any(axis=1))
     return live if 2 * len(live) <= len(m) else None
+
+
+def _defect_and_support(a: LabeledOperator) -> tuple[float, np.ndarray | None]:
+    """``a.herm_defect()`` and the live rows its scan found, as
+    :func:`_sparse_support` gives them.
+
+    The rows are handed on for this one call only: ``a`` may share the
+    caller's memory, so rows kept for a later check could be stale.
+    """
+    found = []
+    token = _FOUND_SUPPORT.set(found)
+    try:
+        defect = a.herm_defect()
+    finally:
+        _FOUND_SUPPORT.reset(token)
+    return defect, found[0]
 
 
 def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
@@ -301,6 +325,33 @@ def _trace_factor(data: np.ndarray, dims, pos: int) -> np.ndarray:
     return out.reshape(lr, lr)
 
 
+def _trace_live(data: np.ndarray, dims, pos: int, live: np.ndarray) -> np.ndarray:
+    """:func:`_trace_factor` of a matrix whose entries all lie in the rows
+    and columns ``live``, ascending, read from those only.
+
+    Each live index splits into its kept part and its part z at factor
+    ``pos``.  Every entry ``data[a, b]`` with ``z_a == z_b`` is added into
+    the kept entry by ``np.add.at``, which adds in index order.  The pairs
+    come in row-major order, a :data:`_TILE` area of them at a time, so each
+    output entry sums its terms in ascending z, as :func:`_trace_factor`
+    does; the terms left out are zeros, so the result is the same, bit for
+    bit, but for the sign of a zero.
+    """
+    d = dims[pos]
+    right = math.prod(dims[pos + 1:])
+    n = len(data) // d
+    high, rest = np.divmod(live, d * right)
+    z, low = np.divmod(rest, right)
+    kept = high * right + low
+    out = np.zeros(n * n, data.dtype)
+    step = max(1, _TILE[0] * _TILE[1] // max(len(live), 1))
+    for i in range(0, len(live), step):
+        rows, cols = np.nonzero(z[i:i + step, None] == z)
+        rows += i
+        np.add.at(out, kept[rows] * n + kept[cols], data[live[rows], live[cols]])
+    return out.reshape(n, n)
+
+
 def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:
     """In place, ``data = ufunc(data, small (x) 1)`` with the identity at factor ``pos``.
 
@@ -403,15 +454,18 @@ def hermitian_part(a: LabeledOperator, out: np.ndarray | None = None) -> np.ndar
     return sym
 
 
-def _positivity(a: LabeledOperator, defect: float,
-                psd_tol: float) -> tuple[np.ndarray, float, float, bool, str]:
-    """The Hermitian part of ``a``, its squared Frobenius norm, its minimum
-    eigenvalue, the positivity verdict and the method that decided.
+def _positivity(a: LabeledOperator, defect: float, live: np.ndarray | None,
+                psd_tol: float) -> tuple[np.ndarray, np.ndarray | None, float, float, bool, str]:
+    """The Hermitian part of ``a``, its live rows as :func:`_sparse_support`
+    gives them, its squared Frobenius norm, its minimum eigenvalue, the
+    positivity verdict and the method that decided.
 
-    ``defect`` is ``a``'s hermiticity defect.  The Hermitian part is
-    ``a.data`` when it is 0, and else :func:`hermitian_part` of ``a``.  Its
-    zero rows are zero columns, so after a permutation ``sym + psd_tol * 1``
-    is the live block (the rows that hold an entry) plus ``psd_tol * 1``,
+    ``defect`` is ``a``'s hermiticity defect and ``live`` the live rows of
+    ``a.data``, both from :func:`_defect_and_support`.  The Hermitian part
+    is ``a.data`` when the defect is 0, with those rows, and else
+    :func:`hermitian_part` of ``a``, whose rows are found anew.  Its zero
+    rows are zero columns, so after a permutation ``sym + psd_tol * 1`` is
+    the live block (the rows that hold an entry) plus ``psd_tol * 1``,
     beside ``psd_tol * 1``: positive definite exactly when that block is.
     When at most half the rows are live, the block is a copy of them, at
     most a quarter of the operator.  Otherwise it is the whole part: the
@@ -422,8 +476,11 @@ def _positivity(a: LabeledOperator, defect: float,
     and reports the lower bound ``-psd_tol``; only when it fails does
     ``eigvalsh`` find the exact minimum, from the unfactored part.
     """
-    sym = a.data if defect == 0 else hermitian_part(a)
-    live = _sparse_support(sym)
+    if defect == 0:
+        sym = a.data
+    else:
+        sym = hermitian_part(a)
+        live = _sparse_support(sym)
     if live is not None:
         block = sym[np.ix_(live, live)]
     else:
@@ -438,9 +495,9 @@ def _positivity(a: LabeledOperator, defect: float,
     if block is sym:
         hermitian_part(a, out=sym)
     if factored:
-        return sym, norm_sq, -psd_tol, True, "cholesky"
+        return sym, live, norm_sq, -psd_tol, True, "cholesky"
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return sym, norm_sq, min_eig, min_eig >= -psd_tol, "eigvalsh"
+    return sym, live, norm_sq, min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
 def _cholesky_lower(sym: np.ndarray) -> None:
@@ -474,17 +531,17 @@ def _subtract_panel(sym: np.ndarray, k1: int, panel_h: np.ndarray) -> None:
         sym[i0:i1, i0:i1] -= np.tril(row @ panel_h[:, i0 - k1:i1 - k1])
 
 
-def _require_hermitian(a: LabeledOperator, tol: float) -> float:
-    """The hermiticity defect of ``a``; :class:`NotHermitian` beyond ``tol``,
-    which :func:`check_tol` tests first."""
+def _require_hermitian(a: LabeledOperator, tol: float) -> tuple[float, np.ndarray | None]:
+    """:func:`_defect_and_support` of ``a``; :class:`NotHermitian` when the
+    defect exceeds ``tol``, which :func:`check_tol` tests first."""
     check_tol("herm_tol", tol)
-    defect = a.herm_defect()
+    defect, live = _defect_and_support(a)
     if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return defect
+    return defect, live
 
 
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
     check_tol("psd_tol", psd_tol)
-    return _positivity(a, _require_hermitian(a, herm_tol), psd_tol)[3]
+    return _positivity(a, *_require_hermitian(a, herm_tol), psd_tol)[4]

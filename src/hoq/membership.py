@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _is_count, _positivity, check_tol,
-                     permute_systems)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _defect_and_support, _is_count,
+                     _positivity, check_tol, permute_systems)
 from .sectors import (
     SectorSet,
     _complement,
@@ -146,19 +146,23 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
     infinite entries.
     """
     plan = _level_plan(sectors, op.factors)  # FactorMismatch here, not after the front half
-    return _back_half(*_front_half(op, coeff, tol, psd_tol, herm_tol), plan, tol)
+    r, live, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    return _back_half(_idle_traced(r, plan, live), fields, scale, plan, tol)
 
 
 def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
-                herm_tol: float) -> tuple[LabeledOperator, dict, float]:
-    """The operator the sector test measures, in ``op``'s own factor order, the
-    fields hermiticity, positivity and the identity coefficient decide, and
-    the scale ``1 + ||R - coeff*1||_F`` of the sector test's noise floor.
+                herm_tol: float) -> tuple[LabeledOperator, np.ndarray | None, dict, float]:
+    """The operator the sector test measures, in ``op``'s own factor order,
+    its live rows, the fields hermiticity, positivity and the identity
+    coefficient decide, and the scale ``1 + ||R - coeff*1||_F`` of the
+    sector test's noise floor.
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
     ``op`` then equals its Hermitian part; otherwise it is the Hermitian
-    part.  One call of :func:`hoq.linalg._positivity` gives that part, its
-    positivity and ``||R||_F^2``, and with ``tr R``, read for the
+    part.  The live rows are those :func:`hoq.linalg._sparse_support` gives,
+    found once: the hermiticity scan's rows serve ``op``, for this check
+    only.  One call of :func:`hoq.linalg._positivity` gives that part, its
+    rows, its positivity and ``||R||_F^2``, and with ``tr R``, read for the
     coefficient, ``||R - coeff*1||_F^2`` follows: the deviation is never
     formed.  So the front half holds no operator-sized array besides ``op``
     for an exactly Hermitian operator with at most half its rows live, and
@@ -169,8 +173,9 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     check_tol("psd_tol", psd_tol)
-    herm_defect = op.herm_defect()
-    sym, norm_sq, min_eig, spectrum_ok, psd_method = _positivity(op, herm_defect, psd_tol)
+    herm_defect, live = _defect_and_support(op)
+    sym, live, norm_sq, min_eig, spectrum_ok, psd_method = _positivity(op, herm_defect, live,
+                                                                       psd_tol)
     herm_ok = herm_defect <= herm_tol
     expected = float(coeff)
     trace = float(np.trace(op.data).real)
@@ -184,26 +189,27 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
                   psd_method=psd_method, herm_defect=herm_defect, lambda_ok=lambda_ok,
                   lambda_expected=coeff, lambda_measured=measured)
     measured_op = op if herm_defect == 0 else LabeledOperator(op.factors, sym)
-    return measured_op, fields, scale
+    return measured_op, live, fields, scale
 
 
-def _back_half(r: LabeledOperator, fields: dict, scale: float, plan: _LevelPlan,
+def _back_half(averaged: LabeledOperator, fields: dict, scale: float, plan: _LevelPlan,
                tol: float) -> CheckReport:
-    """Sector residual and out-of-sector breakdown of an operator against the
-    level ``plan``, :func:`hoq.sectors._level_plan` of its sector set in the
-    operator's factor order, and the verdict; patterns are named in the
-    set's order, which the report's ``permutation`` gives when it differs.
+    """Sector residual and out-of-sector breakdown of an operator R against
+    the level ``plan``, :func:`hoq.sectors._level_plan` of its sector set in
+    R's factor order, and the verdict; patterns are named in the set's
+    order, which the report's ``permutation`` gives when it differs.
 
     The identity pattern is never forbidden, so ``R`` and ``R - coeff*1`` have
     the same outside component.  Every forbidden pattern marks the factors Z
     identity (the global future, in every level that has one), so it is
-    ``Y (x) 1_Z``: ``Y`` is taken on ``R`` averaged over Z, d_Z^2 times
-    smaller, and its squared norm and pattern weights times d_Z are those of
-    the component.  Z, the allowed set over the other factors and the texts
-    of the forbidden patterns come from the plan, worked out once per level
-    and factor order.  ``scale`` is the front half's ``1 + ||R - coeff*1||_F``.
+    ``Y (x) 1_Z``: ``Y`` is taken on ``averaged``, R averaged over Z by
+    :func:`hoq.sectors._idle_traced`, d_Z^2 times smaller, and its squared
+    norm and pattern weights times d_Z are those of the component.  Z, the
+    allowed set over the other factors and the texts of the forbidden
+    patterns come from the plan, worked out once per level and factor
+    order.  ``scale`` is the front half's ``1 + ||R - coeff*1||_F``.
     """
-    outside = outside_component(_idle_traced(r, plan), plan.allowed, herm_tol=np.inf)
+    outside = outside_component(averaged, plan.allowed, herm_tol=np.inf)
     residual = math.sqrt(plan.idle_dim * float(np.vdot(outside.data, outside.data).real))
 
     forbidden = []
@@ -250,16 +256,20 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
 
     Checks ``t`` in the bidirectional hierarchy and the dehatted type in the
     ordinary one.  Dehatting keeps the factor order and the coefficient, so
-    only the sector test runs twice.  BISTOCH_ONLY verdicts come with the
+    only the sector test runs twice, on one average over Z when the two
+    levels have the same Z.  BISTOCH_ONLY verdicts come with the
     sector patterns (with weights) that are allowed for bidirectional events
     but forbidden for ordinary ones.
     """
     coeff, bi_sectors, std_sectors, gap_texts = _classification_plan(t, reg)
     # FactorMismatch before the front half
     bi_plan, std_plan = (_level_plan(s, op.factors) for s in (bi_sectors, std_sectors))
-    front = _front_half(op, coeff, tol, psd_tol, herm_tol)
-    bi = _back_half(*front, bi_plan, tol)
-    std = _back_half(*front, std_plan, tol)
+    r, live, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    bi_averaged = _idle_traced(r, bi_plan, live)
+    std_averaged = (bi_averaged if std_plan.idle == bi_plan.idle
+                    else _idle_traced(r, std_plan, live))
+    bi = _back_half(bi_averaged, fields, scale, bi_plan, tol)
+    std = _back_half(std_averaged, fields, scale, std_plan, tol)
     if not bi.passed or std.passed:
         return Classification("BOTH" if bi.passed else "NEITHER", [], bi, std)
     forbidden = [(pat, norm) for pat, norm in std.forbidden_components if pat in gap_texts]
@@ -313,7 +323,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
     masks = sectors.reorder(op.factors).masks
-    r, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    r, _, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
     if not fields["psd_ok"]:
         if not fields["herm_defect"] <= herm_tol:
             reason = f"operator not Hermitian (defect {fields['herm_defect']:.3e})"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FactorMismatch
 from .linalg import (TOL_HERM, LabeledOperator, _combine_identity, _require_hermitian,
-                     _trace_factor)
+                     _trace_factor, _trace_live)
 from .typesys import (
     BistochElem,
     SystemRegistry,
@@ -441,14 +441,24 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     return _LevelPlan(idle, factors, allowed, idle_dim, forbidden, permutation)
 
 
-def _idle_traced(op: LabeledOperator, plan: _LevelPlan) -> LabeledOperator:
+def _idle_traced(op: LabeledOperator, plan: _LevelPlan,
+                 live: np.ndarray | None) -> LabeledOperator:
     """``op`` averaged over the factors Z of ``plan``, highest first as in
-    :func:`_project_masks`; ``op`` itself when Z is empty."""
+    :func:`_project_masks`; ``op`` itself when Z is empty.
+
+    ``live`` holds the rows of ``op`` that hold an entry when at most half
+    of them do, else None, as :func:`hoq.linalg._sparse_support` gives
+    them.  With such rows the first average reads only the live block
+    (:func:`hoq.linalg._trace_live`), and the others run on the matrix it
+    leaves, d_Z times smaller on each side.
+    """
     if not plan.idle:
         return op
     data, dims = op.data, op.dims
     for pos in plan.idle:
-        data = _trace_factor(data, dims, pos)
+        data = (_trace_factor(data, dims, pos) if live is None
+                else _trace_live(data, dims, pos, live))
+        live = None
         data /= dims[pos]
         dims = dims[:pos] + dims[pos + 1:]
     return LabeledOperator(plan.factors, data)

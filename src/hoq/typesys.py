@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Union
 
 from .errors import (
@@ -232,9 +232,15 @@ class _Parser:
             raise TypeSyntaxError(str(exc), self.pos) from None
 
 
+@lru_cache(maxsize=256, typed=True)
 def parse_type(text: str, reg: SystemRegistry,
                limit: int = DEFAULT_RECURSION_LIMIT) -> TypeExpr:
-    """Parse a type string and validate it against the registry."""
+    """Parse a type string and validate it against the registry.
+
+    Cached on ``(text, reg, limit)``: types are frozen and the registry
+    compares by value, so a repeated parse returns the same type.  A text
+    that fails to parse or validate raises each time.
+    """
     parser = _Parser(_lex(text), limit)
     node = parser.type_expr()
     if parser.tok != "":

@@ -378,6 +378,37 @@ def unpruned_pattern_norms(op):
     return weights
 
 
+def reference_idle_traced(op, plan, live=None):
+    """``hoq.sectors._idle_traced`` with every average over Z taken by
+    ``_trace_factor`` on the whole matrix, whatever rows ``live`` names: the
+    path that the live-block average must equal."""
+    from hoq import LabeledOperator
+    from hoq.linalg import _trace_factor
+
+    if not plan.idle:
+        return op
+    data, dims = op.data, op.dims
+    for pos in plan.idle:
+        data = _trace_factor(data, dims, pos)
+        data /= dims[pos]
+        dims = dims[:pos] + dims[pos + 1:]
+    return LabeledOperator(plan.factors, data)
+
+
+def sparse_hermitian(rng, dim, n_live, complex_entries, share):
+    """A Hermitian matrix whose entries lie in ``n_live`` random rows and their
+    columns, each entry of that block drawn with probability ``share``; the
+    entries left out are 0 times a normal draw, so some zeros are -0."""
+    data = np.zeros((dim, dim), dtype=complex if complex_entries else float)
+    live = rng.choice(dim, n_live, replace=False)
+    drawn = rng.random((n_live, n_live)) < share
+    block = rng.normal(size=drawn.shape) * drawn
+    if complex_entries:
+        block = block + 1j * rng.normal(size=drawn.shape) * drawn
+    data[np.ix_(live, live)] = block + block.conj().T
+    return data
+
+
 def disjoint_gram(rng, dim, share):
     """A 0/1 Gram operator ``sum_c |v_c><v_c|`` whose 0/1 vectors have disjoint
     supports, as the paper's canonical processes are: each row joins one of a

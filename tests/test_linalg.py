@@ -429,7 +429,7 @@ class TestSupportCholesky:
         r = _sparse_flip()
         run = {"is_psd": lambda: is_psd(r),
                "_front_half": lambda: _front_half(r, Fraction(1, 32), 1e-9, TOL_PSD,
-                                                  TOL_HERM)[1]["psd_ok"]}
+                                                  TOL_HERM)[2]["psd_ok"]}
         tracemalloc.start()
         try:
             assert run[front]()

@@ -4,7 +4,8 @@ their recursions without stops at zero arrays, of the invariants that let
 ``classify`` and ``is_admissible`` share the check's front half, of real
 arithmetic against complex arithmetic in the check, of checks that run in
 the operator's own factor order, of the check's sector test against the
-outside component formed on the whole operator, of checks from emptied
+outside component formed on the whole operator, of the average over the
+idle factors read from the live rows against the whole-matrix average, of checks from emptied
 and from warm plan caches, of the factor order of network
 characterizations, and of the operator and bundle file reader against a
 whole-document conversion, across the two key orders of an operator
@@ -48,20 +49,21 @@ from hoq import (
     sector_project,
 )
 from hoq.errors import HoqError, NonFiniteOperator, NotHermitian, ShapeMismatch, SizeLimit
-from hoq import linalg
-from hoq.linalg import TOL_HERM, TOL_PSD, _positivity, hermitian_part
+from hoq import linalg, membership
+from hoq.linalg import (TOL_HERM, TOL_PSD, _defect_and_support, _positivity,
+                        _sparse_support, hermitian_part)
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import Classification, characterization_of, check_operator, random_hermitian
-from hoq.sectors import (SectorSet, _project_masks, deviation_sectors, full_space,
-                         outside_component)
+from hoq.sectors import (SectorSet, _idle_traced, _level_plan, _project_masks,
+                         deviation_sectors, full_space, outside_component)
 from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, systems_of,
                          tensor)
 
 from helpers import (clear_plan_caches, converted, disjoint_gram, mask_of, marks_of,
                      planted_traceless, random_type, reference_component,
-                     reference_partial_trace, rename_type, unpruned_pattern_norms,
-                     unpruned_project)
+                     reference_idle_traced, reference_partial_trace, rename_type,
+                     sparse_hermitian, unpruned_pattern_norms, unpruned_project)
 
 
 def drawn_hermitian(draw, dims):
@@ -662,6 +664,64 @@ def test_plans_of_equal_masks_are_not_shared(dims):
         assert _result_text(checks[second]()) == cold[second]
 
 
+@st.composite
+def sparse_level(draw):
+    """A sparse Hermitian operator over random dimensions, real or complex,
+    with at most half its rows live (at times none), and a sector set whose
+    forbidden patterns all mark a random set of factors identity, so that
+    the check averages over none, one or several factors."""
+    dims = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=4)))
+    k, dim = len(dims), math.prod(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_live = 0 if dim < 2 or rng.random() < 0.1 else int(rng.integers(1, dim // 2 + 1))
+    data = sparse_hermitian(rng, dim, n_live, draw(st.booleans()),
+                            draw(st.sampled_from([0.3, 0.6, 1.0])))
+    idle = draw(st.sets(st.integers(0, k - 1)))
+    free = [m for m in range(1, 1 << k) if not any(m >> i & 1 for i in idle)]
+    forbidden = draw(st.sets(st.sampled_from(free))) if free else set()
+    systems = tuple((f"S{i}", d) for i, d in enumerate(dims))
+    allowed = SectorSet(systems, set(range(1, 1 << k)) - forbidden)
+    return LabeledOperator(systems, data), allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_level())
+def test_live_block_average_is_the_whole_matrix_average(case):
+    # every entry lies in the live block, so the average read from it adds
+    # the same terms in the same order as _trace_factor on all D^2 entries
+    op, allowed = case
+    plan = _level_plan(allowed, op.factors)
+    live = _sparse_support(op.data)
+    assert live is not None
+    got = _idle_traced(op, plan, live)
+    want = reference_idle_traced(op, plan)
+    assert got.factors == want.factors and got.data.dtype == want.data.dtype
+    # bit for bit but for the sign of a zero, which adding +0 drops
+    assert (got.data + 0.0).tobytes() == (want.data + 0.0).tobytes()
+    coeff = Fraction(1, op.dim)
+    with mock.patch.object(membership, "_idle_traced", reference_idle_traced):
+        reference = check_operator(op, coeff, allowed).to_dict()
+    assert check_operator(op, coeff, allowed).to_dict() == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(hatted_type(max_systems=4), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_classify_on_the_live_block_equals_the_whole_matrix_path(case, seed, complex_entries):
+    t, reg = case
+    systems = characterization_of(t, reg)[1].systems
+    dim = math.prod(d for _, d in systems)
+    rng = np.random.default_rng(seed)
+    op = LabeledOperator(systems, sparse_hermitian(rng, dim, int(rng.integers(0, dim // 2 + 1)),
+                                                   complex_entries, 0.6))
+
+    def outcome(res):
+        return (res.verdict, res.forbidden, res.bistoch_report.to_dict(),
+                res.standard_report.to_dict())
+    with mock.patch.object(membership, "_idle_traced", reference_idle_traced):
+        reference = outcome(classify(op, t, reg))
+    assert outcome(classify(op, t, reg)) == reference
+
+
 # the parts of a matrix entry: floats, -0.0, integers, and 0.0 for a real entry
 ENTRY_PART = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0),
                        st.integers(-2 ** 200, 2 ** 200), st.just(0.0))
@@ -966,7 +1026,8 @@ def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
     kind, data, positive = case
     a = LabeledOperator((("S", len(data)),), data)
     before = a.data.tobytes()
-    defect = a.herm_defect()
+    defect, live = _defect_and_support(a)
+    assert defect == a.herm_defect()
     assert kind == "support" or (defect > 0) == (kind == "skewed")
     factored = []
     inner = linalg._cholesky_lower
@@ -975,10 +1036,11 @@ def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
         factored.append(block)
         inner(block)
     with mock.patch.object(linalg, "_cholesky_lower", spy):
-        sym, norm_sq, min_eig, psd_ok, method = _positivity(a, defect, TOL_PSD)
+        sym, sym_live, norm_sq, min_eig, psd_ok, method = _positivity(a, defect, live, TOL_PSD)
     assert a.data.tobytes() == before
     part = a.data if defect == 0 else hermitian_part(a)
     assert sym.tobytes() == part.tobytes()
+    assert np.array_equal(sym_live, _sparse_support(part))
     # the block: a copy of the live rows, the part itself, or a copy of it
     [block] = factored
     live = np.count_nonzero(part.any(axis=1))

@@ -16,6 +16,7 @@ from hoq import (
     dual_deviation_direct,
     identity_coeff,
     is_admissible,
+    is_psd,
     network_characterization,
     parse_type,
     pattern_norms,
@@ -25,7 +26,7 @@ from hoq import (
     tensor,
     tensor_deviation_direct,
 )
-from hoq import sectors
+from hoq import linalg, sectors
 from hoq.errors import FactorMismatch, NonFiniteOperator
 from hoq.processes import flippable_switch_choi, merge_ports, n_time_flip_choi
 from hoq.sectors import (
@@ -351,7 +352,10 @@ class TestZeroPruning:
     without the stops take 84, 90, 103, 84 and 1002).  A check first traces
     out the factors that every forbidden pattern marks identity, and both
     recursions run on what is left (on the whole operator, the checks took
-    40, 27, 52 and 47)."""
+    40, 27, 52 and 47).  The first of those traces reads the live rows
+    (``_trace_live``), not ``_trace_factor``, and ``classify`` takes it once
+    for both of its levels, which share their idle factors: the counts were
+    27, 25, 39 and 33 while every average went through ``_trace_factor``."""
 
     ORDER = ["P", "A1", "B1", "A2", "B2", "F"]
     BSP = "((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))"
@@ -368,27 +372,28 @@ class TestZeroPruning:
         monkeypatch.setattr(sectors, "_trace_factor", counted)
         return calls
 
-    def _fused(self, op):
+    @classmethod
+    def _fused(cls, op):
         ports = {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")}
-        return permute_systems(merge_ports(op, ports), self.ORDER)
+        return permute_systems(merge_ports(op, ports), cls.ORDER)
 
     def test_switch_checks_at_d256(self, traces):
         r = self._fused(flippable_switch_choi(2))
         two = [(2, 2), (2, 2)]
         rep = check_bsp(r, two, 4, 4, hierarchy=Hierarchy.STANDARD)
-        assert not rep.passed and rep.forbidden_components and len(traces) == 27
+        assert not rep.passed and rep.forbidden_components and len(traces) == 26
         traces.clear()
         rep = check_bislot(r, two, 4, 4)
-        assert not rep.passed and rep.forbidden_components and len(traces) == 25
+        assert not rep.passed and rep.forbidden_components and len(traces) == 24
         traces.clear()
         reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
         assert classify(r, parse_type(self.BSP, reg), reg).verdict == "BISTOCH_ONLY"
-        assert len(traces) == 39
+        assert len(traces) == 37
 
     def test_n_flip_standard_check_at_d1024(self, traces):
         r = self._fused(n_time_flip_choi(2, 2))
         rep = check_bsp(r, [(2, 2), (2, 2)], 8, 8, hierarchy=Hierarchy.STANDARD)
-        assert not rep.passed and rep.forbidden_components and len(traces) == 33
+        assert not rep.passed and rep.forbidden_components and len(traces) == 32
 
     def test_undecided_admissibility(self, traces):
         # 2 % above a deterministic event: the PSD step of every iteration
@@ -420,10 +425,10 @@ class TestZeroPruning:
         event = sample_deterministic(PAIR_AB, pair_reg, seed=1009)
         above = LabeledOperator(event.factors, 1.02 * event.data)
         checks = [
-            (lambda: check_bsp(sw, two, 4, 4, hierarchy=standard).to_dict(), 27),
-            (lambda: check_bislot(sw, two, 4, 4).to_dict(), 25),
-            (lambda: classify(sw, parse_type(self.BSP, reg), reg).forbidden, 39),
-            (lambda: check_bsp(nf, two, 8, 8, hierarchy=standard).to_dict(), 33),
+            (lambda: check_bsp(sw, two, 4, 4, hierarchy=standard).to_dict(), 26),
+            (lambda: check_bislot(sw, two, 4, 4).to_dict(), 24),
+            (lambda: classify(sw, parse_type(self.BSP, reg), reg).forbidden, 37),
+            (lambda: check_bsp(nf, two, 8, 8, hierarchy=standard).to_dict(), 32),
             (lambda: is_admissible(above, PAIR_AB, pair_reg, max_iter=500).residual, 502)]
         cold_calls = []
         for check, count in checks:
@@ -439,6 +444,73 @@ class TestZeroPruning:
             cold_calls.append(cold)
         # the four checks of the processes name forbidden patterns
         assert all(cold_calls[:4])
+
+
+class TestOneSupport:
+    """A check finds the live rows of a sparse operator once, in its
+    hermiticity scan, and hands them to the positivity test and to the
+    average over Z; ``classify`` averages once for its two levels."""
+
+    BSP = TestZeroPruning.BSP
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"_sparse_support": 0, "_trace_live": 0}
+        for module, name in ((linalg, "_sparse_support"), (sectors, "_trace_live")):
+            original = getattr(module, name)
+
+            def counted(*args, f=original, n=name):
+                calls[n] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture
+    def switch(self):
+        return TestZeroPruning._fused(flippable_switch_choi(2))
+
+    def test_a_sparse_check_scans_once(self, counts, switch):
+        two = [(2, 2), (2, 2)]
+        for check in (lambda: check_bislot(switch, two, 4, 4),
+                      lambda: check_bsp(switch, two, 4, 4, hierarchy=Hierarchy.STANDARD)):
+            counts.update(_sparse_support=0, _trace_live=0)
+            assert check().forbidden_components
+            assert counts == {"_sparse_support": 1, "_trace_live": 1}
+
+    def test_classify_scans_and_averages_once(self, counts, switch):
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+        t = parse_type(self.BSP, reg)
+        assert classify(switch, t, reg).verdict == "BISTOCH_ONLY"
+        assert counts == {"_sparse_support": 1, "_trace_live": 1}
+
+    def test_is_psd_scans_once(self, counts, switch):
+        assert is_psd(switch)
+        assert counts == {"_sparse_support": 1, "_trace_live": 0}
+
+    def test_a_write_between_two_checks_is_seen(self, switch):
+        # the operator shares the caller's array, so rows that the caller
+        # makes live after one check are read by the next
+        data = switch.data.copy()
+        op = LabeledOperator(switch.factors, data)
+        two = [(2, 2), (2, 2)]
+        first = check_bislot(op, two, 4, 4).to_dict()
+        i, j = np.flatnonzero(~data.any(axis=1))[[0, 5]]
+        data[np.ix_([i, j], [i, j])] = 0.5
+        second = check_bislot(op, two, 4, 4).to_dict()
+        fresh = check_bislot(LabeledOperator(switch.factors, data.copy()), two, 4, 4).to_dict()
+        assert second == fresh
+        assert second["sector_residual"] != first["sector_residual"]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_no_live_rows_average_to_zeros_of_the_dtype(self, dtype):
+        data = np.zeros((12, 12), dtype)
+        out = linalg._trace_live(data, (3, 4), 1, linalg._sparse_support(data))
+        assert out.dtype == dtype and out.shape == (3, 3) and not out.any()
+
+    def test_a_zero_operator_checks(self, switch):
+        zero = LabeledOperator(switch.factors, np.zeros_like(switch.data))
+        rep = check_bislot(zero, [(2, 2), (2, 2)], 4, 4)
+        assert (rep.verdict, rep.lambda_measured, rep.sector_residual) == ("FAIL", 0.0, 0.0)
 
 
 def test_every_cache_is_bounded():

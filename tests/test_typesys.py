@@ -18,6 +18,7 @@ from hoq import (
 from hoq.errors import (
     DuplicateSystem,
     HatDimMismatch,
+    RecursionLimit,
     ShapeMismatch,
     TypeSyntaxError,
     UnknownSystem,
@@ -39,6 +40,24 @@ def test_parse_supermap_type():
     t = parse_type("((^A -> ^B) -> (P -> F))", REG)
     assert t == Arrow(BistochElem("A", (), "B", ()),
                       Arrow(SystemString(("P",)), SystemString(("F",))))
+
+
+def test_a_parse_is_worked_out_once():
+    # types are frozen and registries compare by value, so each text,
+    # registry and nesting limit is parsed once; a failure raises each time
+    parse_type.cache_clear()
+    text = "((^A -> ^B) -> (P -> F))"
+    t = parse_type(text, REG)
+    assert parse_type(text, SystemRegistry(REG.entries)) is t
+    for _ in range(2):
+        with pytest.raises(RecursionLimit):
+            parse_type(text, REG, 1)
+        with pytest.raises(UnknownSystem):
+            parse_type("(X -> A)", REG)
+    assert parse_type(text, REG, 2) == t
+    assert parse_type("(X -> A)", REG.with_entries(X=2)) == Arrow(SystemString(("X",)),
+                                                                  SystemString(("A",)))
+    assert parse_type.cache_info().currsize == 3
 
 
 def test_parse_hat_dim_mismatch():
