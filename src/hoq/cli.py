@@ -124,11 +124,7 @@ def cmd_check(cfg, type_string, operator_file, hierarchy, network_spec_file, adm
     if admissible:
         result = is_admissible(op, t, cfg.registry, tol=cfg.tol_feas, max_iter=cfg.max_iter,
                                psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
-        payload = {"status": result.status, "residual": result.residual,
-                   "iterations": result.iterations, "reason": result.reason}
-        click.echo(json.dumps(payload) if as_json else
-                   f"{result.status} (residual {result.residual:.3e}, "
-                   f"{result.iterations} iterations) {result.reason}")
+        click.echo(json.dumps(result.to_dict()) if as_json else result.to_text())
         sys.exit({"FEASIBLE": 0, "NOT_ADMISSIBLE": 1}.get(result.status, 3))
     report = is_deterministic(op, t, cfg.registry, tol=cfg.tol_sector, psd_tol=cfg.tol_psd,
                               herm_tol=cfg.tol_herm)

@@ -36,6 +36,11 @@ _BLOCK = 256
 # scan: narrow tiles keep the transposed reads of a large operator from
 # contending for the same cache sets
 _TILE = (256, 64)
+# the cost of one pair of live rows in _trace_live, in entries that
+# _trace_factor reads: 20-100 ns against 1-8 ns at D = 1024 and 4096 on one
+# x86 core; the kernels took equal time near 16, and 32 keeps _trace_live
+# only where it is clearly ahead
+_PAIR_COST = 32
 # the list that :meth:`LabeledOperator.herm_defect` appends its live rows to,
 # set by :func:`_defect_and_support` around the one call it makes; a context
 # variable, so a check in another thread or task never sees it
@@ -239,11 +244,15 @@ def permute_systems(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator
     if order == a.labels:
         return a
     perm = [a.labels.index(lab) for lab in order]
+    return LabeledOperator(tuple(a.factors[p] for p in perm), _permuted(a.data, a.dims, perm))
+
+
+def _permuted(data: np.ndarray, dims: tuple, perm: Sequence[int]) -> np.ndarray:
+    """The matrix ``data`` over ``dims`` with its factors in the order ``perm``
+    (factor ``j`` of the result is factor ``perm[j]`` of ``data``)."""
     k = len(perm)
-    tens = a.data.reshape(a.dims + a.dims).transpose(tuple(perm) + tuple(k + p for p in perm))
-    new_factors = tuple(a.factors[p] for p in perm)
-    total = a.dim
-    return LabeledOperator(new_factors, tens.reshape(total, total))
+    tens = data.reshape(dims + dims).transpose(tuple(perm) + tuple(k + p for p in perm))
+    return tens.reshape(data.shape)
 
 
 def relabel(a: LabeledOperator, mapping: dict[str, str]) -> LabeledOperator:
@@ -350,6 +359,23 @@ def _trace_live(data: np.ndarray, dims, pos: int, live: np.ndarray) -> np.ndarra
         rows += i
         np.add.at(out, kept[rows] * n + kept[cols], data[live[rows], live[cols]])
     return out.reshape(n, n)
+
+
+def _few_live_pairs(dims, pos: int, live: np.ndarray) -> bool:
+    """Whether :func:`_trace_live` over factor ``pos`` costs less than
+    :func:`_trace_factor` on a matrix over ``dims`` whose entries lie in the
+    rows and columns ``live``.
+
+    :func:`_trace_live` adds one term per pair of live rows with equal index
+    z at the factor, ``sum_z n_z^2`` of them by one ``np.bincount`` of z, at
+    about 20 to 100 ns a pair (the pair mask, the gather and ``np.add.at``);
+    :func:`_trace_factor` reads the ``D^2 / d`` entries of the d diagonal
+    blocks, at about 1 to 8 ns each.  So the live rows pay when the pairs are
+    fewer than a :data:`_PAIR_COST`-th of those entries.
+    """
+    d = dims[pos]
+    counts = np.bincount(live // math.prod(dims[pos + 1:]) % d, minlength=d)
+    return _PAIR_COST * int(counts @ counts) < math.prod(dims) ** 2 // d
 
 
 def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NoHattedSystems
 from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _defect_and_support, _is_count,
-                     _positivity, check_tol, permute_systems)
+                     _permuted, _positivity, check_tol, permute_systems)
 from .sectors import (
     SectorSet,
     _complement,
@@ -114,15 +114,38 @@ class CheckReport:
 
 @dataclass
 class AdmissibilityResult:
+    """Verdict of :func:`is_admissible`.
+
+    ``residual`` is the gap ``||y - x||_F`` between the last PSD iterate and
+    the last affine one, after ``iterations`` iterations.  When the iteration
+    stopped on a Farkas bound, ``gap_bound`` is that bound, at least twice the
+    tolerance, below which no later gap can fall, and ``certificate`` the
+    matrix Z that proves it: PSD and orthogonal to the allowed sectors, over
+    the type's factors in the type's order, as a FEASIBLE ``witness`` is.
+    Both are None otherwise.
+    """
+
     status: str  # FEASIBLE / NOT_ADMISSIBLE / UNDECIDED
     witness: Optional[LabeledOperator] = None
     reason: str = ""
     residual: float = 0.0
     iterations: int = 0
+    gap_bound: Optional[float] = None
+    certificate: Optional[np.ndarray] = None
 
     @property
     def feasible(self) -> bool:
         return self.status == "FEASIBLE"
+
+    def to_dict(self) -> dict:
+        return {"status": self.status, "residual": self.residual,
+                "iterations": self.iterations, "gap_bound": self.gap_bound,
+                "reason": self.reason}
+
+    def to_text(self) -> str:
+        bound = "" if self.gap_bound is None else f", gap bound {self.gap_bound:.3e}"
+        return (f"{self.status} (residual {self.residual:.3e}, {self.iterations} iterations"
+                f"{bound}) {self.reason}")
 
 
 @dataclass
@@ -301,6 +324,27 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * clipped) @ vecs.conj().T
 
 
+def _gap_bound(displacement: np.ndarray, offset: np.ndarray, dims: tuple,
+               outside: frozenset) -> tuple[float, np.ndarray]:
+    """A lower bound on ``||y - x||_F`` over every PSD ``y`` and every ``x``
+    in ``offset + V``, and the matrix Z that proves it.
+
+    Z is the Hermitian part of ``displacement`` projected onto V-perp (the
+    masks ``outside``, those not in V), raised by its lowest eigenvalue when
+    that is negative: the identity lies in V-perp, so Z is PSD and orthogonal
+    to V.  Then ``<Z, y - x> = <Z, y> - <Z, offset> >= -<Z, offset>``, and
+    by Cauchy-Schwarz the gap is at least ``-<Z, offset> / ||Z||_F``; the
+    bound is -inf when Z is 0.
+    """
+    z = _project(displacement, dims, outside)
+    z = (z + z.conj().T) / 2
+    low = float(np.linalg.eigvalsh(z)[0])
+    if low < 0:
+        z.reshape(-1)[::len(z) + 1] -= low
+    norm = float(np.linalg.norm(z))
+    return (-float(np.vdot(z, offset).real) / norm if norm else -np.inf), z
+
+
 def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
                   tol: float = 1e-7, max_iter: int = 5000,
                   psd_tol: float = TOL_PSD,
@@ -314,8 +358,13 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     cone and the affine set ``coeff*1 - op + allowed deviations``; FEASIBLE
     verdicts return the witness ``D`` in the type's factor order, once
     :func:`check_operator` confirms it at ``max(10 * tol, 1e-8)``, and
-    UNDECIDED is an honest outcome when the iteration does not settle.  The
-    work runs in ``op``'s factor order; only the witness is permuted.  Raises
+    UNDECIDED is an honest outcome when the iteration does not settle.  At
+    iterations 1, 2, 4, 8, ... the displacement ``y - x`` gives a Farkas
+    bound (:func:`_gap_bound`) that every later gap is at least; once it is
+    ``2 * tol`` or more, the gap can never fall below ``tol``, and the
+    iteration stops there with UNDECIDED, the bound and its certificate.  The
+    work runs in ``op``'s factor order; only the witness and the certificate
+    are permuted.  Raises
     :class:`NonFiniteOperator` on NaN or infinite entries, ValueError unless
     ``max_iter`` is an integer >= 1 (not a boolean), and on a bad tolerance.
     """
@@ -347,7 +396,8 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     # is P_V-perp(a) + P_V, and Dykstra's correction for it lies in V-perp; the
     # identity pattern lies in V-perp, so P_V-perp(a) = coeff*1 - P_V-perp(op)
     dims = op.dims
-    offset = -_project(r.data, dims, _complement(len(dims), masks))
+    outside = _complement(len(dims), masks)
+    offset = -_project(r.data, dims, outside)
     offset.reshape(-1)[::op.dim + 1] += float(coeff)
 
     x = np.zeros_like(offset)
@@ -358,9 +408,19 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         y = _project_psd(x + p)
         p = x + p - y
         x = offset + _project(y, dims, masks)
-        gap = float(np.linalg.norm(y - x))
+        displacement = y - x
+        gap = float(np.linalg.norm(displacement))
         if gap < tol:
             break
+        if iterations & (iterations - 1) == 0:
+            # the factor 2 leaves room for the rounding of the bound itself
+            bound, z = _gap_bound(displacement, offset, dims, outside)
+            if bound >= 2 * tol:
+                certificate = _permuted(z, dims, [op.labels.index(lab) for lab in sectors.labels])
+                return AdmissibilityResult(
+                    "UNDECIDED", residual=gap, iterations=iterations, gap_bound=bound,
+                    certificate=certificate,
+                    reason="a Farkas bound shows that the gap cannot fall below tol")
     if gap < tol:
         # witness = op + PSD part of x, so domination holds by construction
         # and only the membership of the witness needs confirming

@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FactorMismatch
-from .linalg import (TOL_HERM, LabeledOperator, _combine_identity, _require_hermitian,
-                     _trace_factor, _trace_live)
+from .linalg import (TOL_HERM, LabeledOperator, _combine_identity, _few_live_pairs,
+                     _require_hermitian, _trace_factor, _trace_live)
 from .typesys import (
     BistochElem,
     SystemRegistry,
@@ -449,12 +449,16 @@ def _idle_traced(op: LabeledOperator, plan: _LevelPlan,
     ``live`` holds the rows of ``op`` that hold an entry when at most half
     of them do, else None, as :func:`hoq.linalg._sparse_support` gives
     them.  With such rows the first average reads only the live block
-    (:func:`hoq.linalg._trace_live`), and the others run on the matrix it
-    leaves, d_Z times smaller on each side.
+    (:func:`hoq.linalg._trace_live`) when its pairs of live rows are few
+    enough to pay (:func:`hoq.linalg._few_live_pairs`), and the others run
+    on the matrix it leaves, d_Z times smaller on each side.  Both kernels
+    give the same bytes.
     """
     if not plan.idle:
         return op
     data, dims = op.data, op.dims
+    if live is not None and not _few_live_pairs(dims, plan.idle[0], live):
+        live = None
     for pos in plan.idle:
         data = (_trace_factor(data, dims, pos) if live is None
                 else _trace_live(data, dims, pos, live))

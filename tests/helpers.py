@@ -301,6 +301,32 @@ def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm
                                reason="alternating projections did not certify feasibility")
 
 
+def assert_gap_certificate(res, op, t, reg, tol=1e-7):
+    """Verify anew the Farkas certificate of an admissibility result
+    that stopped on its gap bound: Z is PSD by ``eigvalsh``, its projection
+    onto the allowed sectors V vanishes, and ``-<Z, a> / ||Z||_F >= tol`` for
+    ``a = coeff*1 - R``, all in the type's factor order.  Then every PSD Y
+    and every X in ``a + V`` lie at least that far apart, so no iterate can
+    come within ``tol``.  Returns that recomputed bound."""
+    from hoq import LabeledOperator, sector_project
+    from hoq.linalg import permute_systems
+    from hoq.membership import characterization_of
+
+    coeff, sectors = characterization_of(t, reg)
+    z = res.certificate
+    assert res.status == "UNDECIDED" and res.gap_bound >= 2 * tol
+    assert z.shape == (op.dim, op.dim)
+    norm = float(np.linalg.norm(z))
+    assert norm > 0
+    assert float(np.linalg.eigvalsh(z)[0]) >= -1e-12 * norm
+    in_v = sector_project(LabeledOperator(sectors.systems, z), sectors).data
+    assert float(np.linalg.norm(in_v)) <= 1e-12 * norm
+    a = float(coeff) * np.eye(op.dim) - permute_systems(op, sectors.labels).data
+    bound = -float(np.vdot(z, a).real) / norm
+    assert bound >= tol
+    return bound
+
+
 def unpruned_project(data, dims, masks):
     """Projection of ``data`` onto the sector ``masks`` by the recursion of
     ``hoq.sectors._project`` without its stops at exactly zero arrays: every

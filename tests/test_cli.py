@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual, processes
 from hoq.cli import main
 from hoq.linalg import TOL_PSD, permute_systems
-from hoq.membership import sample_deterministic
+from hoq.membership import is_admissible, sample_deterministic
 from hoq.serialize import (
     DEFAULT_DIM_CAP,
     Config,
@@ -802,6 +802,35 @@ class TestCheckCommand:
         res = runner.invoke(main, ["check", "(^A -> ^B)", "-f", str(und),
                                    "--registry", "A=2,B=2", "--admissible"])
         assert res.exit_code == 3
+
+    def test_admissible_mode_reports_the_gap_bound(self, runner, tmp_path):
+        # 2 % above the identity event of (^A -> ^B): the first gap bound,
+        # 0.02, stops the iteration, and both outputs name it; the JSON is
+        # the result's to_dict, and a FEASIBLE result's bound is null
+        path = tmp_path / "above.json"
+        op = LabeledOperator((("A", 2), ("B", 2)), np.diag([1.02, 0, 0, 1.02]))
+        write_operator(op, str(path))
+        args = ["check", "(^A -> ^B)", "-f", str(path), "--registry", "A=2,B=2",
+                "--admissible"]
+        res = runner.invoke(main, args + ["--json"])
+        assert res.exit_code == 3
+        payload = json.loads(res.output)
+        reg = SystemRegistry.of(A=2, B=2)
+        assert payload == is_admissible(op, parse_type("(^A -> ^B)", reg), reg).to_dict()
+        assert (payload["status"], payload["iterations"]) == ("UNDECIDED", 1)
+        assert abs(payload["gap_bound"] - 0.02) <= 1e-15
+        assert payload["residual"] == payload["gap_bound"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert res.output == ("UNDECIDED (residual 2.000e-02, 1 iterations, gap bound "
+                              "2.000e-02) a Farkas bound shows that the gap cannot fall "
+                              "below tol\n")
+        write_operator(LabeledOperator(op.factors, np.diag([0.5, 0, 0, 0.5])), str(path))
+        res = runner.invoke(main, args + ["--json"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["status"] == "FEASIBLE" and payload["gap_bound"] is None
+        assert runner.invoke(main, args).output.startswith("FEASIBLE (residual ")
 
     def test_admissible_mode_uses_config_psd_tol(self, runner, tmp_path):
         # half a rank-3 projector, pushed 1e-6 below zero on its kernel: PSD

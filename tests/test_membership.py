@@ -29,8 +29,8 @@ from hoq.sectors import SectorSet, full_space, outside_component, pattern_norms
 from hoq.processes import merge_ports, n_time_flip_choi, random_state
 from hoq.typesys import extend, systems_of
 
-from helpers import (NON_FINITE, mask_of, non_finite_operator, random_type, reference_admissible,
-                     rename_type)
+from helpers import (NON_FINITE, assert_gap_certificate, mask_of, non_finite_operator,
+                     random_type, reference_admissible, rename_type)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 
@@ -430,7 +430,7 @@ class TestAdmissibility:
         # trace test or by iteration, NOT_ADMISSIBLE and UNDECIDED, in a
         # shuffled factor order
         rng = np.random.default_rng(5)
-        iterated = 0
+        iterated = stopped = 0
         for trial in range(10):
             t, reg = random_type(rng, (2,), max_depth=3, max_systems=4)
             event = sample_deterministic(t, reg, seed=trial)
@@ -440,19 +440,42 @@ class TestAdmissibility:
             new = is_admissible(op, t, reg, max_iter=300)
             ref = reference_admissible(op, t, reg, max_iter=300)
             iterated += ref.iterations > 0
-            assert (new.status, new.iterations, new.reason) == \
-                (ref.status, ref.iterations, ref.reason), trial
-            assert abs(new.residual - ref.residual) <= 1e-12, trial
+            assert new.status == ref.status, trial
             assert (new.witness is None) == (ref.witness is None), trial
+            if new.gap_bound is None:
+                assert (new.iterations, new.reason) == (ref.iterations, ref.reason), trial
+                assert abs(new.residual - ref.residual) <= 1e-12, trial
+            else:
+                # the reference, without the stop, runs on to max_iter
+                stopped += 1
+                assert new.iterations <= ref.iterations, trial
+                assert_gap_certificate(new, op, t, reg)
             if ref.witness is not None:
                 assert new.witness.factors == ref.witness.factors
                 scale_w = np.abs(ref.witness.data).max()
                 assert np.abs(new.witness.data - ref.witness.data).max() <= 1e-12 * scale_w
         assert iterated >= 3
+        # above the events every iterated input stops on its bound, below none
+        assert stopped == (iterated if scale > 1 else 0)
+
+    def test_certificate_comes_in_the_types_factor_order(self):
+        # Tr_B R = diag(1.2, 0.3) exceeds 1_A, so no channel dominates R; the
+        # certificate, |0><0|_A (x) 0.3 * 1_B, is not a multiple of 1, and it
+        # verifies only in the type's order (A, B), not in the operator's
+        reg = SystemRegistry.of(A=2, B=3)
+        t = parse_type("(A -> B)", reg)
+        r = np.kron(np.diag([1.2, 0.3]), np.eye(3) / 3)
+        op = permute_systems(LabeledOperator((("A", 2), ("B", 3)), r), ["B", "A"])
+        res = is_admissible(op, t, reg)
+        assert (res.status, res.iterations) == ("UNDECIDED", 1)
+        assert np.allclose(res.certificate, np.kron(np.diag([0.3, 0.0]), np.eye(3)),
+                           atol=1e-12)
+        assert abs(assert_gap_certificate(res, op, t, reg) - res.gap_bound) <= 1e-12
 
     def test_iteration_measures_hermiticity_once(self, monkeypatch):
-        # 2 % above a deterministic event: the iteration runs to its limit,
-        # on bare arrays, after the one hermiticity measurement of the gate
+        # 2 % above a deterministic event: the iteration runs on bare arrays,
+        # after the one hermiticity measurement of the gate, and stops at its
+        # first gap bound
         t = parse_type("(^A -> ^B)", REG)
         event = sample_deterministic(t, REG, seed=1)
         op = LabeledOperator(event.factors, 1.02 * event.data)
@@ -469,9 +492,10 @@ class TestAdmissibility:
         spy("herm_defect")
         spy("__post_init__")
         res = is_admissible(op, t, REG, max_iter=500)
-        assert (res.status, res.iterations) == ("UNDECIDED", 500)
+        assert (res.status, res.iterations) == ("UNDECIDED", 1)
         # no operator is formed: the event equals its Hermitian part, so the
-        # gate hands ``op`` itself on, and the deviation is a bare array
+        # gate hands ``op`` itself on, and the deviation and the certificate
+        # are bare arrays
         assert counts == {"herm_defect": 1, "__post_init__": 0}
 
 

@@ -1,7 +1,8 @@
 """Property-based tests of the partial trace, of the numerical sector
 projection and pattern norms on dense and exact sparse inputs and against
 their recursions without stops at zero arrays, of the invariants that let
-``classify`` and ``is_admissible`` share the check's front half, of real
+``classify`` and ``is_admissible`` share the check's front half, of
+admissibility's stop on a Farkas bound against the full-length reference, of real
 arithmetic against complex arithmetic in the check, of checks that run in
 the operator's own factor order, of the check's sector test against the
 outside component formed on the whole operator, of the average over the
@@ -60,10 +61,10 @@ from hoq.sectors import (SectorSet, _idle_traced, _level_plan, _project_masks,
 from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, systems_of,
                          tensor)
 
-from helpers import (clear_plan_caches, converted, disjoint_gram, mask_of, marks_of,
-                     planted_traceless, random_type, reference_component,
-                     reference_idle_traced, reference_partial_trace, rename_type,
-                     sparse_hermitian, unpruned_pattern_norms, unpruned_project)
+from helpers import (assert_gap_certificate, clear_plan_caches, converted, disjoint_gram,
+                     mask_of, marks_of, planted_traceless, random_type, reference_admissible,
+                     reference_component, reference_idle_traced, reference_partial_trace,
+                     rename_type, sparse_hermitian, unpruned_pattern_norms, unpruned_project)
 
 
 def drawn_hermitian(draw, dims):
@@ -433,6 +434,53 @@ def test_admissibility_gate_is_the_check_gate(case, kind, size, random):
         assert res.reason == f"operator not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
 
 
+@settings(max_examples=40, deadline=None)
+@given(sampled_type(reg_dims=(2,), max_systems=4), st.floats(0.3, 1.2), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_the_gap_bound_never_changes_a_status(case, scale, add_forbidden, random):
+    # a scaled event in a shuffled factor order: the stop on a Farkas bound
+    # gives the full-length reference's status and witness, and every bound
+    # it stops on is re-verified from its certificate.  A forbidden part,
+    # kept small enough for the operator to stay PSD, makes the gap close
+    # slowly, so the bound also stops later iterations, on certificates that
+    # are no multiple of 1
+    t, reg = case
+    event = sample_deterministic(t, reg, eps=0.5, seed=random.randrange(1 << 16))
+    data = scale * event.data
+    k = len(event.factors)
+    outside = [m for m in range(1, 1 << k) if m not in deviation_sectors(t, reg).masks]
+    if add_forbidden and outside:
+        noise = LabeledOperator(event.factors, random_hermitian(
+            event.dim, np.random.default_rng(random.randrange(1 << 16))))
+        term = sector_project(noise, SectorSet(noise.factors, [random.choice(outside)])).data
+        room = scale * float(np.linalg.eigvalsh(event.data)[0])
+        weight = random.uniform(0.1, 0.9) * room / np.abs(np.linalg.eigvalsh(term)).max()
+        data = data + weight * term
+    order = list(event.labels)
+    random.shuffle(order)
+    op = permute_systems(LabeledOperator(event.factors, data), order)
+    got = is_admissible(op, t, reg, max_iter=300)
+    want = reference_admissible(op, t, reg, max_iter=300)
+    assert got.status == want.status
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness.factors == want.witness.factors
+        size = np.abs(want.witness.data).max()
+        assert np.abs(got.witness.data - want.witness.data).max() <= 1e-12 * size
+    if got.gap_bound is None:
+        assert (got.iterations, got.certificate) == (want.iterations, None)
+    else:
+        assert got.iterations <= want.iterations
+        assert_gap_certificate(got, op, t, reg)
+    # above the events the first displacement is (scale - 1) * coeff * 1 up
+    # to rounding: the best certificate, whose bound is the gap itself
+    coeff = float(identity_coeff(t, reg))
+    pure = not (add_forbidden and outside)
+    if pure and want.iterations and (scale - 1) * coeff * math.sqrt(op.dim) >= 4e-7:
+        assert got.iterations == 1
+        assert abs(got.gap_bound - got.residual) <= 1e-6 * got.residual
+
+
 _SLOT_TEMPLATES = ["(^A{i} -> ^B{i})", "((^A{i} -> ^B{i}) -> I)", "(A{i} -> B{i})", "A{i}",
                    "(^A{i} U{i} -> ^B{i})", "((A{i} B{i} -> I) -> U{i})", "I"]
 
@@ -698,6 +746,12 @@ def test_live_block_average_is_the_whole_matrix_average(case):
     assert got.factors == want.factors and got.data.dtype == want.data.dtype
     # bit for bit but for the sign of a zero, which adding +0 drops
     assert (got.data + 0.0).tobytes() == (want.data + 0.0).tobytes()
+    # whichever kernel the pair count chose, the live-block one agrees
+    if plan.idle:
+        pos = plan.idle[0]
+        by_live_rows = linalg._trace_live(op.data, op.dims, pos, live) + 0.0
+        assert by_live_rows.tobytes() == (linalg._trace_factor(op.data, op.dims, pos)
+                                          + 0.0).tobytes()
     coeff = Fraction(1, op.dim)
     with mock.patch.object(membership, "_idle_traced", reference_idle_traced):
         reference = check_operator(op, coeff, allowed).to_dict()

@@ -28,6 +28,7 @@ from hoq import (
 )
 from hoq import linalg, sectors
 from hoq.errors import FactorMismatch, NonFiniteOperator
+from hoq.membership import check_operator
 from hoq.processes import flippable_switch_choi, merge_ports, n_time_flip_choi
 from hoq.sectors import (
     Hierarchy,
@@ -349,7 +350,7 @@ class TestZeroPruning:
     zero arrays.  The canonical processes are 0/1 Gram operators, so most of
     their partial traces and sector components are exactly 0; the counts of
     partial traces below are those of the pruned recursions (the recursions
-    without the stops take 84, 90, 103, 84 and 1002).  A check first traces
+    without the stops take 84, 90, 103, 84 and 6).  A check first traces
     out the factors that every forbidden pattern marks identity, and both
     recursions run on what is left (on the whole operator, the checks took
     40, 27, 52 and 47).  The first of those traces reads the live rows
@@ -396,16 +397,19 @@ class TestZeroPruning:
         assert not rep.passed and rep.forbidden_components and len(traces) == 32
 
     def test_undecided_admissibility(self, traces):
-        # 2 % above a deterministic event: the PSD step of every iteration
-        # is exactly 0, so each projection of it takes one partial trace
+        # 2 % above a deterministic event: the PSD step of the first
+        # iteration is exactly 0, so its projection takes one partial trace,
+        # and its displacement, -offset, is the certificate of a gap bound
+        # that stops the iteration there; the offset and the certificate's
+        # projections take two each
         reg = SystemRegistry.of(A=2, B=2)
         event = sample_deterministic(PAIR_AB, reg, seed=1009)
         op = LabeledOperator(event.factors, 1.02 * event.data)
         traces.clear()
         res = is_admissible(op, PAIR_AB, reg, max_iter=500)
-        assert (res.status, res.iterations) == ("UNDECIDED", 500)
+        assert (res.status, res.iterations) == ("UNDECIDED", 1)
         assert res.residual.hex() == "0x1.47ae147ae1480p-6"
-        assert len(traces) == 502
+        assert len(traces) == 5
 
     def test_a_repeated_check_repeats_only_its_numerics(self, traces, monkeypatch):
         # each level's bookkeeping is worked out once: from emptied caches
@@ -429,7 +433,7 @@ class TestZeroPruning:
             (lambda: check_bislot(sw, two, 4, 4).to_dict(), 24),
             (lambda: classify(sw, parse_type(self.BSP, reg), reg).forbidden, 37),
             (lambda: check_bsp(nf, two, 8, 8, hierarchy=standard).to_dict(), 32),
-            (lambda: is_admissible(above, PAIR_AB, pair_reg, max_iter=500).residual, 502)]
+            (lambda: is_admissible(above, PAIR_AB, pair_reg, max_iter=500).residual, 5)]
         cold_calls = []
         for check, count in checks:
             clear_plan_caches()
@@ -482,6 +486,34 @@ class TestOneSupport:
         t = parse_type(self.BSP, reg)
         assert classify(switch, t, reg).verdict == "BISTOCH_ONLY"
         assert counts == {"_sparse_support": 1, "_trace_live": 1}
+
+    def test_many_live_pairs_average_the_whole_matrix(self, counts, monkeypatch):
+        # half the rows live, split between the two values of an idle qubit:
+        # 2 * 128^2 same-z pairs against the 512^2 / 2 entries of the whole
+        # matrix's average, too many to pay, so the check averages through
+        # _trace_factor, with the bytes of the live-block average
+        rng = np.random.default_rng(7)
+        live = np.sort(rng.choice(512, 256, replace=False))
+        g = np.zeros((512, 8))
+        g[live] = rng.integers(0, 2, (256, 8))
+        systems = (("X", 256), ("Y", 2))
+        op = LabeledOperator(systems, g @ g.T)
+        allowed = SectorSet(systems, {2, 3})
+        plan = sectors._level_plan(allowed, op.factors)
+        assert plan.idle == (1,)
+        found = linalg._sparse_support(op.data)
+        assert not linalg._few_live_pairs(op.dims, 1, found)
+        whole = []
+        original = sectors._trace_factor
+        monkeypatch.setattr(sectors, "_trace_factor",
+                            lambda *args: whole.append(args[2]) or original(*args))
+        counts.update(_sparse_support=0, _trace_live=0)
+        report = check_operator(op, Fraction(1, 512), allowed)
+        assert report.forbidden_components
+        assert counts == {"_sparse_support": 1, "_trace_live": 0} and whole[0] == 1
+        averaged = sectors._idle_traced(op, plan, found).data + 0.0
+        by_live_rows = linalg._trace_live(op.data, op.dims, 1, found) / 2 + 0.0
+        assert averaged.tobytes() == by_live_rows.tobytes()
 
     def test_is_psd_scans_once(self, counts, switch):
         assert is_psd(switch)
