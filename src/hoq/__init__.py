@@ -25,6 +25,7 @@ from .linalg import (
     merge_factors,
     partial_trace,
     permute_systems,
+    rank_one,
     tensor_op,
 )
 from .sectors import (

@@ -247,9 +247,8 @@ def cmd_decompose(cfg, spec_file, operator_file, output):
     spec = _sized(read_spec(spec_file, cfg.registry, limit=cfg.recursion), cfg.registry, cfg)
     op = read_operator(operator_file, max_dim=cfg.max_dim)
     blocks, new_spec, new_reg = decompose_network(op, spec, cfg.registry,
-                                                  tol=cfg.tol_sector * 10,
-                                                  psd_tol=cfg.tol_psd, herm_tol=cfg.tol_herm)
-    check_max_dim(max(b.dim for b in blocks), cfg.max_dim)
+                                                  tol=cfg.tol_sector * 10, psd_tol=cfg.tol_psd,
+                                                  herm_tol=cfg.tol_herm, max_dim=cfg.max_dim)
     write_bundle(blocks, new_spec, output)
     dims = [new_reg.dim(m) for m in new_spec.memories[1:-1]]
     click.echo(f"wrote {output}: {len(blocks)} blocks, memory dims {dims}")

@@ -13,7 +13,7 @@ import itertools
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,31 +77,30 @@ class LabeledOperator:
     operator built from a C-contiguous float64 or complex128 array that needs
     no conversion shares the caller's memory; its own ``data`` is a
     read-only view of it.
+
+    ``vector`` is None unless :func:`rank_one` formed the operator as
+    ``np.outer(v, v.conj())``; then it is that v, read-only and stored by
+    the same rule.  It is no argument, so it cannot disagree with ``data``.
+    :func:`permute_systems`, :func:`relabel`, :func:`merge_factors` and
+    :func:`drop_trivial` carry it; every other operation drops it, and no
+    check reads it.
     """
 
     factors: tuple[tuple[str, int], ...]
     data: np.ndarray
+    vector: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(factor_entry(lab, d) for lab, d in self.factors)
         object.__setattr__(self, "factors", factors)
         total = math.prod(d for _, d in factors)
-        arr = np.asarray(self.data)
-        if arr.dtype.kind in "biuf":
-            arr = arr.astype(np.float64, copy=False)
-        else:
-            arr = arr.astype(complex, copy=False)
-            if not arr.imag.any():
-                arr = arr.real
+        arr = _stored(self.data)
         if arr.shape != (total, total):
             raise ShapeMismatch(
                 f"matrix shape {arr.shape} does not match factor dimensions (product {total})")
         labels = [lab for lab, _ in factors]
         if len(set(labels)) != len(labels):
             raise LabelCollision(f"repeated factor labels in {labels}")
-        # a view, so that the caller's array stays writeable
-        arr = np.ascontiguousarray(arr).view()
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -175,6 +174,42 @@ class LabeledOperator:
         return f"LabeledOperator([{spec}], dim={self.dim})"
 
 
+def _stored(a) -> np.ndarray:
+    """``a`` under the realness rule, as a read-only C-contiguous view: float64
+    when no entry has a non-zero imaginary part, else complex128."""
+    arr = np.asarray(a)
+    if arr.dtype.kind in "biuf":
+        arr = arr.astype(np.float64, copy=False)
+    else:
+        arr = arr.astype(complex, copy=False)
+        if not arr.imag.any():
+            arr = arr.real
+    # a view, so that the caller's array stays writeable
+    arr = np.ascontiguousarray(arr).view()
+    arr.flags.writeable = False
+    return arr
+
+
+def _carrying(op: LabeledOperator, vector: np.ndarray | None) -> LabeledOperator:
+    """``op`` with ``vector``, a stored v with ``op.data == |v><v|``, as its vector."""
+    if vector is not None:
+        object.__setattr__(op, "vector", vector)
+    return op
+
+
+def rank_one(factors: Iterable[tuple[str, int]], v) -> LabeledOperator:
+    """``|v><v|`` over ``factors``, formed as ``np.outer(v, v.conj())``, with v
+    as its :attr:`~LabeledOperator.vector`; :class:`ShapeMismatch` before
+    anything is allocated unless v has the factors' product of entries."""
+    factors = tuple(factors)
+    v = _stored(np.asarray(v).reshape(-1))
+    total = math.prod(factor_entry(lab, d)[1] for lab, d in factors)
+    if len(v) != total:
+        raise ShapeMismatch(
+            f"vector of {len(v)} entries does not match factor dimensions (product {total})")
+    return _carrying(LabeledOperator(factors, np.outer(v, v.conj())), v)
+
+
 def _tiles(n: int, upper: bool):
     """Row and column slices of the tiles of an ``n x n`` matrix, :data:`_TILE`
     in size; with ``upper``, only those of the row tiles' diagonal blocks and
@@ -237,14 +272,18 @@ def tensor_op(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
 
 
 def permute_systems(a: LabeledOperator, order: Sequence[str]) -> LabeledOperator:
-    """Reorder tensor factors; the matrix is conjugated by the permutation."""
+    """Reorder tensor factors; the matrix is conjugated by the permutation,
+    and a rank-one operator's vector is permuted and its matrix formed anew."""
     order = tuple(order)
     if sorted(order) != sorted(a.labels):
         raise BadPermutation(f"{order} is not a permutation of {a.labels}")
     if order == a.labels:
         return a
     perm = [a.labels.index(lab) for lab in order]
-    return LabeledOperator(tuple(a.factors[p] for p in perm), _permuted(a.data, a.dims, perm))
+    factors = tuple(a.factors[p] for p in perm)
+    if a.vector is not None:
+        return rank_one(factors, a.vector.reshape(a.dims).transpose(perm))
+    return LabeledOperator(factors, _permuted(a.data, a.dims, perm))
 
 
 def _permuted(data: np.ndarray, dims: tuple, perm: Sequence[int]) -> np.ndarray:
@@ -258,7 +297,7 @@ def _permuted(data: np.ndarray, dims: tuple, perm: Sequence[int]) -> np.ndarray:
 def relabel(a: LabeledOperator, mapping: dict[str, str]) -> LabeledOperator:
     """Rename factor labels without touching the matrix."""
     new_factors = tuple((mapping.get(lab, lab), d) for lab, d in a.factors)
-    return LabeledOperator(new_factors, a.data)
+    return _carrying(LabeledOperator(new_factors, a.data), a.vector)
 
 
 def merge_factors(a: LabeledOperator, group: Sequence[str], new_label: str) -> LabeledOperator:
@@ -282,7 +321,7 @@ def merge_factors(a: LabeledOperator, group: Sequence[str], new_label: str) -> L
     new_factors = (a.factors[:start]
                    + ((new_label, merged_dim),)
                    + a.factors[start + len(group):])
-    return LabeledOperator(new_factors, a.data)
+    return _carrying(LabeledOperator(new_factors, a.data), a.vector)
 
 
 def drop_trivial(a: LabeledOperator) -> LabeledOperator:
@@ -290,7 +329,7 @@ def drop_trivial(a: LabeledOperator) -> LabeledOperator:
     kept = tuple(f for f in a.factors if f[1] > 1)
     if kept == a.factors:
         return a
-    return LabeledOperator(kept, a.data)
+    return _carrying(LabeledOperator(kept, a.data), a.vector)
 
 
 def partial_trace(a: LabeledOperator, subset: Iterable[str]) -> LabeledOperator:

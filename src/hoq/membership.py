@@ -324,20 +324,19 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * clipped) @ vecs.conj().T
 
 
-def _gap_bound(displacement: np.ndarray, offset: np.ndarray, dims: tuple,
-               outside: frozenset) -> tuple[float, np.ndarray]:
+def _gap_bound(displacement: np.ndarray, offset: np.ndarray) -> tuple[float, np.ndarray]:
     """A lower bound on ``||y - x||_F`` over every PSD ``y`` and every ``x``
     in ``offset + V``, and the matrix Z that proves it.
 
-    Z is the Hermitian part of ``displacement`` projected onto V-perp (the
-    masks ``outside``, those not in V), raised by its lowest eigenvalue when
-    that is negative: the identity lies in V-perp, so Z is PSD and orthogonal
-    to V.  Then ``<Z, y - x> = <Z, y> - <Z, offset> >= -<Z, offset>``, and
-    by Cauchy-Schwarz the gap is at least ``-<Z, offset> / ||Z||_F``; the
-    bound is -inf when Z is 0.
+    ``displacement`` is the loop's ``y - x``, with ``x = offset + P_V(y)``:
+    it equals ``P_V-perp(y) - offset`` and so lies in V-perp already, as
+    ``offset`` does.  Z is its Hermitian part, raised by its lowest
+    eigenvalue when that is negative: the identity lies in V-perp, so Z is
+    PSD and orthogonal to V.  Then ``<Z, y - x> = <Z, y> - <Z, offset> >=
+    -<Z, offset>``, and by Cauchy-Schwarz the gap is at least
+    ``-<Z, offset> / ||Z||_F``; the bound is -inf when Z is 0.
     """
-    z = _project(displacement, dims, outside)
-    z = (z + z.conj().T) / 2
+    z = (displacement + displacement.conj().T) / 2
     low = float(np.linalg.eigvalsh(z)[0])
     if low < 0:
         z.reshape(-1)[::len(z) + 1] -= low
@@ -414,7 +413,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
             break
         if iterations & (iterations - 1) == 0:
             # the factor 2 leaves room for the rounding of the bound itself
-            bound, z = _gap_bound(displacement, offset, dims, outside)
+            bound, z = _gap_bound(displacement, offset)
             if bound >= 2 * tol:
                 certificate = _permuted(z, dims, [op.labels.index(lab) for lab in sectors.labels])
                 return AdmissibilityResult(

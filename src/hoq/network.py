@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -14,9 +15,11 @@ from .errors import (
     NotANetwork,
     RankInstability,
 )
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, link_all, partial_trace, permute_systems
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, link_all, partial_trace,
+                     permute_systems, rank_one)
 from .membership import CheckReport, check_operator, is_deterministic  # noqa: F401 (re-exported)
 from .sectors import Hierarchy, identity_coeff
+from .serialize import check_max_dim
 from .typesys import (
     TRIVIAL_LABEL,
     Arrow,
@@ -85,7 +88,7 @@ def _fresh_memory_labels(n: int, taken: set) -> list[str]:
 
 def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry,
                       tol: float = 1e-8, psd_tol: float = TOL_PSD,
-                      herm_tol: float = TOL_HERM):
+                      herm_tol: float = TOL_HERM, max_dim: Optional[int] = None):
     """Peel a network operator into a causally ordered chain of blocks.
 
     Returns ``(blocks, new_spec, new_reg)``: the intermediate memories are
@@ -93,6 +96,21 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     representative of a gauge class; no minimality is claimed).  Recomposing
     the blocks reproduces ``r`` and every block passes its slot-type check.
     Both checks, of ``r`` and of the blocks, run at ``max(tol, 1e-8)``.
+
+    The slots are peeled from the last.  Each step takes the marginal S of
+    what is left on the factors before slot i, compresses that onto the
+    support of S, conjugated by ``S^-1/2``, as block i, and lifts
+    ``S^1/2`` onto the fresh memory as the purification ``|w><w|``, with
+    w the columns ``S^1/2 phi_k`` of S's support.  So only the first step
+    reads the dense ``r``, and the last slot's block is the one dense block:
+    after it, what is left is the vector w, each marginal is ``M M^H`` of w
+    reshaped to (old, rest), and each later block is the rank-one
+    operator of the vector ``einsum("pa,aso->spo", S^-1/2 phi, w)``, a chain
+    of isometries as in Chiribella, D'Ariano and Perinotti (PRA 80, 022339,
+    2009).  The first slot's block is the last w itself.  These blocks carry
+    their vectors (:func:`~hoq.linalg.rank_one`).  :class:`SizeLimit` when a
+    block's dimension, known once the step's ``eigh`` gives its rank,
+    exceeds ``max_dim``, before the block is formed.
     """
     report = check_network(r, spec, reg, tol=max(tol, 1e-8), psd_tol=psd_tol,
                            herm_tol=herm_tol)
@@ -108,20 +126,27 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
     new_spec = NetworkSpec(spec.slot_types, (spec.memories[0], *fresh, spec.memories[-1]))
     new_reg = reg
     blocks: list[LabeledOperator] = []
+    # what is left to peel: the dense ``current`` until the first step, then |vec><vec|
+    factors, vec = current.factors, None
 
     for i in range(n, 1, -1):
         x_i = spec.slot_types[i - 1]
         slot_systems = systems_of(x_i, new_reg)
-        slot_labels = [lab for lab, _ in slot_systems]
         # the out-memory is registered: it is En or the previous step's fresh label
         out_mem = systems_of(new_spec.memory(i), new_reg)
-        out_labels = [lab for lab, _ in out_mem]
-        traced = slot_labels + out_labels
+        traced = [lab for lab, _ in slot_systems + out_mem]
+        head = factors[:len(factors) - len(traced)]
 
         coeff_i = identity_coeff(x_i, new_reg)
         dim_i = math.prod(d for _, d in slot_systems)
-        marginal = partial_trace(current, traced)
-        s_data = marginal.data / (float(coeff_i) * dim_i)
+        old_dim = math.prod(d for _, d in head)
+        rest_dim = math.prod(d for _, d in factors) // old_dim
+        if vec is None:
+            marginal = partial_trace(current, traced).data
+        else:
+            lifted = vec.reshape(old_dim, rest_dim)
+            marginal = lifted @ lifted.conj().T
+        s_data = marginal / (float(coeff_i) * dim_i)
 
         vals, vecs = np.linalg.eigh((s_data + s_data.conj().T) / 2)
         top = float(vals[-1])
@@ -138,28 +163,31 @@ def decompose_network(r: LabeledOperator, spec: NetworkSpec, reg: SystemRegistry
 
         new_mem = new_spec.memories[i - 1]
         new_reg = new_reg.with_entries(**{new_mem: rank})
+        check_max_dim(rank * rest_dim, max_dim)
 
         # block i: conjugate by the inverse square root and compress onto the
         # support, which becomes the fresh memory factor; the einsum writes it
         # between the slot (s, t) and out-memory (o, u) factors
         # basis^H S^-1/2 = (basis / roots)^H and S^-1/2 basis = basis / roots
         scaled = basis / roots
-        old_dim = marginal.dim
-        rest_dim = current.dim // old_dim
         dims = (old_dim, dim_i, rest_dim // dim_i)
-        compressed = np.einsum("pa,asobtu,bq->spotqu", scaled.conj().T,
-                               current.data.reshape(dims * 2), scaled, optimize=True)
-        blocks.append(LabeledOperator((*slot_systems, (new_mem, rank), *out_mem),
-                                      compressed.reshape(rank * rest_dim, rank * rest_dim)))
+        block_factors = (*slot_systems, (new_mem, rank), *out_mem)
+        if vec is None:
+            compressed = np.einsum("pa,asobtu,bq->spotqu", scaled.conj().T,
+                                   current.data.reshape(dims * 2), scaled, optimize=True)
+            blocks.append(LabeledOperator(block_factors,
+                                          compressed.reshape(rank * rest_dim, rank * rest_dim)))
+        else:
+            blocks.append(rank_one(block_factors, np.einsum("pa,aso->spo", scaled.conj().T,
+                                                            vec.reshape(dims))))
 
-        # purification-style lift of the marginal onto the fresh memory
-        lift = (basis * roots)  # columns sqrt(S) phi_k
-        vec = lift.reshape(-1)  # (old_dim, rank) row-major = sum_k (S^1/2 phi_k) (x) |k>
-        lifted = np.outer(vec, vec.conj())
-        head_factors = current.factors[:len(current.factors) - len(traced)]
-        current = LabeledOperator(tuple(head_factors) + ((new_mem, rank),), lifted)
+        # purification-style lift of the marginal onto the fresh memory:
+        # (old_dim, rank) row-major = sum_k (S^1/2 phi_k) (x) |k>
+        vec = (basis * roots).reshape(-1)
+        factors = head + ((new_mem, rank),)
 
-    blocks.append(current)
+    check_max_dim(math.prod(d for _, d in factors), max_dim)
+    blocks.append(current if vec is None else rank_one(factors, vec))
     blocks.reverse()
     _check_blocks(blocks, new_spec, new_reg, max(tol, 1e-8), psd_tol, herm_tol)
     return blocks, new_spec, new_reg

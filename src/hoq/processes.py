@@ -23,6 +23,7 @@ from .linalg import (
     merge_factors,
     partial_trace,
     permute_systems,
+    rank_one,
     relabel,
     tensor_op,
 )
@@ -109,7 +110,8 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
     ``Pt`` through the hops of ``routes[c]`` to ``Ft``; a hop is a
     ``(slot, backwards)`` pair, entering the slot's input and leaving its
     output, or the reverse when ``backwards`` is 1.  Consecutive ports are
-    joined by identity wires, so ``v`` is a 0/1 vector.  Factors: ``Pt, Pc``,
+    joined by identity wires, so ``v`` is a 0/1 vector, which the operator
+    carries (:func:`~hoq.linalg.rank_one`).  Factors: ``Pt, Pc``,
     the slot pairs in order, ``Ft, Fc``.  ValueError unless ``d >= 2``,
     raised before the iterable ``routes`` is read.
     """
@@ -125,11 +127,10 @@ def _routed(d: int, slots, routes) -> LabeledOperator:
             index[2 + 2 * slot + backwards] = wires[k]
             index[3 + 2 * slot - backwards] = wires[k + 1]
         v[tuple(index)] = 1.0
-    vec = v.reshape(-1)
     factors = ((("Pt", d), ("Pc", controls))
                + tuple((lab, d) for pair in slots for lab in pair)
                + (("Ft", d), ("Fc", controls)))
-    return LabeledOperator(factors, np.outer(vec, vec))
+    return rank_one(factors, v)
 
 
 def time_flip_choi(d: int) -> LabeledOperator:

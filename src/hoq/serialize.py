@@ -5,8 +5,12 @@ with the matrix row-major and the first factor most significant.  A real
 operator's rows are plain numbers instead, ``"matrix": [[x, ...]]``: the writer
 spells a float64 operator, which is what :class:`~hoq.linalg.LabeledOperator`
 stores when no entry has a non-zero imaginary part, in that form, and a bundle
-does so block by block.  Files whose name ends in ``.gz`` are gzip containers
-of the same JSON.
+does so block by block.  An operator that carries a vector v
+(:func:`~hoq.linalg.rank_one`) is written as ``{"factors": [...], "vector":
+[...]}`` instead, its n entries by the same rule: plain numbers for a float64
+v, ``[re, im]`` pairs otherwise.  An operator object holds exactly one of
+``"matrix"`` and ``"vector"``.  Files whose name ends in ``.gz`` are gzip
+containers of the same JSON.
 
 Files are streamed one matrix row at a time both ways.  A write encodes each
 row with json's C encoder.  A read steps through the document's objects and
@@ -19,9 +23,13 @@ as float64 when every imaginary part is 0.  The text must hold the claimed
 entries at 2 characters each for the real form (``0,``) and 5 for pairs
 (``[0,0]``) before anything is allocated.  Each row is checked as it arrives:
 a malformed row, or one in the other form, raises :class:`ShapeMismatch` and a
-NaN or infinite entry :class:`NonFiniteOperator`.  Every object of a document,
-an operator, a bundle or a network spec, must be a JSON object with its keys,
-or :class:`ShapeMismatch` names what it is not or the first key it lacks.
+NaN or infinite entry :class:`NonFiniteOperator`.  A vector is decoded once,
+with the same scanner, and checked as a row; its length must be the
+factors' product and fit ``max_dim`` before the ``n x n`` matrix is formed,
+and the operator read carries it, so writing it again keeps the vector form.
+Every object of a document, an operator, a bundle or a network spec, must be
+a JSON object with its keys, or :class:`ShapeMismatch` names what it is not
+or the first key it lacks.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, HoqError, NonFiniteOperator, ShapeMismatch, SizeLimit
-from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, factor_entry
+from .linalg import TOL_HERM, TOL_PSD, LabeledOperator, factor_entry, rank_one
 from .typesys import (DEFAULT_RECURSION_LIMIT, MAX_RECURSION_LIMIT, NetworkSpec, SystemRegistry,
                       parse_type, print_type)
 
@@ -52,20 +60,33 @@ def _entries(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64).reshape(a.shape + (2,))
 
 
+def _body(op: LabeledOperator) -> tuple[str, np.ndarray]:
+    """The key and the entries a file holds for ``op``: its vector when it
+    carries one, else its matrix."""
+    if op.vector is not None:
+        return "vector", op.vector
+    return "matrix", op.data
+
+
 def operator_to_dict(op: LabeledOperator) -> dict:
-    return {"factors": [[lab, d] for lab, d in op.factors],
-            "matrix": _entries(op.data).tolist()}
+    key, entries = _body(op)
+    return {"factors": [[lab, d] for lab, d in op.factors], key: _entries(entries).tolist()}
 
 
 def _operator_chunks(op: LabeledOperator):
     """The text of ``json.dumps(operator_to_dict(op))``, one matrix row per piece.
 
-    Each row goes through ``json.dumps`` whole, which takes json's C encoder
-    (``json.dump`` to a file never does), and the full nested matrix never
-    exists as Python objects.
+    Each row, or the vector, goes through ``json.dumps`` whole, which takes
+    json's C encoder (``json.dump`` to a file never does), and the full
+    nested matrix never exists as Python objects.
     """
-    yield '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + ', "matrix": ['
-    for i, row in enumerate(op.data):
+    key, entries = _body(op)
+    head = '{"factors": ' + json.dumps([[lab, d] for lab, d in op.factors]) + f', "{key}": '
+    if key == "vector":
+        yield head + json.dumps(_entries(entries).tolist()) + "}"
+        return
+    yield head + "["
+    for i, row in enumerate(entries):
         yield (", " if i else "") + json.dumps(_entries(row).tolist())
     yield "]}"
 
@@ -87,28 +108,37 @@ def _factors(entries, max_dim: Optional[int]) -> tuple[tuple[str, int], ...]:
     return factors
 
 
-def _row(row, i: int, real: bool) -> np.ndarray:
-    """Row ``i`` of a matrix as a float64 array: of numbers when ``real``, else
-    of ``[re, im]`` pairs."""
+def _row(row, i: Optional[int], real: bool) -> np.ndarray:
+    """Row ``i`` of a matrix, or the vector when ``i`` is None, as a float64
+    array: of numbers when ``real``, else of ``[re, im]`` pairs."""
+    where = "the vector" if i is None else f"row {i}"
     form = "plain numbers" if real else "[re, im] pairs"
     if isinstance(row, list) and row and isinstance(row[0], list) == real:
-        raise ShapeMismatch(f"malformed operator payload: row {i} does not hold {form} "
+        raise ShapeMismatch(f"malformed operator payload: {where} does not hold {form} "
                             "as row 0 does")
     try:
         entries = np.array(row)
     except (ValueError, TypeError):
         # a ragged row, or a list where a number belongs
-        raise ShapeMismatch(f"malformed operator payload: row {i} does not hold {form}") from None
+        raise ShapeMismatch(f"malformed operator payload: {where} does not hold {form}") from None
     entry = () if real else (2,)
     # strings, nulls and booleans alone leave a dtype other than float64
     if entries.ndim != 1 + len(entry) or entries.shape[1:] != entry \
             or entries.dtype != np.float64:
-        raise ShapeMismatch("malformed operator payload: the matrix must be rows of "
-                            f"{'numbers' if real else '[re, im] number pairs'}, got row {i} "
+        whole = "the vector must be a list" if i is None else "the matrix must be rows"
+        raise ShapeMismatch(f"malformed operator payload: {whole} of "
+                            f"{'numbers' if real else '[re, im] number pairs'}, got {where} "
                             f"of shape {entries.shape} of {entries.dtype}")
     if not np.isfinite(entries).all():
-        raise NonFiniteOperator(f"operator matrix has a non-finite entry in row {i}")
+        raise NonFiniteOperator("operator vector has a non-finite entry" if i is None
+                                else f"operator matrix has a non-finite entry in row {i}")
     return entries
+
+
+def _has_boolean(text: str, start: int, end: int) -> bool:
+    """Whether ``text[start:end]`` spells a JSON boolean; numpy coerces one
+    beside a number, so the text is searched."""
+    return text.find("true", start, end) >= 0 or text.find("false", start, end) >= 0
 
 
 def _fits(n: int, max_dim: Optional[int], left: int, width: int) -> None:
@@ -158,10 +188,26 @@ def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndar
         out[count - 1] = row
     if count != n:
         raise ShapeMismatch(f"malformed operator payload: {count} rows for {size}")
-    # numpy coerces a boolean beside a number, so the matrix's text is searched
-    if cur.text.find("true", start, cur.pos) >= 0 or cur.text.find("false", start, cur.pos) >= 0:
+    if _has_boolean(cur.text, start, cur.pos):
         raise ShapeMismatch("malformed operator payload: the matrix holds a boolean")
     return out if real else out.view(np.complex128)[..., 0]
+
+
+def _vector(cur: "_Cursor") -> np.ndarray:
+    """The vector at the cursor, decoded once: float64 when its first entry is
+    a number (or it has none), complex128 when it is a ``[re, im]`` pair.
+
+    Only its own entries are allocated: the factors' product, which must
+    equal its length, has met ``max_dim`` in :func:`_factors`.
+    """
+    cur.peek()
+    start = cur.pos
+    raw = cur.value(_ROW_DECODER)
+    if _has_boolean(cur.text, start, cur.pos):
+        raise ShapeMismatch("malformed operator payload: the vector holds a boolean")
+    real = not (isinstance(raw, list) and raw and isinstance(raw[0], list))
+    v = _row(raw, None, real)
+    return v if real else v.view(np.complex128)[:, 0]
 
 
 _DECODER = json.JSONDecoder()
@@ -237,16 +283,25 @@ class _Cursor:
 
 
 def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
-    """The operator object at the cursor, its matrix decoded one row at a time."""
+    """The operator object at the cursor: its matrix decoded one row at a
+    time, or the rank-one operator of its vector."""
     found = {}
     for key in cur.keys("operator payload"):
         if key == "factors":
             found[key] = _factors(cur.value(), max_dim)
-        elif key == "matrix":
-            n = math.prod(d for _, d in found["factors"]) if "factors" in found else None
-            found[key] = _matrix(cur, n, max_dim)
+        elif key in ("matrix", "vector"):
+            if ("vector" if key == "matrix" else "matrix") in found:
+                raise ShapeMismatch("malformed operator payload: both 'matrix' and 'vector' keys")
+            if key == "vector":
+                found[key] = _vector(cur)
+            else:
+                n = math.prod(d for _, d in found["factors"]) if "factors" in found else None
+                found[key] = _matrix(cur, n, max_dim)
         else:
             cur.value()
+    if "vector" in found:
+        # rank_one refuses a length other than the factors' product before np.outer
+        return rank_one(*_required(found, "operator payload", ("factors", "vector")))
     return LabeledOperator(*_required(found, "operator payload", ("factors", "matrix")))
 
 

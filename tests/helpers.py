@@ -484,3 +484,49 @@ def clear_plan_caches():
     characterization and plan again."""
     for cached in hoq_caches():
         cached.cache_clear()
+
+
+def reference_decompose(r, spec, reg):
+    """The causally ordered decomposition of ``r`` by its dense-lift loop:
+    after each step, what is left is the whole matrix ``|w><w|`` of the lift
+    vector w, and the next marginal is its partial trace.  Blocks, spec and
+    registry as :func:`hoq.network.decompose_network` returns them, but for
+    the gauge; the blocks are not checked.  The reference that the vector
+    chain must recompose like."""
+    from hoq.linalg import LabeledOperator, partial_trace, permute_systems
+    from hoq.network import RANK_TOL, _fresh_memory_labels
+    from hoq.sectors import identity_coeff
+    from hoq.typesys import NetworkSpec, systems_of
+
+    current = permute_systems(r, [lab for lab, _ in spec.system_order(reg)])
+    fresh = _fresh_memory_labels(spec.n - 1, {lab for lab, _ in reg.entries} | set(r.labels))
+    new_spec = NetworkSpec(spec.slot_types, (spec.memories[0], *fresh, spec.memories[-1]))
+    new_reg = reg
+    blocks = []
+    for i in range(spec.n, 1, -1):
+        x_i = spec.slot_types[i - 1]
+        slot_systems = systems_of(x_i, new_reg)
+        out_mem = systems_of(new_spec.memory(i), new_reg)
+        traced = [lab for lab, _ in slot_systems + out_mem]
+        dim_i = math.prod(d for _, d in slot_systems)
+        marginal = partial_trace(current, traced)
+        s_data = marginal.data / (float(identity_coeff(x_i, new_reg)) * dim_i)
+        vals, vecs = np.linalg.eigh((s_data + s_data.conj().T) / 2)
+        keep = vals > RANK_TOL * max(float(vals[-1]), 1.0)
+        rank = int(np.count_nonzero(keep))
+        basis, roots = vecs[:, keep], np.sqrt(vals[keep])
+        new_mem = new_spec.memories[i - 1]
+        new_reg = new_reg.with_entries(**{new_mem: rank})
+        scaled = basis / roots
+        old_dim = marginal.dim
+        dims = (old_dim, dim_i, current.dim // old_dim // dim_i)
+        compressed = np.einsum("pa,asobtu,bq->spotqu", scaled.conj().T,
+                               current.data.reshape(dims * 2), scaled)
+        size = rank * current.dim // old_dim
+        blocks.append(LabeledOperator((*slot_systems, (new_mem, rank), *out_mem),
+                                      compressed.reshape(size, size)))
+        vec = (basis * roots).reshape(-1)
+        head = current.factors[:len(current.factors) - len(traced)]
+        current = LabeledOperator(head + ((new_mem, rank),), np.outer(vec, vec.conj()))
+    blocks.append(current)
+    return blocks[::-1], new_spec, new_reg

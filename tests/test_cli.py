@@ -2,6 +2,7 @@ import functools
 import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from hoq import LabeledOperator, NetworkSpec, SystemRegistry, compose_network, dual, processes
 from hoq.cli import main
-from hoq.linalg import TOL_PSD, permute_systems
+from hoq.linalg import TOL_PSD, permute_systems, rank_one
 from hoq.membership import is_admissible, sample_deterministic
 from hoq.serialize import (
     DEFAULT_DIM_CAP,
@@ -174,6 +175,10 @@ class TestSerialization:
                     complex(np.inf, -np.inf), complex(0.1, -0.0)]
         op = LabeledOperator((("A", 2), ("B", 3)), g)
         one = LabeledOperator((), np.eye(1))
+        v = g[1].copy()
+        v[:2] = [complex(-0.0, 1e-300), complex(0.1, -0.0)]
+        pure, real_pure = rank_one(op.factors, v), rank_one(op.factors, v.real)
+        assert pure.vector.dtype == np.complex128 and real_pure.vector.dtype == np.float64
         spec = NetworkSpec((dual(BistochElem("A", (), "B", ())),), ("P", "F"))
 
         def text(path):
@@ -182,10 +187,11 @@ class TestSerialization:
                 return fh.read()
 
         path = tmp_path / name
-        for x in (op, one):
+        for x in (op, one, pure, real_pure):
             write_operator(x, str(path))
             assert text(path) == json.dumps(operator_to_dict(x)) + "\n"
-        for blocks in ([], [op], [op, one]):
+            assert ('"vector": ' in text(path)) == (x.vector is not None)
+        for blocks in ([], [op], [op, one], [pure, op, real_pure]):
             write_bundle(blocks, spec, str(path))
             assert text(path) == json.dumps(bundle_to_dict(blocks, spec)) + "\n"
 
@@ -387,6 +393,46 @@ class TestSerialization:
                         f'[[0, 0], [0, {literal}]]]}}')
         with pytest.raises(NonFiniteOperator, match="non-finite entry in row 1"):
             read_operator(str(path))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("form", ["real", "pairs"])
+    def test_non_finite_vector_entries_stop_the_read(self, tmp_path, literal, form):
+        path = tmp_path / "op.json"
+        vector = f"[1, {literal}]" if form == "real" else f"[[1, 0], [0, {literal}]]"
+        path.write_text(f'{{"factors": [["A", 2]], "vector": {vector}}}')
+        with pytest.raises(NonFiniteOperator, match="^operator vector has a non-finite entry$"):
+            read_operator(str(path))
+
+    @pytest.mark.parametrize("order", ["factors-first", "vector-first"])
+    def test_vector_length_is_checked_before_the_matrix_exists(self, tmp_path, order):
+        # 2999 entries for 3000-dim factors: the matrix would take 72 MB
+        n = 3000
+        parts = ['"factors": [["A", 3000]]', '"vector": ' + json.dumps([0.5] * (n - 1))]
+        path = tmp_path / "op.json"
+        path.write_text("{" + ", ".join(parts if order == "factors-first" else parts[::-1]) + "}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatch, match=re.escape(
+                    "vector of 2999 entries does not match factor dimensions (product 3000)")):
+                read_operator(str(path), max_dim=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 100
+
+    def test_vector_files_read_back_bitwise(self, tmp_path, rng):
+        for v in (rng.normal(size=6), rng.normal(size=6) + 1j * rng.normal(size=6)):
+            op = rank_one((("A", 2), ("B", 3)), v)
+            path = tmp_path / "op.json"
+            write_operator(op, str(path))
+            back = read_operator(str(path))
+            assert back.factors == op.factors and back.vector.dtype == op.vector.dtype
+            assert back.vector.tobytes() == op.vector.tobytes()
+            assert back.data.tobytes() == op.data.tobytes()
+            # a second write keeps the vector form, byte for byte
+            again = tmp_path / "again.json"
+            write_operator(back, str(again))
+            assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip_is_a_hoq_error(self, tmp_path, damage):
@@ -1168,6 +1214,13 @@ class TestMakeAndClassify:
         built, back = build(), read_operator(str(out))
         assert built.data.dtype == back.data.dtype == dtype
         assert back.factors == built.factors and back.data.tobytes() == built.data.tobytes()
+        # the routed processes are rank one, and their files hold the vector
+        routed = args[0] in ("time-flip", "n-time-flip", "flip-switch")
+        assert (built.vector is not None) == (back.vector is not None) == routed
+        if routed:
+            assert back.vector.tobytes() == built.vector.tobytes()
+        with (gzip.open if name.endswith(".gz") else open)(out, "rt", encoding="utf-8") as fh:
+            assert list(json.load(fh)) == ["factors", "vector" if routed else "matrix"]
 
     @pytest.mark.parametrize("args", [
         ["lc23", "--n", "2"], ["random-bistoch", "--d", "2", "--tail-in", "2", "--tail-out", "2"]])
@@ -1295,6 +1348,9 @@ class TestComposeDecompose:
                                    "-f", str(r1), "-o", str(bundle2),
                                    "--registry", reg_arg])
         assert res.exit_code == 0, res.output
+        # the first block is the rank-one lift, the last slot's is dense
+        assert [list(b) for b in json.loads(bundle2.read_text())["blocks"]] == [
+            ["factors", "vector"], ["factors", "matrix"]]
 
         r2 = tmp_path / "r2.json"
         res = runner.invoke(main, ["compose", str(bundle2), "-o", str(r2),
@@ -1423,6 +1479,45 @@ BAD_INPUTS = {
                                             "label 'A' already registered with dimension 2"),
     "operator_empty_object": (["check", "A", "-f", "{file}", "--registry", "A=2"], {},
                               "malformed operator payload: no 'factors' key"),
+    "matrix_and_vector": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                          {"factors": [["A", 2]], "matrix": [[1, 0], [0, 0]], "vector": [1, 0]},
+                          "malformed operator payload: both 'matrix' and 'vector' keys"),
+    "vector_and_matrix": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                          {"vector": [1, 0], "matrix": [[1, 0], [0, 0]], "factors": [["A", 2]]},
+                          "malformed operator payload: both 'matrix' and 'vector' keys"),
+    "vector_length": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                      {"factors": [["A", 2]], "vector": [1, 0, 0]},
+                      "vector of 3 entries does not match factor dimensions (product 2)"),
+    "vector_nan": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                   '{"factors": [["A", 2]], "vector": [1, NaN]}',
+                   "operator vector has a non-finite entry"),
+    "vector_inf_pair": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                        '{"factors": [["A", 2]], "vector": [[1, 0], [-Infinity, 0]]}',
+                        "operator vector has a non-finite entry"),
+    "vector_boolean": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                       {"factors": [["A", 2]], "vector": [True, 0]},
+                       "malformed operator payload: the vector holds a boolean"),
+    "vector_of_booleans": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                           {"factors": [["A", 2]], "vector": [[False, True], [0, 1]]},
+                           "malformed operator payload: the vector holds a boolean"),
+    "vector_numbers_then_pairs": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                                  {"factors": [["A", 2]], "vector": [1, [0, 0]]},
+                                  "malformed operator payload: the vector does not hold plain "
+                                  "numbers"),
+    "vector_pairs_then_numbers": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                                  {"factors": [["A", 2]], "vector": [[1, 0], 0]},
+                                  "malformed operator payload: the vector does not hold "
+                                  "[re, im] pairs"),
+    "vector_not_a_list": (["check", "A", "-f", "{file}", "--registry", "A=2"],
+                          {"factors": [["A", 2]], "vector": "ab"},
+                          "malformed operator payload: the vector must be a list of numbers, "
+                          "got the vector of shape () of <U2"),
+    # the vector comes first: its factors still meet limits.max_dim before np.outer
+    "vector_above_max_dim": (["check", "A", "-f", "{file}", "--registry", f"A={DEFAULT_DIM_CAP + 1}"],
+                             {"vector": [0] * (DEFAULT_DIM_CAP + 1),
+                              "factors": [["A", DEFAULT_DIM_CAP + 1]]},
+                             f"operator dimension {DEFAULT_DIM_CAP + 1} exceeds limits.max_dim = "
+                             f"{DEFAULT_DIM_CAP}"),
 }
 # a network spec standing alone, for check and decompose, or as a bundle's spec
 BAD_INPUTS.update({

@@ -29,7 +29,8 @@ from hoq.errors import (
     UnknownLabel,
 )
 from hoq import linalg
-from hoq.linalg import TOL_HERM, TOL_PSD, _TILE, hermitian_part, identity, transpose
+from hoq.linalg import (TOL_HERM, TOL_PSD, _TILE, drop_trivial, hermitian_part, identity,
+                        rank_one, relabel, transpose)
 from hoq.membership import characterization_of, check_operator
 from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
 from hoq.sectors import SectorSet, full_space, pattern_norms, sector_project
@@ -573,3 +574,61 @@ class TestStructure:
         assert s.dim == 1 and s.factors == () and s.trace() == 2.5
         a = rand_op(rng, [("A", 2)])
         assert np.allclose(transpose(a).data, a.data.T)
+
+
+class TestRankOne:
+    """:func:`rank_one` forms ``|v><v|`` and keeps v; the operations that
+    only rename, reorder or fuse factors carry v, every other drops it."""
+
+    FACTORS = (("A", 2), ("B", 3), ("C", 1))
+
+    def _vector(self, rng, complex_entries):
+        v = rng.normal(size=6)
+        return v + 1j * rng.normal(size=6) if complex_entries else v
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_the_vector_forms_the_matrix(self, rng, complex_entries):
+        v = self._vector(rng, complex_entries)
+        a = rank_one(self.FACTORS, v)
+        assert a.vector.dtype == (np.complex128 if complex_entries else np.float64)
+        assert np.array_equal(a.data, np.outer(v, v.conj())) and np.array_equal(a.vector, v)
+        assert not a.vector.flags.writeable and not a.data.flags.writeable
+        # the realness rule of the matrix: zero imaginary parts leave float64
+        assert rank_one(self.FACTORS, v.real.astype(complex)).vector.dtype == np.float64
+        assert LabeledOperator(a.factors, a.data).vector is None
+        with pytest.raises(TypeError):
+            LabeledOperator(a.factors, a.data, vector=v)
+        with pytest.raises(AttributeError):
+            a.vector = v
+
+    def test_a_wrong_length_is_refused_before_the_matrix_exists(self):
+        n = 4000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatch, match="vector of 3999 entries does not match "
+                                                    "factor dimensions"):
+                rank_one((("A", n),), np.ones(n - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 100
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_carried(self, rng, complex_entries):
+        a = rank_one(self.FACTORS, self._vector(rng, complex_entries))
+        carried = [permute_systems(a, ["C", "B", "A"]), relabel(a, {"A": "X"}),
+                   merge_factors(a, ("A", "B"), "AB"), drop_trivial(a)]
+        for b in carried:
+            assert b.vector is not None
+            assert np.array_equal(b.data, np.outer(b.vector, b.vector.conj()))
+        # the permutation moves v's entries as it moves the matrix's
+        plain = LabeledOperator(a.factors, a.data)
+        assert np.array_equal(carried[0].data, permute_systems(plain, ["C", "B", "A"]).data)
+        assert all(np.array_equal(b.data, a.data) for b in carried[1:])
+
+    def test_dropped(self, rng):
+        a = rank_one(self.FACTORS, self._vector(rng, True))
+        b = rank_one((("D", 2),), np.array([1.0, 1j]))
+        dropped = [tensor_op(a, b), partial_trace(a, ["B"]), link_product(a, b),
+                   link_product(relabel(b, {"D": "A"}), a), transpose(a)]
+        assert all(x.vector is None for x in dropped)

@@ -21,10 +21,12 @@ from hoq import (
     dehat,
     dual,
     is_deterministic,
+    parse_type,
     sample_deterministic,
     tensor_all,
 )
-from hoq.errors import BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork
+from hoq.errors import (BlockCheckFailed, FactorMismatch, MemoryDimMismatch, NotANetwork,
+                        SizeLimit)
 from hoq.linalg import link_all, permute_systems, relabel
 from hoq.membership import characterization_of, check_operator
 from hoq.network import _fresh_memory_labels
@@ -208,6 +210,26 @@ class TestDecompose:
             back = compose_network(out_blocks, spec2, reg2)
             err = np.abs(back.data - permute_systems(r, back.labels).data).max()
             assert err < 1e-8, (seed, err)
+
+    def test_a_block_above_max_dim_is_refused_before_it_is_formed(self):
+        # a 32-dim network whose middle block A2 B2 M1 M2 has dimension 256:
+        # its rank is known from the step's eigh, before the block is formed
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, C3=2)
+        spec = NetworkSpec(tuple(parse_type(s, reg) for s in ("(A1 -> B1)", "(A2 -> B2)", "C3")),
+                           ("I",) * 4)
+        r = sample_deterministic(spec, reg, eps=0.5, seed=3)
+        blocks = decompose_network(r, spec, reg, max_dim=256)[0]
+        assert [b.dim for b in blocks] == [16, 256, 32]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match=r"operator dimension 256 exceeds "
+                                                r"limits.max_dim = 32$"):
+                decompose_network(r, spec, reg, max_dim=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the refused block would hold 1 MB; the input's checks peak near 80 KB
+        assert peak < blocks[1].data.nbytes / 8
 
     def test_rejects_non_networks(self):
         reg = SystemRegistry.of(A1=2, B1=2, P=2, F=2)

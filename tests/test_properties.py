@@ -38,6 +38,8 @@ from hoq import (
     NetworkSpec,
     SystemRegistry,
     classify,
+    compose_network,
+    decompose_network,
     identity_coeff,
     is_admissible,
     is_deterministic,
@@ -63,7 +65,8 @@ from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, sys
 
 from helpers import (assert_gap_certificate, clear_plan_caches, converted, disjoint_gram,
                      mask_of, marks_of, planted_traceless, random_type, reference_admissible,
-                     reference_component, reference_idle_traced, reference_partial_trace,
+                     reference_component, reference_decompose, reference_idle_traced,
+                     reference_partial_trace,
                      rename_type, sparse_hermitian, unpruned_pattern_norms, unpruned_project)
 
 
@@ -1219,3 +1222,56 @@ def test_support_certificate_decides_as_the_whole_matrix_reference(data):
     assert (rep.psd_method, rep.psd_ok, rep.min_eigenvalue) == want
     assert is_psd(a) == want[1]
     assert a.data.tobytes() == before
+
+
+_NETWORK_SLOTS = ["C{i}", "(^A{i} -> ^B{i})", "(A{i} -> B{i})", "((^A{i} -> ^B{i}) -> I)"]
+
+
+@st.composite
+def sampled_network(draw):
+    """A sampled deterministic network of 1-3 slots of dimension at most 96,
+    with its factors in a shuffled order, its spec and its registry."""
+    n = draw(st.integers(1, 3))
+    dims = {"P": 2, "F": 2, **{f"E{i}": draw(st.integers(1, 2)) for i in range(1, n)}}
+    for i in range(1, n + 1):
+        dims.update({f"A{i}": 2, f"B{i}": 2, f"C{i}": draw(st.integers(2, 3))})
+    reg = SystemRegistry.from_dict(dims)
+    slots = tuple(parse_type(draw(st.sampled_from(_NETWORK_SLOTS)).format(i=i), reg)
+                  for i in range(1, n + 1))
+    memories = (draw(st.sampled_from(["I", "P"])), *(f"E{i}" for i in range(1, n)),
+                draw(st.sampled_from(["I", "F"])))
+    spec = NetworkSpec(slots, memories)
+    assume(math.prod(d for _, d in spec.system_order(reg)) <= 96)
+    r = sample_deterministic(spec, reg, eps=0.5, seed=draw(st.integers(0, 2 ** 16)))
+    return permute_systems(r, draw(st.permutations(r.labels))), spec, reg
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_network())
+def test_decomposition_is_a_chain_of_isometries(case):
+    r, spec, reg = case
+    blocks, spec2, reg2 = decompose_network(r, spec, reg)
+    # every block but the last slot's is the rank-one operator of its vector
+    assert blocks[-1].vector is None
+    for block in blocks[:-1]:
+        v = block.vector
+        assert v is not None and v.dtype == block.data.dtype
+        assert np.array_equal(block.data, np.outer(v, v.conj()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "bundle.json")
+        write_bundle(blocks, spec2, path)
+        back = read_bundle(path, reg)[0]
+    assert [b.factors for b in back] == [b.factors for b in blocks]
+    for got, want in zip(back, blocks):
+        assert (got.vector is None) == (want.vector is None)
+        if want.vector is not None:
+            assert (got.vector.dtype, got.vector.tobytes()) == (want.vector.dtype,
+                                                                 want.vector.tobytes())
+        assert (got.data.dtype, got.data.tobytes()) == (want.data.dtype, want.data.tobytes())
+    # the gauges differ, so the dense-lift loop is compared by recomposition
+    ref_blocks, ref_spec, ref_reg = reference_decompose(r, spec, reg)
+    assert [reg2.dim(m) for m in spec2.memories] == [ref_reg.dim(m) for m in ref_spec.memories]
+    again = compose_network(blocks, spec2, reg2, validate=False)
+    ref = compose_network(ref_blocks, ref_spec, ref_reg, validate=False)
+    assert np.abs(again.data - permute_systems(r, again.labels).data).max() < 1e-8
+    assert np.abs(again.data - permute_systems(ref, again.labels).data).max() < 1e-8
