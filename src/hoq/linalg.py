@@ -41,6 +41,9 @@ _TILE = (256, 64)
 # x86 core; the kernels took equal time near 16, and 32 keeps _trace_live
 # only where it is clearly ahead
 _PAIR_COST = 32
+# floats per block of _gram_outer's rows: 256 KB, which stays in a core's
+# cache; 8K and 128K were 10-20 % slower at n = 1024 to 4096
+_OUTER_AREA = 1 << 15
 # the list that :meth:`LabeledOperator.herm_defect` appends its live rows to,
 # set by :func:`_defect_and_support` around the one call it makes; a context
 # variable, so a check in another thread or task never sees it
@@ -79,11 +82,13 @@ class LabeledOperator:
     read-only view of it.
 
     ``vector`` is None unless :func:`rank_one` formed the operator as
-    ``np.outer(v, v.conj())``; then it is that v, read-only and stored by
-    the same rule.  It is no argument, so it cannot disagree with ``data``.
+    ``|v><v|``; then it is that v, read-only and stored by the same rule.
+    It is no argument, so it cannot disagree with ``data``.
     :func:`permute_systems`, :func:`relabel`, :func:`merge_factors` and
-    :func:`drop_trivial` carry it; every other operation drops it, and no
-    check reads it.
+    :func:`drop_trivial` carry it; every other operation drops it.  A check
+    reads it in place of the matrix: the hermiticity scan, the positivity
+    test and the average over the idle factors Z take O(D) and one
+    ``(D/d_Z) x d_Z`` product, not the D^2 entries.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -129,12 +134,20 @@ class LabeledOperator:
         or infinite entry, and :class:`NotHermitian` when every entry is
         finite but the defect overflows float64.
 
-        The live rows L, those that hold an entry, are found first; a NaN or
-        infinite entry is non-zero, so it lies in one.  When at most half the
-        rows are live, every entry lies in rows L, so the defect is the larger
-        of ``max |B - B^H|`` over the block ``B = A[L, L]`` and
-        ``max |A[L, ~L]|``, whose mirrors lie in zero rows: only rows L are
-        read, ``A[L, ~L]`` a tile's area of rows at a time.  Otherwise one
+        An operator that carries its vector v is exactly Hermitian, as
+        :func:`rank_one` forms it, so its defect is 0 once ``max |v_i|^2``,
+        the largest entry of ``|v><v|`` in modulus, is finite; a NaN in v, or
+        a v whose products overflow, raises :class:`NonFiniteOperator`.  That
+        test reads the D entries of v, not the D^2 of the matrix, and it
+        finds no live rows.
+
+        Otherwise the live rows L, those that hold an entry, are found
+        first; a NaN or infinite entry is non-zero, so it lies in one.  When
+        at most half the rows are live, every entry lies in rows L, so the
+        defect is the larger of ``max |B - B^H|`` over the block ``B = A[L,
+        L]`` and ``max |A[L, ~L]|``, whose mirrors lie in zero rows: only
+        rows L are read, ``A[L, ~L]`` a tile's area of rows at a time.
+        Otherwise one
         scan over the tiles of :data:`_TILE` rows and columns on and above
         the diagonal compares ``A[I, J]`` with ``conj(A[J, I]^T)``.  Neither
         forms an operator-sized temporary, and each difference is the
@@ -143,9 +156,13 @@ class LabeledOperator:
         is not finite ends the scan, and one pass over the operator tells a
         non-finite entry from an overflowing defect.
         """
+        found = _FOUND_SUPPORT.get()
+        if self.vector is not None:
+            if found is not None:
+                found.append(None)
+            return _vector_defect(self.vector)
         data = self.data
         live = _sparse_support(data)
-        found = _FOUND_SUPPORT.get()
         if found is not None:
             found.append(live)
         defect = 0.0
@@ -174,6 +191,18 @@ class LabeledOperator:
         return f"LabeledOperator([{spec}], dim={self.dim})"
 
 
+def _vector_defect(v: np.ndarray) -> float:
+    """0.0, the hermiticity defect of ``|v><v|`` as :func:`rank_one` forms
+    it; :class:`NonFiniteOperator` unless its largest entry, ``max |v_i|^2``
+    with each ``|v_i|^2`` summed as the matrix's diagonal is, is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = v * v if v.dtype.kind == "f" else v.real * v.real + v.imag * v.imag
+        peak = float(square.max(initial=0.0))
+    if not math.isfinite(peak):
+        raise NonFiniteOperator(f"operator has non-finite entries (largest |v_i|^2 {peak})")
+    return 0.0
+
+
 def _stored(a) -> np.ndarray:
     """``a`` under the realness rule, as a read-only C-contiguous view: float64
     when no entry has a non-zero imaginary part, else complex128."""
@@ -198,16 +227,49 @@ def _carrying(op: LabeledOperator, vector: np.ndarray | None) -> LabeledOperator
 
 
 def rank_one(factors: Iterable[tuple[str, int]], v) -> LabeledOperator:
-    """``|v><v|`` over ``factors``, formed as ``np.outer(v, v.conj())``, with v
-    as its :attr:`~LabeledOperator.vector`; :class:`ShapeMismatch` before
-    anything is allocated unless v has the factors' product of entries."""
+    """``|v><v|`` over ``factors``, with v as its
+    :attr:`~LabeledOperator.vector`; :class:`ShapeMismatch` before anything
+    is allocated unless v has the factors' product of entries.
+
+    A real v gives ``np.outer(v, v)``.  A complex ``v = a + ib`` gives the
+    real part ``a_i a_j + b_i b_j`` and the imaginary part ``b_i a_j - a_i
+    b_j`` (:func:`_gram_outer`), each product rounded on its own, so the
+    matrix is exactly Hermitian: ``np.outer(v, v.conj())``, whose complex
+    multiply may fuse a product into the sum, is not.
+    """
     factors = tuple(factors)
     v = _stored(np.asarray(v).reshape(-1))
     total = math.prod(factor_entry(lab, d)[1] for lab, d in factors)
     if len(v) != total:
         raise ShapeMismatch(
             f"vector of {len(v)} entries does not match factor dimensions (product {total})")
-    return _carrying(LabeledOperator(factors, np.outer(v, v.conj())), v)
+    # an overflowing product is left infinite: a check raises NonFiniteOperator
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = np.outer(v, v) if v.dtype.kind == "f" else _gram_outer(v)
+    return _carrying(LabeledOperator(factors, matrix), v)
+
+
+def _gram_outer(v: np.ndarray) -> np.ndarray:
+    """``|v><v|`` of a complex v, exactly Hermitian.
+
+    Seen as float64, row i of the result is ``a_i w1 + b_i w2``, with ``w1``
+    the pairs ``(a_j, -b_j)`` and ``w2`` the pairs ``(b_j, a_j)``.  It is
+    formed a block of rows at a time, :data:`_OUTER_AREA` floats, so the
+    second product and the sum stay in cache and the result is written once.
+    """
+    n = len(v)
+    a, b = v.real, v.imag
+    w1 = v.conj().view(np.float64)
+    w2 = np.empty(2 * n)
+    w2[0::2], w2[1::2] = b, a
+    out = np.empty((n, n), complex)
+    pairs = out.view(np.float64)
+    rows = max(1, _OUTER_AREA // (2 * n))
+    buf = np.empty((min(rows, n), 2 * n))
+    for i in range(0, n, rows):
+        block = np.multiply.outer(a[i:i + rows], w1, out=pairs[i:i + rows])
+        block += np.multiply.outer(b[i:i + rows], w2, out=buf[:len(block)])
+    return out
 
 
 def _tiles(n: int, upper: bool):
@@ -540,7 +602,17 @@ def _positivity(a: LabeledOperator, defect: float, live: np.ndarray | None,
     factors it in place.  A successful factorization certifies positivity
     and reports the lower bound ``-psd_tol``; only when it fails does
     ``eigvalsh`` find the exact minimum, from the unfactored part.
+
+    An operator that carries its vector v is ``|v><v|``, the Gram matrix of
+    one vector, which :meth:`LabeledOperator.herm_defect` has found exactly
+    Hermitian: it is PSD by construction, with minimum eigenvalue 0 when D
+    > 1 (reported as the bound 0 for any D), and ``||v||^4`` is its squared
+    norm.  Its rows are neither scanned nor factored, and the method is
+    ``"gram"``.
     """
+    if a.vector is not None:
+        trace = float(np.vdot(a.vector, a.vector).real)
+        return a.data, None, trace * trace, 0.0, True, "gram"
     if defect == 0:
         sym = a.data
     else:

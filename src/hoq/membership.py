@@ -43,13 +43,18 @@ class CheckReport:
     largest first, and equal weights in the order of the pattern text.  It
     names patterns in the type's factor order, which ``permutation`` gives
     when the operator's order differs.
-    ``psd_method`` names the positivity test that decided: with
-    ``"cholesky"`` a factorization of ``R + psd_tol * 1`` on the rows of R
-    that hold an entry (the other rows are ``psd_tol * 1``) succeeded and
-    ``min_eigenvalue`` is the certified lower bound ``-psd_tol``; with
-    ``"eigvalsh"`` it is the computed minimum eigenvalue.  ``herm_defect`` is
-    exactly ``max |R - R^H|``, and beyond ``herm_tol`` it fails ``psd_ok`` and
-    ``lambda_ok``.
+    ``psd_method`` names the positivity test that decided: with ``"gram"``
+    R carries its vector v and is ``|v><v|``, PSD by construction, and
+    ``min_eigenvalue`` is the bound 0; with ``"cholesky"`` a factorization
+    of ``R + psd_tol * 1`` on the rows of R that hold an entry (the other
+    rows are ``psd_tol * 1``) succeeded and ``min_eigenvalue`` is the
+    certified lower bound ``-psd_tol``; with ``"eigvalsh"`` it is the
+    computed minimum eigenvalue.  ``herm_defect`` is exactly ``max |R -
+    R^H|``, and beyond ``herm_tol`` it fails ``psd_ok`` and ``lambda_ok``.
+    ``tol``, ``psd_tol`` and ``herm_tol`` are the tolerances the check ran
+    with, and ``noise_floor`` is ``_NOISE_FLOOR * (1 + ||R - coeff*1||_F)``,
+    the norm at or below which the residual has no breakdown and a pattern
+    is left out of ``forbidden_components``.
     """
 
     verdict: str
@@ -63,6 +68,10 @@ class CheckReport:
     forbidden_components: list[tuple[str, float]] = field(default_factory=list)
     permutation: Optional[tuple[str, ...]] = None
     herm_defect: float = 0.0
+    tol: float = 1e-9
+    psd_tol: float = TOL_PSD
+    herm_tol: float = TOL_HERM
+    noise_floor: float = _NOISE_FLOOR
 
     @property
     def passed(self) -> bool:
@@ -81,15 +90,20 @@ class CheckReport:
             "sector_residual": self.sector_residual,
             "forbidden_components": [[p, n] for p, n in self.forbidden_components],
             "permutation": list(self.permutation) if self.permutation else None,
+            "tol": self.tol,
+            "psd_tol": self.psd_tol,
+            "herm_tol": self.herm_tol,
+            "noise_floor": self.noise_floor,
         }
 
     def psd_text(self) -> str:
         """The positivity verdict and what decided it, in words."""
-        if not self.psd_ok and self.psd_method == "cholesky":
+        if not self.psd_ok and self.psd_method != "eigvalsh":
             # the spectrum is certified, so only the hermiticity gate failed
             return f"FAILED, not Hermitian (defect {self.herm_defect:.3e})"
-        if self.psd_method == "cholesky":
-            bound = f"min eigenvalue ≥ {self.min_eigenvalue:.3e} (Cholesky certificate)"
+        certified = {"gram": "rank one: Gram of its vector", "cholesky": "Cholesky certificate"}
+        if self.psd_method in certified:
+            bound = f"min eigenvalue ≥ {self.min_eigenvalue:.3e} ({certified[self.psd_method]})"
         else:
             bound = f"min eigenvalue {self.min_eigenvalue:.3e}"
         return f"{'ok' if self.psd_ok else 'FAILED'}, {bound}"
@@ -190,8 +204,11 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     formed.  So the front half holds no operator-sized array besides ``op``
     for an exactly Hermitian operator with at most half its rows live, and
     one otherwise; the back half then holds none, or one when
-    :func:`_back_half`'s Z is empty.  Every tolerance is checked before any
-    of that.
+    :func:`_back_half`'s Z is empty.  An operator that carries its vector
+    is read from the vector: its defect is 0, it has no live rows, and
+    positivity and ``||R||_F^2`` come from its Gram form, so no row of the
+    matrix is read but its diagonal, for the trace.  Every tolerance is
+    checked before any of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
@@ -210,7 +227,8 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
     lambda_ok = herm_ok and abs(measured - expected) <= tol * expected
     fields = dict(psd_ok=herm_ok and spectrum_ok, min_eigenvalue=min_eig,
                   psd_method=psd_method, herm_defect=herm_defect, lambda_ok=lambda_ok,
-                  lambda_expected=coeff, lambda_measured=measured)
+                  lambda_expected=coeff, lambda_measured=measured, tol=tol, psd_tol=psd_tol,
+                  herm_tol=herm_tol)
     measured_op = op if herm_defect == 0 else LabeledOperator(op.factors, sym)
     return measured_op, live, fields, scale
 
@@ -235,12 +253,13 @@ def _back_half(averaged: LabeledOperator, fields: dict, scale: float, plan: _Lev
     outside = outside_component(averaged, plan.allowed, herm_tol=np.inf)
     residual = math.sqrt(plan.idle_dim * float(np.vdot(outside.data, outside.data).real))
 
+    floor = _NOISE_FLOOR * scale
     forbidden = []
-    if residual > _NOISE_FLOOR * scale:
+    if residual > floor:
         norms = (pattern_norms(outside, herm_tol=np.inf) * plan.idle_dim).tolist()
         for mask, text in plan.forbidden:
             norm = math.sqrt(norms[mask])
-            if norm > _NOISE_FLOOR * scale:
+            if norm > floor:
                 forbidden.append((text, norm))
         # norms equal to 12 digits tie and the pattern text orders them, so
         # last-bit rounding does not decide the order
@@ -249,7 +268,7 @@ def _back_half(averaged: LabeledOperator, fields: dict, scale: float, plan: _Lev
     ok = fields["psd_ok"] and fields["lambda_ok"] and residual <= tol
     return CheckReport(verdict="PASS" if ok else "FAIL", sector_residual=residual,
                        forbidden_components=forbidden, permutation=plan.permutation,
-                       **fields)
+                       noise_floor=floor, **fields)
 
 
 def characterization_of(t, reg: SystemRegistry):
@@ -335,11 +354,20 @@ def _gap_bound(displacement: np.ndarray, offset: np.ndarray) -> tuple[float, np.
     PSD and orthogonal to V.  Then ``<Z, y - x> = <Z, y> - <Z, offset> >=
     -<Z, offset>``, and by Cauchy-Schwarz the gap is at least
     ``-<Z, offset> / ||Z||_F``; the bound is -inf when Z is 0.
+
+    The raise adds ``D * eps`` times the spectral radius beyond the
+    computed eigenvalue, more than ``eigvalsh``'s error, so Z stays PSD
+    when the Hermitian part is a negative multiple of 1 and the raise
+    cancels it to rounding: Z is then mostly that margin times 1, a true
+    certificate, where the rounding left over alone gave a bound that was
+    noise of the size of ``offset``.
     """
     z = (displacement + displacement.conj().T) / 2
-    low = float(np.linalg.eigvalsh(z)[0])
+    eigs = np.linalg.eigvalsh(z)
+    low = float(eigs[0])
     if low < 0:
-        z.reshape(-1)[::len(z) + 1] -= low
+        margin = len(z) * np.finfo(float).eps * max(-low, float(eigs[-1]))
+        z.reshape(-1)[::len(z) + 1] -= low - margin
     norm = float(np.linalg.norm(z))
     return (-float(np.vdot(z, offset).real) / norm if norm else -np.inf), z
 

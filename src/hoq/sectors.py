@@ -453,9 +453,23 @@ def _idle_traced(op: LabeledOperator, plan: _LevelPlan,
     enough to pay (:func:`hoq.linalg._few_live_pairs`), and the others run
     on the matrix it leaves, d_Z times smaller on each side.  Both kernels
     give the same bytes.
+
+    An operator that carries its vector v is ``|v><v|``, so its average is
+    ``M M^H / d_Z``, with M the ``(D/d_Z) x d_Z`` matrix of v's entries, Z's
+    axes moved last: one small product, and no read of the matrix.  For a
+    0/1 vector every sum is exact, and the bytes are those of the matrix's
+    average.
     """
     if not plan.idle:
         return op
+    if op.vector is not None:
+        k = len(op.dims)
+        tens = np.moveaxis(op.vector.reshape(op.dims), plan.idle,
+                           range(k - len(plan.idle), k))
+        m = tens.reshape(-1, plan.idle_dim)
+        data = m @ m.conj().T
+        data /= plan.idle_dim
+        return LabeledOperator(plan.factors, data)
     data, dims = op.data, op.dims
     if live is not None and not _few_live_pairs(dims, plan.idle[0], live):
         live = None

@@ -27,6 +27,10 @@ NaN or infinite entry :class:`NonFiniteOperator`.  A vector is decoded once,
 with the same scanner, and checked as a row; its length must be the
 factors' product and fit ``max_dim`` before the ``n x n`` matrix is formed,
 and the operator read carries it, so writing it again keeps the vector form.
+The entries of a vector and of a matrix's first row are counted in the
+text before any is decoded (:func:`_list_entries`), so a list longer than
+the factors' product, or than ``max_dim`` when the factors come after it,
+is refused without its Python objects.
 Every object of a document, an operator, a bundle or a network spec, must be
 a JSON object with its keys, or :class:`ShapeMismatch` names what it is not
 or the first key it lacks.
@@ -37,6 +41,7 @@ import gzip
 import io
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass, field
 from json.decoder import WHITESPACE, scanstring
@@ -151,6 +156,62 @@ def _fits(n: int, max_dim: Optional[int], left: int, width: int) -> None:
                             f"entries, more than the {room} that the rest of the text holds")
 
 
+# a list of [re, im] pairs ends where a pair's "]" meets the list's
+_PAIRS_CLOSE = re.compile(r"\]\s*\]")
+# the commas after a value that is not a clean list up to which it is still
+# decoded: json builds at most one value per comma, besides lists nested one
+# in another, which its recursion limit stops, so about 2 MB of objects
+_MALFORMED_BUDGET = 1 << 16
+
+
+def _list_entries(text: str, start: int) -> Optional[int]:
+    """The entries of the JSON list whose ``[`` is at ``start``, counted by
+    C-level scans of its text, none decoded: ``str.find`` for its close and
+    ``str.count`` for its brackets and commas.
+
+    A list whose first entry is not a list is read as one of numbers, which
+    ends at the first ``]``, and one whose first entry is a list as one of
+    ``[re, im]`` pairs, which ends at the first ``]`` that meets another.
+    The count holds when that span has no string or object, its brackets
+    balance, and its commas are those of its form: then the json scanner
+    stops inside the span, having read at most three values per entry.
+    None otherwise, and for a list that does not close.
+    """
+    first = WHITESPACE.match(text, start + 1).end()
+    if text.startswith("[", first):
+        close = _PAIRS_CLOSE.search(text, first)
+        end = close.end() if close else 0
+    else:
+        end = text.find("]", first) + 1
+    if not end or any(text.find(c, start, end) >= 0 for c in '"{}'):
+        return None
+    opens = text.count("[", start, end)
+    if opens != text.count("]", start, end):
+        return None
+    commas = text.count(",", start, end)
+    if opens == 1:
+        # a list of numbers; "[]" has no entry
+        return commas + 1 if first < end - 1 else 0
+    return opens - 1 if commas == 2 * opens - 3 else None
+
+
+def _bounded(cur: "_Cursor", limit: Optional[int], where: str) -> Optional[int]:
+    """The entries of the list at the cursor, by :func:`_list_entries`, for
+    the caller to hold to ``limit`` before it decodes them; None without a
+    limit.  A value that is not such a list is decoded for its own error, as
+    json or :func:`_row` words it, while the rest of the text holds at most
+    :data:`_MALFORMED_BUDGET` commas; past that, :class:`ShapeMismatch` names
+    it undecoded.
+    """
+    if limit is None:
+        return None
+    count = _list_entries(cur.text, cur.pos) if cur.peek() == "[" else None
+    if count is None and cur.text.count(",", cur.pos) > _MALFORMED_BUDGET:
+        raise ShapeMismatch(f"malformed operator payload: {where} is not a closed list of "
+                            "numbers or of [re, im] pairs")
+    return count
+
+
 def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndarray:
     """The matrix at the cursor, each row converted and checked as it comes.
 
@@ -172,6 +233,15 @@ def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndar
     size = "a matrix of at least one row" if n is None else f"factor dimensions of product {n}"
     count = 0
     for count, _ in enumerate(cur.elements(), start=1):
+        if count == 1:
+            # a first row longer than n, or than max_dim when the factors
+            # come after it, is refused undecoded
+            entries = _bounded(cur, max_dim if n is None else n, "row 0")
+            if entries is not None and n is None:
+                check_max_dim(entries, max_dim)
+            elif entries is not None and entries > n:
+                raise ShapeMismatch(f"malformed operator payload: row 0 of {entries} "
+                                    f"entries for {size}")
         row = cur.value(_ROW_DECODER)
         if count == 1:
             real = isinstance(row, list) and bool(row) and not isinstance(row[0], list)
@@ -193,13 +263,23 @@ def _matrix(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndar
     return out if real else out.view(np.complex128)[..., 0]
 
 
-def _vector(cur: "_Cursor") -> np.ndarray:
+def _vector(cur: "_Cursor", n: Optional[int], max_dim: Optional[int]) -> np.ndarray:
     """The vector at the cursor, decoded once: float64 when its first entry is
     a number (or it has none), complex128 when it is a ``[re, im]`` pair.
 
-    Only its own entries are allocated: the factors' product, which must
-    equal its length, has met ``max_dim`` in :func:`_factors`.
+    ``n`` is the factors' product when they came first, which has met
+    ``max_dim`` in :func:`_factors`, else None.  The entries are counted
+    before any is decoded (:func:`_bounded`): a count other than ``n``
+    raises the :class:`ShapeMismatch` that :func:`~hoq.linalg.rank_one`
+    would, and without ``n`` a count above ``max_dim`` raises
+    :class:`SizeLimit`, so only a vector that may be read is decoded.
     """
+    entries = _bounded(cur, max_dim if n is None else n, "the vector")
+    if entries is not None and n is None:
+        check_max_dim(entries, max_dim)
+    elif entries is not None and entries != n:
+        raise ShapeMismatch(
+            f"vector of {entries} entries does not match factor dimensions (product {n})")
     cur.peek()
     start = cur.pos
     raw = cur.value(_ROW_DECODER)
@@ -292,11 +372,8 @@ def _operator_at(cur: _Cursor, max_dim: Optional[int]) -> LabeledOperator:
         elif key in ("matrix", "vector"):
             if ("vector" if key == "matrix" else "matrix") in found:
                 raise ShapeMismatch("malformed operator payload: both 'matrix' and 'vector' keys")
-            if key == "vector":
-                found[key] = _vector(cur)
-            else:
-                n = math.prod(d for _, d in found["factors"]) if "factors" in found else None
-                found[key] = _matrix(cur, n, max_dim)
+            n = math.prod(d for _, d in found["factors"]) if "factors" in found else None
+            found[key] = (_vector if key == "vector" else _matrix)(cur, n, max_dim)
         else:
             cur.value()
     if "vector" in found:

@@ -530,3 +530,23 @@ def reference_decompose(r, spec, reg):
         current = LabeledOperator(head + ((new_mem, rank),), np.outer(vec, vec.conj()))
     blocks.append(current)
     return blocks[::-1], new_spec, new_reg
+
+
+def matrix_only(op):
+    """``op`` with the same matrix and no vector, so that a check of it takes
+    the matrix path."""
+    from hoq import LabeledOperator
+
+    return LabeledOperator(op.factors, op.data)
+
+
+def assert_rank_one_matrix(data, v):
+    """``data`` is ``|v><v|`` as ``rank_one`` forms it: ``np.outer(v, v)``
+    bitwise for a real v; for a complex v exactly Hermitian and within
+    2.5e-15 of ``np.outer(v, v.conj())``, relative to its largest entry."""
+    if v.dtype == np.float64:
+        assert np.array_equal(data, np.outer(v, v))
+        return
+    assert np.array_equal(data, data.conj().T)
+    outer = np.outer(v, v.conj())
+    assert np.abs(data - outer).max() <= 2.5e-15 * np.abs(outer).max()

@@ -434,6 +434,52 @@ class TestSerialization:
             write_operator(back, str(again))
             assert again.read_bytes() == path.read_bytes()
 
+    # about 2 MB of text: 1M real entries, 333k pairs, or a first row of 1M
+    @pytest.mark.parametrize("body", ["real-vector", "pair-vector", "first-row"])
+    @pytest.mark.parametrize("order", ["factors-first", "factors-last"])
+    def test_a_long_list_is_refused_before_it_is_decoded(self, tmp_path, body, order):
+        # the entries are counted in the text before json decodes any: the
+        # read peaks at the file's bytes and text, twice its size, where
+        # decoding the list first peaked at 43 MB (real) and 66 MB (pairs)
+        n = {"real-vector": 10 ** 6, "pair-vector": 10 ** 6 // 3, "first-row": 10 ** 6}[body]
+        entry = "[0,0]" if body == "pair-vector" else "0"
+        entries = "[" + ",".join([entry] * n) + "]"
+        key, value = ("matrix", "[" + entries + "]") if body == "first-row" \
+            else ("vector", entries)
+        factors = '"factors": [["A", %d]]' % (4 if order == "factors-first" else n)
+        parts = [factors, f'"{key}": {value}']
+        text = "{" + ", ".join(parts if order == "factors-first" else parts[::-1]) + "}"
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        if order == "factors-last":
+            error, message = SizeLimit, f"operator dimension {n} exceeds limits.max_dim = 4096"
+        elif body == "first-row":
+            error, message = ShapeMismatch, (f"row 0 of {n} entries for factor dimensions of "
+                                             "product 4")
+        else:
+            error, message = ShapeMismatch, (f"vector of {n} entries does not match factor "
+                                             "dimensions (product 4)")
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=re.escape(message)):
+                read_operator(str(path), max_dim=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize("text, entries", [
+        ("[]", 0), ("[ ]", 0), ("[1]", 1), ("[1, 2.5e-3, -Infinity]", 3),
+        ("[[1, 0]]", 1), ("[[1, 0] , [0 ,1] ]", 2), ("[[]]", None), ("[[1, 0], [0]]", None),
+        ("[1, [0, 0]]", None), ("[[1, 0], 0]", None), ('[1, "]"]', None), ("[1, {}]", None),
+        ("[[[1, 0]]]", None), ("[1, 2", None), ("[[1, 0], [0, 1]", None)])
+    def test_list_entries_are_counted_in_the_text(self, text, entries):
+        # a clean list of numbers or of pairs is counted, whatever follows
+        # it; anything else is left to json's and the row check's own errors
+        from hoq.serialize import _list_entries
+
+        assert _list_entries(text + ', "more": [[0]]}', 0) == entries
+
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip_is_a_hoq_error(self, tmp_path, damage):
         op = LabeledOperator((("A", 2), ("B", 2)), np.eye(4) / 2)
@@ -830,6 +876,45 @@ class TestCheckCommand:
         payload = json.loads(res.output)
         assert payload["psd_method"] == "cholesky" and payload["min_eigenvalue"] == -1e-9
 
+    def test_json_report_names_its_tolerances(self, runner, tmp_path):
+        # the tolerances the check ran with, and the floor of its breakdown,
+        # 1e-12 (1 + ||R - coeff*1||_F), which is 1e-12 at the identity event
+        path = tmp_path / "state.json"
+        write_operator(LabeledOperator((("A", 2),), np.eye(2) / 2), str(path))
+        cfg = tmp_path / "hoq.cfg"
+        cfg.write_text("tol.sector = 1e-7\ntol.psd = 1e-8\ntol.herm = 1e-11\n")
+        res = runner.invoke(main, ["check", "A", "-f", str(path), "--registry", "A=2",
+                                   "--json", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert list(payload)[-4:] == ["tol", "psd_tol", "herm_tol", "noise_floor"]
+        assert (payload["tol"], payload["psd_tol"], payload["herm_tol"],
+                payload["noise_floor"]) == (1e-7, 1e-8, 1e-11, 1e-12)
+
+    def test_a_vector_file_is_checked_from_its_vector(self, runner, tmp_path):
+        # the flippable switch's file holds its vector: positivity is its
+        # Gram form, and the same matrix written as rows is checked by
+        # Cholesky with the same verdict, lambda and residual
+        fs, matrix = tmp_path / "fs.json", tmp_path / "fs-matrix.json"
+        res = runner.invoke(main, ["make", "flip-switch", "--d", "2", "-o", str(fs)])
+        assert res.exit_code == 0, res.output
+        op = read_operator(str(fs))
+        assert op.vector is not None
+        write_operator(LabeledOperator(op.factors, op.data), str(matrix))
+        args = ["check", "((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))",
+                "--registry", "A1=2,B1=2,A2=2,B2=2,P=4,F=4"]
+        res = runner.invoke(main, args + ["-f", str(fs)])
+        assert res.exit_code == 0, res.output
+        assert ("psd:              ok, min eigenvalue ≥ 0.000e+00 "
+                "(rank one: Gram of its vector)") in res.output.splitlines()
+        reports = [json.loads(runner.invoke(main, args + ["-f", str(f), "--json"]).output)
+                   for f in (fs, matrix)]
+        assert [(r["psd_method"], r["herm_defect"]) for r in reports] == [("gram", 0.0),
+                                                                         ("cholesky", 0.0)]
+        assert reports[0]["min_eigenvalue"] == 0.0 and reports[1]["min_eigenvalue"] == -TOL_PSD
+        for key in ("verdict", "lambda_measured", "sector_residual"):
+            assert reports[0][key] == reports[1][key]
+
     def test_admissible_mode_exit_codes(self, runner, tmp_path):
         ok = tmp_path / "state.json"
         write_operator(LabeledOperator((("A", 2),), np.eye(2) / 4), str(ok))
@@ -1151,7 +1236,8 @@ class TestMakeAndClassify:
             assert list(rep) == ["verdict", "psd_ok", "min_eigenvalue", "psd_method",
                                  "herm_defect", "lambda_ok", "lambda_expected",
                                  "lambda_measured", "sector_residual",
-                                 "forbidden_components", "permutation"]
+                                 "forbidden_components", "permutation", "tol", "psd_tol",
+                                 "herm_tol", "noise_floor"]
             assert rep["verdict"] == ("PASS" if passed else "FAIL")
             assert (rep["psd_ok"], rep["psd_method"], rep["min_eigenvalue"]) == (
                 True, "cholesky", -TOL_PSD)

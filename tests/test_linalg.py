@@ -35,7 +35,8 @@ from hoq.membership import characterization_of, check_operator
 from hoq.processes import haar_unitary, merge_ports, n_time_flip_choi, random_state
 from hoq.sectors import SectorSet, full_space, pattern_norms, sector_project
 
-from helpers import NON_FINITE, apply_choi, max_entangled, non_finite_operator
+from helpers import (NON_FINITE, apply_choi, assert_rank_one_matrix, matrix_only, max_entangled,
+                     non_finite_operator)
 
 
 def op(labels_dims, data):
@@ -349,13 +350,15 @@ class TestBlockedCholesky:
         assert out.tobytes() == whole.tobytes()
 
 
-def _sparse_flip():
-    """The D = 1024 n-time flip, whose 32 non-zero rows are its support."""
+def _sparse_flip(vector=False):
+    """The D = 1024 n-time flip, whose 32 non-zero rows are its support: as
+    a matrix, so that its checks take the sparse-matrix path, or with
+    ``vector`` as the rank-one operator of its vector."""
     r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
     r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
-    assert r.dim == 1024 and r.data.dtype == np.float64
+    assert r.dim == 1024 and r.data.dtype == np.float64 and r.vector is not None
     assert np.count_nonzero(r.data.any(axis=1)) == 32
-    return r
+    return r if vector else matrix_only(r)
 
 
 class TestSupportCholesky:
@@ -438,6 +441,16 @@ class TestSupportCholesky:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * r.data.nbytes
+
+    def test_a_rank_one_operator_is_its_gram_matrix(self, factored):
+        # the flip with its vector is PSD by construction: no row is scanned
+        # or factored, and its norm is ||v||^4
+        r = _sparse_flip(vector=True)
+        assert is_psd(r) and factored == []
+        sym, live, norm_sq, min_eig, ok, method = linalg._positivity(r, 0.0, None, TOL_PSD)
+        assert sym is r.data and live is None
+        assert (norm_sq, min_eig, ok, method) == (float(np.vdot(r.data, r.data)), 0.0, True,
+                                                  "gram")
 
     @pytest.mark.parametrize("level", ["bislot", "standard"])
     def test_a_sparse_check_forms_no_operator_copy(self, level):
@@ -588,10 +601,13 @@ class TestRankOne:
 
     @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
     def test_the_vector_forms_the_matrix(self, rng, complex_entries):
+        # a real v gives np.outer's bytes; a complex one an exactly Hermitian
+        # matrix within 2.5e-15 of np.outer(v, v.conj())
         v = self._vector(rng, complex_entries)
         a = rank_one(self.FACTORS, v)
         assert a.vector.dtype == (np.complex128 if complex_entries else np.float64)
-        assert np.array_equal(a.data, np.outer(v, v.conj())) and np.array_equal(a.vector, v)
+        assert_rank_one_matrix(a.data, v)
+        assert np.array_equal(a.vector, v)
         assert not a.vector.flags.writeable and not a.data.flags.writeable
         # the realness rule of the matrix: zero imaginary parts leave float64
         assert rank_one(self.FACTORS, v.real.astype(complex)).vector.dtype == np.float64
@@ -620,7 +636,7 @@ class TestRankOne:
                    merge_factors(a, ("A", "B"), "AB"), drop_trivial(a)]
         for b in carried:
             assert b.vector is not None
-            assert np.array_equal(b.data, np.outer(b.vector, b.vector.conj()))
+            assert_rank_one_matrix(b.data, b.vector)
         # the permutation moves v's entries as it moves the matrix's
         plain = LabeledOperator(a.factors, a.data)
         assert np.array_equal(carried[0].data, permute_systems(plain, ["C", "B", "A"]).data)
@@ -632,3 +648,25 @@ class TestRankOne:
         dropped = [tensor_op(a, b), partial_trace(a, ["B"]), link_product(a, b),
                    link_product(relabel(b, {"D": "A"}), a), transpose(a)]
         assert all(x.vector is None for x in dropped)
+
+    @pytest.mark.parametrize("n", [5, 256, 1000, 2916])
+    def test_a_complex_vector_forms_an_exactly_hermitian_matrix(self, rng, n):
+        # np.outer(v, v.conj()) has a defect near 1.8e-15 from n = 256 on
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a = rank_one((("A", n),), v)
+        assert matrix_only(a).herm_defect() == 0.0 == a.herm_defect()
+        assert_rank_one_matrix(a.data, a.vector)
+
+    @pytest.mark.parametrize("entry", [np.nan, 1e200, 1e200j, complex(np.nan, 0.5)],
+                             ids=["nan", "overflow", "imaginary-overflow", "nan-real-part"])
+    def test_a_non_finite_gram_matrix_stops_the_check(self, entry):
+        # max |v_i|^2, the largest entry of |v><v|, is not finite: the vector
+        # check raises as the matrix scan of the same operator does
+        v = np.ones(8, complex if isinstance(entry, complex) else float)
+        v[3] = entry
+        a = rank_one((("A", 2), ("B", 4)), v)
+        for op in (a, matrix_only(a)):
+            for call in (op.herm_defect, lambda: is_psd(op),
+                         lambda: check_operator(op, Fraction(1, 8), full_space(op.factors))):
+                with pytest.raises(NonFiniteOperator):
+                    call()

@@ -472,6 +472,20 @@ class TestAdmissibility:
                            atol=1e-12)
         assert abs(assert_gap_certificate(res, op, t, reg) - res.gap_bound) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 9, 13, 23])
+    def test_a_cancelled_certificate_stops_nothing(self, seed):
+        # half an event of (S1 -> S2): the first displacement is -1/6 * 1, so
+        # raising it by its lowest eigenvalue leaves only rounding, whose bound
+        # read 0.29 in one factor order or the other and stopped the iteration
+        # as UNDECIDED; both orders are FEASIBLE at iteration 2
+        reg = SystemRegistry.of(S1=3, S2=3)
+        t = parse_type("(S1 -> S2)", reg)
+        event = sample_deterministic(t, reg, eps=0.5, seed=seed)
+        op = LabeledOperator(event.factors, 0.5 * event.data)
+        for order in (["S1", "S2"], ["S2", "S1"]):
+            res = is_admissible(permute_systems(op, order), t, reg, max_iter=100)
+            assert (res.status, res.iterations, res.gap_bound) == ("FEASIBLE", 2, None)
+
     def test_iteration_measures_hermiticity_once(self, monkeypatch):
         # 2 % above a deterministic event: the iteration runs on bare arrays,
         # after the one hermiticity measurement of the gate, and stops at its

@@ -40,6 +40,8 @@ from hoq.processes import (
     time_flip_choi,
 )
 
+from helpers import matrix_only
+
 
 def pair(i):
     return BistochElem(f"A{i}", (), f"B{i}", ())
@@ -329,9 +331,11 @@ class TestFamilies:
     def test_real_process_is_checked_in_real_arithmetic(self):
         # the switch's entries are real, so it is stored float64 and its
         # check works on float64 arrays: the peak stays below 3.5 float64
-        # copies (8 D^2 bytes each), where complex arithmetic takes 5.0
+        # copies (8 D^2 bytes each), where complex arithmetic takes 5.0.  It
+        # is given as its matrix, without its vector, so the check takes the
+        # matrix path
         r = merge_ports(flippable_switch_choi(2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
-        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        r = matrix_only(permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"]))
         assert r.data.dtype == np.float64 and r.dim == 256
         tracemalloc.start()
         try:
@@ -353,9 +357,10 @@ class TestFamilies:
         # diagonal phase on P) is counted in copies of 16 D^2 bytes, and it
         # is Hermitian bit for bit.  Every check peaks at 0.052-0.058 copies;
         # with the outside component formed on the whole operator, they
-        # peaked at 1.0-1.35 copies
+        # peaked at 1.0-1.35 copies.  The flip is given as its matrix,
+        # without its vector, so the checks take the sparse-matrix path
         r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
-        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        r = matrix_only(permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"]))
         phase = np.repeat(np.exp(2j * np.pi * np.arange(8) / 7), r.dim // 8)
         tilted = r.data * np.outer(phase, phase.conj())
         rc = LabeledOperator(r.factors, (tilted + tilted.conj().T) * 0.5)
@@ -381,6 +386,34 @@ class TestFamilies:
             assert rep.passed == passed and rep.psd_method == "cholesky"
             assert passed or rep.forbidden_components
             assert peak <= 0.1 * op.dim ** 2 * op.data.itemsize
+
+    def test_vector_checks_form_no_operator_copy(self):
+        # with its vector, the flip is checked from v: positivity is its Gram
+        # form and the average over F is M M^H / 8, so no check reads the
+        # matrix; each peaks at 0.052-0.058 copies, as on the matrix path,
+        # since the back half's arrays on the averaged matrix dominate
+        r = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+        r = permute_systems(r, ["P", "A1", "B1", "A2", "B2", "F"])
+        reg = SystemRegistry.from_dict(dict(r.factors))
+        spec = NetworkSpec((dual(pair(1)), dual(pair(2))), ("P", "I", "F"))
+        bsp_type = Arrow(tensor_all([pair(1), pair(2)]),
+                         Arrow(SystemString(("P",)), SystemString(("F",))))
+        assert r.vector is not None and r.dim == 1024
+        for check, passed in [
+                (lambda: is_deterministic(r, spec, reg), True),
+                (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8), True),
+                (lambda: classify(r, bsp_type, reg).bistoch_report, True),
+                (lambda: check_bsp(r, [(2, 2), (2, 2)], 8, 8, hierarchy=Hierarchy.STANDARD),
+                 False)]:
+            tracemalloc.start()
+            try:
+                rep = check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.passed == passed and rep.psd_method == "gram"
+            assert passed or rep.forbidden_components
+            assert peak <= 0.1 * r.dim ** 2 * r.data.itemsize
 
     def test_n_time_flip_is_bislot(self):
         f2 = merge_ports(n_time_flip_choi(2, 2), {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
@@ -494,3 +527,55 @@ class TestOneReorder:
             ("A1", "B1", "M1"), ("A2", "B2", "M1", "M2"), ("A3", "B3", "M2")]
         back = compose_network(out_blocks, spec2, reg2, validate=False)
         assert np.abs(back.data - permute_systems(r, back.labels).data).max() < 1e-8
+
+
+def _fused_process(op):
+    """A canonical process with its ports fused to P and F, in the order P,
+    the slot pairs, F, with its registry and its slot pairs."""
+    r = merge_ports(op, {"P": ("Pt", "Pc"), "F": ("Ft", "Fc")})
+    slots = [lab for lab in r.labels if lab not in ("P", "F")]
+    r = permute_systems(r, ["P", *slots, "F"])
+    pairs = [BistochElem(a, (), b, ()) for a, b in zip(slots[::2], slots[1::2])]
+    return r, SystemRegistry.from_dict(dict(r.factors)), pairs
+
+
+# every canonical process of dimension at most 4096, each a 0/1 vector
+CANONICAL = {"time-flip-2": lambda: time_flip_choi(2), "time-flip-3": lambda: time_flip_choi(3),
+             "time-flip-4": lambda: time_flip_choi(4), "time-flip-5": lambda: time_flip_choi(5),
+             "switch-2": lambda: flippable_switch_choi(2),
+             "switch-3": lambda: flippable_switch_choi(3),
+             "n-flip-1": lambda: n_time_flip_choi(1, 3),
+             "n-flip-2": lambda: n_time_flip_choi(2, 2)}
+
+
+@pytest.mark.parametrize("name", CANONICAL)
+def test_vector_reports_equal_matrix_reports(name):
+    # against the bislot, BSP and standard levels, in the process's order
+    # and in two shuffled ones, the check of the vector and the check of
+    # the same matrix without it agree in every field but how positivity
+    # was decided: verdict, lambda, residual, noise floor, and the forbidden
+    # patterns with their norms, in the same order
+    r, reg, pairs = _fused_process(CANONICAL[name]())
+    assert r.vector is not None and r.dim <= 4096
+    n = len(pairs)
+    bsp = Arrow(tensor_all(pairs), Arrow(SystemString(("P",)), SystemString(("F",))))
+    levels = {"bislot": NetworkSpec(tuple(dual(p) for p in pairs), ("P",) + ("I",) * (n - 1)
+                                    + ("F",)),
+              "bsp": bsp, "standard": dehat(bsp)}
+    rng = np.random.default_rng(len(name) + r.dim)
+    orders = [r.labels] + [tuple(rng.permutation(r.labels)) for _ in range(2)]
+    seen = set()
+    for order in orders:
+        op = permute_systems(r, order)
+        assert op.vector is not None
+        for level, t in levels.items():
+            got = is_deterministic(op, t, reg)
+            want = is_deterministic(matrix_only(op), t, reg)
+            assert (got.psd_method, got.min_eigenvalue) == ("gram", 0.0)
+            assert want.psd_method == "cholesky"
+            assert {**vars(got), "psd_method": None, "min_eigenvalue": None} == \
+                {**vars(want), "psd_method": None, "min_eigenvalue": None}, (order, level)
+            seen.add((level, got.verdict))
+    # the bislot level fails the switch and passes the flips; the standard
+    # level fails every process
+    assert ("standard", "FAIL") in seen and ("bsp", "PASS") in seen

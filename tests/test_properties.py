@@ -14,8 +14,9 @@ document and across its two row forms, of
 the realness rule by which an operator stores its matrix, of the blocked
 in-place positivity test against planted spectra, of the check's
 positivity fields against a whole-matrix reference, of the hermiticity
-defect against the whole-matrix maximum on random supports, and of the
-hierarchy's exact laws and its time symmetry on random types."""
+defect against the whole-matrix maximum on random supports, of the check
+that reads a rank-one operator's vector against the check of its matrix,
+and of the hierarchy's exact laws and its time symmetry on random types."""
 import gzip
 import itertools
 import json
@@ -63,8 +64,9 @@ from hoq.sectors import (SectorSet, _idle_traced, _level_plan, _project_masks,
 from hoq.typesys import (TRIVIAL, Arrow, BistochElem, dehat, dual, has_hats, systems_of,
                          tensor)
 
-from helpers import (assert_gap_certificate, clear_plan_caches, converted, disjoint_gram,
-                     mask_of, marks_of, planted_traceless, random_type, reference_admissible,
+from helpers import (assert_gap_certificate, assert_rank_one_matrix, clear_plan_caches,
+                     converted, disjoint_gram, mask_of, marks_of, matrix_only,
+                     planted_traceless, random_type, reference_admissible,
                      reference_component, reference_decompose, reference_idle_traced,
                      reference_partial_trace,
                      rename_type, sparse_hermitian, unpruned_pattern_norms, unpruned_project)
@@ -349,6 +351,36 @@ def test_classify_reports_equal_the_two_checks(case, add_forbidden, random):
 def sampled_type(draw, reg_dims=(2, 3), max_systems=4):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return random_type(rng, reg_dims, max_systems=max_systems)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_type(max_systems=6), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_a_vector_check_agrees_with_the_matrix_check(case, seed, complex_entries):
+    # a random v in a shuffled factor order, scaled so that its trace is the
+    # type's: the check that reads v (its Gram form, and M M^H / d_Z for the
+    # average over Z) agrees with the check of the same matrix without v
+    t, reg = case
+    coeff, sectors = characterization_of(t, reg)
+    dim = math.prod(d for _, d in sectors.systems)
+    assume(dim <= 512)
+    rng = np.random.default_rng(seed)
+    factors = [sectors.systems[i] for i in rng.permutation(len(sectors.systems))]
+    v = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_entries else 0)
+    op = linalg.rank_one(factors, v * math.sqrt(float(coeff) * dim) / np.linalg.norm(v))
+    plain = matrix_only(op)
+    plan = _level_plan(sectors, op.factors)
+    averaged, reference = _idle_traced(op, plan, None), reference_idle_traced(plain, plan)
+    assert averaged.factors == reference.factors
+    assert np.abs(averaged.data - reference.data).max() <= 1e-12 * np.abs(reference.data).max()
+    got, want = check_operator(op, coeff, sectors), check_operator(plain, coeff, sectors)
+    assert (got.psd_method, got.min_eigenvalue) == ("gram", 0.0)
+    assert (got.verdict, got.psd_ok, got.lambda_ok, got.herm_defect, got.lambda_measured) == \
+        (want.verdict, want.psd_ok, want.lambda_ok, want.herm_defect, want.lambda_measured)
+    assert got.sector_residual == pytest.approx(want.sector_residual, rel=1e-12, abs=1e-14)
+    assert got.noise_floor == pytest.approx(want.noise_floor, rel=1e-12)
+    assert [p for p, _ in got.forbidden_components] == [p for p, _ in want.forbidden_components]
+    assert [n for _, n in got.forbidden_components] == \
+        pytest.approx([n for _, n in want.forbidden_components], rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1256,7 +1288,7 @@ def test_decomposition_is_a_chain_of_isometries(case):
     for block in blocks[:-1]:
         v = block.vector
         assert v is not None and v.dtype == block.data.dtype
-        assert np.array_equal(block.data, np.outer(v, v.conj()))
+        assert_rank_one_matrix(block.data, v)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "bundle.json")
         write_bundle(blocks, spec2, path)

@@ -28,7 +28,7 @@ from hoq import (
 )
 from hoq import linalg, sectors
 from hoq.errors import FactorMismatch, NonFiniteOperator
-from hoq.membership import check_operator
+from hoq.membership import characterization_of, check_operator
 from hoq.processes import flippable_switch_choi, merge_ports, n_time_flip_choi
 from hoq.sectors import (
     Hierarchy,
@@ -43,8 +43,9 @@ from hoq.sectors import (
 )
 from hoq.typesys import dehat
 
-from helpers import (NON_FINITE, clear_plan_caches, hoq_caches, mask_of, marks_of,
-                     non_finite_operator, random_type, reference_component, rename_type)
+from helpers import (NON_FINITE, clear_plan_caches, hoq_caches, mask_of, marks_of, matrix_only,
+                     non_finite_operator, random_type, reference_component,
+                     reference_idle_traced, rename_type)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -453,7 +454,9 @@ class TestZeroPruning:
 class TestOneSupport:
     """A check finds the live rows of a sparse operator once, in its
     hermiticity scan, and hands them to the positivity test and to the
-    average over Z; ``classify`` averages once for its two levels."""
+    average over Z; ``classify`` averages once for its two levels.  The
+    switch is given as its matrix, without its vector, so these checks take
+    the sparse-matrix path; :class:`TestVectorCheck` takes the vector's."""
 
     BSP = TestZeroPruning.BSP
 
@@ -471,7 +474,7 @@ class TestOneSupport:
 
     @pytest.fixture
     def switch(self):
-        return TestZeroPruning._fused(flippable_switch_choi(2))
+        return matrix_only(TestZeroPruning._fused(flippable_switch_choi(2)))
 
     def test_a_sparse_check_scans_once(self, counts, switch):
         two = [(2, 2), (2, 2)]
@@ -552,3 +555,66 @@ def test_every_cache_is_bounded():
     assert {"_level_plan", "_split", "_complement", "_forbidden", "_network_cached",
             "_classification_plan"} <= caches.keys()
     assert all(c.cache_parameters()["maxsize"] is not None for c in caches.values())
+
+
+class TestVectorCheck:
+    """A check of an operator that carries its vector reads the vector: no
+    scan of the matrix's rows, no Cholesky factorization and no average of
+    the matrix, and positivity is decided as ``"gram"``; the report is the
+    matrix path's."""
+
+    BSP = TestZeroPruning.BSP
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = dict.fromkeys(("_sparse_support", "_cholesky_lower", "_trace_live"), 0)
+        for module, name in ((linalg, "_sparse_support"), (linalg, "_cholesky_lower"),
+                             (sectors, "_trace_live")):
+            original = getattr(module, name)
+
+            def counted(*args, f=original, n=name):
+                calls[n] += 1
+                return f(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture
+    def switch(self):
+        r = TestZeroPruning._fused(flippable_switch_choi(2))
+        assert r.vector is not None
+        return r
+
+    def test_a_vector_check_reads_no_row_of_the_matrix(self, counts, switch):
+        two = [(2, 2), (2, 2)]
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+        t = parse_type(self.BSP, reg)
+        checks = [lambda: check_bislot(switch, two, 4, 4),
+                  lambda: check_bsp(switch, two, 4, 4),
+                  lambda: check_bsp(switch, two, 4, 4, hierarchy=Hierarchy.STANDARD),
+                  lambda: classify(switch, t, reg).standard_report]
+        for check in checks:
+            rep = check()
+            assert (rep.psd_method, rep.min_eigenvalue, rep.herm_defect) == ("gram", 0.0, 0.0)
+        assert is_psd(switch)
+        assert counts == {"_sparse_support": 0, "_cholesky_lower": 0, "_trace_live": 0}
+
+    def test_the_vector_average_is_the_matrix_average(self, switch):
+        # 0/1 entries: every sum is exact, so the bytes are the same
+        for level in (Hierarchy.BISTOCH, Hierarchy.STANDARD):
+            reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
+            t = parse_type(self.BSP, reg)
+            _, allowed = characterization_of(t if level is Hierarchy.BISTOCH else dehat(t), reg)
+            plan = sectors._level_plan(allowed, switch.factors)
+            assert plan.idle and plan.idle_dim == 4
+            got = sectors._idle_traced(switch, plan, None)
+            want = reference_idle_traced(matrix_only(switch), plan)
+            assert got.factors == want.factors
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_reports_equal_the_matrix_reports(self, switch):
+        two = [(2, 2), (2, 2)]
+        for check in (check_bislot, check_bsp):
+            got, want = check(switch, two, 4, 4), check(matrix_only(switch), two, 4, 4)
+            assert (got.psd_method, want.psd_method) == ("gram", "cholesky")
+            assert {**vars(got), "psd_method": 0, "min_eigenvalue": 0} == \
+                {**vars(want), "psd_method": 0, "min_eigenvalue": 0}
