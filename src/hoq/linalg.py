@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,18 +35,9 @@ _BLOCK = 256
 # scan: narrow tiles keep the transposed reads of a large operator from
 # contending for the same cache sets
 _TILE = (256, 64)
-# the cost of one pair of live rows in _trace_live, in entries that
-# _trace_factor reads: 20-100 ns against 1-8 ns at D = 1024 and 4096 on one
-# x86 core; the kernels took equal time near 16, and 32 keeps _trace_live
-# only where it is clearly ahead
-_PAIR_COST = 32
 # floats per block of _gram_outer's rows: 256 KB, which stays in a core's
 # cache; 8K and 128K were 10-20 % slower at n = 1024 to 4096
 _OUTER_AREA = 1 << 15
-# the list that :meth:`LabeledOperator.herm_defect` appends its live rows to,
-# set by :func:`_defect_and_support` around the one call it makes; a context
-# variable, so a check in another thread or task never sees it
-_FOUND_SUPPORT: ContextVar[list | None] = ContextVar("_FOUND_SUPPORT", default=None)
 
 
 def check_tol(name: str, value: float) -> None:
@@ -85,7 +75,8 @@ class LabeledOperator:
     ``|v><v|``; then it is that v, read-only and stored by the same rule.
     It is no argument, so it cannot disagree with ``data``.
     :func:`permute_systems`, :func:`relabel`, :func:`merge_factors` and
-    :func:`drop_trivial` carry it; every other operation drops it.  A check
+    :func:`drop_trivial` carry it, and :func:`tensor_op` of two such
+    operators forms the product's; every other operation drops it.  A check
     reads it in place of the matrix: the hermiticity scan, the positivity
     test and the average over the idle factors Z take O(D) and one
     ``(D/d_Z) x d_Z`` product, not the D^2 entries.
@@ -138,8 +129,7 @@ class LabeledOperator:
         :func:`rank_one` forms it, so its defect is 0 once ``max |v_i|^2``,
         the largest entry of ``|v><v|`` in modulus, is finite; a NaN in v, or
         a v whose products overflow, raises :class:`NonFiniteOperator`.  That
-        test reads the D entries of v, not the D^2 of the matrix, and it
-        finds no live rows.
+        test reads the D entries of v, not the D^2 of the matrix.
 
         Otherwise the live rows L, those that hold an entry, are found
         first; a NaN or infinite entry is non-zero, so it lies in one.  When
@@ -156,15 +146,10 @@ class LabeledOperator:
         is not finite ends the scan, and one pass over the operator tells a
         non-finite entry from an overflowing defect.
         """
-        found = _FOUND_SUPPORT.get()
         if self.vector is not None:
-            if found is not None:
-                found.append(None)
             return _vector_defect(self.vector)
         data = self.data
         live = _sparse_support(data)
-        if found is not None:
-            found.append(live)
         defect = 0.0
         with np.errstate(invalid="ignore", over="ignore"):
             if live is None:
@@ -304,22 +289,6 @@ def _sparse_support(m: np.ndarray) -> np.ndarray | None:
     return live if 2 * len(live) <= len(m) else None
 
 
-def _defect_and_support(a: LabeledOperator) -> tuple[float, np.ndarray | None]:
-    """``a.herm_defect()`` and the live rows its scan found, as
-    :func:`_sparse_support` gives them.
-
-    The rows are handed on for this one call only: ``a`` may share the
-    caller's memory, so rows kept for a later check could be stale.
-    """
-    found = []
-    token = _FOUND_SUPPORT.set(found)
-    try:
-        defect = a.herm_defect()
-    finally:
-        _FOUND_SUPPORT.reset(token)
-    return defect, found[0]
-
-
 def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
     factors = tuple(factors)
     total = math.prod(d for _, d in factors)
@@ -327,9 +296,17 @@ def identity(factors: Iterable[tuple[str, int]]) -> LabeledOperator:
 
 
 def tensor_op(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Kronecker product; factor list is a's factors followed by b's."""
+    """Kronecker product; factor list is a's factors followed by b's.
+
+    When both carry their vectors v and w, the product is ``|v (x) w><v (x)
+    w|``, formed by :func:`rank_one` and carrying ``kron(v, w)``: its entries
+    are those of ``kron(|v><v|, |w><w|)`` but for the rounding of each
+    product, and equal for 0/1 vectors.
+    """
     if set(a.labels) & set(b.labels):
         raise LabelCollision(f"shared labels {sorted(set(a.labels) & set(b.labels))}")
+    if a.vector is not None and b.vector is not None:
+        return rank_one(a.factors + b.factors, np.kron(a.vector, b.vector))
     return LabeledOperator(a.factors + b.factors, np.kron(a.data, b.data))
 
 
@@ -435,50 +412,6 @@ def _trace_factor(data: np.ndarray, dims, pos: int) -> np.ndarray:
     return out.reshape(lr, lr)
 
 
-def _trace_live(data: np.ndarray, dims, pos: int, live: np.ndarray) -> np.ndarray:
-    """:func:`_trace_factor` of a matrix whose entries all lie in the rows
-    and columns ``live``, ascending, read from those only.
-
-    Each live index splits into its kept part and its part z at factor
-    ``pos``.  Every entry ``data[a, b]`` with ``z_a == z_b`` is added into
-    the kept entry by ``np.add.at``, which adds in index order.  The pairs
-    come in row-major order, a :data:`_TILE` area of them at a time, so each
-    output entry sums its terms in ascending z, as :func:`_trace_factor`
-    does; the terms left out are zeros, so the result is the same, bit for
-    bit, but for the sign of a zero.
-    """
-    d = dims[pos]
-    right = math.prod(dims[pos + 1:])
-    n = len(data) // d
-    high, rest = np.divmod(live, d * right)
-    z, low = np.divmod(rest, right)
-    kept = high * right + low
-    out = np.zeros(n * n, data.dtype)
-    step = max(1, _TILE[0] * _TILE[1] // max(len(live), 1))
-    for i in range(0, len(live), step):
-        rows, cols = np.nonzero(z[i:i + step, None] == z)
-        rows += i
-        np.add.at(out, kept[rows] * n + kept[cols], data[live[rows], live[cols]])
-    return out.reshape(n, n)
-
-
-def _few_live_pairs(dims, pos: int, live: np.ndarray) -> bool:
-    """Whether :func:`_trace_live` over factor ``pos`` costs less than
-    :func:`_trace_factor` on a matrix over ``dims`` whose entries lie in the
-    rows and columns ``live``.
-
-    :func:`_trace_live` adds one term per pair of live rows with equal index
-    z at the factor, ``sum_z n_z^2`` of them by one ``np.bincount`` of z, at
-    about 20 to 100 ns a pair (the pair mask, the gather and ``np.add.at``);
-    :func:`_trace_factor` reads the ``D^2 / d`` entries of the d diagonal
-    blocks, at about 1 to 8 ns each.  So the live rows pay when the pairs are
-    fewer than a :data:`_PAIR_COST`-th of those entries.
-    """
-    d = dims[pos]
-    counts = np.bincount(live // math.prod(dims[pos + 1:]) % d, minlength=d)
-    return _PAIR_COST * int(counts @ counts) < math.prod(dims) ** 2 // d
-
-
 def _combine_identity(ufunc, data: np.ndarray, small: np.ndarray, dims, pos: int) -> None:
     """In place, ``data = ufunc(data, small (x) 1)`` with the identity at factor ``pos``.
 
@@ -581,21 +514,20 @@ def hermitian_part(a: LabeledOperator, out: np.ndarray | None = None) -> np.ndar
     return sym
 
 
-def _positivity(a: LabeledOperator, defect: float, live: np.ndarray | None,
-                psd_tol: float) -> tuple[np.ndarray, np.ndarray | None, float, float, bool, str]:
-    """The Hermitian part of ``a``, its live rows as :func:`_sparse_support`
-    gives them, its squared Frobenius norm, its minimum eigenvalue, the
-    positivity verdict and the method that decided.
+def _positivity(a: LabeledOperator, defect: float,
+                psd_tol: float) -> tuple[np.ndarray, float, float, bool, str]:
+    """The Hermitian part of ``a``, its squared Frobenius norm, its minimum
+    eigenvalue, the positivity verdict and the method that decided.
 
-    ``defect`` is ``a``'s hermiticity defect and ``live`` the live rows of
-    ``a.data``, both from :func:`_defect_and_support`.  The Hermitian part
-    is ``a.data`` when the defect is 0, with those rows, and else
-    :func:`hermitian_part` of ``a``, whose rows are found anew.  Its zero
-    rows are zero columns, so after a permutation ``sym + psd_tol * 1`` is
-    the live block (the rows that hold an entry) plus ``psd_tol * 1``,
-    beside ``psd_tol * 1``: positive definite exactly when that block is.
-    When at most half the rows are live, the block is a copy of them, at
-    most a quarter of the operator.  Otherwise it is the whole part: the
+    ``defect`` is ``a``'s hermiticity defect, from
+    :meth:`LabeledOperator.herm_defect`.  The Hermitian part is ``a.data``
+    when the defect is 0, and else :func:`hermitian_part` of ``a``.  Its
+    rows that hold an entry, the live rows, are found by
+    :func:`_sparse_support`.  Its zero rows are zero columns, so after a
+    permutation ``sym + psd_tol * 1`` is the live block plus ``psd_tol *
+    1``, beside ``psd_tol * 1``: positive definite exactly when that block
+    is.  When at most half the rows are live, the block is a copy of them,
+    at most a quarter of the operator.  Otherwise it is the whole part: the
     part itself when it is an array of its own, formed again with the same
     bytes after the factorization, and else a copy.  The norm is read from
     the block, which holds every entry, before :func:`_cholesky_lower`
@@ -612,12 +544,9 @@ def _positivity(a: LabeledOperator, defect: float, live: np.ndarray | None,
     """
     if a.vector is not None:
         trace = float(np.vdot(a.vector, a.vector).real)
-        return a.data, None, trace * trace, 0.0, True, "gram"
-    if defect == 0:
-        sym = a.data
-    else:
-        sym = hermitian_part(a)
-        live = _sparse_support(sym)
+        return a.data, trace * trace, 0.0, True, "gram"
+    sym = a.data if defect == 0 else hermitian_part(a)
+    live = _sparse_support(sym)
     if live is not None:
         block = sym[np.ix_(live, live)]
     else:
@@ -632,9 +561,9 @@ def _positivity(a: LabeledOperator, defect: float, live: np.ndarray | None,
     if block is sym:
         hermitian_part(a, out=sym)
     if factored:
-        return sym, live, norm_sq, -psd_tol, True, "cholesky"
+        return sym, norm_sq, -psd_tol, True, "cholesky"
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return sym, live, norm_sq, min_eig, min_eig >= -psd_tol, "eigvalsh"
+    return sym, norm_sq, min_eig, min_eig >= -psd_tol, "eigvalsh"
 
 
 def _cholesky_lower(sym: np.ndarray) -> None:
@@ -668,17 +597,17 @@ def _subtract_panel(sym: np.ndarray, k1: int, panel_h: np.ndarray) -> None:
         sym[i0:i1, i0:i1] -= np.tril(row @ panel_h[:, i0 - k1:i1 - k1])
 
 
-def _require_hermitian(a: LabeledOperator, tol: float) -> tuple[float, np.ndarray | None]:
-    """:func:`_defect_and_support` of ``a``; :class:`NotHermitian` when the
-    defect exceeds ``tol``, which :func:`check_tol` tests first."""
+def _require_hermitian(a: LabeledOperator, tol: float) -> float:
+    """``a.herm_defect()``; :class:`NotHermitian` when it exceeds ``tol``,
+    which :func:`check_tol` tests first."""
     check_tol("herm_tol", tol)
-    defect, live = _defect_and_support(a)
+    defect = a.herm_defect()
     if not defect <= tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return defect, live
+    return defect
 
 
 def is_psd(a: LabeledOperator, psd_tol: float = TOL_PSD,
            herm_tol: float = TOL_HERM) -> bool:
     check_tol("psd_tol", psd_tol)
-    return _positivity(a, *_require_hermitian(a, herm_tol), psd_tol)[4]
+    return _positivity(a, _require_hermitian(a, herm_tol), psd_tol)[3]

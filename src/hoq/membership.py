@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoHattedSystems
-from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _defect_and_support, _is_count,
-                     _permuted, _positivity, check_tol, permute_systems)
+from .linalg import (TOL_HERM, TOL_PSD, LabeledOperator, _is_count, _permuted, _positivity,
+                     check_tol, permute_systems)
 from .sectors import (
     SectorSet,
     _complement,
@@ -183,39 +183,35 @@ def check_operator(op: LabeledOperator, coeff: Fraction, sectors: SectorSet,
     infinite entries.
     """
     plan = _level_plan(sectors, op.factors)  # FactorMismatch here, not after the front half
-    r, live, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
-    return _back_half(_idle_traced(r, plan, live), fields, scale, plan, tol)
+    r, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    return _back_half(_idle_traced(r, plan), fields, scale, plan, tol)
 
 
 def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float,
-                herm_tol: float) -> tuple[LabeledOperator, np.ndarray | None, dict, float]:
+                herm_tol: float) -> tuple[LabeledOperator, dict, float]:
     """The operator the sector test measures, in ``op``'s own factor order,
-    its live rows, the fields hermiticity, positivity and the identity
-    coefficient decide, and the scale ``1 + ||R - coeff*1||_F`` of the
-    sector test's noise floor.
+    the fields hermiticity, positivity and the identity coefficient decide,
+    and the scale ``1 + ||R - coeff*1||_F`` of the sector test's noise floor.
 
     The operator is ``op`` itself when its hermiticity defect is 0, since
     ``op`` then equals its Hermitian part; otherwise it is the Hermitian
-    part.  The live rows are those :func:`hoq.linalg._sparse_support` gives,
-    found once: the hermiticity scan's rows serve ``op``, for this check
-    only.  One call of :func:`hoq.linalg._positivity` gives that part, its
-    rows, its positivity and ``||R||_F^2``, and with ``tr R``, read for the
+    part.  One call of :func:`hoq.linalg._positivity` gives that part, its
+    positivity and ``||R||_F^2``, and with ``tr R``, read for the
     coefficient, ``||R - coeff*1||_F^2`` follows: the deviation is never
     formed.  So the front half holds no operator-sized array besides ``op``
     for an exactly Hermitian operator with at most half its rows live, and
     one otherwise; the back half then holds none, or one when
     :func:`_back_half`'s Z is empty.  An operator that carries its vector
-    is read from the vector: its defect is 0, it has no live rows, and
-    positivity and ``||R||_F^2`` come from its Gram form, so no row of the
-    matrix is read but its diagonal, for the trace.  Every tolerance is
-    checked before any of that.
+    is read from the vector: its defect is 0, and positivity and
+    ``||R||_F^2`` come from its Gram form, so no row of the matrix is read
+    but its diagonal, for the trace.  Every tolerance is checked before any
+    of that.
     """
     check_tol("tol", tol)
     check_tol("herm_tol", herm_tol)
     check_tol("psd_tol", psd_tol)
-    herm_defect, live = _defect_and_support(op)
-    sym, live, norm_sq, min_eig, spectrum_ok, psd_method = _positivity(op, herm_defect, live,
-                                                                       psd_tol)
+    herm_defect = op.herm_defect()
+    sym, norm_sq, min_eig, spectrum_ok, psd_method = _positivity(op, herm_defect, psd_tol)
     herm_ok = herm_defect <= herm_tol
     expected = float(coeff)
     trace = float(np.trace(op.data).real)
@@ -230,7 +226,7 @@ def _front_half(op: LabeledOperator, coeff: Fraction, tol: float, psd_tol: float
                   lambda_expected=coeff, lambda_measured=measured, tol=tol, psd_tol=psd_tol,
                   herm_tol=herm_tol)
     measured_op = op if herm_defect == 0 else LabeledOperator(op.factors, sym)
-    return measured_op, live, fields, scale
+    return measured_op, fields, scale
 
 
 def _back_half(averaged: LabeledOperator, fields: dict, scale: float, plan: _LevelPlan,
@@ -306,10 +302,10 @@ def classify(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
     coeff, bi_sectors, std_sectors, gap_texts = _classification_plan(t, reg)
     # FactorMismatch before the front half
     bi_plan, std_plan = (_level_plan(s, op.factors) for s in (bi_sectors, std_sectors))
-    r, live, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
-    bi_averaged = _idle_traced(r, bi_plan, live)
+    r, fields, scale = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    bi_averaged = _idle_traced(r, bi_plan)
     std_averaged = (bi_averaged if std_plan.idle == bi_plan.idle
-                    else _idle_traced(r, std_plan, live))
+                    else _idle_traced(r, std_plan))
     bi = _back_half(bi_averaged, fields, scale, bi_plan, tol)
     std = _back_half(std_averaged, fields, scale, std_plan, tol)
     if not bi.passed or std.passed:
@@ -399,7 +395,7 @@ def is_admissible(op: LabeledOperator, t: TypeExpr, reg: SystemRegistry,
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     coeff, sectors = characterization_of(t, reg)
     masks = sectors.reorder(op.factors).masks
-    r, _, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
+    r, fields, _ = _front_half(op, coeff, tol, psd_tol, herm_tol)
     if not fields["psd_ok"]:
         if not fields["herm_defect"] <= herm_tol:
             reason = f"operator not Hermitian (defect {fields['herm_defect']:.3e})"

@@ -23,8 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FactorMismatch
-from .linalg import (TOL_HERM, LabeledOperator, _combine_identity, _few_live_pairs,
-                     _require_hermitian, _trace_factor, _trace_live)
+from .linalg import TOL_HERM, LabeledOperator, _combine_identity, _require_hermitian, _trace_factor
 from .typesys import (
     BistochElem,
     SystemRegistry,
@@ -441,18 +440,12 @@ def _level_plan(s: SectorSet, order: tuple) -> _LevelPlan:
     return _LevelPlan(idle, factors, allowed, idle_dim, forbidden, permutation)
 
 
-def _idle_traced(op: LabeledOperator, plan: _LevelPlan,
-                 live: np.ndarray | None) -> LabeledOperator:
+def _idle_traced(op: LabeledOperator, plan: _LevelPlan) -> LabeledOperator:
     """``op`` averaged over the factors Z of ``plan``, highest first as in
     :func:`_project_masks`; ``op`` itself when Z is empty.
 
-    ``live`` holds the rows of ``op`` that hold an entry when at most half
-    of them do, else None, as :func:`hoq.linalg._sparse_support` gives
-    them.  With such rows the first average reads only the live block
-    (:func:`hoq.linalg._trace_live`) when its pairs of live rows are few
-    enough to pay (:func:`hoq.linalg._few_live_pairs`), and the others run
-    on the matrix it leaves, d_Z times smaller on each side.  Both kernels
-    give the same bytes.
+    A matrix is averaged by :func:`hoq.linalg._trace_factor`, one factor of
+    Z at a time, each on the matrix the last one left.
 
     An operator that carries its vector v is ``|v><v|``, so its average is
     ``M M^H / d_Z``, with M the ``(D/d_Z) x d_Z`` matrix of v's entries, Z's
@@ -471,12 +464,8 @@ def _idle_traced(op: LabeledOperator, plan: _LevelPlan,
         data /= plan.idle_dim
         return LabeledOperator(plan.factors, data)
     data, dims = op.data, op.dims
-    if live is not None and not _few_live_pairs(dims, plan.idle[0], live):
-        live = None
     for pos in plan.idle:
-        data = (_trace_factor(data, dims, pos) if live is None
-                else _trace_live(data, dims, pos, live))
-        live = None
+        data = _trace_factor(data, dims, pos)
         data /= dims[pos]
         dims = dims[:pos] + dims[pos + 1:]
     return LabeledOperator(plan.factors, data)

@@ -234,6 +234,25 @@ def reference_n_time_flip(n, d):
     return merge_factors(out, tuple(control(k, n) for k in range(1, n + 1)), "Fc")
 
 
+def two_flip_comb():
+    """Two parallel direction flips fused into one two-slot comb, D = 4096:
+    ``P`` is the two flips' past target and control wires, ``F`` their
+    future ones, and the slots are ``A1 -> B1`` and ``A2 -> B2``.  Every
+    step carries the flips' vectors, so the comb carries its own."""
+    from hoq.linalg import merge_factors, permute_systems, relabel, tensor_op
+    from hoq.processes import time_flip_choi
+
+    flips = [relabel(time_flip_choi(2), {lab: f"{lab}{i}" for lab in
+                                         ("Pt", "Pc", "A", "B", "Ft", "Fc")})
+             for i in (1, 2)]
+    both = permute_systems(tensor_op(*flips),
+                           ["Pt1", "Pc1", "Pt2", "Pc2", "A1", "B1", "A2", "B2",
+                            "Ft1", "Fc1", "Ft2", "Fc2"])
+    both = merge_factors(both, ("Pt1", "Pc1", "Pt2", "Pc2"), "P")
+    both = merge_factors(both, ("Ft1", "Fc1", "Ft2", "Fc2"), "F")
+    return permute_systems(both, ["P", "A1", "B1", "A2", "B2", "F"])
+
+
 def reference_admissible(op, t, reg, tol=1e-7, max_iter=5000, psd_tol=1e-9, herm_tol=1e-10):
     """Admissibility by the bidirectional hierarchy, as a self-contained oracle.
 
@@ -404,10 +423,10 @@ def unpruned_pattern_norms(op):
     return weights
 
 
-def reference_idle_traced(op, plan, live=None):
+def reference_idle_traced(op, plan):
     """``hoq.sectors._idle_traced`` with every average over Z taken by
-    ``_trace_factor`` on the whole matrix, whatever rows ``live`` names: the
-    path that the live-block average must equal."""
+    ``_trace_factor`` on the whole matrix, whether or not ``op`` carries its
+    vector: the path that the vector's average must equal."""
     from hoq import LabeledOperator
     from hoq.linalg import _trace_factor
 

@@ -433,7 +433,7 @@ class TestSupportCholesky:
         r = _sparse_flip()
         run = {"is_psd": lambda: is_psd(r),
                "_front_half": lambda: _front_half(r, Fraction(1, 32), 1e-9, TOL_PSD,
-                                                  TOL_HERM)[2]["psd_ok"]}
+                                                  TOL_HERM)[1]["psd_ok"]}
         tracemalloc.start()
         try:
             assert run[front]()
@@ -447,8 +447,8 @@ class TestSupportCholesky:
         # or factored, and its norm is ||v||^4
         r = _sparse_flip(vector=True)
         assert is_psd(r) and factored == []
-        sym, live, norm_sq, min_eig, ok, method = linalg._positivity(r, 0.0, None, TOL_PSD)
-        assert sym is r.data and live is None
+        sym, norm_sq, min_eig, ok, method = linalg._positivity(r, 0.0, TOL_PSD)
+        assert sym is r.data
         assert (norm_sq, min_eig, ok, method) == (float(np.vdot(r.data, r.data)), 0.0, True,
                                                   "gram")
 
@@ -591,7 +591,9 @@ class TestStructure:
 
 class TestRankOne:
     """:func:`rank_one` forms ``|v><v|`` and keeps v; the operations that
-    only rename, reorder or fuse factors carry v, every other drops it."""
+    only rename, reorder or fuse factors carry v, the tensor product of two
+    rank-one operators carries ``kron(v, w)``, and every other operation
+    drops it."""
 
     FACTORS = (("A", 2), ("B", 3), ("C", 1))
 
@@ -641,11 +643,16 @@ class TestRankOne:
         plain = LabeledOperator(a.factors, a.data)
         assert np.array_equal(carried[0].data, permute_systems(plain, ["C", "B", "A"]).data)
         assert all(np.array_equal(b.data, a.data) for b in carried[1:])
+        # the tensor product of two rank-one operators carries kron(v, w)
+        w = rank_one((("D", 2),), np.array([1.0, 1j]))
+        joint = tensor_op(a, w)
+        assert np.array_equal(joint.vector, np.kron(a.vector, w.vector))
+        assert_rank_one_matrix(joint.data, joint.vector)
 
     def test_dropped(self, rng):
         a = rank_one(self.FACTORS, self._vector(rng, True))
         b = rank_one((("D", 2),), np.array([1.0, 1j]))
-        dropped = [tensor_op(a, b), partial_trace(a, ["B"]), link_product(a, b),
+        dropped = [tensor_op(a, matrix_only(b)), partial_trace(a, ["B"]), link_product(a, b),
                    link_product(relabel(b, {"D": "A"}), a), transpose(a)]
         assert all(x.vector is None for x in dropped)
 

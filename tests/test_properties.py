@@ -5,8 +5,8 @@ their recursions without stops at zero arrays, of the invariants that let
 admissibility's stop on a Farkas bound against the full-length reference, of real
 arithmetic against complex arithmetic in the check, of checks that run in
 the operator's own factor order, of the check's sector test against the
-outside component formed on the whole operator, of the average over the
-idle factors read from the live rows against the whole-matrix average, of checks from emptied
+outside component formed on the whole operator, of a sparse matrix's check
+against the whole-matrix reference, of checks from emptied
 and from warm plan caches, of the factor order of network
 characterizations, and of the operator and bundle file reader against a
 whole-document conversion, across the two key orders of an operator
@@ -16,7 +16,8 @@ in-place positivity test against planted spectra, of the check's
 positivity fields against a whole-matrix reference, of the hermiticity
 defect against the whole-matrix maximum on random supports, of the check
 that reads a rank-one operator's vector against the check of its matrix,
-and of the hierarchy's exact laws and its time symmetry on random types."""
+of the tensor product of two rank-one operators against the Kronecker
+product of their matrices, and of the hierarchy's exact laws and its time symmetry on random types."""
 import gzip
 import itertools
 import json
@@ -52,10 +53,10 @@ from hoq import (
     sample_deterministic,
     sector_project,
 )
-from hoq.errors import HoqError, NonFiniteOperator, NotHermitian, ShapeMismatch, SizeLimit
+from hoq.errors import (HoqError, LabelCollision, NonFiniteOperator, NotHermitian,
+                        ShapeMismatch, SizeLimit)
 from hoq import linalg, membership
-from hoq.linalg import (TOL_HERM, TOL_PSD, _defect_and_support, _positivity,
-                        _sparse_support, hermitian_part)
+from hoq.linalg import TOL_HERM, TOL_PSD, _positivity, _sparse_support, hermitian_part
 from hoq.serialize import (operator_to_dict, read_bundle, read_operator, write_bundle,
                            write_operator)
 from hoq.membership import Classification, characterization_of, check_operator, random_hermitian
@@ -369,7 +370,7 @@ def test_a_vector_check_agrees_with_the_matrix_check(case, seed, complex_entries
     op = linalg.rank_one(factors, v * math.sqrt(float(coeff) * dim) / np.linalg.norm(v))
     plain = matrix_only(op)
     plan = _level_plan(sectors, op.factors)
-    averaged, reference = _idle_traced(op, plan, None), reference_idle_traced(plain, plan)
+    averaged, reference = _idle_traced(op, plan), reference_idle_traced(plain, plan)
     assert averaged.factors == reference.factors
     assert np.abs(averaged.data - reference.data).max() <= 1e-12 * np.abs(reference.data).max()
     got, want = check_operator(op, coeff, sectors), check_operator(plain, coeff, sectors)
@@ -381,6 +382,58 @@ def test_a_vector_check_agrees_with_the_matrix_check(case, seed, complex_entries
     assert [p for p, _ in got.forbidden_components] == [p for p, _ in want.forbidden_components]
     assert [n for _, n in got.forbidden_components] == \
         pytest.approx([n for _, n in want.forbidden_components], rel=1e-12)
+
+
+def drawn_vector(rng, n, kind):
+    """A real or complex normal vector of n entries, or one of 0/1 entries
+    (``kind`` "binary"), whose products are all exact."""
+    if kind == "binary":
+        return rng.integers(0, 2, n).astype(float)
+    v = rng.normal(size=n)
+    return v + 1j * rng.normal(size=n) if kind == "complex" else v
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_type(max_systems=6), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["real", "complex", "binary"]),
+       st.sampled_from(["real", "complex", "binary"]))
+def test_a_rank_one_tensor_product_carries_the_product_vector(case, seed, kind_v, kind_w):
+    # a type's systems, shuffled and split in two: the product of two
+    # rank-one operators is |v (x) w><v (x) w|, with kron(v, w) as its
+    # vector and the Kronecker product of the two matrices as its matrix
+    t, reg = case
+    systems = [(lab, reg.dim(lab)) for lab in systems_of(t)]
+    assume(math.prod(d for _, d in systems) <= 512)
+    rng = np.random.default_rng(seed)
+    systems = [systems[i] for i in rng.permutation(len(systems))]
+    cut = int(rng.integers(0, len(systems) + 1))
+    fa, fb = tuple(systems[:cut]), tuple(systems[cut:])
+    a = linalg.rank_one(fa, drawn_vector(rng, math.prod(d for _, d in fa), kind_v))
+    b = linalg.rank_one(fb, drawn_vector(rng, math.prod(d for _, d in fb), kind_w))
+    joint = linalg.tensor_op(a, b)
+    assert joint.factors == fa + fb
+    assert np.array_equal(joint.vector, np.kron(a.vector, b.vector))
+    assert_rank_one_matrix(joint.data, joint.vector)
+    dense = LabeledOperator(fa + fb, np.kron(a.data, b.data)).data
+    # a complex factor may leave rounding-level imaginary parts where the
+    # dense product has none, as rank_one of a vector with a global phase does
+    if "complex" not in (kind_v, kind_w):
+        assert joint.data.dtype == dense.dtype == np.float64
+    if kind_v == kind_w == "binary":
+        # every product is exact; adding +0 drops the sign of a zero
+        assert (joint.data + 0.0).tobytes() == (dense + 0.0).tobytes()
+    else:
+        assert np.abs(joint.data - dense).max() <= 1e-15 * np.abs(dense).max()
+    # with one operand as its matrix only, the product is today's dense one
+    for mixed in (linalg.tensor_op(a, matrix_only(b)), linalg.tensor_op(matrix_only(a), b)):
+        assert mixed.vector is None and mixed.data.tobytes() == dense.tobytes()
+    # a shared label is refused before any product is formed
+    if fa and fb:
+        clash = linalg.relabel(b, {fb[0][0]: fa[0][0]})
+        with mock.patch.object(linalg, "rank_one", side_effect=AssertionError), \
+                mock.patch.object(np, "kron", side_effect=AssertionError), \
+                pytest.raises(LabelCollision):
+            linalg.tensor_op(a, clash)
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,23 +823,15 @@ def sparse_level(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_level())
 def test_live_block_average_is_the_whole_matrix_average(case):
-    # every entry lies in the live block, so the average read from it adds
-    # the same terms in the same order as _trace_factor on all D^2 entries
+    # a sparse matrix averages through _trace_factor on all D^2 entries, as
+    # the reference does, and its check reports what the reference's does
     op, allowed = case
     plan = _level_plan(allowed, op.factors)
-    live = _sparse_support(op.data)
-    assert live is not None
-    got = _idle_traced(op, plan, live)
+    assert _sparse_support(op.data) is not None
+    got = _idle_traced(op, plan)
     want = reference_idle_traced(op, plan)
     assert got.factors == want.factors and got.data.dtype == want.data.dtype
-    # bit for bit but for the sign of a zero, which adding +0 drops
-    assert (got.data + 0.0).tobytes() == (want.data + 0.0).tobytes()
-    # whichever kernel the pair count chose, the live-block one agrees
-    if plan.idle:
-        pos = plan.idle[0]
-        by_live_rows = linalg._trace_live(op.data, op.dims, pos, live) + 0.0
-        assert by_live_rows.tobytes() == (linalg._trace_factor(op.data, op.dims, pos)
-                                          + 0.0).tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
     coeff = Fraction(1, op.dim)
     with mock.patch.object(membership, "_idle_traced", reference_idle_traced):
         reference = check_operator(op, coeff, allowed).to_dict()
@@ -1115,8 +1160,7 @@ def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
     kind, data, positive = case
     a = LabeledOperator((("S", len(data)),), data)
     before = a.data.tobytes()
-    defect, live = _defect_and_support(a)
-    assert defect == a.herm_defect()
+    defect = a.herm_defect()
     assert kind == "support" or (defect > 0) == (kind == "skewed")
     factored = []
     inner = linalg._cholesky_lower
@@ -1125,11 +1169,10 @@ def test_positivity_test_decides_and_leaves_its_input_unchanged(case):
         factored.append(block)
         inner(block)
     with mock.patch.object(linalg, "_cholesky_lower", spy):
-        sym, sym_live, norm_sq, min_eig, psd_ok, method = _positivity(a, defect, live, TOL_PSD)
+        sym, norm_sq, min_eig, psd_ok, method = _positivity(a, defect, TOL_PSD)
     assert a.data.tobytes() == before
     part = a.data if defect == 0 else hermitian_part(a)
     assert sym.tobytes() == part.tobytes()
-    assert np.array_equal(sym_live, _sparse_support(part))
     # the block: a copy of the live rows, the part itself, or a copy of it
     [block] = factored
     live = np.count_nonzero(part.any(axis=1))

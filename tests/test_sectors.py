@@ -26,7 +26,7 @@ from hoq import (
     tensor,
     tensor_deviation_direct,
 )
-from hoq import linalg, sectors
+from hoq import linalg, membership, sectors
 from hoq.errors import FactorMismatch, NonFiniteOperator
 from hoq.membership import characterization_of, check_operator
 from hoq.processes import flippable_switch_choi, merge_ports, n_time_flip_choi
@@ -45,7 +45,7 @@ from hoq.typesys import dehat
 
 from helpers import (NON_FINITE, clear_plan_caches, hoq_caches, mask_of, marks_of, matrix_only,
                      non_finite_operator, random_type, reference_component,
-                     reference_idle_traced, rename_type)
+                     reference_idle_traced, rename_type, two_flip_comb)
 
 REG = SystemRegistry.of(A=2, B=2, P=4, F=4)
 PAIR = parse_type("(^A -> ^B)", REG)
@@ -354,10 +354,11 @@ class TestZeroPruning:
     without the stops take 84, 90, 103, 84 and 4).  A check first traces
     out the factors that every forbidden pattern marks identity, and both
     recursions run on what is left (on the whole operator, the checks took
-    40, 27, 52 and 47).  The first of those traces reads the live rows
-    (``_trace_live``), not ``_trace_factor``, and ``classify`` takes it once
-    for both of its levels, which share their idle factors: the counts were
-    27, 25, 39 and 33 while every average went through ``_trace_factor``."""
+    40, 27, 52 and 47).  Both processes carry their vectors, so that first
+    average is ``M M^H / d_Z`` (``_idle_traced``), not ``_trace_factor``, and
+    ``classify`` takes it once for both of its levels, which share their
+    idle factors: the counts were 27, 25, 39 and 33 while every average went
+    through ``_trace_factor``."""
 
     ORDER = ["P", "A1", "B1", "A2", "B2", "F"]
     BSP = "((((^A1 -> ^B1) -> ((^A2 -> ^B2) -> I)) -> I) -> (P -> F))"
@@ -452,18 +453,19 @@ class TestZeroPruning:
 
 
 class TestOneSupport:
-    """A check finds the live rows of a sparse operator once, in its
-    hermiticity scan, and hands them to the positivity test and to the
-    average over Z; ``classify`` averages once for its two levels.  The
-    switch is given as its matrix, without its vector, so these checks take
-    the sparse-matrix path; :class:`TestVectorCheck` takes the vector's."""
+    """A check of a sparse operator given as its matrix scans its rows
+    twice, in the hermiticity scan and in the positivity test, and averages
+    the whole matrix over Z once; ``classify`` averages once for its two
+    levels.  The switch is given as its matrix, without its vector, so these
+    checks take the sparse-matrix path; :class:`TestVectorCheck` takes the
+    vector's."""
 
     BSP = TestZeroPruning.BSP
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"_sparse_support": 0, "_trace_live": 0}
-        for module, name in ((linalg, "_sparse_support"), (sectors, "_trace_live")):
+        calls = {"_sparse_support": 0, "_idle_traced": 0}
+        for module, name in ((linalg, "_sparse_support"), (membership, "_idle_traced")):
             original = getattr(module, name)
 
             def counted(*args, f=original, n=name):
@@ -477,50 +479,23 @@ class TestOneSupport:
         return matrix_only(TestZeroPruning._fused(flippable_switch_choi(2)))
 
     def test_a_sparse_check_scans_once(self, counts, switch):
+        # once for hermiticity, once for positivity
         two = [(2, 2), (2, 2)]
         for check in (lambda: check_bislot(switch, two, 4, 4),
                       lambda: check_bsp(switch, two, 4, 4, hierarchy=Hierarchy.STANDARD)):
-            counts.update(_sparse_support=0, _trace_live=0)
+            counts.update(_sparse_support=0, _idle_traced=0)
             assert check().forbidden_components
-            assert counts == {"_sparse_support": 1, "_trace_live": 1}
+            assert counts == {"_sparse_support": 2, "_idle_traced": 1}
 
     def test_classify_scans_and_averages_once(self, counts, switch):
         reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
         t = parse_type(self.BSP, reg)
         assert classify(switch, t, reg).verdict == "BISTOCH_ONLY"
-        assert counts == {"_sparse_support": 1, "_trace_live": 1}
-
-    def test_many_live_pairs_average_the_whole_matrix(self, counts, monkeypatch):
-        # half the rows live, split between the two values of an idle qubit:
-        # 2 * 128^2 same-z pairs against the 512^2 / 2 entries of the whole
-        # matrix's average, too many to pay, so the check averages through
-        # _trace_factor, with the bytes of the live-block average
-        rng = np.random.default_rng(7)
-        live = np.sort(rng.choice(512, 256, replace=False))
-        g = np.zeros((512, 8))
-        g[live] = rng.integers(0, 2, (256, 8))
-        systems = (("X", 256), ("Y", 2))
-        op = LabeledOperator(systems, g @ g.T)
-        allowed = SectorSet(systems, {2, 3})
-        plan = sectors._level_plan(allowed, op.factors)
-        assert plan.idle == (1,)
-        found = linalg._sparse_support(op.data)
-        assert not linalg._few_live_pairs(op.dims, 1, found)
-        whole = []
-        original = sectors._trace_factor
-        monkeypatch.setattr(sectors, "_trace_factor",
-                            lambda *args: whole.append(args[2]) or original(*args))
-        counts.update(_sparse_support=0, _trace_live=0)
-        report = check_operator(op, Fraction(1, 512), allowed)
-        assert report.forbidden_components
-        assert counts == {"_sparse_support": 1, "_trace_live": 0} and whole[0] == 1
-        averaged = sectors._idle_traced(op, plan, found).data + 0.0
-        by_live_rows = linalg._trace_live(op.data, op.dims, 1, found) / 2 + 0.0
-        assert averaged.tobytes() == by_live_rows.tobytes()
+        assert counts == {"_sparse_support": 2, "_idle_traced": 1}
 
     def test_is_psd_scans_once(self, counts, switch):
         assert is_psd(switch)
-        assert counts == {"_sparse_support": 1, "_trace_live": 0}
+        assert counts == {"_sparse_support": 2, "_idle_traced": 0}
 
     def test_a_write_between_two_checks_is_seen(self, switch):
         # the operator shares the caller's array, so rows that the caller
@@ -535,12 +510,6 @@ class TestOneSupport:
         fresh = check_bislot(LabeledOperator(switch.factors, data.copy()), two, 4, 4).to_dict()
         assert second == fresh
         assert second["sector_residual"] != first["sector_residual"]
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_no_live_rows_average_to_zeros_of_the_dtype(self, dtype):
-        data = np.zeros((12, 12), dtype)
-        out = linalg._trace_live(data, (3, 4), 1, linalg._sparse_support(data))
-        assert out.dtype == dtype and out.shape == (3, 3) and not out.any()
 
     def test_a_zero_operator_checks(self, switch):
         zero = LabeledOperator(switch.factors, np.zeros_like(switch.data))
@@ -567,9 +536,8 @@ class TestVectorCheck:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = dict.fromkeys(("_sparse_support", "_cholesky_lower", "_trace_live"), 0)
-        for module, name in ((linalg, "_sparse_support"), (linalg, "_cholesky_lower"),
-                             (sectors, "_trace_live")):
+        calls = dict.fromkeys(("_sparse_support", "_cholesky_lower"), 0)
+        for module, name in ((linalg, "_sparse_support"), (linalg, "_cholesky_lower")):
             original = getattr(module, name)
 
             def counted(*args, f=original, n=name):
@@ -579,12 +547,21 @@ class TestVectorCheck:
         return calls
 
     @pytest.fixture
+    def traced_rows(self, monkeypatch):
+        # the rows of every matrix a partial trace reads
+        rows = []
+        original = sectors._trace_factor
+        monkeypatch.setattr(sectors, "_trace_factor",
+                            lambda *args: rows.append(len(args[0])) or original(*args))
+        return rows
+
+    @pytest.fixture
     def switch(self):
         r = TestZeroPruning._fused(flippable_switch_choi(2))
         assert r.vector is not None
         return r
 
-    def test_a_vector_check_reads_no_row_of_the_matrix(self, counts, switch):
+    def test_a_vector_check_reads_no_row_of_the_matrix(self, counts, traced_rows, switch):
         two = [(2, 2), (2, 2)]
         reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=4, F=4)
         t = parse_type(self.BSP, reg)
@@ -596,7 +573,9 @@ class TestVectorCheck:
             rep = check()
             assert (rep.psd_method, rep.min_eigenvalue, rep.herm_defect) == ("gram", 0.0, 0.0)
         assert is_psd(switch)
-        assert counts == {"_sparse_support": 0, "_cholesky_lower": 0, "_trace_live": 0}
+        assert counts == {"_sparse_support": 0, "_cholesky_lower": 0}
+        # the partial traces of the sector test read the average, 64 x 64
+        assert traced_rows and max(traced_rows) == switch.dim // 4
 
     def test_the_vector_average_is_the_matrix_average(self, switch):
         # 0/1 entries: every sum is exact, so the bytes are the same
@@ -606,10 +585,35 @@ class TestVectorCheck:
             _, allowed = characterization_of(t if level is Hierarchy.BISTOCH else dehat(t), reg)
             plan = sectors._level_plan(allowed, switch.factors)
             assert plan.idle and plan.idle_dim == 4
-            got = sectors._idle_traced(switch, plan, None)
+            got = sectors._idle_traced(switch, plan)
             want = reference_idle_traced(matrix_only(switch), plan)
             assert got.factors == want.factors
             assert got.data.tobytes() == want.data.tobytes()
+
+    def test_the_two_flip_comb_is_checked_from_its_vector(self, counts):
+        # the tensor product keeps the two flips' vectors, so the D = 4096
+        # comb is checked from its vector, with the matrix path's reports
+        comb = two_flip_comb()
+        assert comb.vector is not None and comb.dim == 4096
+        two = [(2, 2), (2, 2)]
+        reg = SystemRegistry.of(A1=2, B1=2, A2=2, B2=2, P=16, F=16)
+        t = parse_type(self.BSP, reg)
+
+        def reports(r):
+            classified = classify(r, t, reg)
+            return [check_bislot(r, two, 16, 16), check_bsp(r, two, 16, 16),
+                    check_bsp(r, two, 16, 16, hierarchy=Hierarchy.STANDARD),
+                    classified.bistoch_report, classified.standard_report], classified
+        got, got_class = reports(comb)
+        assert counts == {"_sparse_support": 0, "_cholesky_lower": 0}
+        want, want_class = reports(matrix_only(comb))
+        assert (got_class.verdict, got_class.forbidden) == (want_class.verdict,
+                                                            want_class.forbidden)
+        assert [r.verdict for r in got] == ["PASS", "PASS", "FAIL", "PASS", "FAIL"]
+        for g, w in zip(got, want):
+            assert (g.psd_method, g.min_eigenvalue, w.psd_method) == ("gram", 0.0, "cholesky")
+            assert {**vars(g), "psd_method": 0, "min_eigenvalue": 0} == \
+                {**vars(w), "psd_method": 0, "min_eigenvalue": 0}
 
     def test_reports_equal_the_matrix_reports(self, switch):
         two = [(2, 2), (2, 2)]
